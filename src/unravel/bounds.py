@@ -245,25 +245,35 @@ class PhiProblem:
         )
 
 
+def _feasible_grid_min(problem: PhiProblem, grid_points: int) -> float:
+    """Minimum of phi over the feasible points of a grid_points x grid_points grid.
+
+    phi increases in zeta, so the minimum of each xi row sits at the first
+    grid zeta on or above the constraint curve; rows with no such zeta drop out.
+    """
+    gamma, alpha, beta = problem.gamma, problem.alpha, problem.beta
+    xi = np.linspace(0.0, 1.0, grid_points)
+    zeta = np.linspace(1.0, gamma, grid_points) if gamma > 1 else np.ones(1)
+    first = np.searchsorted(zeta, gamma * xi ** (beta / alpha), side="left")
+    rows = first < zeta.size
+    if not rows.any():
+        raise ValueError("empty feasible grid")
+    return float(problem.phi(xi[rows], zeta[first[rows]]).min())
+
+
 def phi_min_verify(problem: PhiProblem, grid_points: int = 2000) -> tuple[float, float]:
     """Return (analytic_min, numeric_min) for a PhiProblem.
 
     The numeric minimum combines a grid_points x grid_points rectangular grid
-    (masked to the feasible region; zeta <= gamma suffices since phi increases
-    in zeta) with a fine sweep along the active lower boundary
+    (restricted to the feasible region; zeta <= gamma suffices since phi
+    increases in zeta) with a fine sweep along the active lower boundary
     zeta = max(1, gamma * xi^(beta/alpha)), where the minimum lives.
     """
     if grid_points < 2:
         raise ValueError("grid_points must be >= 2")
     gamma, alpha, beta = problem.gamma, problem.alpha, problem.beta
     analytic = (problem.xi0 - 1.0) / (1.0 - alpha)
-
-    xi = np.linspace(0.0, 1.0, grid_points)
-    zeta = np.linspace(1.0, gamma, grid_points) if gamma > 1 else np.ones(1)
-    feasible = zeta[None, :] >= gamma * (xi[:, None] ** (beta / alpha))
-    if not feasible.any():
-        raise ValueError("empty feasible grid")
-    grid_min = float(problem.phi(xi[:, None], zeta[None, :])[feasible].min())
+    grid_min = _feasible_grid_min(problem, grid_points)
 
     n_edge = min(grid_points * grid_points, 4_000_001)
     xi_edge = np.linspace(0.0, 1.0, n_edge)

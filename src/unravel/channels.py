@@ -3,7 +3,7 @@
 Channel application, unitary remixing of Kraus sets, the Gram matrix of an
 unraveling at a state, effect probabilities, and the extremal unraveling
 obtained by diagonalizing that Gram matrix (which minimizes every Tsallis
-entropy of positive order and the Renyi entropies of order below 1).
+and every Renyi entropy of positive order).
 """
 
 from __future__ import annotations

@@ -52,8 +52,15 @@ def matrix_from_json(data, name: str) -> np.ndarray:
 
 
 def load_instance(path: str) -> dict:
-    with open(path) as fh:
-        doc = json.load(fh)
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise ValueError(f"cannot read instance file {path!r}: {exc.strerror or exc}") from None
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"instance file {path!r} is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ValueError("instance file must hold a JSON object")
     if "dim" not in doc:
         raise ValueError("instance file misses required field 'dim'")
     dim = int(doc["dim"])
@@ -100,10 +107,7 @@ class Reporter:
             self._writer.writerow({k: row.get(k) for k in ROW_FIELDS})
 
     def obj(self, payload: dict):
-        if self.fmt == "json":
-            self.stream.write(json.dumps(payload) + "\n")
-        else:
-            self.stream.write(json.dumps(payload) + "\n")
+        self.stream.write(json.dumps(payload) + "\n")
 
     @property
     def exit_code(self) -> int:
@@ -125,6 +129,16 @@ def _report_fields(report: bounds.BoundReport, **extra):
 
 def _parse_grid(text: str) -> list[float]:
     return [float(t) for t in text.split(",") if t.strip()]
+
+
+def _count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def cmd_extremal(args, rep: Reporter) -> None:
@@ -245,10 +259,10 @@ def cmd_demo(args, rep: Reporter) -> None:
         uniform = np.zeros(2 * args.truncation + 1)
         uniform[args.truncation] = 1.0
         state = demos.AngleState(uniform, args.nbins)
-        report = demos.angle_momentum_demo(state, orders, args.quad_points)
+        report = demos.angle_momentum_demo(state, orders)
         rep.row("angle_uniform", d=args.nbins, factor_kind="fbar", seed=args.seed, **_report_fields(report))
         packet = demos.gaussian_wavepacket(args.truncation, args.width, args.nbins)
-        report = demos.angle_momentum_demo(packet, orders, args.quad_points)
+        report = demos.angle_momentum_demo(packet, orders)
         rep.row("angle_gaussian", d=args.nbins, factor_kind="fbar", seed=args.seed, **_report_fields(report))
 
 
@@ -307,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("extremal", help="Gram spectrum and extremal-vs-remixing sweep")
     s.add_argument("--in", dest="infile", required=True)
     s.add_argument("--alpha-grid", default="0.3,0.7,1.0,1.5,2,5")
-    s.add_argument("--remixings", type=int, default=200)
+    s.add_argument("--remixings", type=_count, default=200)
     s.set_defaults(func=cmd_extremal)
 
     s = sub.add_parser("uncertainty", help="one uncertainty bound report")
@@ -321,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--dim", type=int, required=True)
     s.add_argument("--trials", type=int, required=True)
     s.add_argument("--alpha-grid", default="1.5,2,3")
-    s.add_argument("--remixings", type=int, default=100)
+    s.add_argument("--remixings", type=_count, default=100)
     s.add_argument("--seed", type=int, default=0)
     s.set_defaults(func=cmd_sweep)
 
@@ -333,7 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--nbins", type=int, default=8)
     s.add_argument("--L", dest="truncation", type=int, default=50)
     s.add_argument("--width", type=float, default=3.0)
-    s.add_argument("--quad-points", type=int, default=64)
     s.add_argument("--seed", type=int, default=0)
     s.set_defaults(func=cmd_demo)
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .bounds import BoundReport
 from .entropy import ConjugateOrders, alpha_log, as_prob_vector, tsallis_entropy
@@ -81,35 +80,26 @@ def wavefunction(state: AngleState, phis) -> np.ndarray:
     return np.exp(1j * np.outer(np.asarray(phis, float), ls)) @ state.coeffs / np.sqrt(2 * np.pi)
 
 
-def bin_probabilities(state: AngleState, quad_points_per_bin: int = 64) -> np.ndarray:
-    """Per-bin integrals of |Psi|^2 by composite Simpson quadrature.
+def bin_probabilities(state: AngleState) -> np.ndarray:
+    """Exact per-bin integrals of |Psi|^2.
 
-    quad_points_per_bin counts subintervals per bin (rounded up to even).
-    A normalization defect above 1e-6 means the resolution is too low.
+    |Psi|^2 = (1/2pi) sum_m r_m exp(i*m*phi) with the coefficient
+    autocorrelation r_m = sum_l c_(l+m) conj(c_l), and over a bin of width w
+    centred on phi_k, int exp(i*m*phi) = w exp(i*m*phi_k) sinc(m*w/2pi), with
+    sinc(x) = sin(pi*x)/(pi*x).
     """
-    if quad_points_per_bin < 2:
-        raise ValueError("quad_points_per_bin must be >= 2")
-    n_int = quad_points_per_bin + (quad_points_per_bin % 2)
-    edges = np.linspace(0.0, 2 * np.pi, state.nbins + 1)
-    offsets = np.linspace(0.0, state.delta_phi, n_int + 1)
-    phis = edges[:-1, None] + offsets[None, :]
-    dens = np.abs(wavefunction(state, phis.ravel())) ** 2
-    p = simpson(dens.reshape(state.nbins, n_int + 1), x=phis, axis=1)
-    defect = abs(p.sum() - 1.0)
-    if defect > 1e-6:
-        raise ValueError(
-            f"quadrature normalization off by {defect:.3e}; raise quad_points_per_bin"
-        )
-    return p / p.sum()
+    c = state.coeffs
+    r = np.correlate(c, c, mode="full")
+    m = np.arange(1 - c.size, c.size)
+    centres = (np.arange(state.nbins) + 0.5) * state.delta_phi
+    return (np.exp(1j * np.outer(centres, m)) @ (r * np.sinc(m / state.nbins))).real / state.nbins
 
 
-def angle_momentum_demo(
-    state: AngleState, orders: ConjugateOrders, quad_points_per_bin: int = 64
-) -> BoundReport:
+def angle_momentum_demo(state: AngleState, orders: ConjugateOrders) -> BoundReport:
     """Binned-angle vs angular-momentum bound H_a(phi) + H_b(J) >= ln_mu(nbins)."""
     if orders.alpha <= 1 and not orders.shannon_limit:
         raise ValueError("the binned-angle bound needs alpha > 1 > beta")
-    p = bin_probabilities(state, quad_points_per_bin)
+    p = bin_probabilities(state)
     q = as_prob_vector(np.abs(state.coeffs) ** 2)
     lhs = tsallis_entropy(p, orders.alpha) + tsallis_entropy(q, orders.beta)
     rhs = alpha_log(float(state.nbins), orders.mu)

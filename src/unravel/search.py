@@ -1,11 +1,12 @@
-"""Numerical search for Renyi-extremal unravelings at orders above 1.
+"""Renyi-extremal unravelings and the paired uncertainty reports built on them.
 
-Diagonalizing the Gram matrix minimizes every Tsallis entropy and the Renyi
-entropies of order below 1, but no closed form is known for the Renyi
-minimizer at order above 1, so it is approximated by multi-restart local
-search over remixing unitaries.  The paired uncertainty relations evaluated
-here hold for any remixing, so their slack does not depend on the search
-finding the true optimum.
+Remixing an unraveling by a unitary U gives the effect distribution
+diag(U† Pi U), where Pi is the Gram matrix.  By Schur's theorem that diagonal
+is majorized by the spectrum lambda of Pi, and every Renyi entropy of positive
+order is Schur-concave (Marshall & Olkin, Inequalities: Theory of
+Majorization, ch. 3 A and 9 B).  So the Gram-diagonalizing unraveling that
+minimizes every Tsallis entropy also minimizes every Renyi entropy, and the
+minimum is R_alpha(lambda) exactly; no numerical search is needed.
 """
 
 from __future__ import annotations
@@ -13,24 +14,22 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-import numpy as np
-from scipy.linalg import expm
-
 from .bounds import BoundReport, povm_from_unraveling, renyi_uncertainty_check, tsallis_uncertainty_check
-from .channels import Unraveling, extremal_unraveling, gram_matrix, remix
+from .channels import Unraveling, extremal_unraveling
 from .entropy import ConjugateOrders, renyi_entropy
-from .linalg import haar_unitary_from_rng, hermitian_eig
-
-_DECAY = 0.95
-_DECAY_EVERY = 50
 
 
 @dataclass(frozen=True)
 class SearchConfig:
+    """Order of the Renyi minimization.
+
+    restarts, iterations and seed are validated but no longer change the
+    result, which is exact.
+    """
+
     alpha: float
     restarts: int = 10
     iterations: int = 300
-    step_scale: float = 0.5
     seed: int = 0
 
     def __post_init__(self):
@@ -38,75 +37,28 @@ class SearchConfig:
             raise ValueError("alpha must be positive")
         if self.restarts < 1 or self.iterations < 1:
             raise ValueError("restarts and iterations must be >= 1")
-        if self.step_scale <= 0:
-            raise ValueError("step_scale must be positive")
-
-
-def _remix_probs(pi: np.ndarray, u: np.ndarray) -> np.ndarray:
-    p = np.einsum("ji,jl,li->i", u.conj(), pi, u).real
-    p = np.clip(p, 0.0, None)
-    return p / p.sum()
 
 
 def renyi_extremal_search(
     a: Unraveling, rho, cfg: SearchConfig, allow_any_order: bool = False
 ) -> tuple[Unraveling, float]:
-    """Best-effort Renyi minimizer over remixings, deterministic in the seed.
+    """Renyi minimizer over remixings: the Gram-extremal unraveling.
 
-    Unitaries are stepped as U * exp(i * step * G) with random Hermitian
-    generators, accepted on entropy decrease, step decaying geometrically
-    after runs of non-improving proposals.  The first two restarts start from
-    the Gram diagonalizer and the identity, so the result never exceeds the
-    analytic extremal or the input unraveling.
+    Every remixed distribution diag(U† Pi U) is majorized by the Gram
+    spectrum lambda (Schur), and R_alpha is Schur-concave, so R_alpha(lambda)
+    is the exact minimum at every order alpha > 0.  cfg.restarts,
+    cfg.iterations and cfg.seed do not change the result.
 
-    Orders at or below 1 are rejected (the analytic extremal already wins
-    there) unless allow_any_order is set for sanity testing.
+    Orders at or below 1 are rejected (use extremal_unraveling there) unless
+    allow_any_order is set for sanity testing.
     """
     if cfg.alpha <= 1 and not allow_any_order:
         raise ValueError(
             "for alpha <= 1 the Gram-diagonalizing unraveling is optimal; "
             "use extremal_unraveling instead"
         )
-    pi = gram_matrix(a, rho)
-    n = a.n_ops
-    if n == 1:
-        return a, renyi_entropy(np.array([1.0]), cfg.alpha)
-
-    _, v = hermitian_eig(pi)
-
-    def objective(u: np.ndarray) -> float:
-        return renyi_entropy(_remix_probs(pi, u), cfg.alpha)
-
-    best_u: np.ndarray | None = None
-    best_val = np.inf
-    for restart in range(cfg.restarts):
-        rng = np.random.default_rng([cfg.seed, restart])
-        if restart == 0:
-            u = v.copy()
-        elif restart == 1:
-            u = np.eye(n, dtype=complex)
-        else:
-            u = haar_unitary_from_rng(rng, n)
-        val = objective(u)
-        step = cfg.step_scale
-        stall = 0
-        for _ in range(cfg.iterations):
-            z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            gen = (z + z.conj().T) / 2
-            gen /= np.linalg.norm(gen)
-            cand = u @ expm(1j * step * gen)
-            cand_val = objective(cand)
-            if cand_val < val:
-                u, val = cand, cand_val
-                stall = 0
-            else:
-                stall += 1
-                if stall >= _DECAY_EVERY:
-                    step *= _DECAY
-                    stall = 0
-        if val < best_val:
-            best_u, best_val = u, val
-    return remix(a, best_u), best_val
+    result = extremal_unraveling(a, rho)
+    return result.extremal, renyi_entropy(result.lambdas, cfg.alpha)
 
 
 def extremal_pair_tsallis(
@@ -127,7 +79,7 @@ def extremal_pair_tsallis(
 def extremal_pair_renyi(
     a: Unraveling, b: Unraveling, rho, orders: ConjugateOrders, cfg: SearchConfig
 ) -> BoundReport:
-    """Renyi uncertainty report: searched minimizer at alpha, Gram extremal at beta."""
+    """Renyi uncertainty report: Renyi minimizer at alpha, Gram extremal at beta."""
     if orders.alpha <= 1:
         raise ValueError("the paired Renyi relation is stated for alpha > 1")
     best_a, _ = renyi_extremal_search(a, rho, dataclasses.replace(cfg, alpha=orders.alpha))

@@ -205,7 +205,7 @@ def test_06_angle_demo():
         rep = angle_momentum_demo(AngleState(uniform, nbins), orders)
         worst_abs = max(worst_abs, abs(rep.slack))
     packet = gaussian_wavepacket(50, 3.0, 8)
-    rep_g = angle_momentum_demo(packet, orders, quad_points_per_bin=256)
+    rep_g = angle_momentum_demo(packet, orders)
     rng = np.random.default_rng(70_000)
     ineq_ok = True
     beta = 2 / 3

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from unravel import linalg
+from unravel import bounds, linalg
 from unravel.bounds import (
     PhiProblem,
     Povm,
@@ -278,6 +278,18 @@ class TestPhiMin:
             assert dphi_dxi < 0
             assert dphi_dzeta > 0
             count += 1
+
+    def test_grid_min_matches_masked_grid(self):
+        # reference: phi over the whole grid, masked to the feasible points
+        for gamma in (1.0, 1.01, 1.5, 2.0, 7.3, 40.0):
+            for alpha in (1.2, 2.0, 5.0):
+                for grid in (2, 3, 17, 101, 400):
+                    problem = PhiProblem(gamma, alpha)
+                    xi = np.linspace(0.0, 1.0, grid)
+                    zeta = np.linspace(1.0, gamma, grid) if gamma > 1 else np.ones(1)
+                    feasible = zeta[None, :] >= gamma * (xi[:, None] ** (problem.beta / alpha))
+                    masked = float(problem.phi(xi[:, None], zeta[None, :])[feasible].min())
+                    assert bounds._feasible_grid_min(problem, grid) == masked
 
     def test_curve_derivative_positive(self):
         # d/dxi of phi along the constraint curve is positive on (xi0, 1]

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import unravel
 from unravel import cli, linalg
 from unravel.channels import random_unraveling
 
@@ -85,6 +90,29 @@ class TestExtremalCommand:
         assert len(sweep) == 6
         assert all(r["slack"] >= -1e-9 for r in sweep)
 
+    def test_zero_remixings_rejected(self, tmp_path, capsys):
+        a = random_unraveling(2, 3, seed=3)
+        path = _write_instance(tmp_path, dim=2, kraus=[_encode(k) for k in a.kraus_ops])
+        for argv in (["extremal", "--in", path], ["sweep", "--dim", "2", "--trials", "1"]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv + ["--remixings", "0"])
+            assert exc.value.code == 2
+            assert "--remixings" in capsys.readouterr().err
+
+    def test_missing_file_exits_2(self, tmp_path, capsys):
+        code, out, err = _run(capsys, ["extremal", "--in", str(tmp_path / "absent.json")])
+        assert code == 2
+        assert out == ""
+        assert "absent.json" in json.loads(err)["error"]
+
+    def test_malformed_file_exits_2(self, tmp_path, capsys):
+        for name, text in (("broken.json", '{"dim": 2,'), ("scalar.json", "5")):
+            path = tmp_path / name
+            path.write_text(text)
+            code, _, err = _run(capsys, ["extremal", "--in", str(path)])
+            assert code == 2
+            assert "error" in json.loads(err)
+
     def test_missing_kraus_exits_2(self, tmp_path, capsys):
         path = _write_instance(tmp_path, dim=2)
         code, out, err = _run(capsys, ["extremal", "--in", path])
@@ -165,7 +193,7 @@ class TestDemoCommand:
 
     def test_angle(self, capsys):
         code, out, _ = _run(
-            capsys, ["demo", "angle", "--alpha", "2", "--nbins", "8", "--quad-points", "128"]
+            capsys, ["demo", "angle", "--alpha", "2", "--nbins", "8"]
         )
         assert code == 0
         rows = _json_rows(out)
@@ -194,6 +222,13 @@ class TestPhiMinCommand:
         assert row["lhs"] == pytest.approx(7 / 8, abs=1e-4)
         assert row["slack"] >= -1e-12
 
+    def test_large_grid(self, capsys):
+        # the grid check costs O(grid) memory, so a 10^5-point grid runs
+        code, out, _ = _run(capsys, ["phi-min", "--gamma", "2", "--alpha", "2", "--grid", "100000"])
+        assert code == 0
+        (row,) = _json_rows(out)
+        assert row["slack"] >= -1e-12
+
 
 class TestCsvFormat:
     def test_header_and_rows(self, capsys):
@@ -204,3 +239,12 @@ class TestCsvFormat:
         lines = out.strip().splitlines()
         assert lines[0] == ",".join(cli.ROW_FIELDS)
         assert len(lines) > 1
+
+
+def test_import_loads_no_scipy():
+    src = str(Path(unravel.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, unravel.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

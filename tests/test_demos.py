@@ -152,14 +152,14 @@ class TestBinProbabilities:
         rng = np.random.default_rng(3)
         c = rng.standard_normal(7) + 1j * rng.standard_normal(7)
         s = _momentum_state(c, 4)
-        p = bin_probabilities(s, quad_points_per_bin=256)
+        p = bin_probabilities(s)
         assert np.allclose(p, _exact_bin_probs(s), atol=1e-9)
 
-    def test_resolution_error(self):
-        # sharply peaked packet underresolved by 2 points per bin
-        packet = gaussian_wavepacket(40, 0.8, 4)
-        with pytest.raises(ValueError):
-            bin_probabilities(packet, quad_points_per_bin=2)
+    def test_gaussian_packets_exact(self):
+        # (40, 0.8, 4) is sharply peaked; the others are the CLI default and its neighbours
+        for truncation, width, nbins in ((40, 0.8, 4), (50, 3.0, 8), (50, 1.0, 16), (50, 5.0, 4)):
+            packet = gaussian_wavepacket(truncation, width, nbins)
+            assert np.max(np.abs(bin_probabilities(packet) - _exact_bin_probs(packet))) <= 1e-13
 
 
 class TestAngleDemo:
@@ -178,7 +178,7 @@ class TestAngleDemo:
 
     def test_gaussian_wavepacket(self):
         packet = gaussian_wavepacket(50, 3.0, 8)
-        report = angle_momentum_demo(packet, conjugate_order(2.0), quad_points_per_bin=256)
+        report = angle_momentum_demo(packet, conjugate_order(2.0))
         assert report.slack >= -1e-8
         assert report.rhs == pytest.approx(alpha_log(8.0, 2.0), abs=1e-12)
 
@@ -219,7 +219,7 @@ class TestAngleNormInequalities:
         rng = np.random.default_rng(5)
         for _ in range(10):
             s = self._random_packet(rng)
-            p = bin_probabilities(s, quad_points_per_bin=256)
+            p = bin_probabilities(s)
             w = s.delta_phi
             for beta in (0.6, 0.75, 0.9):
                 alpha = beta / (2 * beta - 1)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unravel import linalg
 from unravel.channels import (
@@ -8,9 +10,10 @@ from unravel.channels import (
     extremal_unraveling,
     gram_matrix,
     random_unraveling,
+    remix,
     remixed_probabilities,
 )
-from unravel.entropy import conjugate_order, renyi_entropy
+from unravel.entropy import conjugate_order, renyi_entropy, tsallis_entropy
 from unravel.search import (
     SearchConfig,
     extremal_pair_renyi,
@@ -27,8 +30,6 @@ class TestSearchConfig:
             SearchConfig(alpha=-1.0)
         with pytest.raises(ValueError):
             SearchConfig(alpha=3.0, restarts=0)
-        with pytest.raises(ValueError):
-            SearchConfig(alpha=3.0, step_scale=0.0)
 
 
 class TestRenyiExtremalSearch:
@@ -97,6 +98,38 @@ class TestRenyiExtremalSearch:
         cfg = SearchConfig(alpha=3.0, restarts=10, iterations=300, seed=53)
         _, entropy = renyi_extremal_search(a, rho, cfg)
         assert entropy <= baseline + 1e-6
+
+
+def _random_kraus_set(rng, dim_in, dim_out, n_ops):
+    """Kraus blocks of a Haar-random isometry C^dim_in -> C^(n_ops * dim_out)."""
+    q, r = np.linalg.qr(linalg.ginibre(rng, n_ops * dim_out, dim_in))
+    q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+    return Unraveling(tuple(q.reshape(n_ops, dim_out, dim_in)))
+
+
+class TestGramSpectrumMinimizesEveryOrder:
+    # diag(U† Pi U) is majorized by the Gram spectrum and Renyi/Tsallis
+    # entropies are Schur-concave, so no remixing goes below the spectrum
+    @given(
+        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=0, max_value=3),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_remixings_never_beat_the_spectrum(self, dim_in, dim_out, n_ops, extra, seed):
+        n_ops = max(n_ops, -(-dim_in // dim_out))  # an isometry needs n_ops * dim_out >= dim_in
+        rng = np.random.default_rng(seed)
+        a = _random_kraus_set(rng, dim_in, dim_out, n_ops)
+        rho = linalg.random_density(dim_in, int(rng.integers(1, dim_in + 1)), seed)
+        lambdas = extremal_unraveling(a, rho).lambdas
+        for k in range(5):
+            u = linalg.haar_random_unitary(n_ops + extra, seed + k)
+            p = effect_probabilities(remix(a, u), rho)
+            for alpha in (0.3, 0.5, 1.0, 2.0, 3.0, 7.0):
+                assert renyi_entropy(p, alpha) >= renyi_entropy(lambdas, alpha) - 1e-12
+                assert tsallis_entropy(p, alpha) >= tsallis_entropy(lambdas, alpha) - 1e-12
 
 
 class TestExtremalPairTsallis:
