@@ -19,14 +19,8 @@ import numpy as np
 
 from . import linalg
 from .channels import Unraveling
-from .entropy import (
-    ConjugateOrders,
-    alpha_log,
-    as_prob_vector,
-    renyi_entropy,
-    tsallis_entropy,
-)
-from .linalg import check_density, check_hermitian, matrix_norms, psd_sqrt_hermitian
+from .entropy import ConjugateOrders, alpha_log, as_prob_vector, classical_entropy
+from .linalg import check_density, matrix_norms, psd_sqrt_hermitian
 
 # Probabilities below this are treated as zero in the factor maxima.
 P_ZERO_TOL = 1e-12
@@ -36,38 +30,40 @@ TOL_POVM_COMPLETE = 1e-9
 
 @dataclass(frozen=True)
 class Povm:
-    """Set of Hermitian PSD operators summing to the identity."""
+    """Set of Hermitian PSD operators summing to the identity.
 
-    elements: tuple[np.ndarray, ...]
+    The elements are held as one (n, dim, dim) array, which indexes and
+    iterates like a tuple of matrices.
+    """
+
+    elements: np.ndarray
 
     def __post_init__(self):
-        elems = []
-        for k, m in enumerate(self.elements):
-            m = check_hermitian(m, name=f"POVM element {k}")
-            w = np.linalg.eigvalsh(m)
-            if w[0] < -linalg.TOL_PSD:
-                raise ValueError(f"POVM element {k} not PSD: min eigenvalue {w[0]:.3e}")
-            elems.append(m)
-        if not elems:
-            raise ValueError("POVM needs at least one element")
-        dim = elems[0].shape[0]
-        if any(m.shape[0] != dim for m in elems):
-            raise ValueError("POVM elements must share one dimension")
-        dev = np.linalg.norm(sum(elems) - np.eye(dim))
+        elems = linalg.as_matrix_stack(self.elements, "POVM elements")
+        dim = elems.shape[1]
+        if elems.shape[2] != dim:
+            raise ValueError(f"POVM elements are not square: {elems.shape[1:]}")
+        dev = np.linalg.norm(elems - elems.conj().swapaxes(1, 2), axis=(1, 2))
+        k = int(dev.argmax())
+        if dev[k] > linalg.TOL_HERM:
+            raise ValueError(f"POVM element {k} is not Hermitian: deviation {dev[k]:.3e}")
+        elems = linalg.hermitianize(elems)
+        w = np.linalg.eigvalsh(elems)[:, 0]
+        k = int(w.argmin())
+        if w[k] < -linalg.TOL_PSD:
+            raise ValueError(f"POVM element {k} not PSD: min eigenvalue {w[k]:.3e}")
+        dev = np.linalg.norm(elems.sum(axis=0) - np.eye(dim))
         if dev > TOL_POVM_COMPLETE:
             raise ValueError(f"POVM completeness violated: ||sum M - I||_F = {dev:.3e}")
-        object.__setattr__(self, "elements", tuple(elems))
+        object.__setattr__(self, "elements", elems)
 
     @property
     def dim(self) -> int:
-        return self.elements[0].shape[0]
+        return self.elements.shape[1]
 
     @property
     def n_outcomes(self) -> int:
-        return len(self.elements)
-
-    def stacked(self) -> np.ndarray:
-        return np.stack(self.elements)
+        return self.elements.shape[0]
 
 
 @dataclass(frozen=True)
@@ -82,6 +78,23 @@ class BoundReport:
     limit_extrapolated: bool = False
 
 
+def bound_report(p, q, orders: ConjugateOrders, kind: str, factor: float, rhs: float) -> BoundReport:
+    """Report H_a(p) + H_b(q) >= rhs for entropies of the given kind.
+
+    alpha is bound to p and beta to q.  A mu at the Shannon switchover is
+    reported as limit-extrapolated.
+    """
+    lhs = classical_entropy(p, orders.alpha, kind) + classical_entropy(q, orders.beta, kind)
+    return BoundReport(
+        lhs=lhs,
+        rhs=rhs,
+        slack=lhs - rhs,
+        factor=factor,
+        orders=orders,
+        limit_extrapolated=orders.shannon_limit,
+    )
+
+
 def _check_pair(m: Povm, n: Povm, rho) -> np.ndarray:
     rho = check_density(rho)
     if m.dim != rho.shape[0] or n.dim != rho.shape[0]:
@@ -91,34 +104,76 @@ def _check_pair(m: Povm, n: Povm, rho) -> np.ndarray:
     return rho
 
 
+def _outcome_weights(m: Povm, rho: np.ndarray) -> np.ndarray:
+    """tr(M_i rho) for a validated state, not yet checked as a distribution."""
+    return np.einsum("iab,ba->i", m.elements, rho).real
+
+
 def povm_probabilities(m: Povm, rho) -> np.ndarray:
     """p_i = tr(M_i rho)."""
     rho = check_density(rho)
     if m.dim != rho.shape[0]:
         raise ValueError(f"POVM dim {m.dim} != state dim {rho.shape[0]}")
-    p = np.einsum("iab,ba->i", m.stacked(), rho).real
-    return as_prob_vector(p)
+    return as_prob_vector(_outcome_weights(m, rho))
 
 
 def povm_from_unraveling(a: Unraveling) -> Povm:
     """Measurement with elements M_i = A_i† A_i."""
-    return Povm(tuple(k.conj().T @ k for k in a.kraus_ops))
+    k = a.kraus_ops
+    return Povm(k.conj().swapaxes(1, 2) @ k)
+
+
+_DEGENERATE = "degenerate input: no outcome pair with nonzero probabilities"
+
+
+def _max_ratio(p: np.ndarray, q: np.ndarray, overlaps) -> float:
+    """max |o_ij| / sqrt(p_i q_j) over outcomes with p_i, q_j > P_ZERO_TOL.
+
+    overlaps(ii, jj) returns the numerators o for outcome rows ii and columns
+    jj.  Returns -inf when no pair qualifies.
+    """
+    ii = np.flatnonzero(p > P_ZERO_TOL)
+    jj = np.flatnonzero(q > P_ZERO_TOL)
+    if ii.size == 0 or jj.size == 0:
+        return -np.inf
+    return float((np.abs(overlaps(ii, jj)) / np.sqrt(np.outer(p[ii], q[jj]))).max())
+
+
+def _g(m: Povm, n: Povm, rho: np.ndarray, p: np.ndarray, q: np.ndarray) -> float:
+    ratio = _max_ratio(
+        p,
+        q,
+        lambda ii, jj: np.einsum("iab,jbc,ca->ij", m.elements[ii], n.elements[jj], rho, optimize=True),
+    )
+    if ratio == -np.inf:
+        raise ValueError(_DEGENERATE)
+    return ratio
 
 
 def g_factor(m: Povm, n: Povm, rho) -> float:
     """max |tr(M_i N_j rho)| / sqrt(p_i q_j) over outcomes with nonzero probability."""
     rho = _check_pair(m, n, rho)
-    p = np.einsum("iab,ba->i", m.stacked(), rho).real
-    q = np.einsum("iab,ba->i", n.stacked(), rho).real
-    ii = np.flatnonzero(p > P_ZERO_TOL)
-    jj = np.flatnonzero(q > P_ZERO_TOL)
-    if ii.size == 0 or jj.size == 0:
-        raise ValueError("degenerate input: no outcome pair with nonzero probabilities")
-    num = np.abs(
-        np.einsum("iab,jbc,ca->ij", m.stacked()[ii], n.stacked()[jj], rho, optimize=True)
-    )
-    ratio = num / np.sqrt(np.outer(p[ii], q[jj]))
-    return float(ratio.max())
+    return _g(m, n, rho, _outcome_weights(m, rho), _outcome_weights(n, rho))
+
+
+def _f(m: Povm, n: Povm, rho: np.ndarray) -> float:
+    w, v = np.linalg.eigh(rho)
+    best = -np.inf
+    for k in np.flatnonzero(w > P_ZERO_TOL):
+        psi = v[:, k]
+        p = np.einsum("a,iab,b->i", psi.conj(), m.elements, psi).real
+        q = np.einsum("a,iab,b->i", psi.conj(), n.elements, psi).real
+        ratio = _max_ratio(
+            p,
+            q,
+            lambda ii, jj: np.einsum(
+                "a,iab,jbc,c->ij", psi.conj(), m.elements[ii], n.elements[jj], psi, optimize=True
+            ),
+        )
+        best = max(best, ratio)
+    if best == -np.inf:
+        raise ValueError(_DEGENERATE)
+    return best
 
 
 def f_factor(m: Povm, n: Povm, rho) -> float:
@@ -128,25 +183,7 @@ def f_factor(m: Povm, n: Povm, rho) -> float:
     maximized over eigenvectors with nonzero weight and admissible (i, j).
     Coincides with g on pure states and dominates it otherwise.
     """
-    rho = _check_pair(m, n, rho)
-    w, v = linalg.hermitian_eig(rho)
-    best = -np.inf
-    for k in np.flatnonzero(w > P_ZERO_TOL):
-        psi = v[:, k]
-        p = np.einsum("a,iab,b->i", psi.conj(), m.stacked(), psi).real
-        q = np.einsum("a,iab,b->i", psi.conj(), n.stacked(), psi).real
-        ii = np.flatnonzero(p > P_ZERO_TOL)
-        jj = np.flatnonzero(q > P_ZERO_TOL)
-        if ii.size == 0 or jj.size == 0:
-            continue
-        num = np.abs(
-            np.einsum("a,iab,jbc,c->ij", psi.conj(), m.stacked()[ii], n.stacked()[jj], psi, optimize=True)
-        )
-        ratio = num / np.sqrt(np.outer(p[ii], q[jj]))
-        best = max(best, float(ratio.max()))
-    if best == -np.inf:
-        raise ValueError("degenerate input: no outcome pair with nonzero probabilities")
-    return best
+    return _f(m, n, _check_pair(m, n, rho))
 
 
 def f_bar(m: Povm, n: Povm) -> float:
@@ -158,14 +195,21 @@ def f_bar(m: Povm, n: Povm) -> float:
     return max(matrix_norms(a @ b)[1] for a in roots_m for b in roots_n)
 
 
-def overlap_factor(m: Povm, n: Povm, rho, factor_kind: str) -> float:
+def _uncertainty_check(
+    m: Povm, n: Povm, rho, orders: ConjugateOrders, factor_kind: str, kind: str
+) -> BoundReport:
+    rho = _check_pair(m, n, rho)
+    p, q = _outcome_weights(m, rho), _outcome_weights(n, rho)
     if factor_kind == "g":
-        return g_factor(m, n, rho)
-    if factor_kind == "f":
-        return f_factor(m, n, rho)
-    if factor_kind == "fbar":
-        return f_bar(m, n)
-    raise ValueError(f"unknown factor kind {factor_kind!r}")
+        factor = _g(m, n, rho, p, q)
+    elif factor_kind == "f":
+        factor = _f(m, n, rho)
+    elif factor_kind == "fbar":
+        factor = f_bar(m, n)
+    else:
+        raise ValueError(f"unknown factor kind {factor_kind!r}")
+    rhs = alpha_log(factor**-2, orders.mu) if kind == "tsallis" else float(-2.0 * np.log(factor))
+    return bound_report(p, q, orders, kind, factor, rhs)
 
 
 def tsallis_uncertainty_check(
@@ -174,42 +218,17 @@ def tsallis_uncertainty_check(
     """Evaluate H_a(M|rho) + H_b(N|rho) against ln_mu(factor^-2).
 
     alpha is bound to the first POVM and beta to the second.  A mu at the
-    Shannon switchover is reported as limit-extrapolated.
+    Shannon switchover is reported as limit-extrapolated.  rho is validated
+    once and the outcome probabilities are computed once.
     """
-    rho = _check_pair(m, n, rho)
-    factor = overlap_factor(m, n, rho, factor_kind)
-    lhs = tsallis_entropy(povm_probabilities(m, rho), orders.alpha) + tsallis_entropy(
-        povm_probabilities(n, rho), orders.beta
-    )
-    rhs = alpha_log(factor**-2, orders.mu)
-    return BoundReport(
-        lhs=lhs,
-        rhs=rhs,
-        slack=lhs - rhs,
-        factor=factor,
-        orders=orders,
-        limit_extrapolated=orders.shannon_limit,
-    )
+    return _uncertainty_check(m, n, rho, orders, factor_kind, "tsallis")
 
 
 def renyi_uncertainty_check(
     m: Povm, n: Povm, rho, orders: ConjugateOrders, factor_kind: str = "g"
 ) -> BoundReport:
-    """Evaluate R_a(M|rho) + R_b(N|rho) against -2 ln(factor)."""
-    rho = _check_pair(m, n, rho)
-    factor = overlap_factor(m, n, rho, factor_kind)
-    lhs = renyi_entropy(povm_probabilities(m, rho), orders.alpha) + renyi_entropy(
-        povm_probabilities(n, rho), orders.beta
-    )
-    rhs = float(-2.0 * np.log(factor))
-    return BoundReport(
-        lhs=lhs,
-        rhs=rhs,
-        slack=lhs - rhs,
-        factor=factor,
-        orders=orders,
-        limit_extrapolated=orders.shannon_limit,
-    )
+    """Evaluate R_a(M|rho) + R_b(N|rho) against -2 ln(factor), as tsallis_uncertainty_check."""
+    return _uncertainty_check(m, n, rho, orders, factor_kind, "renyi")
 
 
 @dataclass(frozen=True)
@@ -226,10 +245,10 @@ class PhiProblem:
     alpha: float
 
     def __post_init__(self):
-        if self.gamma < 1:
-            raise ValueError(f"gamma must be >= 1, got {self.gamma}")
-        if self.alpha <= 1:
-            raise ValueError(f"alpha must be > 1, got {self.alpha}")
+        if not 1 <= self.gamma < np.inf:
+            raise ValueError(f"gamma must be finite and >= 1, got {self.gamma}")
+        if not 1 < self.alpha < np.inf:
+            raise ValueError(f"alpha must be finite and > 1, got {self.alpha}")
 
     @property
     def beta(self) -> float:
@@ -286,7 +305,7 @@ def phi_min_verify(problem: PhiProblem, grid_points: int = 2000) -> tuple[float,
 def random_projective_povm(dim: int, seed: int) -> Povm:
     """Rank-1 orthogonal projectors onto a Haar-random basis."""
     u = linalg.haar_random_unitary(dim, seed)
-    return Povm(tuple(np.outer(u[:, k], u[:, k].conj()) for k in range(dim)))
+    return Povm(u.T[:, :, None] * u.T.conj()[:, None, :])
 
 
 def random_povm(dim: int, n_outcomes: int, seed: int) -> Povm:

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import linalg
 from .entropy import as_prob_vector, classical_entropy
-from .linalg import as_matrix, check_density, check_unitary, hermitian_eig
+from .linalg import as_matrix_stack, check_density, check_unitary, hermitian_eig
 
 TOL_COMPLETE = 1e-9
 
@@ -23,49 +23,44 @@ TOL_COMPLETE = 1e-9
 class Unraveling:
     """Ordered Kraus set {A_i} with completeness sum A_i† A_i = I.
 
-    Operators may be rectangular (dim_out x dim_in).  Inputs violating
-    completeness beyond TOL_COMPLETE are rejected, not renormalized.
+    The operators are held as one (n, dim_out, dim_in) array, which indexes
+    and iterates like a tuple of matrices.  Operators may be rectangular
+    (dim_out x dim_in).  Inputs violating completeness beyond TOL_COMPLETE are
+    rejected, not renormalized.
     """
 
-    kraus_ops: tuple[np.ndarray, ...]
+    kraus_ops: np.ndarray
 
     def __post_init__(self):
-        ops = tuple(as_matrix(a) for a in self.kraus_ops)
-        if not ops:
-            raise ValueError("unraveling needs at least one Kraus operator")
-        shape = ops[0].shape
-        if any(a.shape != shape for a in ops):
-            raise ValueError("Kraus operators must all share the same shape")
-        din = shape[1]
-        total = sum(a.conj().T @ a for a in ops)
-        dev = np.linalg.norm(total - np.eye(din))
+        k = as_matrix_stack(self.kraus_ops, "Kraus operators")
+        # stacked vertically the operators form an isometry V, and sum A†A = V†V
+        v = k.reshape(-1, k.shape[2])
+        dev = np.linalg.norm(v.conj().T @ v - np.eye(k.shape[2]))
         if dev > TOL_COMPLETE:
             raise ValueError(f"completeness violated: ||sum A†A - I||_F = {dev:.3e}")
-        object.__setattr__(self, "kraus_ops", ops)
+        object.__setattr__(self, "kraus_ops", k)
 
     @property
     def n_ops(self) -> int:
-        return len(self.kraus_ops)
+        return self.kraus_ops.shape[0]
 
     @property
     def dim_in(self) -> int:
-        return self.kraus_ops[0].shape[1]
+        return self.kraus_ops.shape[2]
 
     @property
     def dim_out(self) -> int:
-        return self.kraus_ops[0].shape[0]
-
-    def stacked(self) -> np.ndarray:
-        return np.stack(self.kraus_ops)
+        return self.kraus_ops.shape[1]
 
 
 @dataclass(frozen=True)
 class ExtremalResult:
-    """Extremal unraveling with the Gram spectrum and its diagonalizer."""
+    """Extremal unraveling, the Gram spectrum, its diagonalizer and the Gram matrix."""
 
     extremal: Unraveling
     lambdas: np.ndarray
     diagonalizer: np.ndarray
+    gram: np.ndarray
 
 
 def _check_state(a: Unraveling, rho) -> np.ndarray:
@@ -78,8 +73,8 @@ def _check_state(a: Unraveling, rho) -> np.ndarray:
 def apply_channel(a: Unraveling, rho) -> np.ndarray:
     """sum_i A_i rho A_i†."""
     rho = _check_state(a, rho)
-    out = sum(k @ rho @ k.conj().T for k in a.kraus_ops)
-    return linalg.hermitianize(out)
+    k = a.kraus_ops
+    return linalg.hermitianize((k @ rho @ k.conj().swapaxes(1, 2)).sum(axis=0))
 
 
 def remix(a: Unraveling, u) -> Unraveling:
@@ -92,18 +87,17 @@ def remix(a: Unraveling, u) -> Unraveling:
     m = u.shape[0]
     if m < a.n_ops:
         raise ValueError(f"remix unitary dim {m} < number of Kraus operators {a.n_ops}")
-    k = a.stacked()
+    k = a.kraus_ops
     if m > a.n_ops:
         pad = np.zeros((m - a.n_ops, a.dim_out, a.dim_in), dtype=complex)
         k = np.concatenate([k, pad])
-    b = np.einsum("ji,jkl->ikl", u, k)
-    return Unraveling(tuple(b))
+    return Unraveling(np.einsum("ji,jkl->ikl", u, k))
 
 
 def gram_matrix(a: Unraveling, rho) -> np.ndarray:
     """Hermitian PSD unit-trace matrix with entries tr(A_i† A_j rho)."""
     rho = _check_state(a, rho)
-    k = a.stacked()
+    k = a.kraus_ops
     pi = np.einsum("iab,jac,cb->ij", k.conj(), k, rho, optimize=True)
     return linalg.hermitianize(pi)
 
@@ -111,7 +105,7 @@ def gram_matrix(a: Unraveling, rho) -> np.ndarray:
 def effect_probabilities(a: Unraveling, rho) -> np.ndarray:
     """p_i = tr(A_i† A_i rho)."""
     rho = _check_state(a, rho)
-    k = a.stacked()
+    k = a.kraus_ops
     p = np.einsum("iab,iac,cb->i", k.conj(), k, rho, optimize=True).real
     return as_prob_vector(p)
 
@@ -128,6 +122,7 @@ def extremal_unraveling(a: Unraveling, rho) -> ExtremalResult:
         extremal=remix(a, v),
         lambdas=as_prob_vector(w),
         diagonalizer=v,
+        gram=pi,
     )
 
 
@@ -140,12 +135,8 @@ def random_unraveling(dim: int, n_kraus: int, seed: int) -> Unraveling:
     """Random unraveling from the blocks of a Haar-random isometry."""
     if dim < 1 or n_kraus < 1:
         raise ValueError("dim and n_kraus must be >= 1")
-    rng = np.random.default_rng(seed)
-    g = linalg.ginibre(rng, n_kraus * dim, dim)
-    q, r = np.linalg.qr(g)
-    d = np.diagonal(r)
-    q = q * (d / np.abs(d))
-    return Unraveling(tuple(q.reshape(n_kraus, dim, dim)))
+    v = linalg.positive_qr(linalg.ginibre(np.random.default_rng(seed), n_kraus * dim, dim))
+    return Unraveling(v.reshape(n_kraus, dim, dim))
 
 
 def remixed_probabilities(pi: np.ndarray, unitaries: np.ndarray) -> np.ndarray:

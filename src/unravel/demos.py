@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import BoundReport
-from .entropy import ConjugateOrders, alpha_log, as_prob_vector, tsallis_entropy
+from .bounds import BoundReport, bound_report
+from .entropy import ConjugateOrders, alpha_log, as_prob_vector
 
 
 def dft_matrix(d: int) -> np.ndarray:
@@ -32,16 +32,7 @@ def dft_uncertainty_demo(state, orders: ConjugateOrders) -> BoundReport:
     d = c.size
     q = as_prob_vector(np.abs(c) ** 2)
     p = as_prob_vector(np.abs(dft_matrix(d) @ c) ** 2)
-    lhs = tsallis_entropy(p, orders.alpha) + tsallis_entropy(q, orders.beta)
-    rhs = alpha_log(float(d), orders.mu)
-    return BoundReport(
-        lhs=lhs,
-        rhs=rhs,
-        slack=lhs - rhs,
-        factor=1.0 / np.sqrt(d),
-        orders=orders,
-        limit_extrapolated=orders.shannon_limit,
-    )
+    return bound_report(p, q, orders, "tsallis", 1.0 / np.sqrt(d), alpha_log(float(d), orders.mu))
 
 
 @dataclass(frozen=True)
@@ -86,13 +77,18 @@ def bin_probabilities(state: AngleState) -> np.ndarray:
     |Psi|^2 = (1/2pi) sum_m r_m exp(i*m*phi) with the coefficient
     autocorrelation r_m = sum_l c_(l+m) conj(c_l), and over a bin of width w
     centred on phi_k, int exp(i*m*phi) = w exp(i*m*phi_k) sinc(m*w/2pi), with
-    sinc(x) = sin(pi*x)/(pi*x).
+    sinc(x) = sin(pi*x)/(pi*x).  With N bins, phi_k = 2pi(k + 1/2)/N, so
+    exp(i*m*phi_k) = exp(i*pi*m/N) exp(2pi*i*m*k/N): folding the weighted
+    autocorrelation modulo N leaves one length-N inverse FFT, in O(N + L)
+    memory.
     """
-    c = state.coeffs
+    c, nbins = state.coeffs, state.nbins
     r = np.correlate(c, c, mode="full")
     m = np.arange(1 - c.size, c.size)
-    centres = (np.arange(state.nbins) + 0.5) * state.delta_phi
-    return (np.exp(1j * np.outer(centres, m)) @ (r * np.sinc(m / state.nbins))).real / state.nbins
+    a = r * np.sinc(m / nbins) * np.exp(1j * np.pi * m / nbins)
+    j = m % nbins
+    folded = np.bincount(j, a.real, nbins) + 1j * np.bincount(j, a.imag, nbins)
+    return np.fft.ifft(folded).real
 
 
 def angle_momentum_demo(state: AngleState, orders: ConjugateOrders) -> BoundReport:
@@ -101,16 +97,8 @@ def angle_momentum_demo(state: AngleState, orders: ConjugateOrders) -> BoundRepo
         raise ValueError("the binned-angle bound needs alpha > 1 > beta")
     p = bin_probabilities(state)
     q = as_prob_vector(np.abs(state.coeffs) ** 2)
-    lhs = tsallis_entropy(p, orders.alpha) + tsallis_entropy(q, orders.beta)
-    rhs = alpha_log(float(state.nbins), orders.mu)
-    return BoundReport(
-        lhs=lhs,
-        rhs=rhs,
-        slack=lhs - rhs,
-        factor=1.0 / np.sqrt(state.nbins),
-        orders=orders,
-        limit_extrapolated=orders.shannon_limit,
-    )
+    k = state.nbins
+    return bound_report(p, q, orders, "tsallis", 1.0 / np.sqrt(k), alpha_log(float(k), orders.mu))
 
 
 def gaussian_wavepacket(truncation: int, width: float, nbins: int, tail_tol: float = 1e-12) -> AngleState:

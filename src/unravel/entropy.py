@@ -20,20 +20,24 @@ _NEG_TOL = 1e-12
 
 
 def as_prob_vector(p, tol_sum: float = _SUM_TOL) -> np.ndarray:
-    """Validate and normalize a probability vector.
+    """Validate and normalize a probability vector, or each row of a stack of them.
 
-    Entries in [-1e-12, 0) are clipped to 0; the sum must be 1 within tol_sum
-    (the residual is renormalized away).
+    The last axis holds the outcomes.  Entries in [-1e-12, 0) are clipped to 0;
+    each distribution must sum to 1 within tol_sum (the residual is
+    renormalized away).
     """
-    p = np.asarray(p, dtype=float).ravel()
-    if not np.all(np.isfinite(p)):
+    p = np.asarray(p, dtype=float)
+    if p.ndim == 0:
+        p = p.reshape(1)
+    if not np.isfinite(p).all():
         raise ValueError("probabilities contain non-finite entries")
-    if np.any(p < -_NEG_TOL):
+    if (p < -_NEG_TOL).any():
         raise ValueError(f"negative probability {p.min():.3e}")
-    p = np.clip(p, 0.0, None)
-    s = p.sum()
-    if abs(s - 1) > tol_sum:
-        raise ValueError(f"probabilities sum to {s!r}, expected 1")
+    p = np.maximum(p, 0.0)
+    s = p.sum(axis=-1, keepdims=True)
+    off = np.abs(s - 1) > tol_sum
+    if off.any():
+        raise ValueError(f"probabilities sum to {s[off][0]!r}, expected 1")
     return p / s
 
 
@@ -60,27 +64,31 @@ def alpha_log(x: float, alpha: float) -> float:
     return float((x ** (1.0 - alpha) - 1.0) / (1.0 - alpha))
 
 
-def _shannon(p: np.ndarray) -> float:
-    p = p[p > 0]
-    return float(-np.sum(p * np.log(p)))
-
-
-def tsallis_entropy(p, alpha: float) -> float:
-    """Non-extensive entropy (1-a)^(-1) (sum p^a - 1); Shannon at a -> 1."""
+def _entropy(p, alpha: float, renyi: bool):
+    """Tsallis (or Renyi) entropy over the last axis: a float for one
+    distribution, an array for a stack of them."""
     alpha = _check_order(alpha)
     p = as_prob_vector(p)
     if abs(alpha - 1) < EPS_ORDER:
-        return _shannon(p)
-    return float((np.sum(p[p > 0] ** alpha) - 1.0) / (1.0 - alpha))
+        # log(p + 1) = 0 stands in where p == 0, so 0 log 0 counts as 0
+        h = -(p * np.log(p + (p == 0))).sum(axis=-1)
+    else:
+        s = (p**alpha).sum(axis=-1)
+        h = np.log(s) / (1.0 - alpha) if renyi else (s - 1.0) / (1.0 - alpha)
+    return float(h) if h.ndim == 0 else h
 
 
-def renyi_entropy(p, alpha: float) -> float:
-    """Renyi entropy (1-a)^(-1) ln(sum p^a); Shannon at a -> 1."""
-    alpha = _check_order(alpha)
-    p = as_prob_vector(p)
-    if abs(alpha - 1) < EPS_ORDER:
-        return _shannon(p)
-    return float(np.log(np.sum(p[p > 0] ** alpha)) / (1.0 - alpha))
+def tsallis_entropy(p, alpha: float):
+    """Non-extensive entropy (1-a)^(-1) (sum p^a - 1); Shannon at a -> 1.
+
+    p is one distribution (gives a float) or a stack of them (one per row).
+    """
+    return _entropy(p, alpha, renyi=False)
+
+
+def renyi_entropy(p, alpha: float):
+    """Renyi entropy (1-a)^(-1) ln(sum p^a); Shannon at a -> 1; p as for tsallis_entropy."""
+    return _entropy(p, alpha, renyi=True)
 
 
 def renyi_from_tsallis(h: float, alpha: float) -> float:
@@ -95,13 +103,11 @@ def renyi_from_tsallis(h: float, alpha: float) -> float:
     return float(np.log(arg) / (1.0 - alpha))
 
 
-def classical_entropy(p, alpha: float, kind: str) -> float:
-    """Dispatch on kind in {'tsallis', 'renyi'}."""
-    if kind == "tsallis":
-        return tsallis_entropy(p, alpha)
-    if kind == "renyi":
-        return renyi_entropy(p, alpha)
-    raise ValueError(f"unknown entropy kind {kind!r}")
+def classical_entropy(p, alpha: float, kind: str):
+    """Dispatch on kind in {'tsallis', 'renyi'}; p may be a stack."""
+    if kind not in ("tsallis", "renyi"):
+        raise ValueError(f"unknown entropy kind {kind!r}")
+    return _entropy(p, alpha, renyi=kind == "renyi")
 
 
 def quantum_entropy(rho, alpha: float, kind: str = "tsallis") -> float:
@@ -136,9 +142,9 @@ class ConjugateOrders:
 
 
 def conjugate_order(alpha: float) -> ConjugateOrders:
-    """Solve 1/alpha + 1/beta = 2 for beta; requires alpha > 1/2."""
+    """Solve 1/alpha + 1/beta = 2 for beta; requires a finite alpha > 1/2."""
     alpha = float(alpha)
-    if alpha <= 0.5:
-        raise ValueError(f"conjugate order undefined for alpha <= 1/2, got {alpha}")
+    if not 0.5 < alpha < np.inf:
+        raise ValueError(f"conjugate order needs a finite alpha > 1/2, got {alpha}")
     beta = alpha / (2.0 * alpha - 1.0)
     return ConjugateOrders(alpha=alpha, beta=beta, mu=max(alpha, beta))

@@ -26,9 +26,23 @@ def as_matrix(x) -> np.ndarray:
     return m
 
 
+def as_matrix_stack(xs, name: str) -> np.ndarray:
+    """Coerce equal-shape matrices (a sequence or an (n, rows, cols) array) to one
+    finite, C-ordered complex stack, always a fresh copy."""
+    try:
+        k = np.array(xs, dtype=complex, order="C")
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name} must be matrices of one shape: {exc}") from None
+    if k.ndim != 3 or k.shape[0] == 0:
+        raise ValueError(f"{name} must form a non-empty (n, rows, cols) stack, got shape {k.shape}")
+    if not np.isfinite(k).all():
+        raise ValueError(f"{name} have non-finite entries")
+    return k
+
+
 def hermitianize(x: np.ndarray) -> np.ndarray:
-    """Return the Hermitian part (x + x†)/2."""
-    return (x + x.conj().T) / 2
+    """Return the Hermitian part (x + x†)/2 of a matrix or of each matrix of a stack."""
+    return (x + x.conj().swapaxes(-1, -2)) / 2
 
 
 def hs_inner(x, y) -> complex:
@@ -38,10 +52,6 @@ def hs_inner(x, y) -> complex:
     if x.shape != y.shape:
         raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
     return complex(np.vdot(x, y))
-
-
-def frobenius_norm(x) -> float:
-    return float(np.linalg.norm(as_matrix(x)))
 
 
 def matrix_norms(x) -> tuple[float, float]:
@@ -107,16 +117,22 @@ def psd_sqrt(rho) -> np.ndarray:
     return psd_sqrt_hermitian(check_density(rho), name="rho")
 
 
-def ginibre(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    """Matrix of independent standard complex Gaussians."""
-    return (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))) / np.sqrt(2)
+def ginibre(rng: np.random.Generator, *shape: int) -> np.ndarray:
+    """Array of independent standard complex Gaussians, e.g. ginibre(rng, rows, cols)."""
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
+
+
+def positive_qr(z: np.ndarray) -> np.ndarray:
+    """Q of z = QR (per matrix of a stack) with R's diagonal real positive: for a
+    Ginibre z, a Haar-random unitary (square z) or isometry (tall z)."""
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
 
 
 def haar_unitary_from_rng(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """QR of a Ginibre matrix with the R diagonal made real positive."""
-    q, r = np.linalg.qr(ginibre(rng, dim, dim))
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    """Haar-random unitary drawn from the given generator."""
+    return positive_qr(ginibre(rng, dim, dim))
 
 
 def haar_random_unitary(dim: int, seed: int) -> np.ndarray:
@@ -130,11 +146,7 @@ def haar_random_unitaries(dim: int, count: int, seed: int) -> np.ndarray:
     """Stack of `count` Haar-random unitaries, shape (count, dim, dim)."""
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
-    rng = np.random.default_rng(seed)
-    z = (rng.standard_normal((count, dim, dim)) + 1j * rng.standard_normal((count, dim, dim))) / np.sqrt(2)
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (d / np.abs(d))[:, None, :]
+    return positive_qr(ginibre(np.random.default_rng(seed), count, dim, dim))
 
 
 def random_density(dim: int, rank: int, seed: int) -> np.ndarray:

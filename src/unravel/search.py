@@ -39,24 +39,14 @@ class SearchConfig:
             raise ValueError("restarts and iterations must be >= 1")
 
 
-def renyi_extremal_search(
-    a: Unraveling, rho, cfg: SearchConfig, allow_any_order: bool = False
-) -> tuple[Unraveling, float]:
+def renyi_extremal_search(a: Unraveling, rho, cfg: SearchConfig) -> tuple[Unraveling, float]:
     """Renyi minimizer over remixings: the Gram-extremal unraveling.
 
     Every remixed distribution diag(U† Pi U) is majorized by the Gram
     spectrum lambda (Schur), and R_alpha is Schur-concave, so R_alpha(lambda)
     is the exact minimum at every order alpha > 0.  cfg.restarts,
     cfg.iterations and cfg.seed do not change the result.
-
-    Orders at or below 1 are rejected (use extremal_unraveling there) unless
-    allow_any_order is set for sanity testing.
     """
-    if cfg.alpha <= 1 and not allow_any_order:
-        raise ValueError(
-            "for alpha <= 1 the Gram-diagonalizing unraveling is optimal; "
-            "use extremal_unraveling instead"
-        )
     result = extremal_unraveling(a, rho)
     return result.extremal, renyi_entropy(result.lambdas, cfg.alpha)
 

@@ -347,7 +347,7 @@ def test_10_search_sanity():
     worst_inv = 0.0
     cfg_half = SearchConfig(alpha=0.5, restarts=3, iterations=100, seed=1)
     for a, rho in instances:
-        _, found = renyi_extremal_search(a, rho, cfg_half, allow_any_order=True)
+        _, found = renyi_extremal_search(a, rho, cfg_half)
         target = _renyi_rows(extremal_unraveling(a, rho).lambdas, 0.5)
         worst_inv = max(worst_inv, abs(found - target))
     bank = linalg.haar_random_unitaries(3, 100_000, seed=2)

@@ -211,6 +211,25 @@ class TestTsallisCheck:
         assert rhs["fbar"] <= rhs["f"] + 1e-12
 
 
+class TestCheckValidatesOnce:
+    def test_one_check_density_per_call(self, monkeypatch):
+        calls = []
+
+        def counting(rho, name="rho"):
+            calls.append(name)
+            return linalg.check_density(rho, name)
+
+        monkeypatch.setattr(bounds, "check_density", counting)
+        m = random_povm(3, 4, seed=60)
+        n = random_projective_povm(3, seed=61)
+        rho = linalg.random_density(3, 3, seed=62)
+        for check in (tsallis_uncertainty_check, renyi_uncertainty_check):
+            for kind in ("g", "f", "fbar"):
+                calls.clear()
+                check(m, n, rho, conjugate_order(2.0), kind)
+                assert len(calls) == 1
+
+
 class TestRenyiCheck:
     def test_commuting_trivial(self):
         m = z_basis_povm()

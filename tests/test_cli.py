@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -228,6 +229,24 @@ class TestPhiMinCommand:
         assert code == 0
         (row,) = _json_rows(out)
         assert row["slack"] >= -1e-12
+
+
+    def test_non_finite_inputs_exit_2(self, capsys):
+        for argv, name in ((["--gamma", "2", "--alpha", "nan"], "alpha"), (["--gamma", "inf", "--alpha", "2"], "gamma")):
+            code, out, err = _run(capsys, ["phi-min", *argv])
+            assert code == 2
+            assert out == ""
+            assert name in json.loads(err)["error"]
+
+
+class TestReporter:
+    def test_nan_slack_is_a_violation(self):
+        rep = cli.Reporter("csv", False, io.StringIO())
+        rep.row("ok", slack=0.0)
+        assert rep.exit_code == 0
+        rep.row("broken", slack=float("nan"))
+        rep.row("ok", slack=1.0)
+        assert rep.exit_code == 1
 
 
 class TestCsvFormat:

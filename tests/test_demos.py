@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -156,10 +158,23 @@ class TestBinProbabilities:
         assert np.allclose(p, _exact_bin_probs(s), atol=1e-9)
 
     def test_gaussian_packets_exact(self):
-        # (40, 0.8, 4) is sharply peaked; the others are the CLI default and its neighbours
-        for truncation, width, nbins in ((40, 0.8, 4), (50, 3.0, 8), (50, 1.0, 16), (50, 5.0, 4)):
+        # (40, 0.8, 4) is sharply peaked; (50, 3.0, 1) folds every lag into one bin;
+        # the others are the CLI default and its neighbours
+        for truncation, width, nbins in ((40, 0.8, 4), (50, 3.0, 1), (50, 3.0, 8), (50, 1.0, 16), (50, 5.0, 4)):
             packet = gaussian_wavepacket(truncation, width, nbins)
             assert np.max(np.abs(bin_probabilities(packet) - _exact_bin_probs(packet))) <= 1e-13
+
+    def test_memory_is_linear_in_bins(self):
+        # an nbins x (4L + 1) phase matrix would take 64 MB here
+        packet = gaussian_wavepacket(50, 3.0, 20000)
+        tracemalloc.start()
+        try:
+            p = bin_probabilities(packet)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
+        assert p.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestAngleDemo:

@@ -14,6 +14,8 @@ from unravel.entropy import (
     tsallis_entropy,
 )
 
+from test_acceptance import _renyi_rows, _tsallis_rows
+
 ORDERS = [0.3, 0.7, 2.0, 5.0]
 
 
@@ -154,6 +156,9 @@ class TestConjugateOrder:
             conjugate_order(0.5)
         with pytest.raises(ValueError):
             conjugate_order(0.2)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="alpha"):
+                conjugate_order(bad)
 
     @given(st.floats(min_value=0.51, max_value=50.0))
     @settings(max_examples=50, deadline=None)
@@ -210,3 +215,38 @@ class TestProbVector:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             as_prob_vector([1.1, -0.1])
+
+
+@st.composite
+def _prob_stacks(draw):
+    """Row-stochastic (rows, cols) arrays with exact zeros in some rows."""
+    rows = draw(st.integers(1, 6))
+    cols = draw(st.integers(1, 40))
+    entry = st.one_of(st.just(0.0), st.floats(1e-9, 1.0))
+    w = np.array(draw(st.lists(entry, min_size=rows * cols, max_size=rows * cols))).reshape(rows, cols)
+    w[w.sum(axis=1) == 0, 0] = 1.0
+    return w / w.sum(axis=1, keepdims=True)
+
+
+class TestStackedEntropy:
+    @given(_prob_stacks(), st.sampled_from([0.3, 0.5, 1.0, 1 + 5e-9, 2.0, 7.0]))
+    @settings(max_examples=200, deadline=None)
+    def test_rows_match_single_calls_and_oracle(self, p, alpha):
+        shannon = abs(alpha - 1) < entropy.EPS_ORDER
+        for fn, oracle in ((tsallis_entropy, _tsallis_rows), (renyi_entropy, _renyi_rows)):
+            rows = fn(p, alpha)
+            assert rows.shape == (p.shape[0],)
+            for i in range(p.shape[0]):
+                assert rows[i] == fn(p[i], alpha)
+            # Renyi and Tsallis share the Shannon limit, where only the Tsallis oracle switches over
+            expected = _tsallis_rows(p, alpha) if shannon else oracle(p, alpha)
+            assert np.max(np.abs(rows - expected)) <= 1e-12
+
+    def test_bad_row_rejected(self):
+        good = np.full((3, 4), 0.25)
+        for bad_row in ([0.5, 0.5, 0.5, 0.0], [1.2, -0.2, 0.0, 0.0], [np.nan, 1.0, 0.0, 0.0]):
+            p = good.copy()
+            p[1] = bad_row
+            for fn in (tsallis_entropy, renyi_entropy):
+                with pytest.raises(ValueError):
+                    fn(p, 2.0)

@@ -133,6 +133,11 @@ class TestHaarUnitary:
         with pytest.raises(ValueError):
             linalg.haar_random_unitary(0, seed=0)
 
+    def test_single_matches_batched(self):
+        # both draw through one QR phase fix, so a stack of one is the same unitary
+        for d in (2, 3, 8, 64):
+            assert np.array_equal(linalg.haar_random_unitary(d, 9), linalg.haar_random_unitaries(d, 1, 9)[0])
+
     def test_haar_moment(self):
         # E|u_11|^2 = 1/d for Haar measure
         us = linalg.haar_random_unitaries(4, 10_000, seed=5)
