@@ -6,9 +6,12 @@ f_bar (state-independent) obey g <= f <= f_bar <= 1 and set the lower bounds
     H_a(M|rho) + H_b(N|rho) >= ln_mu(factor^-2)      (Tsallis)
     R_a(M|rho) + R_b(N|rho) >= -2 ln(factor)          (Renyi)
 
-for conjugate orders 1/a + 1/b = 2, mu = max(a, b).  The module also hosts a
-grid verifier for the two-variable function whose constrained minimum yields
-the Tsallis bound.
+for conjugate orders 1/a + 1/b = 2, mu = max(a, b).  f_bar is computed in
+root-factor form: with F_i F_i† = M_i and G_j G_j† = N_j (kept eigenvectors
+scaled by root eigenvalues), ||M_i^(1/2) N_j^(1/2)|| = ||F_i† G_j||, a matrix
+only as large as the elements' ranks.  The module also hosts a grid verifier
+for the two-variable function whose constrained minimum yields the Tsallis
+bound.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import numpy as np
 from . import linalg
 from .channels import Unraveling
 from .entropy import ConjugateOrders, alpha_log, as_prob_vector, classical_entropy
-from .linalg import check_density, matrix_norms, psd_sqrt_hermitian
+from .linalg import check_density
 
 # Probabilities below this are treated as zero in the factor maxima.
 P_ZERO_TOL = 1e-12
@@ -95,12 +98,10 @@ def bound_report(p, q, orders: ConjugateOrders, kind: str, factor: float, rhs: f
     )
 
 
-def _check_pair(m: Povm, n: Povm, rho) -> np.ndarray:
+def _check_state(rho, *povms: Povm) -> np.ndarray:
     rho = check_density(rho)
-    if m.dim != rho.shape[0] or n.dim != rho.shape[0]:
-        raise ValueError(
-            f"dimension mismatch: POVMs of dim {m.dim}/{n.dim}, state of dim {rho.shape[0]}"
-        )
+    if any(x.dim != rho.shape[0] for x in povms):
+        raise ValueError(f"dimension mismatch: POVM dims {[x.dim for x in povms]}, state dim {rho.shape[0]}")
     return rho
 
 
@@ -111,10 +112,7 @@ def _outcome_weights(m: Povm, rho: np.ndarray) -> np.ndarray:
 
 def povm_probabilities(m: Povm, rho) -> np.ndarray:
     """p_i = tr(M_i rho)."""
-    rho = check_density(rho)
-    if m.dim != rho.shape[0]:
-        raise ValueError(f"POVM dim {m.dim} != state dim {rho.shape[0]}")
-    return as_prob_vector(_outcome_weights(m, rho))
+    return as_prob_vector(_outcome_weights(m, _check_state(rho, m)))
 
 
 def povm_from_unraveling(a: Unraveling) -> Povm:
@@ -123,57 +121,37 @@ def povm_from_unraveling(a: Unraveling) -> Povm:
     return Povm(k.conj().swapaxes(1, 2) @ k)
 
 
-_DEGENERATE = "degenerate input: no outcome pair with nonzero probabilities"
+def _max_ratio(p: np.ndarray, q: np.ndarray, overlaps: np.ndarray) -> float:
+    """max |o_kij| / sqrt(p_ki q_kj) over the pairs with p_ki, q_kj > P_ZERO_TOL.
 
-
-def _max_ratio(p: np.ndarray, q: np.ndarray, overlaps) -> float:
-    """max |o_ij| / sqrt(p_i q_j) over outcomes with p_i, q_j > P_ZERO_TOL.
-
-    overlaps(ii, jj) returns the numerators o for outcome rows ii and columns
-    jj.  Returns -inf when no pair qualifies.
+    p is (K, n_m), q is (K, n_n) and overlaps is (K, n_m, n_n), one slice per vector k.
     """
-    ii = np.flatnonzero(p > P_ZERO_TOL)
-    jj = np.flatnonzero(q > P_ZERO_TOL)
-    if ii.size == 0 or jj.size == 0:
-        return -np.inf
-    return float((np.abs(overlaps(ii, jj)) / np.sqrt(np.outer(p[ii], q[jj]))).max())
+    ok = (p[:, :, None] > P_ZERO_TOL) & (q[:, None, :] > P_ZERO_TOL)
+    if not ok.any():
+        raise ValueError("degenerate input: no outcome pair with nonzero probabilities")
+    return float((np.abs(overlaps[ok]) / np.sqrt((p[:, :, None] * q[:, None, :])[ok])).max())
 
 
 def _g(m: Povm, n: Povm, rho: np.ndarray, p: np.ndarray, q: np.ndarray) -> float:
-    ratio = _max_ratio(
-        p,
-        q,
-        lambda ii, jj: np.einsum("iab,jbc,ca->ij", m.elements[ii], n.elements[jj], rho, optimize=True),
-    )
-    if ratio == -np.inf:
-        raise ValueError(_DEGENERATE)
-    return ratio
+    overlaps = np.einsum("iab,jbc,ca->ij", m.elements, n.elements, rho, optimize=True)
+    return _max_ratio(p[None], q[None], overlaps[None])
 
 
 def g_factor(m: Povm, n: Povm, rho) -> float:
     """max |tr(M_i N_j rho)| / sqrt(p_i q_j) over outcomes with nonzero probability."""
-    rho = _check_pair(m, n, rho)
+    rho = _check_state(rho, m, n)
     return _g(m, n, rho, _outcome_weights(m, rho), _outcome_weights(n, rho))
 
 
 def _f(m: Povm, n: Povm, rho: np.ndarray) -> float:
     w, v = np.linalg.eigh(rho)
-    best = -np.inf
-    for k in np.flatnonzero(w > P_ZERO_TOL):
-        psi = v[:, k]
-        p = np.einsum("a,iab,b->i", psi.conj(), m.elements, psi).real
-        q = np.einsum("a,iab,b->i", psi.conj(), n.elements, psi).real
-        ratio = _max_ratio(
-            p,
-            q,
-            lambda ii, jj: np.einsum(
-                "a,iab,jbc,c->ij", psi.conj(), m.elements[ii], n.elements[jj], psi, optimize=True
-            ),
-        )
-        best = max(best, ratio)
-    if best == -np.inf:
-        raise ValueError(_DEGENERATE)
-    return best
+    psi = v[:, w > P_ZERO_TOL]  # (dim, K)
+    # a[k, i] = M_i psi_k and b[k, j] = N_j psi_k, for every eigenvector at once
+    a = (m.elements @ psi).transpose(2, 0, 1)
+    b = (n.elements @ psi).transpose(2, 0, 1)
+    p = np.einsum("kia,ak->ki", a, psi.conj()).real
+    q = np.einsum("kja,ak->kj", b, psi.conj()).real
+    return _max_ratio(p, q, a.conj() @ b.transpose(0, 2, 1))
 
 
 def f_factor(m: Povm, n: Povm, rho) -> float:
@@ -183,22 +161,42 @@ def f_factor(m: Povm, n: Povm, rho) -> float:
     maximized over eigenvectors with nonzero weight and admissible (i, j).
     Coincides with g on pure states and dominates it otherwise.
     """
-    return _f(m, n, _check_pair(m, n, rho))
+    return _f(m, n, _check_state(rho, m, n))
+
+
+def _root_factors(m: Povm) -> np.ndarray:
+    """Stack (n, dim, r) of F_i = E_i S_i with F_i F_i† = M_i: the eigenvectors E_i of
+    eigenvalue above P_ZERO_TOL scaled by the roots S_i.  r is the largest such
+    rank in the stack; columns of dropped eigenvalues are zero."""
+    w, v = np.linalg.eigh(m.elements)
+    d, r = w.shape[1], int((w > P_ZERO_TOL).sum(axis=1).max())
+    # eigh sorts ascending, so the kept eigenvalues are the last r of each row
+    w, v = w[:, d - r :], v[:, :, d - r :]
+    v *= np.sqrt(np.where(w > P_ZERO_TOL, w, 0.0))[:, None, :]
+    return v
 
 
 def f_bar(m: Povm, n: Povm) -> float:
-    """State-independent overlap: max spectral norm of M_i^(1/2) N_j^(1/2)."""
+    """State-independent overlap: max spectral norm of M_i^(1/2) N_j^(1/2).
+
+    M_i^(1/2) = E_i F_i† with E_i's columns orthonormal, so the norm equals
+    ||F_i† G_j|| for root factors F_i of M_i and G_j of N_j (see _root_factors),
+    the top singular value of an r_m x r_n matrix.  One batched SVD per outcome
+    of m covers every outcome of n, in O(n r^2) memory.
+    """
     if m.dim != n.dim:
         raise ValueError(f"POVM dimension mismatch: {m.dim} vs {n.dim}")
-    roots_m = [psd_sqrt_hermitian(x) for x in m.elements]
-    roots_n = [psd_sqrt_hermitian(x) for x in n.elements]
-    return max(matrix_norms(a @ b)[1] for a in roots_m for b in roots_n)
+    roots_n = _root_factors(n)
+    return max(
+        float(np.linalg.svd(fi.conj().T @ roots_n, compute_uv=False)[:, 0].max())
+        for fi in _root_factors(m)
+    )
 
 
 def _uncertainty_check(
     m: Povm, n: Povm, rho, orders: ConjugateOrders, factor_kind: str, kind: str
 ) -> BoundReport:
-    rho = _check_pair(m, n, rho)
+    rho = _check_state(rho, m, n)
     p, q = _outcome_weights(m, rho), _outcome_weights(n, rho)
     if factor_kind == "g":
         factor = _g(m, n, rho, p, q)

@@ -17,7 +17,7 @@ import time
 import numpy as np
 
 from . import bounds, channels, demos, ensembles, linalg
-from .entropy import conjugate_order, tsallis_entropy
+from .entropy import as_prob_vector, conjugate_order, tsallis_entropy
 
 SLACK_TOL = -1e-9
 
@@ -196,8 +196,10 @@ def cmd_sweep(args, rep: Reporter) -> None:
     for trial in range(args.trials):
         base = args.seed + 1000 * trial
         rho = linalg.random_density(args.dim, args.dim, base)
-        ex = channels.extremal_unraveling(channels.random_unraveling(args.dim, args.dim, base + 1), rho)
-        theorem1 = _theorem1(ex.lambdas, ex.gram, args.remixings, base + 2)
+        # the spectrum of the Gram matrix, as extremal_unraveling computes it, without its Kraus set
+        gram = channels.gram_matrix(channels.random_unraveling(args.dim, args.dim, base + 1), rho)
+        lambdas = as_prob_vector(linalg.hermitian_eig(gram)[0])
+        theorem1 = _theorem1(lambdas, gram, args.remixings, base + 2)
         m = bounds.random_projective_povm(args.dim, base + 3)
         n = bounds.random_projective_povm(args.dim, base + 4)
         g = bounds.g_factor(m, n, rho)
@@ -231,19 +233,18 @@ def cmd_demo(args, rep: Reporter) -> None:
         basis[0] = 1.0
         report = demos.dft_uncertainty_demo(basis, orders)
         rep.row("dft_basis_state", d=args.dim, factor_kind="fbar", seed=args.seed, **_report_fields(report))
-        if args.trials:
-            rng = np.random.default_rng(args.seed)
-            for trial in range(args.trials):
-                psi = linalg.ginibre(rng, args.dim, 1).ravel()
-                psi /= np.linalg.norm(psi)
-                report = demos.dft_uncertainty_demo(psi, orders)
-                rep.row(
-                    "dft_random_state",
-                    d=args.dim,
-                    factor_kind="fbar",
-                    seed=args.seed,
-                    **_report_fields(report),
-                )
+        rng = np.random.default_rng(args.seed)
+        for trial in range(args.trials):
+            psi = linalg.ginibre(rng, args.dim, 1).ravel()
+            psi /= np.linalg.norm(psi)
+            report = demos.dft_uncertainty_demo(psi, orders)
+            rep.row(
+                "dft_random_state",
+                d=args.dim,
+                factor_kind="fbar",
+                seed=args.seed,
+                **_report_fields(report),
+            )
     else:
         uniform = np.zeros(2 * args.truncation + 1)
         uniform[args.truncation] = 1.0

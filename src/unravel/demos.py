@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import BoundReport, bound_report
-from .entropy import ConjugateOrders, alpha_log, as_prob_vector
+from .entropy import ConjugateOrders, alpha_log
 
 
 def dft_matrix(d: int) -> np.ndarray:
@@ -30,8 +30,8 @@ def dft_uncertainty_demo(state, orders: ConjugateOrders) -> BoundReport:
     if abs(np.linalg.norm(c) - 1) > 1e-10:
         raise ValueError("state is not normalized")
     d = c.size
-    q = as_prob_vector(np.abs(c) ** 2)
-    p = as_prob_vector(np.abs(dft_matrix(d) @ c) ** 2)
+    q = np.abs(c) ** 2
+    p = np.abs(dft_matrix(d) @ c) ** 2
     return bound_report(p, q, orders, "tsallis", 1.0 / np.sqrt(d), alpha_log(float(d), orders.mu))
 
 
@@ -96,7 +96,7 @@ def angle_momentum_demo(state: AngleState, orders: ConjugateOrders) -> BoundRepo
     if orders.alpha <= 1 and not orders.shannon_limit:
         raise ValueError("the binned-angle bound needs alpha > 1 > beta")
     p = bin_probabilities(state)
-    q = as_prob_vector(np.abs(state.coeffs) ** 2)
+    q = np.abs(state.coeffs) ** 2
     k = state.nbins
     return bound_report(p, q, orders, "tsallis", 1.0 / np.sqrt(k), alpha_log(float(k), orders.mu))
 

@@ -144,7 +144,7 @@ def mixed_ensemble_bounds_check(e: MixedEnsemble, alpha: float, kind: str = "tsa
     """
     if kind != "tsallis":
         raise ValueError(f"mixed-ensemble bounds hold for Tsallis entropies only, got {kind!r}")
-    member_h = tsallis_entropy(as_prob_vector(np.linalg.eigvalsh(np.stack(e.members))), alpha)
+    member_h = tsallis_entropy(np.linalg.eigvalsh(np.stack(e.members)), alpha)
     lower = float(np.dot(e.weights, member_h))
     mid = quantum_entropy(ensemble_density(e), alpha, "tsallis")
     upper = float(np.dot(e.weights**alpha, member_h) + tsallis_entropy(e.weights, alpha))

@@ -114,7 +114,7 @@ def quantum_entropy(rho, alpha: float, kind: str = "tsallis") -> float:
     """Entropy of the eigenvalue distribution of a density matrix."""
     rho = check_density(rho)
     w = np.linalg.eigvalsh(rho)
-    return classical_entropy(as_prob_vector(w), alpha, kind)
+    return classical_entropy(w, alpha, kind)
 
 
 @dataclass(frozen=True)

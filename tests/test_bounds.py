@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unravel import bounds, linalg
 from unravel.bounds import (
@@ -126,10 +130,10 @@ class TestFFactor:
         )
 
     def test_chain(self):
-        for seed in range(10):
-            m = random_projective_povm(3, seed=100 + seed)
-            n = random_projective_povm(3, seed=200 + seed)
-            rho = linalg.random_density(3, 3, seed=300 + seed)
+        for dim, seed in [(3, seed) for seed in range(10)] + [(16, 0)]:
+            m = random_projective_povm(dim, seed=100 + seed)
+            n = random_projective_povm(dim, seed=200 + seed)
+            rho = linalg.random_density(dim, dim, seed=300 + seed)
             g = g_factor(m, n, rho)
             f = f_factor(m, n, rho)
             fb = f_bar(m, n)
@@ -151,6 +155,85 @@ class TestFBar:
             comp = Povm(tuple(np.diag(np.eye(d)[k]).astype(complex) for k in range(d)))
             four = Povm(tuple(np.outer(u[:, k], u[:, k].conj()) for k in range(d)))
             assert f_bar(comp, four) == pytest.approx(1 / np.sqrt(d), abs=1e-12)
+
+
+def _f_bar_loop(m, n):
+    """Reference f-bar: a dense square root per element, one SVD per outcome pair."""
+    roots_m = [linalg.psd_sqrt_hermitian(x) for x in m.elements]
+    roots_n = [linalg.psd_sqrt_hermitian(y) for y in n.elements]
+    return max(linalg.matrix_norms(a @ b)[1] for a in roots_m for b in roots_n)
+
+
+def _f_loop(m, n, rho):
+    """Reference f: one eigenvector of rho and one outcome pair at a time."""
+    w, v = np.linalg.eigh(rho)
+    best = -np.inf
+    for k in np.flatnonzero(w > bounds.P_ZERO_TOL):
+        psi = v[:, k]
+        for x in m.elements:
+            for y in n.elements:
+                p, q = np.vdot(psi, x @ psi).real, np.vdot(psi, y @ psi).real
+                if p > bounds.P_ZERO_TOL and q > bounds.P_ZERO_TOL:
+                    best = max(best, abs(np.vdot(psi, x @ y @ psi)) / np.sqrt(p * q))
+    return best
+
+
+@st.composite
+def _povm_pair_and_state(draw):
+    dim = draw(st.integers(1, 5))
+    seed = st.integers(0, 2**32 - 1)
+
+    def povm():
+        kind = draw(st.sampled_from(["general", "projective", "coarse", "zero_element"]))
+        if kind == "general":
+            return random_povm(dim, draw(st.integers(1, 4)), draw(seed))
+        rank1 = random_projective_povm(dim, draw(seed)).elements
+        if kind == "projective":
+            return Povm(rank1)
+        if kind == "coarse":
+            # projectors of unequal rank: the first two basis vectors share one outcome
+            return Povm(np.concatenate([rank1[:2].sum(axis=0, keepdims=True), rank1[2:]]))
+        return Povm(np.concatenate([rank1, np.zeros((1, dim, dim))]))
+
+    m, n = povm(), povm()
+    state = draw(st.sampled_from(["rank1", "uniform", "rank_deficient"]))
+    if state == "uniform":
+        rho = np.eye(dim) / dim
+    else:
+        rank = 1 if state == "rank1" else draw(st.integers(1, max(1, dim - 1)))
+        rho = linalg.random_density(dim, rank, draw(seed))
+    return m, n, rho
+
+
+class TestBatchedFactorsMatchLoops:
+    @given(_povm_pair_and_state())
+    @settings(max_examples=200, deadline=None)
+    def test_against_loop_oracle(self, case):
+        m, n, rho = case
+        assert abs(f_bar(m, n) - _f_bar_loop(m, n)) <= 1e-12
+        assert abs(f_factor(m, n, rho) - _f_loop(m, n, linalg.check_density(rho))) <= 1e-12
+
+    def test_no_admissible_pair_raises(self):
+        # Povm's validation rejects a set with all-zero probabilities, so build one around it
+        zero = object.__new__(Povm)
+        object.__setattr__(zero, "elements", np.zeros((2, 2, 2), complex))
+        for factor in (g_factor, f_factor):
+            with pytest.raises(ValueError, match="degenerate"):
+                factor(zero, z_basis_povm(), np.eye(2) / 2)
+            with pytest.raises(ValueError, match="degenerate"):
+                factor(z_basis_povm(), zero, np.eye(2) / 2)
+
+    def test_f_bar_memory_is_linear_in_outcomes(self):
+        # one stack of pair products would hold n^2 d^2 = 2^24 complex entries, 268 MB
+        m, n = random_povm(64, 64, seed=70), random_povm(64, 64, seed=71)
+        tracemalloc.start()
+        try:
+            fb = f_bar(m, n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        assert 0 < fb <= 1 + 1e-10
 
 
 class TestLemmaNormInequality:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import unravel
-from unravel import cli, linalg
+from unravel import channels, cli, linalg
 from unravel.channels import random_unraveling
 
 from helpers import x_basis_povm, z_basis_povm
@@ -180,6 +180,25 @@ class TestSweepCommand:
         assert all("wall_time_ms" in r for r in rows)
         _, out_plain, _ = _run(capsys, self.ARGS)
         assert all("wall_time_ms" not in r for r in _json_rows(out_plain))
+
+
+    def test_top_of_dimension_range(self, capsys):
+        code, out, err = _run(capsys, ["sweep", "--dim", "64", "--trials", "1", "--seed", "3"])
+        assert code == 0
+        assert err == ""
+        rows = _json_rows(out)
+        assert len(rows) == 10
+        assert rows[0]["check_name"] == "factor_chain"
+        assert rows[0]["slack"] >= -1e-9
+
+    def test_builds_no_extremal_kraus_set(self, capsys, monkeypatch):
+        def unused(*args):
+            raise AssertionError("sweep needs only the Gram spectrum")
+
+        monkeypatch.setattr(channels, "extremal_unraveling", unused)
+        code, _, err = _run(capsys, self.ARGS)
+        assert code == 0
+        assert err == ""
 
 
 class TestDemoCommand:

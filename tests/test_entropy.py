@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unravel import entropy, linalg
+from unravel import demos, ensembles, entropy, linalg
 from unravel.entropy import (
     alpha_log,
     as_prob_vector,
@@ -107,6 +107,39 @@ class TestConversion:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             renyi_from_tsallis(2.0, 2.0)
+
+
+class TestNormalizesOnce:
+    """Each distribution a public call reads goes through as_prob_vector once."""
+
+    def test_one_normalization_per_distribution(self, monkeypatch):
+        calls = []
+        original = entropy.as_prob_vector
+
+        def counting(p, *args, **kwargs):
+            calls.append(np.shape(p))
+            return original(p, *args, **kwargs)
+
+        for module in (entropy, demos, ensembles):
+            monkeypatch.setattr(module, "as_prob_vector", counting, raising=False)
+        orders = conjugate_order(2.0)
+        rho = linalg.random_density(3, 3, seed=1)
+        psi = np.linalg.qr(linalg.ginibre(np.random.default_rng(2), 4, 1))[0].ravel()
+        packet = demos.gaussian_wavepacket(20, 2.0, 8)
+        mixed = ensembles.MixedEnsemble(
+            [0.25, 0.75], (rho, linalg.random_density(3, 2, seed=3))
+        )
+        cases = [
+            (lambda: quantum_entropy(rho, 2.0), 1),
+            (lambda: demos.dft_uncertainty_demo(psi, orders), 2),
+            (lambda: demos.angle_momentum_demo(packet, orders), 2),
+            # member spectra (one stack), the state's spectrum, the weights
+            (lambda: ensembles.mixed_ensemble_bounds_check(mixed, 2.0), 3),
+        ]
+        for call, expected in cases:
+            calls.clear()
+            call()
+            assert len(calls) == expected
 
 
 class TestQuantumEntropy:
