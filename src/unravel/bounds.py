@@ -78,24 +78,16 @@ class BoundReport:
     slack: float
     factor: float
     orders: ConjugateOrders
-    limit_extrapolated: bool = False
 
 
 def bound_report(p, q, orders: ConjugateOrders, kind: str, factor: float, rhs: float) -> BoundReport:
     """Report H_a(p) + H_b(q) >= rhs for entropies of the given kind.
 
-    alpha is bound to p and beta to q.  A mu at the Shannon switchover is
-    reported as limit-extrapolated.
+    alpha is bound to p and beta to q.  The entropies are exact at every
+    order, the Shannon case alpha = beta = 1 included.
     """
     lhs = classical_entropy(p, orders.alpha, kind) + classical_entropy(q, orders.beta, kind)
-    return BoundReport(
-        lhs=lhs,
-        rhs=rhs,
-        slack=lhs - rhs,
-        factor=factor,
-        orders=orders,
-        limit_extrapolated=orders.shannon_limit,
-    )
+    return BoundReport(lhs=lhs, rhs=rhs, slack=lhs - rhs, factor=factor, orders=orders)
 
 
 def _check_state(rho, *povms: Povm) -> np.ndarray:
@@ -215,9 +207,9 @@ def tsallis_uncertainty_check(
 ) -> BoundReport:
     """Evaluate H_a(M|rho) + H_b(N|rho) against ln_mu(factor^-2).
 
-    alpha is bound to the first POVM and beta to the second.  A mu at the
-    Shannon switchover is reported as limit-extrapolated.  rho is validated
-    once and the outcome probabilities are computed once.
+    alpha is bound to the first POVM and beta to the second; every order is
+    evaluated exactly, mu = 1 (Shannon) included.  rho is validated once and
+    the outcome probabilities are computed once.
     """
     return _uncertainty_check(m, n, rho, orders, factor_kind, "tsallis")
 

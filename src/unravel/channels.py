@@ -102,12 +102,15 @@ def gram_matrix(a: Unraveling, rho) -> np.ndarray:
     return linalg.hermitianize(pi)
 
 
+def _effect_weights(a: Unraveling, rho) -> np.ndarray:
+    """tr(A_i† A_i rho), not yet checked as a distribution."""
+    k = a.kraus_ops
+    return np.einsum("iab,iac,cb->i", k.conj(), k, _check_state(a, rho), optimize=True).real
+
+
 def effect_probabilities(a: Unraveling, rho) -> np.ndarray:
     """p_i = tr(A_i† A_i rho)."""
-    rho = _check_state(a, rho)
-    k = a.kraus_ops
-    p = np.einsum("iab,iac,cb->i", k.conj(), k, rho, optimize=True).real
-    return as_prob_vector(p)
+    return as_prob_vector(_effect_weights(a, rho))
 
 
 def extremal_unraveling(a: Unraveling, rho) -> ExtremalResult:
@@ -128,7 +131,7 @@ def extremal_unraveling(a: Unraveling, rho) -> ExtremalResult:
 
 def unraveling_entropy(a: Unraveling, rho, alpha: float, kind: str = "tsallis") -> float:
     """Entropy of the effect-probability distribution."""
-    return classical_entropy(effect_probabilities(a, rho), alpha, kind)
+    return classical_entropy(_effect_weights(a, rho), alpha, kind)
 
 
 def random_unraveling(dim: int, n_kraus: int, seed: int) -> Unraveling:

@@ -93,8 +93,8 @@ def bin_probabilities(state: AngleState) -> np.ndarray:
 
 def angle_momentum_demo(state: AngleState, orders: ConjugateOrders) -> BoundReport:
     """Binned-angle vs angular-momentum bound H_a(phi) + H_b(J) >= ln_mu(nbins)."""
-    if orders.alpha <= 1 and not orders.shannon_limit:
-        raise ValueError("the binned-angle bound needs alpha > 1 > beta")
+    if orders.alpha < 1:
+        raise ValueError("the binned-angle bound needs alpha >= 1 >= beta")
     p = bin_probabilities(state)
     q = np.abs(state.coeffs) ** 2
     k = state.nbins

@@ -1,19 +1,18 @@
 """Tsallis and Renyi entropies, the alpha-logarithm, and order algebra.
 
-All entropies are in nats.  Orders within EPS_ORDER of 1 switch over to the
-Shannon formulas, since the direct expressions are numerically unstable there.
+All entropies are in nats and exact at every order alpha > 0, Shannon's alpha = 1
+included: ln_a(x) = expm1((1-a) ln x)/(1-a) is ln x at a = 1 and cancels nowhere
+near it (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 1.14.1).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import check_density
-
-# |alpha - 1| below this uses the Shannon limit.
-EPS_ORDER = 1e-8
 
 _SUM_TOL = 1e-10
 _NEG_TOL = 1e-12
@@ -43,43 +42,56 @@ def as_prob_vector(p, tol_sum: float = _SUM_TOL) -> np.ndarray:
 
 def _check_order(alpha: float) -> float:
     alpha = float(alpha)
-    if not np.isfinite(alpha) or alpha <= 0:
+    if not math.isfinite(alpha) or alpha <= 0:
         raise ValueError(f"entropy order must be > 0, got {alpha}")
     return alpha
 
 
 def alpha_log(x: float, alpha: float) -> float:
-    """Deformed logarithm ln_a(x) = (x^(1-a) - 1)/(1-a); natural log at a -> 1."""
+    """Deformed logarithm ln_a(x) = (x^(1-a) - 1)/(1-a) = expm1((1-a) ln x)/(1-a)."""
     alpha = _check_order(alpha)
     x = float(x)
     if x < 0:
         raise ValueError(f"alpha_log requires x >= 0, got {x}")
     if x == 0:
-        if alpha < 1 - EPS_ORDER:
+        if alpha < 1:
             # finite limit of (x^(1-a) - 1)/(1-a) as x -> 0+
             return -1.0 / (1.0 - alpha)
         raise ValueError(f"alpha_log(0) diverges for order {alpha}")
-    if abs(alpha - 1) < EPS_ORDER:
-        return float(np.log(x))
-    return float((x ** (1.0 - alpha) - 1.0) / (1.0 - alpha))
+    t = 1.0 - alpha
+    return math.expm1(t * math.log(x)) / t if t else math.log(x)
 
 
 def _entropy(p, alpha: float, renyi: bool):
     """Tsallis (or Renyi) entropy over the last axis: a float for one
-    distribution, an array for a stack of them."""
+    distribution, an array for a stack of them.
+
+    T = -sum p ln_(2-a)(p) = -sum p^a ln_a(p) in the expm1 form of alpha_log:
+    the first for a >= 1, the second for a < 1, so every expm1 argument is
+    <= 0 (no overflow, subnormal p included) and all terms share one sign.
+    """
     alpha = _check_order(alpha)
     p = as_prob_vector(p)
-    if abs(alpha - 1) < EPS_ORDER:
-        # log(p + 1) = 0 stands in where p == 0, so 0 log 0 counts as 0
-        h = -(p * np.log(p + (p == 0))).sum(axis=-1)
+    # log(p + 1) = 0 stands in where p == 0, so those terms count as 0
+    log_p = np.log(p + (p == 0))
+    t = 1.0 - alpha
+    if t:
+        weights = p if t < 0 else p**alpha
+        h = (weights * np.expm1(abs(t) * log_p)).sum(axis=-1) / -abs(t)
     else:
-        s = (p**alpha).sum(axis=-1)
-        h = np.log(s) / (1.0 - alpha) if renyi else (s - 1.0) / (1.0 - alpha)
+        h = -(p * log_p).sum(axis=-1)
+    if renyi and t:
+        s = t * h  # sum p^a - 1, whose log1p stays exact near order 1
+        far = s < -0.5  # large alpha: sum p^a << 1 and s has rounded its digits away
+        h = np.log1p(np.maximum(s, -0.5)) / t
+        if far.any():
+            m = p.max(axis=-1, keepdims=True)  # factored out, so sum p^a cannot underflow
+            h = np.where(far, (alpha * np.log(m[..., 0]) + np.log(((p / m) ** alpha).sum(axis=-1))) / t, h)
     return float(h) if h.ndim == 0 else h
 
 
 def tsallis_entropy(p, alpha: float):
-    """Non-extensive entropy (1-a)^(-1) (sum p^a - 1); Shannon at a -> 1.
+    """Non-extensive entropy (1-a)^(-1) (sum p^a - 1); Shannon at a = 1.
 
     p is one distribution (gives a float) or a stack of them (one per row).
     """
@@ -87,20 +99,17 @@ def tsallis_entropy(p, alpha: float):
 
 
 def renyi_entropy(p, alpha: float):
-    """Renyi entropy (1-a)^(-1) ln(sum p^a); Shannon at a -> 1; p as for tsallis_entropy."""
+    """Renyi entropy (1-a)^(-1) ln(sum p^a); Shannon at a = 1; p as for tsallis_entropy."""
     return _entropy(p, alpha, renyi=True)
 
 
 def renyi_from_tsallis(h: float, alpha: float) -> float:
-    """Convert a Tsallis value to the Renyi value of the same order."""
-    alpha = _check_order(alpha)
-    h = float(h)
-    if abs(alpha - 1) < EPS_ORDER:
-        return h
-    arg = 1.0 + (1.0 - alpha) * h
-    if arg <= 0:
-        raise ValueError(f"log argument {arg!r} <= 0 in Tsallis-to-Renyi conversion")
-    return float(np.log(arg) / (1.0 - alpha))
+    """Convert a Tsallis value to the Renyi value of the same order: log1p((1-a) h)/(1-a)."""
+    t = 1.0 - _check_order(alpha)
+    s = t * float(h)
+    if s <= -1:
+        raise ValueError(f"log argument {1 + s!r} <= 0 in Tsallis-to-Renyi conversion")
+    return math.log1p(s) / t if t else float(h)
 
 
 def classical_entropy(p, alpha: float, kind: str):
@@ -134,11 +143,6 @@ class ConjugateOrders:
             )
         if self.mu != max(self.alpha, self.beta):
             raise ValueError("mu must equal max(alpha, beta)")
-
-    @property
-    def shannon_limit(self) -> bool:
-        """True when mu is at the (limit-extrapolated) Shannon switchover."""
-        return abs(self.mu - 1) < EPS_ORDER
 
 
 def conjugate_order(alpha: float) -> ConjugateOrders:

@@ -50,7 +50,7 @@ def _verdict(label: str, ok: bool) -> None:
 
 def _tsallis_rows(p: np.ndarray, alpha: float) -> np.ndarray:
     """Tsallis entropy of each row of a probability matrix."""
-    if abs(alpha - 1.0) < 1e-8:
+    if alpha == 1.0:
         with np.errstate(divide="ignore", invalid="ignore"):
             terms = np.where(p > 0, -p * np.log(np.where(p > 0, p, 1.0)), 0.0)
         return terms.sum(axis=-1)

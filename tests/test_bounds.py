@@ -328,7 +328,6 @@ class TestRenyiCheck:
         assert report.lhs == pytest.approx(2 * np.log(2), abs=1e-12)
         assert report.rhs == pytest.approx(np.log(2), abs=1e-12)
         assert report.slack == pytest.approx(np.log(2), abs=1e-12)
-        assert report.limit_extrapolated
 
     def test_g_stronger_than_f_on_impure(self):
         stronger = 0

@@ -211,6 +211,14 @@ class TestDemoCommand:
         assert abs(basis[0]["slack"]) <= 1e-10
         assert len([r for r in rows if r["check_name"] == "dft_random_state"]) == 5
 
+    def test_dft_near_order_one(self, capsys):
+        code, out, _ = _run(
+            capsys, ["demo", "dft", "--dim", "14", "--alpha", "1.000000013", "--trials", "0"]
+        )
+        assert code == 0
+        (basis,) = _json_rows(out)
+        assert basis["slack"] >= -1e-12
+
     def test_angle(self, capsys):
         code, out, _ = _run(
             capsys, ["demo", "angle", "--alpha", "2", "--nbins", "8"]

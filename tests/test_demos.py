@@ -75,6 +75,14 @@ class TestDftDemo:
                 assert report.rhs == pytest.approx(alpha_log(d, alpha), abs=1e-12)
                 assert abs(report.slack) <= 1e-10
 
+    def test_basis_state_saturation_near_order_one(self):
+        # the entropies are exact through alpha = 1, so no order near it loses the saturation
+        for d in range(1, 17):
+            basis = np.zeros(d)
+            basis[0] = 1.0
+            for alpha in (1.0, 1 - 1e-9, 1 + 1e-9, 1 - 1.3e-8, 1 + 1.3e-8, 1 + 1e-4):
+                assert dft_uncertainty_demo(basis, conjugate_order(alpha)).slack >= -1e-12
+
     def test_uniform_state_saturation(self):
         # the DFT image of a uniform state is concentrated, so the saturating
         # assignment puts mu on the input-side distribution
@@ -199,8 +207,11 @@ class TestAngleDemo:
 
     def test_requires_alpha_above_one(self):
         s = _momentum_state([0, 1, 0], 4)
-        with pytest.raises(ValueError):
-            angle_momentum_demo(s, conjugate_order(0.7))
+        for alpha in (0.7, 1 - 1e-9):
+            with pytest.raises(ValueError):
+                angle_momentum_demo(s, conjugate_order(alpha))
+        # alpha = beta = 1 meets alpha >= 1 >= beta
+        assert angle_momentum_demo(s, conjugate_order(1.0)).slack >= -1e-12
 
     def test_tail_guard(self):
         with pytest.raises(ValueError):

@@ -1,9 +1,11 @@
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unravel import demos, ensembles, entropy, linalg
+from unravel import channels, demos, ensembles, entropy, linalg
 from unravel.entropy import (
     alpha_log,
     as_prob_vector,
@@ -21,6 +23,27 @@ ORDERS = [0.3, 0.7, 2.0, 5.0]
 
 def _random_probs(rng, n):
     return rng.dirichlet(np.ones(n))
+
+
+def _exact_entropy(p, alpha: float, kind: str) -> float:
+    """60-digit Tsallis or Renyi entropy of p, renormalized exactly (Shannon at alpha == 1)."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        ps = [Decimal(float(x)) for x in np.ravel(p) if x > 0]
+        total = sum(ps)
+        ps = [x / total for x in ps]
+        a = Decimal(float(alpha))
+        if a == 1:
+            return float(-sum(x * x.ln() for x in ps))
+        power = sum((a * x.ln()).exp() for x in ps)  # sum p^a, against an exact sum p = 1
+        return float((power - 1 if kind == "tsallis" else power.ln()) / (1 - a))
+
+
+def _exact_alpha_log(x: float, alpha: float) -> float:
+    with localcontext() as ctx:
+        ctx.prec = 60
+        lx, t = Decimal(float(x)).ln(), 1 - Decimal(float(alpha))
+        return float(((t * lx).exp() - 1) / t if t else lx)
 
 
 class TestAlphaLog:
@@ -120,7 +143,7 @@ class TestNormalizesOnce:
             calls.append(np.shape(p))
             return original(p, *args, **kwargs)
 
-        for module in (entropy, demos, ensembles):
+        for module in (entropy, channels, demos, ensembles):
             monkeypatch.setattr(module, "as_prob_vector", counting, raising=False)
         orders = conjugate_order(2.0)
         rho = linalg.random_density(3, 3, seed=1)
@@ -129,8 +152,10 @@ class TestNormalizesOnce:
         mixed = ensembles.MixedEnsemble(
             [0.25, 0.75], (rho, linalg.random_density(3, 2, seed=3))
         )
+        unraveling = channels.random_unraveling(3, 2, seed=4)
         cases = [
             (lambda: quantum_entropy(rho, 2.0), 1),
+            (lambda: channels.unraveling_entropy(unraveling, rho, 2.0), 1),
             (lambda: demos.dft_uncertainty_demo(psi, orders), 2),
             (lambda: demos.angle_momentum_demo(packet, orders), 2),
             # member spectra (one stack), the state's spectrum, the weights
@@ -265,14 +290,19 @@ class TestStackedEntropy:
     @given(_prob_stacks(), st.sampled_from([0.3, 0.5, 1.0, 1 + 5e-9, 2.0, 7.0]))
     @settings(max_examples=200, deadline=None)
     def test_rows_match_single_calls_and_oracle(self, p, alpha):
-        shannon = abs(alpha - 1) < entropy.EPS_ORDER
-        for fn, oracle in ((tsallis_entropy, _tsallis_rows), (renyi_entropy, _renyi_rows)):
+        for fn, oracle, kind in (
+            (tsallis_entropy, _tsallis_rows, "tsallis"),
+            (renyi_entropy, _renyi_rows, "renyi"),
+        ):
             rows = fn(p, alpha)
             assert rows.shape == (p.shape[0],)
             for i in range(p.shape[0]):
                 assert rows[i] == fn(p[i], alpha)
-            # Renyi and Tsallis share the Shannon limit, where only the Tsallis oracle switches over
-            expected = _tsallis_rows(p, alpha) if shannon else oracle(p, alpha)
+            # the float oracles cancel (or divide by zero) at orders near 1
+            if abs(alpha - 1) < 1e-3:
+                expected = np.array([_exact_entropy(row, alpha, kind) for row in p])
+            else:
+                expected = oracle(p, alpha)
             assert np.max(np.abs(rows - expected)) <= 1e-12
 
     def test_bad_row_rejected(self):
@@ -283,3 +313,48 @@ class TestStackedEntropy:
             for fn in (tsallis_entropy, renyi_entropy):
                 with pytest.raises(ValueError):
                     fn(p, 2.0)
+
+
+_EXACT_ORDERS = st.one_of(
+    st.just(1.0),
+    st.floats(-1e-4, 1e-4).map(lambda delta: 1.0 + delta),
+    st.sampled_from([1e-3, 0.5, 2.0, 7.0, 50.0]),
+)
+
+
+@st.composite
+def _hard_distributions(draw):
+    """Distributions with exact zeros and, in some, subnormal entries."""
+    w = np.array(draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1.0)), min_size=1, max_size=12)))
+    if w.sum() == 0:
+        w[0] = 1.0
+    tiny = draw(st.lists(st.sampled_from([1e-320, 5e-324, 2.5e-310]), max_size=3))
+    return np.concatenate([w / w.sum(), tiny])
+
+
+class TestExactAtEveryOrder:
+    """Every entropy and alpha_log within 1e-13 of a 60-digit decimal oracle."""
+
+    @given(_hard_distributions(), _EXACT_ORDERS)
+    @settings(max_examples=300, deadline=None)
+    def test_entropies(self, p, alpha):
+        for fn, kind in ((tsallis_entropy, "tsallis"), (renyi_entropy, "renyi")):
+            assert abs(fn(p, alpha) - _exact_entropy(p, alpha, kind)) <= 1e-13
+
+    @given(st.floats(1e-3, 1e3), _EXACT_ORDERS)
+    @settings(max_examples=300, deadline=None)
+    def test_alpha_log(self, x, alpha):
+        # ln_a(x) grows like x^(1-a); the bound is relative once it exceeds 1
+        exact = _exact_alpha_log(x, alpha)
+        assert abs(alpha_log(x, alpha) - exact) <= 1e-13 * max(1.0, abs(exact))
+
+    def test_subnormal_entry_at_small_order(self):
+        p = [1 - 1e-20, 1e-320]
+        assert tsallis_entropy(p, 1e-3) == pytest.approx(_exact_entropy(p, 1e-3, "tsallis"), abs=1e-13)
+
+    def test_renyi_at_large_order(self):
+        # at 400, sum p^a = 8^-399 underflows to 0 unless max p is factored out
+        for alpha in (50.0, 400.0):
+            assert renyi_entropy(np.full(8, 1 / 8), alpha) == pytest.approx(np.log(8), abs=1e-13)
+        p = [0.9, 0.1, 0.0]
+        assert renyi_entropy(p, 400.0) == pytest.approx(_exact_entropy(p, 400.0, "renyi"), abs=1e-13)
