@@ -9,9 +9,15 @@ f_bar (state-independent) obey g <= f <= f_bar <= 1 and set the lower bounds
 for conjugate orders 1/a + 1/b = 2, mu = max(a, b).  f_bar is computed in
 root-factor form: with F_i F_i† = M_i and G_j G_j† = N_j (kept eigenvectors
 scaled by root eigenvalues), ||M_i^(1/2) N_j^(1/2)|| = ||F_i† G_j||, a matrix
-only as large as the elements' ranks.  The module also hosts a grid verifier
-for the two-variable function whose constrained minimum yields the Tsallis
-bound.
+only as large as the elements' ranks.
+
+The paired reports measure the Gram-extremal unravelings of two Kraus sets.
+Remixing by a unitary U gives the distribution diag(U† Pi U), which the Gram
+spectrum majorizes (Schur); Tsallis and Renyi entropies of positive order are
+Schur-concave (Marshall & Olkin, Inequalities: Theory of Majorization, ch. 3 A
+and 9 B), so that unraveling minimizes both at every order, exactly.  The
+module also hosts a grid verifier for the two-variable function whose
+constrained minimum yields the Tsallis bound.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .channels import Unraveling
+from .channels import Unraveling, extremal_unraveling
 from .entropy import ConjugateOrders, alpha_log, as_prob_vector, classical_entropy
 from .linalg import check_density
 
@@ -43,14 +49,8 @@ class Povm:
 
     def __post_init__(self):
         elems = linalg.as_matrix_stack(self.elements, "POVM elements")
+        elems = linalg.check_hermitian(elems, name="POVM element")
         dim = elems.shape[1]
-        if elems.shape[2] != dim:
-            raise ValueError(f"POVM elements are not square: {elems.shape[1:]}")
-        dev = np.linalg.norm(elems - elems.conj().swapaxes(1, 2), axis=(1, 2))
-        k = int(dev.argmax())
-        if dev[k] > linalg.TOL_HERM:
-            raise ValueError(f"POVM element {k} is not Hermitian: deviation {dev[k]:.3e}")
-        elems = linalg.hermitianize(elems)
         w = np.linalg.eigvalsh(elems)[:, 0]
         k = int(w.argmin())
         if w[k] < -linalg.TOL_PSD:
@@ -219,6 +219,46 @@ def renyi_uncertainty_check(
 ) -> BoundReport:
     """Evaluate R_a(M|rho) + R_b(N|rho) against -2 ln(factor), as tsallis_uncertainty_check."""
     return _uncertainty_check(m, n, rho, orders, factor_kind, "renyi")
+
+
+@dataclass(frozen=True)
+class SearchConfig:
+    """Settings of the former numerical Renyi search, still accepted by
+    extremal_pair_renyi.
+
+    Every field is validated, and none changes the result, which is exact.
+    """
+
+    alpha: float
+    restarts: int = 10
+    iterations: int = 300
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.alpha <= 0:
+            raise ValueError("alpha must be positive")
+        if self.restarts < 1 or self.iterations < 1:
+            raise ValueError("restarts and iterations must be >= 1")
+
+
+def _extremal_pair(a: Unraveling, b: Unraveling, rho, orders: ConjugateOrders, kind: str) -> BoundReport:
+    m, n = (povm_from_unraveling(extremal_unraveling(x, rho).extremal) for x in (a, b))
+    return _uncertainty_check(m, n, rho, orders, "g", kind)
+
+
+def extremal_pair_tsallis(a: Unraveling, b: Unraveling, rho, orders: ConjugateOrders) -> BoundReport:
+    """Tsallis uncertainty report for the Gram-extremal unravelings of a pair."""
+    return _extremal_pair(a, b, rho, orders, "tsallis")
+
+
+def extremal_pair_renyi(
+    a: Unraveling, b: Unraveling, rho, orders: ConjugateOrders, cfg: SearchConfig
+) -> BoundReport:
+    """Renyi uncertainty report for the Gram-extremal unravelings of a pair, the
+    exact Renyi minimizers at alpha and at beta.  cfg does not change the result."""
+    if orders.alpha <= 1:
+        raise ValueError("the paired Renyi relation is stated for alpha > 1")
+    return _extremal_pair(a, b, rho, orders, "renyi")
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
 import time
@@ -80,6 +79,9 @@ def load_instance(path: str) -> dict:
 
 
 class Reporter:
+    """Writes each row to the stream as it is made, flushed, so a reader sees
+    whole rows while a run goes on and keeps them if it is killed."""
+
     def __init__(self, fmt: str, timing: bool, stream):
         self.fmt = fmt
         self.timing = timing
@@ -105,9 +107,11 @@ class Reporter:
                 self._writer = csv.DictWriter(self.stream, fieldnames=ROW_FIELDS)
                 self._writer.writeheader()
             self._writer.writerow({k: row.get(k) for k in ROW_FIELDS})
+        self.stream.flush()
 
     def obj(self, payload: dict):
         self.stream.write(json.dumps(payload) + "\n")
+        self.stream.flush()
 
     @property
     def exit_code(self) -> int:
@@ -358,15 +362,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    buffer = io.StringIO()
-    rep = Reporter(args.format, args.timing, buffer)
+    rep = Reporter(args.format, args.timing, sys.stdout)
     try:
         args.func(args, rep)
     except ValueError as exc:
-        sys.stdout.write(buffer.getvalue())
         sys.stderr.write(json.dumps({"error": str(exc)}) + "\n")
         return 2
-    sys.stdout.write(buffer.getvalue())
     return rep.exit_code
 
 

@@ -1,8 +1,9 @@
 """Dense complex-matrix kernel.
 
-Hilbert-Schmidt inner products, Frobenius/spectral norms, Hermitian
-eigendecomposition with a canonical (descending) eigenvalue order, PSD square
-roots, and seeded random generators for unitaries and density matrices.
+Validation of matrices and matrix stacks (finite, Hermitian, unitary, density),
+the Hermitian part, Hermitian eigendecomposition with a canonical (descending)
+eigenvalue order, and seeded random generators: Ginibre arrays, Haar-random
+unitaries and isometries, and density matrices.
 """
 
 from __future__ import annotations
@@ -45,28 +46,20 @@ def hermitianize(x: np.ndarray) -> np.ndarray:
     return (x + x.conj().swapaxes(-1, -2)) / 2
 
 
-def hs_inner(x, y) -> complex:
-    """Hilbert-Schmidt inner product tr(x† y)."""
-    x = as_matrix(x)
-    y = as_matrix(y)
-    if x.shape != y.shape:
-        raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
-    return complex(np.vdot(x, y))
-
-
-def matrix_norms(x) -> tuple[float, float]:
-    """Return (frobenius, spectral) norms from the singular values."""
-    s = np.linalg.svd(as_matrix(x), compute_uv=False)
-    return float(np.sqrt(np.sum(s**2))), float(s[0])
-
-
 def check_hermitian(h, tol: float = TOL_HERM, name: str = "matrix") -> np.ndarray:
-    h = as_matrix(h)
-    if h.shape[0] != h.shape[1]:
-        raise ValueError(f"{name} is not square: {h.shape}")
-    dev = np.linalg.norm(h - h.conj().T)
-    if dev > tol:
-        raise ValueError(f"{name} is not Hermitian: deviation {dev:.3e} > {tol:.1e}")
+    """Validate a finite Hermitian matrix, or an (n, dim, dim) stack of them, and
+    return its Hermitian part.  For a stack the error names the element that
+    deviates most."""
+    h = np.asarray(h, dtype=complex)
+    if h.ndim not in (2, 3) or h.shape[-1] != h.shape[-2]:
+        raise ValueError(f"{name} is not a square matrix or a stack of them: shape {h.shape}")
+    if not np.isfinite(h).all():
+        raise ValueError(f"{name} has non-finite entries")
+    dev = np.linalg.norm(h - h.conj().swapaxes(-1, -2), axis=(-2, -1)).ravel()
+    k = int(dev.argmax())
+    if dev[k] > tol:
+        which = f"{name} {k}" if h.ndim == 3 else name
+        raise ValueError(f"{which} is not Hermitian: deviation {dev[k]:.3e} > {tol:.1e}")
     return hermitianize(h)
 
 
@@ -83,6 +76,8 @@ def check_unitary(u, tol: float = TOL_UNITARY, name: str = "matrix") -> np.ndarr
 def check_density(rho, name: str = "rho") -> np.ndarray:
     """Validate a density matrix: Hermitian, unit trace, positive semidefinite."""
     rho = check_hermitian(rho, name=name)
+    if rho.ndim != 2:
+        raise ValueError(f"{name} must be one matrix, got shape {rho.shape}")
     tr = np.trace(rho).real
     if abs(tr - 1) > TOL_TRACE:
         raise ValueError(f"{name} has trace {tr!r}, expected 1")
@@ -93,28 +88,14 @@ def check_density(rho, name: str = "rho") -> np.ndarray:
 
 
 def hermitian_eig(h) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
+    """Eigendecomposition of a Hermitian matrix (or of each matrix of a stack),
+    eigenvalues descending.
 
     Returns (w, v) with h = v @ diag(w) @ v†.  Eigenvector phases are not
     canonicalized; compare only phase-invariant quantities downstream.
     """
-    h = check_hermitian(h)
-    w, v = np.linalg.eigh(h)
-    return w[::-1].copy(), v[:, ::-1].copy()
-
-
-def psd_sqrt_hermitian(m, tol_psd: float = TOL_PSD, name: str = "matrix") -> np.ndarray:
-    """Hermitian PSD square root, clipping eigenvalues in [-tol_psd, 0) to 0."""
-    w, v = hermitian_eig(check_hermitian(m, name=name))
-    if w[-1] < -tol_psd:
-        raise ValueError(f"{name} is not PSD: min eigenvalue {w[-1]:.3e}")
-    w = np.clip(w, 0.0, None)
-    return hermitianize((v * np.sqrt(w)) @ v.conj().T)
-
-
-def psd_sqrt(rho) -> np.ndarray:
-    """Square root of a density matrix."""
-    return psd_sqrt_hermitian(check_density(rho), name="rho")
+    w, v = np.linalg.eigh(check_hermitian(h))
+    return w[..., ::-1].copy(), v[..., ::-1].copy()
 
 
 def ginibre(rng: np.random.Generator, *shape: int) -> np.ndarray:
@@ -130,16 +111,9 @@ def positive_qr(z: np.ndarray) -> np.ndarray:
     return q * (d / np.abs(d))[..., None, :]
 
 
-def haar_unitary_from_rng(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """Haar-random unitary drawn from the given generator."""
-    return positive_qr(ginibre(rng, dim, dim))
-
-
 def haar_random_unitary(dim: int, seed: int) -> np.ndarray:
     """Seeded Haar-random unitary of the given dimension."""
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
-    return haar_unitary_from_rng(np.random.default_rng(seed), dim)
+    return haar_random_unitaries(dim, 1, seed)[0]
 
 
 def haar_random_unitaries(dim: int, count: int, seed: int) -> np.ndarray:

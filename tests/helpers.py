@@ -6,6 +6,7 @@ import numpy as np
 
 from unravel.bounds import Povm
 from unravel.channels import Unraveling
+from unravel.linalg import TOL_PSD, hermitianize
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -33,11 +34,17 @@ def x_basis_povm() -> Povm:
     return Povm(tuple(np.outer(h[:, k], h[:, k].conj()) for k in range(2)))
 
 
+def psd_sqrt(m) -> np.ndarray:
+    """Reference Hermitian PSD square root: eigh, eigenvalues in [-TOL_PSD, 0) clipped to 0."""
+    w, v = np.linalg.eigh(m)
+    if w[0] < -TOL_PSD:
+        raise ValueError(f"matrix is not PSD: min eigenvalue {w[0]:.3e}")
+    return hermitianize((v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T)
+
+
 def measurement_channel(povm: Povm) -> Unraveling:
     """von Neumann style channel with Kraus operators M_i^(1/2)."""
-    from unravel.linalg import psd_sqrt_hermitian
-
-    return Unraveling(tuple(psd_sqrt_hermitian(m) for m in povm.elements))
+    return Unraveling(tuple(psd_sqrt(m) for m in povm.elements))
 
 
 def random_state_vector(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -24,7 +24,7 @@ from unravel.channels import effect_probabilities, random_unraveling
 from unravel.demos import dft_matrix
 from unravel.entropy import alpha_log, conjugate_order, tsallis_entropy
 
-from helpers import depolarizing_unraveling, x_basis_povm, z_basis_povm
+from helpers import depolarizing_unraveling, psd_sqrt, x_basis_povm, z_basis_povm
 
 
 def _pure(psi):
@@ -40,6 +40,11 @@ class TestPovm:
     def test_rejects_non_psd(self):
         with pytest.raises(ValueError):
             Povm((np.diag([1.5, 1.0]), np.diag([-0.5, 0.0])))
+
+    def test_rejects_non_hermitian(self):
+        skew = np.array([[0.5, 0.1], [0.0, 0.5]], dtype=complex)
+        with pytest.raises(ValueError, match="element 1 is not Hermitian"):
+            Povm((np.eye(2) / 2, skew))
 
     def test_random_povm_valid(self):
         m = random_povm(3, 4, seed=0)
@@ -159,9 +164,9 @@ class TestFBar:
 
 def _f_bar_loop(m, n):
     """Reference f-bar: a dense square root per element, one SVD per outcome pair."""
-    roots_m = [linalg.psd_sqrt_hermitian(x) for x in m.elements]
-    roots_n = [linalg.psd_sqrt_hermitian(y) for y in n.elements]
-    return max(linalg.matrix_norms(a @ b)[1] for a in roots_m for b in roots_n)
+    roots_m = [psd_sqrt(x) for x in m.elements]
+    roots_n = [psd_sqrt(y) for y in n.elements]
+    return max(np.linalg.norm(a @ b, 2) for a in roots_m for b in roots_n)
 
 
 def _f_loop(m, n, rho):

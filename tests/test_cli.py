@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import select
 import subprocess
 import sys
 from pathlib import Path
@@ -29,6 +30,12 @@ def _run(capsys, argv):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _src_env():
+    """Environment in which a child interpreter imports this checkout's unravel."""
+    src = str(Path(unravel.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 def _json_rows(out):
@@ -191,6 +198,41 @@ class TestSweepCommand:
         assert rows[0]["check_name"] == "factor_chain"
         assert rows[0]["slack"] >= -1e-9
 
+    def test_rows_stream_as_made(self, capsys, monkeypatch):
+        # trial 0's rows reach stdout before trial 1 draws its state, and an error in
+        # trial 1 leaves them there as whole JSON lines
+        draw, before_draw = linalg.random_density, []
+
+        def spy(dim, rank, seed):
+            before_draw.append(capsys.readouterr().out)
+            if len(before_draw) == 2:
+                raise ValueError("trial 1 failed")
+            return draw(dim, rank, seed)
+
+        monkeypatch.setattr(linalg, "random_density", spy)
+        code, out, err = _run(capsys, ["sweep", "--dim", "2", "--trials", "2", "--seed", "5"])
+        assert code == 2
+        assert json.loads(err) == {"error": "trial 1 failed"}
+        assert before_draw[0] == "" and out == ""
+        rows = _json_rows(before_draw[1])
+        assert len(rows) == 10
+        assert rows[0]["check_name"] == "factor_chain"
+        assert all(r["seed"] == 5 for r in rows)
+
+    def test_killed_sweep_leaves_whole_rows(self):
+        # rows are written as they are made, so a sweep killed mid-run leaves whole JSON lines
+        argv = [sys.executable, "-m", "unravel.cli", "sweep", "--dim", "16", "--trials", "100000"]
+        with subprocess.Popen(argv, env=_src_env(), stdout=subprocess.PIPE, text=True) as proc:
+            try:
+                assert select.select([proc.stdout], [], [], 30)[0], "no row within 30 s"
+                first = proc.stdout.readline()
+            finally:
+                proc.kill()
+            rest = proc.stdout.read()
+            proc.wait(timeout=60)
+        assert json.loads(first)["check_name"] == "factor_chain"
+        assert all(json.loads(line) for line in rest.splitlines())
+
     def test_builds_no_extremal_kraus_set(self, capsys, monkeypatch):
         def unused(*args):
             raise AssertionError("sweep needs only the Gram spectrum")
@@ -267,6 +309,17 @@ class TestPhiMinCommand:
 
 
 class TestReporter:
+    def test_flushes_each_row(self):
+        # a pipe's reader sees each row when it is made, not when a buffer fills
+        for fmt in ("json", "csv"):
+            stream, flushed = io.StringIO(), []
+            stream.flush = lambda: flushed.append(stream.getvalue())
+            rep = cli.Reporter(fmt, False, stream)
+            rep.row("a", slack=0.0)
+            rep.obj({"check_name": "b"})
+            assert len(flushed) == 2
+            assert flushed[-1] == stream.getvalue()
+
     def test_nan_slack_is_a_violation(self):
         rep = cli.Reporter("csv", False, io.StringIO())
         rep.row("ok", slack=0.0)
@@ -288,9 +341,7 @@ class TestCsvFormat:
 
 
 def test_import_loads_no_scipy():
-    src = str(Path(unravel.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = "import sys, unravel.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

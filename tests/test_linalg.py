@@ -1,68 +1,46 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from unravel import linalg
+
+from helpers import psd_sqrt
 
 
 def _rand_complex(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-class TestHsInner:
-    def test_identity(self):
-        for d in (1, 2, 5):
-            assert linalg.hs_inner(np.eye(d), np.eye(d)) == pytest.approx(d)
+class TestCheckHermitian:
+    def test_stack_matches_per_matrix(self):
+        rng = np.random.default_rng(4)
+        h = _rand_complex(rng, (5, 3, 3))
+        h = (h + h.conj().swapaxes(1, 2)) / 2 + 1e-12 * _rand_complex(rng, (5, 3, 3))
+        stacked = linalg.check_hermitian(h)
+        for k in range(5):
+            assert np.array_equal(stacked[k], linalg.hermitianize(h[k]))
+            assert np.array_equal(stacked[k], linalg.check_hermitian(h[k]))
 
-    def test_norm_identity(self):
-        rng = np.random.default_rng(0)
-        x = _rand_complex(rng, (3, 3))
-        val = linalg.hs_inner(x, x)
-        assert val.imag == pytest.approx(0.0, abs=1e-12)
-        assert val.real == pytest.approx(np.linalg.norm(x) ** 2)
+    def test_names_offending_element(self):
+        h = np.stack([np.eye(2, dtype=complex)] * 4)
+        for k in range(4):
+            bad = h.copy()
+            bad[k, 0, 1] = 0.1
+            with pytest.raises(ValueError, match=f"stack {k} is not Hermitian"):
+                linalg.check_hermitian(bad, name="stack")
 
-    def test_elementwise_oracle(self):
-        rng = np.random.default_rng(1)
-        x = _rand_complex(rng, (3, 3))
-        y = _rand_complex(rng, (3, 3))
-        oracle = np.sum(x.conj() * y)
-        assert linalg.hs_inner(x, y) == pytest.approx(oracle, abs=1e-12)
-
-    def test_shape_mismatch(self):
+    def test_rejects_non_square_stack(self):
         with pytest.raises(ValueError):
-            linalg.hs_inner(np.eye(2), np.eye(3))
+            linalg.check_hermitian(np.zeros((3, 2, 4)))
 
-    @given(st.integers(min_value=0, max_value=10_000))
-    @settings(max_examples=25, deadline=None)
-    def test_conjugate_symmetry_and_cauchy_schwarz(self, seed):
-        rng = np.random.default_rng(seed)
-        x = _rand_complex(rng, (4, 4))
-        y = _rand_complex(rng, (4, 4))
-        lhs = linalg.hs_inner(x, y)
-        rhs = linalg.hs_inner(y, x)
-        assert lhs == pytest.approx(np.conj(rhs), abs=1e-10)
-        assert abs(lhs) <= np.linalg.norm(x) * np.linalg.norm(y) + 1e-10
+    def test_rejects_non_finite(self):
+        h = np.stack([np.eye(2)] * 2).astype(complex)
+        h[1, 1, 1] = np.nan
+        with pytest.raises(ValueError):
+            linalg.check_hermitian(h)
 
-
-class TestMatrixNorms:
-    def test_identity(self):
-        fro, spec = linalg.matrix_norms(np.eye(3))
-        assert fro == pytest.approx(np.sqrt(3))
-        assert spec == pytest.approx(1.0)
-
-    def test_projector(self):
-        proj = np.diag([1.0, 0.0])
-        assert linalg.matrix_norms(proj) == pytest.approx((1.0, 1.0))
-
-    def test_svd_oracle(self):
-        rng = np.random.default_rng(2)
-        x = _rand_complex(rng, (4, 4))
-        s = np.linalg.svd(x, compute_uv=False)
-        fro, spec = linalg.matrix_norms(x)
-        assert fro == pytest.approx(np.sqrt(np.sum(s**2)), abs=1e-10)
-        assert spec == pytest.approx(s.max(), abs=1e-10)
-        assert spec <= fro + 1e-12
+    def test_density_rejects_stack(self):
+        with pytest.raises(ValueError, match="one matrix"):
+            linalg.check_density(np.stack([np.eye(2) / 2] * 2))
 
 
 class TestHermitianEig:
@@ -93,26 +71,36 @@ class TestHermitianEig:
         with pytest.raises(ValueError):
             linalg.hermitian_eig(np.array([[0, 1], [0, 0]], dtype=complex))
 
+    def test_stack_matches_per_matrix(self):
+        rng = np.random.default_rng(6)
+        h = _rand_complex(rng, (4, 3, 3))
+        h = (h + h.conj().swapaxes(1, 2)) / 2
+        w, v = linalg.hermitian_eig(h)
+        for k in range(4):
+            wk, vk = linalg.hermitian_eig(h[k])
+            assert np.allclose(w[k], wk, atol=1e-12)
+            assert np.allclose(np.abs(v[k].conj().T @ vk), np.eye(3), atol=1e-10)
+
 
 class TestPsdSqrt:
     def test_maximally_mixed(self):
         d = 3
-        s = linalg.psd_sqrt(np.eye(d) / d)
+        s = psd_sqrt(np.eye(d) / d)
         assert np.allclose(s, np.eye(d) / np.sqrt(d))
 
     def test_pure_projector(self):
         proj = np.diag([1.0, 0.0, 0.0]).astype(complex)
-        assert np.allclose(linalg.psd_sqrt(proj), proj)
+        assert np.allclose(psd_sqrt(proj), proj)
 
     def test_squaring_oracle_and_commutation(self):
         rho = linalg.random_density(3, 2, seed=7)
-        s = linalg.psd_sqrt(rho)
+        s = psd_sqrt(rho)
         assert np.linalg.norm(s @ s - rho) < 1e-10
         assert np.linalg.norm(s @ rho - rho @ s) < 1e-10
 
     def test_rejects_non_psd(self):
         with pytest.raises(ValueError):
-            linalg.psd_sqrt_hermitian(np.diag([1.0, -0.5]))
+            psd_sqrt(np.diag([1.0, -0.5]))
 
 
 class TestHaarUnitary:

@@ -14,12 +14,7 @@ from unravel.channels import (
     remixed_probabilities,
 )
 from unravel.entropy import conjugate_order, renyi_entropy, tsallis_entropy
-from unravel.search import (
-    SearchConfig,
-    extremal_pair_renyi,
-    extremal_pair_tsallis,
-    renyi_extremal_search,
-)
+from unravel.bounds import SearchConfig, extremal_pair_renyi, extremal_pair_tsallis
 
 from helpers import depolarizing_unraveling, measurement_channel, x_basis_povm, z_basis_povm
 
@@ -33,12 +28,13 @@ class TestSearchConfig:
 
 
 class TestRenyiExtremalSearch:
+    # the Renyi minimum over remixings is the Renyi entropy of the Gram spectrum
     def test_single_kraus_trivial(self):
         a = Unraveling((linalg.haar_random_unitary(2, 0),))
         rho = np.eye(2) / 2
-        best, entropy = renyi_extremal_search(a, rho, SearchConfig(alpha=3.0, restarts=2, iterations=10))
-        assert entropy == pytest.approx(0.0, abs=1e-12)
-        assert best.n_ops == 1
+        result = extremal_unraveling(a, rho)
+        assert renyi_entropy(result.lambdas, 3.0) == pytest.approx(0.0, abs=1e-12)
+        assert result.extremal.n_ops == 1
 
     def test_flat_spectrum_is_invariant(self):
         # fully depolarizing Pauli channel on I/2 has Gram = I/4: every remix is uniform
@@ -48,40 +44,37 @@ class TestRenyiExtremalSearch:
         assert np.linalg.norm(pi - np.eye(4) / 4) < 1e-12
         probs = remixed_probabilities(pi, linalg.haar_random_unitaries(4, 100, seed=1))
         assert np.allclose(probs, 0.25, atol=1e-10)
-        _, entropy = renyi_extremal_search(a, rho, SearchConfig(alpha=3.0, restarts=3, iterations=50))
+        entropy = renyi_entropy(extremal_unraveling(a, rho).lambdas, 3.0)
         assert entropy == pytest.approx(np.log(4), abs=1e-10)
 
     def test_determinism(self):
         a = random_unraveling(2, 3, seed=2)
         rho = linalg.random_density(2, 2, seed=3)
-        cfg = SearchConfig(alpha=3.0, restarts=4, iterations=60, seed=17)
-        _, e1 = renyi_extremal_search(a, rho, cfg)
-        _, e2 = renyi_extremal_search(a, rho, cfg)
+        e1 = renyi_entropy(extremal_unraveling(a, rho).lambdas, 3.0)
+        e2 = renyi_entropy(extremal_unraveling(a, rho).lambdas, 3.0)
         assert e1 == e2
 
     def test_never_exceeds_input_or_analytic_extremal(self):
         for seed in range(5):
             a = random_unraveling(2, 3, seed=10 + seed)
             rho = linalg.random_density(2, 2, seed=20 + seed)
-            cfg = SearchConfig(alpha=2.5, restarts=3, iterations=40, seed=seed)
-            best, entropy = renyi_extremal_search(a, rho, cfg)
+            result = extremal_unraveling(a, rho)
+            entropy = renyi_entropy(result.lambdas, 2.5)
             h_input = renyi_entropy(effect_probabilities(a, rho), 2.5)
-            h_analytic = renyi_entropy(extremal_unraveling(a, rho).lambdas, 2.5)
             assert entropy <= h_input + 1e-12
-            assert entropy <= h_analytic + 1e-12
-            # result is a valid unraveling whose probabilities give the entropy
+            # the extremal unraveling's own probabilities give the entropy
             assert entropy == pytest.approx(
-                renyi_entropy(effect_probabilities(best, rho), 2.5), abs=1e-10
+                renyi_entropy(effect_probabilities(result.extremal, rho), 2.5), abs=1e-10
             )
 
     def test_sanity_inversion_below_one(self):
-        # for alpha < 1 the analytic extremal is optimal; search must match it
+        # for alpha < 1 the analytic extremal is optimal; the entropy must match it
         for seed in range(5):
             a = random_unraveling(2, 3, seed=30 + seed)
             rho = linalg.random_density(2, 2, seed=40 + seed)
-            cfg = SearchConfig(alpha=0.5, restarts=3, iterations=100, seed=seed)
-            _, entropy = renyi_extremal_search(a, rho, cfg)
-            target = renyi_entropy(extremal_unraveling(a, rho).lambdas, 0.5)
+            lambdas = extremal_unraveling(a, rho).lambdas
+            entropy = renyi_entropy(lambdas, 0.5)
+            target = 2.0 * np.log(np.sqrt(lambdas).sum())
             assert abs(entropy - target) <= 1e-8
 
     def test_beats_random_sampling(self):
@@ -90,8 +83,7 @@ class TestRenyiExtremalSearch:
         pi = gram_matrix(a, rho)
         probs = remixed_probabilities(pi, linalg.haar_random_unitaries(3, 20_000, seed=52))
         baseline = min(renyi_entropy(p, 3.0) for p in probs)
-        cfg = SearchConfig(alpha=3.0, restarts=10, iterations=300, seed=53)
-        _, entropy = renyi_extremal_search(a, rho, cfg)
+        entropy = renyi_entropy(extremal_unraveling(a, rho).lambdas, 3.0)
         assert entropy <= baseline + 1e-6
 
 
