@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .channels import Unraveling, extremal_unraveling
+from .channels import Unraveling, _extremal
 from .entropy import ConjugateOrders, alpha_log, as_prob_vector, classical_entropy
 from .linalg import check_density
 
@@ -90,11 +90,10 @@ def bound_report(p, q, orders: ConjugateOrders, kind: str, factor: float, rhs: f
     return BoundReport(lhs=lhs, rhs=rhs, slack=lhs - rhs, factor=factor, orders=orders)
 
 
-def _check_state(rho, *povms: Povm) -> np.ndarray:
-    rho = check_density(rho)
-    if any(x.dim != rho.shape[0] for x in povms):
-        raise ValueError(f"dimension mismatch: POVM dims {[x.dim for x in povms]}, state dim {rho.shape[0]}")
-    return rho
+def _same_dim(x: int, y: int) -> int:
+    if x != y:
+        raise ValueError(f"dimension mismatch: {x} vs {y}")
+    return x
 
 
 def _outcome_weights(m: Povm, rho: np.ndarray) -> np.ndarray:
@@ -104,7 +103,7 @@ def _outcome_weights(m: Povm, rho: np.ndarray) -> np.ndarray:
 
 def povm_probabilities(m: Povm, rho) -> np.ndarray:
     """p_i = tr(M_i rho)."""
-    return as_prob_vector(_outcome_weights(m, _check_state(rho, m)))
+    return as_prob_vector(_outcome_weights(m, check_density(rho, m.dim)))
 
 
 def povm_from_unraveling(a: Unraveling) -> Povm:
@@ -131,8 +130,7 @@ def _g(m: Povm, n: Povm, rho: np.ndarray, p: np.ndarray, q: np.ndarray) -> float
 
 def g_factor(m: Povm, n: Povm, rho) -> float:
     """max |tr(M_i N_j rho)| / sqrt(p_i q_j) over outcomes with nonzero probability."""
-    rho = _check_state(rho, m, n)
-    return _g(m, n, rho, _outcome_weights(m, rho), _outcome_weights(n, rho))
+    return _uncertainty_check(m, n, rho, (), "g", ())[0]
 
 
 def _f(m: Povm, n: Povm, rho: np.ndarray) -> float:
@@ -153,7 +151,7 @@ def f_factor(m: Povm, n: Povm, rho) -> float:
     maximized over eigenvectors with nonzero weight and admissible (i, j).
     Coincides with g on pure states and dominates it otherwise.
     """
-    return _f(m, n, _check_state(rho, m, n))
+    return _f(m, n, check_density(rho, _same_dim(m.dim, n.dim)))
 
 
 def _root_factors(m: Povm) -> np.ndarray:
@@ -176,8 +174,7 @@ def f_bar(m: Povm, n: Povm) -> float:
     the top singular value of an r_m x r_n matrix.  One batched SVD per outcome
     of m covers every outcome of n, in O(n r^2) memory.
     """
-    if m.dim != n.dim:
-        raise ValueError(f"POVM dimension mismatch: {m.dim} vs {n.dim}")
+    _same_dim(m.dim, n.dim)
     roots_n = _root_factors(n)
     return max(
         float(np.linalg.svd(fi.conj().T @ roots_n, compute_uv=False)[:, 0].max())
@@ -185,10 +182,11 @@ def f_bar(m: Povm, n: Povm) -> float:
     )
 
 
-def _uncertainty_check(
-    m: Povm, n: Povm, rho, orders: ConjugateOrders, factor_kind: str, kind: str
-) -> BoundReport:
-    rho = _check_state(rho, m, n)
+def _reports(
+    m: Povm, n: Povm, rho: np.ndarray, orders_seq, factor_kind: str, kinds
+) -> tuple[float, list[BoundReport]]:
+    """(factor, reports) at a validated state: p, q and the factor are computed
+    once, then one report per order of orders_seq and kind of kinds, orders outer."""
     p, q = _outcome_weights(m, rho), _outcome_weights(n, rho)
     if factor_kind == "g":
         factor = _g(m, n, rho, p, q)
@@ -198,8 +196,18 @@ def _uncertainty_check(
         factor = f_bar(m, n)
     else:
         raise ValueError(f"unknown factor kind {factor_kind!r}")
-    rhs = alpha_log(factor**-2, orders.mu) if kind == "tsallis" else float(-2.0 * np.log(factor))
-    return bound_report(p, q, orders, kind, factor, rhs)
+
+    def rhs(orders: ConjugateOrders, kind: str) -> float:
+        return alpha_log(factor**-2, orders.mu) if kind == "tsallis" else float(-2.0 * np.log(factor))
+
+    return factor, [bound_report(p, q, o, k, factor, rhs(o, k)) for o in orders_seq for k in kinds]
+
+
+def _uncertainty_check(
+    m: Povm, n: Povm, rho, orders_seq, factor_kind: str, kinds
+) -> tuple[float, list[BoundReport]]:
+    """The factor and the reports of every order and kind, with rho validated once."""
+    return _reports(m, n, check_density(rho, _same_dim(m.dim, n.dim)), orders_seq, factor_kind, kinds)
 
 
 def tsallis_uncertainty_check(
@@ -211,14 +219,16 @@ def tsallis_uncertainty_check(
     evaluated exactly, mu = 1 (Shannon) included.  rho is validated once and
     the outcome probabilities are computed once.
     """
-    return _uncertainty_check(m, n, rho, orders, factor_kind, "tsallis")
+    _, (report,) = _uncertainty_check(m, n, rho, [orders], factor_kind, ("tsallis",))
+    return report
 
 
 def renyi_uncertainty_check(
     m: Povm, n: Povm, rho, orders: ConjugateOrders, factor_kind: str = "g"
 ) -> BoundReport:
     """Evaluate R_a(M|rho) + R_b(N|rho) against -2 ln(factor), as tsallis_uncertainty_check."""
-    return _uncertainty_check(m, n, rho, orders, factor_kind, "renyi")
+    _, (report,) = _uncertainty_check(m, n, rho, [orders], factor_kind, ("renyi",))
+    return report
 
 
 @dataclass(frozen=True)
@@ -242,8 +252,10 @@ class SearchConfig:
 
 
 def _extremal_pair(a: Unraveling, b: Unraveling, rho, orders: ConjugateOrders, kind: str) -> BoundReport:
-    m, n = (povm_from_unraveling(extremal_unraveling(x, rho).extremal) for x in (a, b))
-    return _uncertainty_check(m, n, rho, orders, "g", kind)
+    rho = check_density(rho, _same_dim(a.dim_in, b.dim_in))
+    m, n = (povm_from_unraveling(_extremal(x, rho).extremal) for x in (a, b))
+    _, (report,) = _reports(m, n, rho, [orders], "g", (kind,))
+    return report
 
 
 def extremal_pair_tsallis(a: Unraveling, b: Unraveling, rho, orders: ConjugateOrders) -> BoundReport:

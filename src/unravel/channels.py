@@ -63,16 +63,9 @@ class ExtremalResult:
     gram: np.ndarray
 
 
-def _check_state(a: Unraveling, rho) -> np.ndarray:
-    rho = check_density(rho)
-    if rho.shape[0] != a.dim_in:
-        raise ValueError(f"state dim {rho.shape[0]} != channel input dim {a.dim_in}")
-    return rho
-
-
 def apply_channel(a: Unraveling, rho) -> np.ndarray:
     """sum_i A_i rho A_i†."""
-    rho = _check_state(a, rho)
+    rho = check_density(rho, a.dim_in)
     k = a.kraus_ops
     return linalg.hermitianize((k @ rho @ k.conj().swapaxes(1, 2)).sum(axis=0))
 
@@ -94,23 +87,31 @@ def remix(a: Unraveling, u) -> Unraveling:
     return Unraveling(np.einsum("ji,jkl->ikl", u, k))
 
 
+def _gram(a: Unraveling, rho: np.ndarray) -> np.ndarray:
+    k = a.kraus_ops
+    return linalg.hermitianize(np.einsum("iab,jac,cb->ij", k.conj(), k, rho, optimize=True))
+
+
 def gram_matrix(a: Unraveling, rho) -> np.ndarray:
     """Hermitian PSD unit-trace matrix with entries tr(A_i† A_j rho)."""
-    rho = _check_state(a, rho)
-    k = a.kraus_ops
-    pi = np.einsum("iab,jac,cb->ij", k.conj(), k, rho, optimize=True)
-    return linalg.hermitianize(pi)
+    return _gram(a, check_density(rho, a.dim_in))
 
 
-def _effect_weights(a: Unraveling, rho) -> np.ndarray:
-    """tr(A_i† A_i rho), not yet checked as a distribution."""
+def _effect_weights(a: Unraveling, rho: np.ndarray) -> np.ndarray:
+    """tr(A_i† A_i rho) for a validated state, not yet checked as a distribution."""
     k = a.kraus_ops
-    return np.einsum("iab,iac,cb->i", k.conj(), k, _check_state(a, rho), optimize=True).real
+    return np.einsum("iab,iac,cb->i", k.conj(), k, rho, optimize=True).real
 
 
 def effect_probabilities(a: Unraveling, rho) -> np.ndarray:
     """p_i = tr(A_i† A_i rho)."""
-    return as_prob_vector(_effect_weights(a, rho))
+    return as_prob_vector(_effect_weights(a, check_density(rho, a.dim_in)))
+
+
+def _extremal(a: Unraveling, rho: np.ndarray) -> ExtremalResult:
+    pi = _gram(a, rho)
+    w, v = hermitian_eig(pi)
+    return ExtremalResult(extremal=remix(a, v), lambdas=as_prob_vector(w), diagonalizer=v, gram=pi)
 
 
 def extremal_unraveling(a: Unraveling, rho) -> ExtremalResult:
@@ -119,19 +120,12 @@ def extremal_unraveling(a: Unraveling, rho) -> ExtremalResult:
     With degenerate Gram eigenvalues the diagonalizer (hence the extremal
     Kraus set) is non-unique; only spectrum-derived quantities are canonical.
     """
-    pi = gram_matrix(a, rho)
-    w, v = hermitian_eig(pi)
-    return ExtremalResult(
-        extremal=remix(a, v),
-        lambdas=as_prob_vector(w),
-        diagonalizer=v,
-        gram=pi,
-    )
+    return _extremal(a, check_density(rho, a.dim_in))
 
 
 def unraveling_entropy(a: Unraveling, rho, alpha: float, kind: str = "tsallis") -> float:
     """Entropy of the effect-probability distribution."""
-    return classical_entropy(_effect_weights(a, rho), alpha, kind)
+    return classical_entropy(_effect_weights(a, check_density(rho, a.dim_in)), alpha, kind)
 
 
 def random_unraveling(dim: int, n_kraus: int, seed: int) -> Unraveling:

@@ -2,7 +2,9 @@
 
 Loads or generates problem instances, runs the verification sweeps and the
 demonstrations, and emits one report row per line as JSON (default) or CSV.
-The exit code is 0 iff every reported slack is >= -1e-9 and no error occurred.
+Exit codes: 0 when every reported slack is >= -1e-9, 1 when one is below (or
+NaN), 2 for bad input, 3 for any other failure, reported as an error line on
+stderr in place of a traceback.
 """
 
 from __future__ import annotations
@@ -64,10 +66,8 @@ def load_instance(path: str) -> dict:
         raise ValueError("instance file misses required field 'dim'")
     dim = int(doc["dim"])
     out = {"dim": dim, "seed": int(doc.get("seed", 0))}
-    if "rho" in doc:
-        out["rho"] = linalg.check_density(matrix_from_json(doc["rho"], "rho"))
-    else:
-        out["rho"] = np.eye(dim) / dim
+    # rho is validated by the command that uses it, once
+    out["rho"] = matrix_from_json(doc["rho"], "rho") if "rho" in doc else np.eye(dim) / dim
     if "kraus" in doc:
         ops = [matrix_from_json(k, f"kraus[{i}]") for i, k in enumerate(doc["kraus"])]
         out["kraus"] = channels.Unraveling(tuple(ops))
@@ -135,14 +135,19 @@ def _parse_grid(text: str) -> list[float]:
     return [float(t) for t in text.split(",") if t.strip()]
 
 
-def _count(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _count(least: int = 1):
+    """argparse type for an int >= least."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be >= {least}, got {value}")
+        return value
+
+    return parse
 
 
 def _theorem1(lambdas: np.ndarray, gram: np.ndarray, remixings: int, seed: int):
@@ -197,6 +202,7 @@ def cmd_uncertainty(args, rep: Reporter) -> None:
 
 def cmd_sweep(args, rep: Reporter) -> None:
     grid = _parse_grid(args.alpha_grid)
+    orders = [conjugate_order(alpha) for alpha in grid if alpha > 0.5]
     for trial in range(args.trials):
         base = args.seed + 1000 * trial
         rho = linalg.random_density(args.dim, args.dim, base)
@@ -206,58 +212,44 @@ def cmd_sweep(args, rep: Reporter) -> None:
         theorem1 = _theorem1(lambdas, gram, args.remixings, base + 2)
         m = bounds.random_projective_povm(args.dim, base + 3)
         n = bounds.random_projective_povm(args.dim, base + 4)
-        g = bounds.g_factor(m, n, rho)
-        f = bounds.f_factor(m, n, rho)
+        # one validation of rho and one g serve the chain row and every relation row; the
+        # drawn rho is exactly Hermitian, so validation leaves it as is and _f takes it unchecked
+        g, reports = bounds._uncertainty_check(m, n, rho, orders, "g", ("tsallis", "renyi"))
+        f = bounds._f(m, n, rho)
         fb = bounds.f_bar(m, n)
         chain = min(f - g, fb - f, 1.0 + 1e-10 - fb)
         rep.row("factor_chain", d=args.dim, slack=chain, factor=g, seed=base)
+        reports = iter(reports)
         for alpha in grid:
             rep.row("theorem1_tsallis", d=args.dim, seed=base, **theorem1(alpha))
             if alpha <= 0.5:
                 continue
-            orders = conjugate_order(alpha)
-            for kind, check in (
-                ("tsallis", bounds.tsallis_uncertainty_check),
-                ("renyi", bounds.renyi_uncertainty_check),
-            ):
-                report = check(m, n, rho, orders, "g")
-                rep.row(
-                    f"theorem2_{kind}" if kind == "tsallis" else "renyi_relation",
-                    d=args.dim,
-                    factor_kind="g",
-                    seed=base,
-                    **_report_fields(report),
-                )
+            for name in ("theorem2_tsallis", "renyi_relation"):
+                rep.row(name, d=args.dim, factor_kind="g", seed=base, **_report_fields(next(reports)))
 
 
 def cmd_demo(args, rep: Reporter) -> None:
     orders = conjugate_order(args.alpha)
+
+    def row(name: str, d: int, report: bounds.BoundReport) -> None:
+        rep.row(name, d=d, factor_kind="fbar", seed=args.seed, **_report_fields(report))
+
     if args.which == "dft":
         basis = np.zeros(args.dim)
         basis[0] = 1.0
-        report = demos.dft_uncertainty_demo(basis, orders)
-        rep.row("dft_basis_state", d=args.dim, factor_kind="fbar", seed=args.seed, **_report_fields(report))
+        row("dft_basis_state", args.dim, demos.dft_uncertainty_demo(basis, orders))
         rng = np.random.default_rng(args.seed)
         for trial in range(args.trials):
             psi = linalg.ginibre(rng, args.dim, 1).ravel()
             psi /= np.linalg.norm(psi)
-            report = demos.dft_uncertainty_demo(psi, orders)
-            rep.row(
-                "dft_random_state",
-                d=args.dim,
-                factor_kind="fbar",
-                seed=args.seed,
-                **_report_fields(report),
-            )
+            row("dft_random_state", args.dim, demos.dft_uncertainty_demo(psi, orders))
     else:
         uniform = np.zeros(2 * args.truncation + 1)
         uniform[args.truncation] = 1.0
         state = demos.AngleState(uniform, args.nbins)
-        report = demos.angle_momentum_demo(state, orders)
-        rep.row("angle_uniform", d=args.nbins, factor_kind="fbar", seed=args.seed, **_report_fields(report))
+        row("angle_uniform", args.nbins, demos.angle_momentum_demo(state, orders))
         packet = demos.gaussian_wavepacket(args.truncation, args.width, args.nbins)
-        report = demos.angle_momentum_demo(packet, orders)
-        rep.row("angle_gaussian", d=args.nbins, factor_kind="fbar", seed=args.seed, **_report_fields(report))
+        row("angle_gaussian", args.nbins, demos.angle_momentum_demo(packet, orders))
 
 
 def cmd_ensemble(args, rep: Reporter) -> None:
@@ -315,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("extremal", help="Gram spectrum and extremal-vs-remixing sweep")
     s.add_argument("--in", dest="infile", required=True)
     s.add_argument("--alpha-grid", default="0.3,0.7,1.0,1.5,2,5")
-    s.add_argument("--remixings", type=_count, default=200)
+    s.add_argument("--remixings", type=_count(), default=200)
     s.set_defaults(func=cmd_extremal)
 
     s = sub.add_parser("uncertainty", help="one uncertainty bound report")
@@ -326,29 +318,29 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=cmd_uncertainty)
 
     s = sub.add_parser("sweep", help="randomized verification sweep")
-    s.add_argument("--dim", type=int, required=True)
-    s.add_argument("--trials", type=int, required=True)
+    s.add_argument("--dim", type=_count(), required=True)
+    s.add_argument("--trials", type=_count(0), required=True)
     s.add_argument("--alpha-grid", default="1.5,2,3")
-    s.add_argument("--remixings", type=_count, default=100)
+    s.add_argument("--remixings", type=_count(), default=100)
     s.add_argument("--seed", type=int, default=0)
     s.set_defaults(func=cmd_sweep)
 
     s = sub.add_parser("demo", help="worked examples")
     s.add_argument("which", choices=("dft", "angle"))
-    s.add_argument("--dim", type=int, default=2)
+    s.add_argument("--dim", type=_count(), default=2)
     s.add_argument("--alpha", type=float, required=True)
-    s.add_argument("--trials", type=int, default=0)
-    s.add_argument("--nbins", type=int, default=8)
+    s.add_argument("--trials", type=_count(0), default=0)
+    s.add_argument("--nbins", type=_count(), default=8)
     s.add_argument("--L", dest="truncation", type=int, default=50)
     s.add_argument("--width", type=float, default=3.0)
     s.add_argument("--seed", type=int, default=0)
     s.set_defaults(func=cmd_demo)
 
     s = sub.add_parser("ensemble", help="ensemble entropy bounds sweep")
-    s.add_argument("--dim", type=int, required=True)
-    s.add_argument("--members", type=int, required=True)
+    s.add_argument("--dim", type=_count(), required=True)
+    s.add_argument("--members", type=_count(), required=True)
     s.add_argument("--alpha", type=float, required=True)
-    s.add_argument("--trials", type=int, required=True)
+    s.add_argument("--trials", type=_count(0), required=True)
     s.add_argument("--seed", type=int, default=0)
     s.set_defaults(func=cmd_ensemble)
 
@@ -368,6 +360,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         sys.stderr.write(json.dumps({"error": str(exc)}) + "\n")
         return 2
+    except Exception as exc:
+        sys.stderr.write(json.dumps({"error": f"{type(exc).__name__}: {exc}"}) + "\n")
+        return 3
     return rep.exit_code
 
 

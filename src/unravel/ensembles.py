@@ -16,8 +16,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .entropy import as_prob_vector, classical_entropy, quantum_entropy, tsallis_entropy
-from .linalg import check_density, haar_random_unitary, hermitian_eig
+from .entropy import as_prob_vector, classical_entropy, tsallis_entropy
+from .linalg import check_density, haar_random_unitary
 
 # members lighter than this are dropped (their direction is undefined)
 WEIGHT_DROP_TOL = 1e-14
@@ -94,8 +94,8 @@ def ensemble_from_state(rho, m: int, seed: int | None) -> PureEnsemble:
     """
     rho = check_density(rho)
     d = rho.shape[0]
-    w, v = hermitian_eig(rho)
-    lam = np.clip(w, 0.0, None)
+    w, v = np.linalg.eigh(rho)  # rho is checked, so hermitian_eig would check it twice
+    lam, v = np.clip(w[::-1], 0.0, None), v[:, ::-1].copy()  # descending
     rank = int(np.count_nonzero(lam > linalg.TOL_PSD))
     if m < rank:
         raise ValueError(f"m = {m} is below rank(rho) = {rank}")
@@ -122,8 +122,7 @@ def pure_ensemble_bounds_check(e: PureEnsemble, alpha: float, kind: str = "tsall
     for Renyi at alpha < 1 only; outside that range in_premise is False and
     the values are still returned, just not asserted.
     """
-    rho = ensemble_density(e)
-    state_entropy = quantum_entropy(rho, alpha, kind)
+    state_entropy = classical_entropy(np.linalg.eigvalsh(ensemble_density(e)), alpha, kind)
     ensemble_entropy = classical_entropy(e.weights, alpha, kind)
     in_premise = kind == "tsallis" or alpha < 1
     return PureBoundsResult(state_entropy, ensemble_entropy, in_premise)
@@ -146,6 +145,6 @@ def mixed_ensemble_bounds_check(e: MixedEnsemble, alpha: float, kind: str = "tsa
         raise ValueError(f"mixed-ensemble bounds hold for Tsallis entropies only, got {kind!r}")
     member_h = tsallis_entropy(np.linalg.eigvalsh(np.stack(e.members)), alpha)
     lower = float(np.dot(e.weights, member_h))
-    mid = quantum_entropy(ensemble_density(e), alpha, "tsallis")
+    mid = tsallis_entropy(np.linalg.eigvalsh(ensemble_density(e)), alpha)
     upper = float(np.dot(e.weights**alpha, member_h) + tsallis_entropy(e.weights, alpha))
     return MixedBoundsResult(lower, mid, upper)

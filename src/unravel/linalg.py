@@ -17,16 +17,6 @@ TOL_TRACE = 1e-10
 TOL_PSD = 1e-10
 
 
-def as_matrix(x) -> np.ndarray:
-    """Coerce to a finite 2-D complex array."""
-    m = np.asarray(x, dtype=complex)
-    if m.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got array of shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix has non-finite entries")
-    return m
-
-
 def as_matrix_stack(xs, name: str) -> np.ndarray:
     """Coerce equal-shape matrices (a sequence or an (n, rows, cols) array) to one
     finite, C-ordered complex stack, always a fresh copy."""
@@ -64,20 +54,23 @@ def check_hermitian(h, tol: float = TOL_HERM, name: str = "matrix") -> np.ndarra
 
 
 def check_unitary(u, tol: float = TOL_UNITARY, name: str = "matrix") -> np.ndarray:
-    u = as_matrix(u)
-    if u.shape[0] != u.shape[1]:
-        raise ValueError(f"{name} is not square: {u.shape}")
+    u = np.asarray(u, dtype=complex)
+    if u.ndim != 2 or u.shape[0] != u.shape[1] or not np.isfinite(u).all():
+        raise ValueError(f"{name} is not a finite square matrix: shape {u.shape}")
     dev = np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0]))
     if dev > tol:
         raise ValueError(f"{name} is not unitary: deviation {dev:.3e} > {tol:.1e}")
     return u
 
 
-def check_density(rho, name: str = "rho") -> np.ndarray:
-    """Validate a density matrix: Hermitian, unit trace, positive semidefinite."""
+def check_density(rho, dim: int | None = None, name: str = "rho") -> np.ndarray:
+    """Validate a density matrix: Hermitian, unit trace, positive semidefinite,
+    and dim x dim when dim is given."""
     rho = check_hermitian(rho, name=name)
     if rho.ndim != 2:
         raise ValueError(f"{name} must be one matrix, got shape {rho.shape}")
+    if dim is not None and rho.shape[0] != dim:
+        raise ValueError(f"{name} has dimension {rho.shape[0]}, expected {dim}")
     tr = np.trace(rho).real
     if abs(tr - 1) > TOL_TRACE:
         raise ValueError(f"{name} has trace {tr!r}, expected 1")

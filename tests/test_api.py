@@ -5,6 +5,8 @@ caught here: each call below has the form perfbench/workloads.py uses.
 """
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +18,14 @@ import unravel.cli
 def test_every_exported_name_resolves():
     missing = [name for name in unravel.__all__ if not hasattr(unravel, name)]
     assert missing == []
+
+
+def test_readme_python_runs():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"```python\n(.*?)```", readme.read_text(), re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, str(readme), "exec"), {})
 
 
 def _renyi(p, alpha):

@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 
 import numpy as np
@@ -5,10 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unravel import bounds, linalg
+from unravel import bounds, cli, linalg
 from unravel.bounds import (
     PhiProblem,
     Povm,
+    SearchConfig,
+    extremal_pair_renyi,
+    extremal_pair_tsallis,
     f_bar,
     f_factor,
     g_factor,
@@ -299,15 +303,23 @@ class TestTsallisCheck:
         assert rhs["fbar"] <= rhs["f"] + 1e-12
 
 
+def _count_calls(monkeypatch, home, name):
+    """Count the calls of home.name through every unravel module that binds it."""
+    calls, original = [], getattr(home, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for key, module in list(sys.modules.items()):
+        if (key == "unravel" or key.startswith("unravel.")) and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counting)
+    return calls
+
+
 class TestCheckValidatesOnce:
     def test_one_check_density_per_call(self, monkeypatch):
-        calls = []
-
-        def counting(rho, name="rho"):
-            calls.append(name)
-            return linalg.check_density(rho, name)
-
-        monkeypatch.setattr(bounds, "check_density", counting)
+        calls = _count_calls(monkeypatch, linalg, "check_density")
         m = random_povm(3, 4, seed=60)
         n = random_projective_povm(3, seed=61)
         rho = linalg.random_density(3, 3, seed=62)
@@ -316,6 +328,37 @@ class TestCheckValidatesOnce:
                 calls.clear()
                 check(m, n, rho, conjugate_order(2.0), kind)
                 assert len(calls) == 1
+
+    def test_sweep_trial(self, monkeypatch, capsys):
+        # one Gram matrix and one uncertainty body per trial
+        density = _count_calls(monkeypatch, linalg, "check_density")
+        g = _count_calls(monkeypatch, bounds, "_g")
+        weights = _count_calls(monkeypatch, bounds, "_outcome_weights")
+        assert cli.main(["sweep", "--dim", "3", "--trials", "1", "--seed", "4"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 10
+        assert (len(density), len(g), len(weights)) == (2, 1, 2)
+
+    def test_extremal_pair(self, monkeypatch):
+        calls = _count_calls(monkeypatch, linalg, "check_density")
+        a, b = random_unraveling(3, 2, seed=63), random_unraveling(3, 4, seed=64)
+        rho, orders = linalg.random_density(3, 3, seed=65), conjugate_order(2.0)
+        extremal_pair_tsallis(a, b, rho, orders)
+        assert len(calls) == 1
+        extremal_pair_renyi(a, b, rho, orders, SearchConfig(alpha=2.0))
+        assert len(calls) == 2
+
+    def test_extremal_pair_rejects_dimension_mismatch(self):
+        a, b = random_unraveling(2, 2, seed=66), random_unraveling(3, 2, seed=67)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            extremal_pair_tsallis(a, b, np.eye(2) / 2, conjugate_order(2.0))
+
+    def test_ensemble_trial(self, monkeypatch, capsys):
+        # the state and the four mixed members; the bound checks read the spectrum directly
+        calls = _count_calls(monkeypatch, linalg, "check_density")
+        argv = ["ensemble", "--dim", "3", "--members", "4", "--alpha", "2", "--trials", "1"]
+        assert cli.main(argv) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 2
+        assert len(calls) == 5
 
 
 class TestRenyiCheck:

@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import os
@@ -8,10 +9,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import unravel
-from unravel import channels, cli, linalg
+from unravel import bounds, channels, cli, linalg
 from unravel.channels import random_unraveling
+from unravel.entropy import conjugate_order
 
 from helpers import x_basis_povm, z_basis_povm
 
@@ -157,6 +161,17 @@ class TestUncertaintyCommand:
         assert row["factor_kind"] == "fbar"
         assert row["rhs"] == pytest.approx(np.log(2), abs=1e-12)
 
+    def test_bad_rho_exits_2(self, tmp_path, capsys):
+        # the file's rho is checked once, by the command that uses it
+        povms = {k: [_encode(m) for m in z_basis_povm().elements] for k in ("povm_m", "povm_n")}
+        kraus = [_encode(k) for k in random_unraveling(2, 2, seed=4).kraus_ops]
+        for rho, message in ((np.diag([1.5, -0.5]), "not PSD"), (np.eye(3) / 3, "dimension")):
+            path = _write_instance(tmp_path, dim=2, rho=_encode(rho), kraus=kraus, **povms)
+            for argv in (["uncertainty", "--in", path, "--alpha", "2"], ["extremal", "--in", path]):
+                code, out, err = _run(capsys, argv)
+                assert (code, out) == (2, "")
+                assert message in json.loads(err)["error"]
+
     def test_missing_povm_exits_2(self, tmp_path, capsys):
         path = _write_instance(tmp_path, dim=2)
         code, _, err = _run(capsys, ["uncertainty", "--in", path, "--alpha", "2"])
@@ -233,6 +248,40 @@ class TestSweepCommand:
         assert json.loads(first)["check_name"] == "factor_chain"
         assert all(json.loads(line) for line in rest.splitlines())
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.integers(1, 16),
+        seed=st.integers(0, 10**6),
+        grid=st.lists(st.one_of(st.sampled_from([0.3, 0.5, 1.0, 2.0]), st.floats(0.05, 20.0)), max_size=4).flatmap(
+            lambda extra: st.permutations(extra + [0.5, 1.0])
+        ),
+    )
+    def test_relation_rows_match_public_checks(self, d, seed, grid):
+        # the sweep derives every relation row from one body call; the public one-order
+        # checks, called afresh per row, are the reference, to the bit
+        argv = ["sweep", "--dim", str(d), "--trials", "1", "--remixings", "2", "--seed", str(seed)]
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert cli.main(argv + ["--alpha-grid", ",".join(map(repr, grid))]) == 0
+        rows = _json_rows(out.getvalue())
+        rho = linalg.random_density(d, d, seed)
+        m, n = bounds.random_projective_povm(d, seed + 3), bounds.random_projective_povm(d, seed + 4)
+        g, f, fb = bounds.g_factor(m, n, rho), bounds.f_factor(m, n, rho), bounds.f_bar(m, n)
+        assert rows[0]["factor"] == g and rows[0]["slack"] == min(f - g, fb - f, 1.0 + 1e-10 - fb)
+        want = []
+        for alpha in grid:
+            if alpha > 0.5:
+                orders = conjugate_order(alpha)
+                want += [
+                    ("theorem2_tsallis", bounds.tsallis_uncertainty_check(m, n, rho, orders, "g")),
+                    ("renyi_relation", bounds.renyi_uncertainty_check(m, n, rho, orders, "g")),
+                ]
+        got = [r for r in rows if r["check_name"] in ("theorem2_tsallis", "renyi_relation")]
+        assert len(got) == len(want)
+        for row, (name, report) in zip(got, want):
+            assert row == dict(
+                check_name=name, d=d, factor_kind="g", seed=seed, **cli._report_fields(report)
+            )
+
     def test_builds_no_extremal_kraus_set(self, capsys, monkeypatch):
         def unused(*args):
             raise AssertionError("sweep needs only the Gram spectrum")
@@ -241,6 +290,42 @@ class TestSweepCommand:
         code, _, err = _run(capsys, self.ARGS)
         assert code == 0
         assert err == ""
+
+
+class TestSizeArguments:
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["demo", "dft", "--dim", "0", "--alpha", "2"], "--dim"),
+            (["ensemble", "--dim", "2", "--members", "0", "--alpha", "2", "--trials", "1"], "--members"),
+            (["demo", "angle", "--alpha", "2", "--nbins", "0"], "--nbins"),
+            (["sweep", "--dim", "2", "--trials", "-1"], "--trials"),
+            (["demo", "dft", "--alpha", "2", "--trials", "-1"], "--trials"),
+            (["ensemble", "--dim", "2", "--members", "2", "--alpha", "2", "--trials", "-1"], "--trials"),
+        ],
+    )
+    def test_out_of_range_exits_2(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    def test_zero_trials_allowed(self, capsys):
+        code, out, _ = _run(capsys, ["sweep", "--dim", "2", "--trials", "0"])
+        assert (code, out) == (0, "")
+        code, out, _ = _run(capsys, ["demo", "dft", "--dim", "3", "--alpha", "2"])
+        assert code == 0 and len(_json_rows(out)) == 1
+
+
+class TestUnexpectedError:
+    def test_reported_with_exit_3(self, capsys, monkeypatch):
+        def broken(m, n):
+            raise RuntimeError("out of luck")
+
+        monkeypatch.setattr(bounds, "f_bar", broken)
+        code, out, err = _run(capsys, ["sweep", "--dim", "2", "--trials", "1"])
+        assert (code, out) == (3, "")
+        assert json.loads(err) == {"error": "RuntimeError: out of luck"}
 
 
 class TestDemoCommand:

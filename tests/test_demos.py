@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from unravel.bounds import bound_report
 from unravel.demos import (
     AngleState,
     angle_momentum_demo,
@@ -119,6 +120,17 @@ class TestDftDemo:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
             dft_uncertainty_demo(np.array([1.0, 1.0]), conjugate_order(2.0))
+
+    def test_matches_dft_matrix_report(self):
+        # the FFT gives the entries of |F c|^2 in another order, so the entropies agree
+        # up to the order of summation
+        rng = np.random.default_rng(3)
+        for d in (1, 2, 3, 8, 13, 64):
+            for alpha in (0.6, 1.0, 2.0):
+                c = random_state_vector(d, rng)
+                orders = conjugate_order(alpha)
+                want = bound_report(np.abs(dft_matrix(d) @ c) ** 2, np.abs(c) ** 2, orders, "tsallis", 0.0, 0.0)
+                assert dft_uncertainty_demo(c, orders).lhs == pytest.approx(want.lhs, rel=1e-14, abs=1e-14)
 
 
 class TestDftNormChain:
