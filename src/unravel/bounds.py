@@ -7,9 +7,13 @@ f_bar (state-independent) obey g <= f <= f_bar <= 1 and set the lower bounds
     R_a(M|rho) + R_b(N|rho) >= -2 ln(factor)          (Renyi)
 
 for conjugate orders 1/a + 1/b = 2, mu = max(a, b).  f_bar is computed in
-root-factor form: with F_i F_i† = M_i and G_j G_j† = N_j (kept eigenvectors
-scaled by root eigenvalues), ||M_i^(1/2) N_j^(1/2)|| = ||F_i† G_j||, a matrix
-only as large as the elements' ranks.
+root-factor form: with F_i F_i† = M_i and G_j G_j† = N_j,
+||M_i^(1/2) N_j^(1/2)|| = ||F_i† G_j||, a matrix only as large as the elements'
+ranks.  A Povm holds its elements and their root factors, made once when it is
+built.  Povm(elements) takes them from one eigendecomposition of the stack
+(kept eigenvectors scaled by root eigenvalues); random_projective_povm (the
+basis vectors) and povm_from_unraveling (A_i†) pass the factors they hold and
+decompose nothing.
 
 The paired reports measure the Gram-extremal unravelings of two Kraus sets.
 Remixing by a unitary U gives the distribution diag(U† Pi U), which the Gram
@@ -22,7 +26,7 @@ constrained minimum yields the Tsallis bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,23 +46,40 @@ class Povm:
     """Set of Hermitian PSD operators summing to the identity.
 
     The elements are held as one (n, dim, dim) array, which indexes and
-    iterates like a tuple of matrices.
+    iterates like a tuple of matrices.  `roots` is an (n, dim, r) stack of
+    root factors, F_i F_i† = M_i, made when the POVM is built: from one
+    eigendecomposition of the validated elements, or, for
+    random_projective_povm and povm_from_unraveling, from the factors they
+    already hold.
     """
 
     elements: np.ndarray
+    roots: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         elems = linalg.as_matrix_stack(self.elements, "POVM elements")
         elems = linalg.check_hermitian(elems, name="POVM element")
-        dim = elems.shape[1]
-        w = np.linalg.eigvalsh(elems)[:, 0]
-        k = int(w.argmin())
-        if w[k] < -linalg.TOL_PSD:
-            raise ValueError(f"POVM element {k} not PSD: min eigenvalue {w[k]:.3e}")
-        dev = np.linalg.norm(elems.sum(axis=0) - np.eye(dim))
+        w, v = np.linalg.eigh(elems)
+        k = int(w[:, 0].argmin())
+        if w[k, 0] < -linalg.TOL_PSD:
+            raise ValueError(f"POVM element {k} not PSD: min eigenvalue {w[k, 0]:.3e}")
+        self._hold(elems, _root_factors(w, v))
+
+    @classmethod
+    def _factored(cls, products: np.ndarray, roots: np.ndarray) -> Povm:
+        """POVM with elements hermitianize(products), where products[i] = F_i F_i†
+        for roots[i] = F_i.  Such elements are Hermitian and PSD by construction,
+        so only completeness is checked, and nothing is decomposed."""
+        povm = object.__new__(cls)
+        povm._hold(linalg.hermitianize(np.ascontiguousarray(products)), np.ascontiguousarray(roots))
+        return povm
+
+    def _hold(self, elems: np.ndarray, roots: np.ndarray) -> None:
+        dev = np.linalg.norm(elems.sum(axis=0) - np.eye(elems.shape[1]))
         if dev > TOL_POVM_COMPLETE:
             raise ValueError(f"POVM completeness violated: ||sum M - I||_F = {dev:.3e}")
         object.__setattr__(self, "elements", elems)
+        object.__setattr__(self, "roots", roots)
 
     @property
     def dim(self) -> int:
@@ -107,9 +128,9 @@ def povm_probabilities(m: Povm, rho) -> np.ndarray:
 
 
 def povm_from_unraveling(a: Unraveling) -> Povm:
-    """Measurement with elements M_i = A_i† A_i."""
-    k = a.kraus_ops
-    return Povm(k.conj().swapaxes(1, 2) @ k)
+    """Measurement with elements M_i = A_i† A_i and root factors A_i†."""
+    k_dag = a.kraus_ops.conj().swapaxes(1, 2)
+    return Povm._factored(k_dag @ a.kraus_ops, k_dag)
 
 
 def _max_ratio(p: np.ndarray, q: np.ndarray, overlaps: np.ndarray) -> float:
@@ -154,31 +175,29 @@ def f_factor(m: Povm, n: Povm, rho) -> float:
     return _f(m, n, check_density(rho, _same_dim(m.dim, n.dim)))
 
 
-def _root_factors(m: Povm) -> np.ndarray:
-    """Stack (n, dim, r) of F_i = E_i S_i with F_i F_i† = M_i: the eigenvectors E_i of
-    eigenvalue above P_ZERO_TOL scaled by the roots S_i.  r is the largest such
-    rank in the stack; columns of dropped eigenvalues are zero."""
-    w, v = np.linalg.eigh(m.elements)
+def _root_factors(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """C-ordered stack (n, dim, r) of F_i = E_i S_i with F_i F_i† = M_i, from the
+    eigendecomposition (w, v) of the elements: the eigenvectors E_i of eigenvalue
+    above P_ZERO_TOL scaled by the roots S_i.  r is the largest such rank in the
+    stack; columns of dropped eigenvalues are zero."""
     d, r = w.shape[1], int((w > P_ZERO_TOL).sum(axis=1).max())
     # eigh sorts ascending, so the kept eigenvalues are the last r of each row
     w, v = w[:, d - r :], v[:, :, d - r :]
     v *= np.sqrt(np.where(w > P_ZERO_TOL, w, 0.0))[:, None, :]
-    return v
+    return np.ascontiguousarray(v)
 
 
 def f_bar(m: Povm, n: Povm) -> float:
     """State-independent overlap: max spectral norm of M_i^(1/2) N_j^(1/2).
 
-    M_i^(1/2) = E_i F_i† with E_i's columns orthonormal, so the norm equals
-    ||F_i† G_j|| for root factors F_i of M_i and G_j of N_j (see _root_factors),
+    Any root factor F_i of M_i (F_i F_i† = M_i) is M_i^(1/2) W_i with W_i a
+    partial isometry, so the norm equals ||F_i† G_j|| for the POVMs' held roots,
     the top singular value of an r_m x r_n matrix.  One batched SVD per outcome
     of m covers every outcome of n, in O(n r^2) memory.
     """
     _same_dim(m.dim, n.dim)
-    roots_n = _root_factors(n)
     return max(
-        float(np.linalg.svd(fi.conj().T @ roots_n, compute_uv=False)[:, 0].max())
-        for fi in _root_factors(m)
+        float(np.linalg.svd(fi.conj().T @ n.roots, compute_uv=False)[:, 0].max()) for fi in m.roots
     )
 
 
@@ -345,9 +364,10 @@ def phi_min_verify(problem: PhiProblem, grid_points: int = 2000) -> tuple[float,
 
 
 def random_projective_povm(dim: int, seed: int) -> Povm:
-    """Rank-1 orthogonal projectors onto a Haar-random basis."""
+    """Rank-1 orthogonal projectors onto a Haar-random basis, the basis vectors
+    their root factors."""
     u = linalg.haar_random_unitary(dim, seed)
-    return Povm(u.T[:, :, None] * u.T.conj()[:, None, :])
+    return Povm._factored(u.T[:, :, None] * u.T.conj()[:, None, :], u.T[:, :, None])
 
 
 def random_povm(dim: int, n_outcomes: int, seed: int) -> Povm:

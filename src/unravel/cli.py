@@ -52,7 +52,31 @@ def matrix_from_json(data, name: str) -> np.ndarray:
     return arr[..., 0] + 1j * arr[..., 1]
 
 
-def load_instance(path: str) -> dict:
+def _int_field(doc: dict, key: str, least: int | None = None) -> int:
+    value = doc[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"instance field {key!r} must be a JSON integer, got {json.dumps(value)}")
+    if least is not None and value < least:
+        raise ValueError(f"instance field {key!r} must be >= {least}, got {value}")
+    return value
+
+
+def _matrix_list(doc: dict, key: str) -> tuple:
+    items = doc[key]
+    if not isinstance(items, list):
+        raise ValueError(f"instance field {key!r} must be a list of matrices")
+    return tuple(matrix_from_json(m, f"{key}[{i}]") for i, m in enumerate(items))
+
+
+def _check_dim(dim: int, key: str, found: int) -> None:
+    if found != dim:
+        raise ValueError(f"instance field 'dim' is {dim}, but {key!r} acts on dimension {found}")
+
+
+def load_instance(path: str, needs: tuple = ()) -> dict:
+    """Read an instance file.  `needs` names the fields a command requires; they,
+    `dim` and `seed` are checked before any matrix is built, and `dim` must match
+    the file's operators before the default rho = I/dim is built."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -62,19 +86,21 @@ def load_instance(path: str) -> dict:
         raise ValueError(f"instance file {path!r} is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ValueError("instance file must hold a JSON object")
-    if "dim" not in doc:
-        raise ValueError("instance file misses required field 'dim'")
-    dim = int(doc["dim"])
-    out = {"dim": dim, "seed": int(doc.get("seed", 0))}
-    # rho is validated by the command that uses it, once
-    out["rho"] = matrix_from_json(doc["rho"], "rho") if "rho" in doc else np.eye(dim) / dim
+    for key in ("dim", *needs):
+        if key not in doc:
+            raise ValueError(f"instance file misses required field {key!r}")
+    dim = _int_field(doc, "dim", least=1)
+    # the seed feeds numpy's generators, which take no negative seed
+    out = {"dim": dim, "seed": _int_field(doc, "seed", least=0) if "seed" in doc else 0}
     if "kraus" in doc:
-        ops = [matrix_from_json(k, f"kraus[{i}]") for i, k in enumerate(doc["kraus"])]
-        out["kraus"] = channels.Unraveling(tuple(ops))
+        out["kraus"] = channels.Unraveling(_matrix_list(doc, "kraus"))
+        _check_dim(dim, "kraus", out["kraus"].dim_in)
     for key in ("povm_m", "povm_n"):
         if key in doc:
-            elems = [matrix_from_json(m, f"{key}[{i}]") for i, m in enumerate(doc[key])]
-            out[key] = bounds.Povm(tuple(elems))
+            out[key] = bounds.Povm(_matrix_list(doc, key))
+            _check_dim(dim, key, out[key].dim)
+    # rho is validated by the command that uses it, once
+    out["rho"] = matrix_from_json(doc["rho"], "rho") if "rho" in doc else np.eye(dim) / dim
     return out
 
 
@@ -165,9 +191,7 @@ def _theorem1(lambdas: np.ndarray, gram: np.ndarray, remixings: int, seed: int):
 
 
 def cmd_extremal(args, rep: Reporter) -> None:
-    inst = load_instance(args.infile)
-    if "kraus" not in inst:
-        raise ValueError("extremal needs 'kraus' in the instance file")
+    inst = load_instance(args.infile, needs=("kraus",))
     a = inst["kraus"]
     result = channels.extremal_unraveling(a, inst["rho"])
     rep.obj(
@@ -183,9 +207,7 @@ def cmd_extremal(args, rep: Reporter) -> None:
 
 
 def cmd_uncertainty(args, rep: Reporter) -> None:
-    inst = load_instance(args.infile)
-    if "povm_m" not in inst or "povm_n" not in inst:
-        raise ValueError("uncertainty needs 'povm_m' and 'povm_n' in the instance file")
+    inst = load_instance(args.infile, needs=("povm_m", "povm_n"))
     orders = conjugate_order(args.alpha)
     check = (
         bounds.tsallis_uncertainty_check if args.kind == "tsallis" else bounds.renyi_uncertainty_check

@@ -24,7 +24,7 @@ from unravel.bounds import (
     renyi_uncertainty_check,
     tsallis_uncertainty_check,
 )
-from unravel.channels import effect_probabilities, random_unraveling
+from unravel.channels import Unraveling, effect_probabilities, random_unraveling
 from unravel.demos import dft_matrix
 from unravel.entropy import alpha_log, conjugate_order, tsallis_entropy
 
@@ -38,11 +38,15 @@ def _pure(psi):
 
 class TestPovm:
     def test_rejects_incomplete(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="POVM completeness violated"):
             Povm((np.diag([0.5, 0.5]),))
+        # the factored path, which skips the decomposition, keeps the check and its message
+        half = np.array([[[1.0], [0.0]]], dtype=complex) / np.sqrt(2)
+        with pytest.raises(ValueError, match="POVM completeness violated"):
+            Povm._factored(half @ half.conj().swapaxes(1, 2), half)
 
     def test_rejects_non_psd(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="POVM element 1 not PSD: min eigenvalue -5.000e-01"):
             Povm((np.diag([1.5, 1.0]), np.diag([-0.5, 0.0])))
 
     def test_rejects_non_hermitian(self):
@@ -54,6 +58,61 @@ class TestPovm:
         m = random_povm(3, 4, seed=0)
         assert m.n_outcomes == 4
         assert np.linalg.norm(sum(m.elements) - np.eye(3)) < 1e-9
+
+    def test_factored_elements_match_public_path(self):
+        # the constructors that hold root factors skip the decomposition, but their
+        # elements are bit-identical to Povm(elements) on the same products, layout included
+        for dim in (1, 3, 8):
+            u = linalg.haar_random_unitary(dim, dim)
+            k = _kraus_set_with_zeros(dim, dim + 1, 2, 1, seed=dim).kraus_ops
+            pairs = (
+                (random_projective_povm(dim, dim), Povm(u.T[:, :, None] * u.T.conj()[:, None, :])),
+                (povm_from_unraveling(Unraveling(k)), Povm(k.conj().swapaxes(1, 2) @ k)),
+            )
+            for factored, public in pairs:
+                assert factored.elements.tobytes() == public.elements.tobytes()
+                assert factored.elements.flags.c_contiguous and factored.roots.flags.c_contiguous
+
+    def test_povm_memory_of_a_full_rank_stack(self):
+        # the one decomposition of Povm(elements) holds the stack, its eigenvectors and roots
+        elements = random_povm(64, 64, seed=70).elements
+        tracemalloc.start()
+        try:
+            m = Povm(elements)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        assert m.roots.shape == (64, 64, 64)
+
+
+def _count_stack_decompositions(monkeypatch) -> list:
+    """Record the name of every np.linalg.eigh / eigvalsh call made on a stack (3-D input)."""
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+
+        def counted(a, *args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+            if np.ndim(a) == 3:
+                calls.append(_name)
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+class TestDecompositionCounts:
+    def test_sweep_trial_decomposes_no_stack(self, monkeypatch, capsys):
+        # both POVMs come from random_projective_povm, which holds its root factors
+        calls = _count_stack_decompositions(monkeypatch)
+        assert cli.main(["sweep", "--dim", "8", "--trials", "1"]) == 0
+        assert calls == []
+
+    def test_povm_then_f_bar_decomposes_each_stack_once(self, monkeypatch):
+        stacks = [random_povm(4, 3, seed=s).elements for s in (1, 2)]
+        calls = _count_stack_decompositions(monkeypatch)
+        m, n = (Povm(x) for x in stacks)
+        f_bar(m, n)
+        assert calls == ["eigh", "eigh"]
 
 
 class TestPovmProbabilities:
@@ -77,8 +136,6 @@ class TestPovmProbabilities:
 
 class TestPovmFromUnraveling:
     def test_unitary_channel(self):
-        from unravel.channels import Unraveling
-
         m = povm_from_unraveling(Unraveling((linalg.haar_random_unitary(2, 0),)))
         assert np.allclose(m.elements[0], np.eye(2), atol=1e-12)
 
@@ -187,15 +244,32 @@ def _f_loop(m, n, rho):
     return best
 
 
+def _kraus_set_with_zeros(dim, dim_out, n_ops, n_zero, seed) -> Unraveling:
+    """Rectangular Kraus set: the dim_out x dim blocks of a Haar-random isometry
+    C^dim -> C^(n_ops dim_out), with n_zero zero operators shuffled in."""
+    rng = np.random.default_rng(seed)
+    blocks = linalg.positive_qr(linalg.ginibre(rng, n_ops * dim_out, dim)).reshape(n_ops, dim_out, dim)
+    ops = np.concatenate([blocks, np.zeros((n_zero, dim_out, dim))])
+    return Unraveling(ops[rng.permutation(len(ops))])
+
+
 @st.composite
 def _povm_pair_and_state(draw):
     dim = draw(st.integers(1, 5))
     seed = st.integers(0, 2**32 - 1)
 
     def povm():
-        kind = draw(st.sampled_from(["general", "projective", "coarse", "zero_element"]))
+        kinds = ["general", "projective", "coarse", "zero_element", "haar_basis", "kraus"]
+        kind = draw(st.sampled_from(kinds))
         if kind == "general":
             return random_povm(dim, draw(st.integers(1, 4)), draw(seed))
+        if kind == "haar_basis":
+            return random_projective_povm(dim, draw(seed))
+        if kind == "kraus":
+            dim_out = draw(st.integers(1, 5).filter(lambda k: k != dim))
+            n_ops = -(-dim // dim_out) + draw(st.integers(0, 2))  # an isometry needs n_ops * dim_out >= dim
+            a = _kraus_set_with_zeros(dim, dim_out, n_ops, draw(st.integers(0, 2)), draw(seed))
+            return povm_from_unraveling(a)
         rank1 = random_projective_povm(dim, draw(seed)).elements
         if kind == "projective":
             return Povm(rank1)
@@ -220,6 +294,8 @@ class TestBatchedFactorsMatchLoops:
     def test_against_loop_oracle(self, case):
         m, n, rho = case
         assert abs(f_bar(m, n) - _f_bar_loop(m, n)) <= 1e-12
+        for x in (m, n):
+            assert np.abs(x.roots @ x.roots.conj().swapaxes(1, 2) - x.elements).max() <= 1e-12
         assert abs(f_factor(m, n, rho) - _f_loop(m, n, linalg.check_density(rho))) <= 1e-12
 
     def test_no_admissible_pair_raises(self):

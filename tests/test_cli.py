@@ -5,6 +5,7 @@ import os
 import select
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -87,6 +88,45 @@ class TestLoadInstance:
         assert np.allclose(inst["rho"], rho)
         assert inst["kraus"].n_ops == 3
         assert len(inst["povm_m"].elements) == 2
+
+    _POVMS = {k: [_encode(m) for m in z_basis_povm().elements] for k in ("povm_m", "povm_n")}
+    _KRAUS = [_encode(k) for k in random_unraveling(2, 2, seed=4).kraus_ops]
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"dim": None},
+            {"dim": 2.7},
+            {"dim": True},
+            {"dim": 0},
+            {"dim": -1},
+            {"dim": 2, "seed": None},
+            {"dim": 2, "seed": 1.5},
+            {"dim": 2, "seed": -1},  # extremal used to print its summary row, then fail in numpy
+            {"dim": 3},  # disagrees with the 2 x 2 operators
+            {"dim": 2, "kraus": None, "povm_m": 5},
+        ],
+    )
+    def test_bad_fields_exit_2(self, tmp_path, capsys, fields):
+        path = _write_instance(tmp_path, **{"kraus": self._KRAUS, **self._POVMS, **fields})
+        for argv in (["uncertainty", "--in", path, "--alpha", "2"], ["extremal", "--in", path]):
+            code, out, err = _run(capsys, argv)
+            assert (code, out) == (2, "")
+            assert "instance" in json.loads(err)["error"]
+
+    def test_large_dim_rejected_before_allocating(self, tmp_path, capsys):
+        # the default rho = I/dim would take 32 MB at dim 2000, and the file has no operator to match
+        path = _write_instance(tmp_path, dim=2000)
+        for argv in (["uncertainty", "--in", path, "--alpha", "2"], ["extremal", "--in", path]):
+            tracemalloc.start()
+            try:
+                code = cli.main(argv)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert code == 2
+            assert peak < 2**20
+            assert "misses required field" in json.loads(capsys.readouterr().err)["error"]
 
 
 class TestExtremalCommand:
