@@ -40,6 +40,10 @@ P_ZERO_TOL = 1e-12
 
 TOL_POVM_COMPLETE = 1e-9
 
+# Points of phi_min_verify's edge sweep evaluated at once: its memory stays
+# O(EDGE_BLOCK) however many points it visits.
+EDGE_BLOCK = 1 << 15
+
 
 @dataclass(frozen=True)
 class Povm:
@@ -92,11 +96,14 @@ class Povm:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """One evaluated uncertainty inequality: lhs >= rhs up to slack tolerance."""
+    """One evaluated uncertainty inequality: lhs >= rhs up to slack tolerance.
 
-    lhs: float
+    For stacked distributions lhs and slack are arrays, one entry per row.
+    """
+
+    lhs: float | np.ndarray
     rhs: float
-    slack: float
+    slack: float | np.ndarray
     factor: float
     orders: ConjugateOrders
 
@@ -347,7 +354,8 @@ def phi_min_verify(problem: PhiProblem, grid_points: int = 2000) -> tuple[float,
     The numeric minimum combines a grid_points x grid_points rectangular grid
     (restricted to the feasible region; zeta <= gamma suffices since phi
     increases in zeta) with a fine sweep along the active lower boundary
-    zeta = max(1, gamma * xi^(beta/alpha)), where the minimum lives.
+    zeta = max(1, gamma * xi^(beta/alpha)), where the minimum lives.  The
+    sweep runs in blocks of EDGE_BLOCK points.
     """
     if grid_points < 2:
         raise ValueError("grid_points must be >= 2")
@@ -355,10 +363,17 @@ def phi_min_verify(problem: PhiProblem, grid_points: int = 2000) -> tuple[float,
     analytic = (problem.xi0 - 1.0) / (1.0 - alpha)
     grid_min = _feasible_grid_min(problem, grid_points)
 
+    # The edge points are np.linspace(0, 1, n_edge), made EDGE_BLOCK at a time
+    # in the same arithmetic (index times step, the last point pinned to 1).
     n_edge = min(grid_points * grid_points, 4_000_001)
-    xi_edge = np.linspace(0.0, 1.0, n_edge)
-    zeta_edge = np.maximum(1.0, gamma * xi_edge ** (beta / alpha))
-    edge_min = float(problem.phi(xi_edge, zeta_edge).min())
+    step = 1.0 / (n_edge - 1)
+    edge_min = np.inf
+    for lo in range(0, n_edge, EDGE_BLOCK):
+        xi = np.arange(lo, min(lo + EDGE_BLOCK, n_edge)) * step
+        if lo + EDGE_BLOCK >= n_edge:
+            xi[-1] = 1.0
+        zeta = np.maximum(1.0, gamma * xi ** (beta / alpha))
+        edge_min = min(edge_min, float(problem.phi(xi, zeta).min()))
 
     return analytic, min(grid_min, edge_min)
 

@@ -4,7 +4,8 @@ Loads or generates problem instances, runs the verification sweeps and the
 demonstrations, and emits one report row per line as JSON (default) or CSV.
 Exit codes: 0 when every reported slack is >= -1e-9, 1 when one is below (or
 NaN), 2 for bad input, 3 for any other failure, reported as an error line on
-stderr in place of a traceback.
+stderr in place of a traceback; a reader that closes stdout or stderr early
+(`| head`) gives 3 as well.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 import time
 
@@ -21,6 +23,10 @@ from . import bounds, channels, demos, ensembles, linalg
 from .entropy import as_prob_vector, conjugate_order, tsallis_entropy
 
 SLACK_TOL = -1e-9
+
+# Stacked elements (complex entries of the drawn inputs) per block of trials in
+# `demo dft` and `ensemble`: memory stays bounded whatever --trials is.
+BLOCK_ELEMENTS = 1 << 16
 
 ROW_FIELDS = [
     "check_name",
@@ -250,61 +256,114 @@ def cmd_sweep(args, rep: Reporter) -> None:
                 rep.row(name, d=args.dim, factor_kind="g", seed=base, **_report_fields(next(reports)))
 
 
+def _stream_trials(rep: Reporter, trials: int, per_trial: int, draw, compute) -> None:
+    """Run trials 0..trials-1 in blocks of at most BLOCK_ELEMENTS // per_trial.
+
+    draw(t) makes trial t's inputs, in trial order; compute(drawn) takes a list
+    of drawn trials, makes one kernel call per quantity over them and returns
+    their rows, (check_name, fields) pairs in trial order.  Each block's rows
+    are written before the next block is drawn.  A trial whose draw or
+    computation raises still leaves the rows of the trials before it.
+    """
+    size = max(1, BLOCK_ELEMENTS // per_trial)
+    for start in range(0, trials, size):
+        drawn = []
+        try:
+            for t in range(start, min(start + size, trials)):
+                drawn.append(draw(t))
+        except Exception:
+            _write_block(rep, drawn, compute)
+            raise
+        _write_block(rep, drawn, compute)
+
+
+def _write_block(rep: Reporter, drawn: list, compute) -> None:
+    if not drawn:
+        return
+    try:
+        rows = compute(drawn)
+    except Exception:
+        # again one trial at a time: the trials before the one that raises report
+        for one in drawn:
+            for name, fields in compute([one]):
+                rep.row(name, **fields)
+        return
+    for name, fields in rows:
+        rep.row(name, **fields)
+
+
 def cmd_demo(args, rep: Reporter) -> None:
     orders = conjugate_order(args.alpha)
 
-    def row(name: str, d: int, report: bounds.BoundReport) -> None:
-        rep.row(name, d=d, factor_kind="fbar", seed=args.seed, **_report_fields(report))
+    def fields(d: int, report: bounds.BoundReport) -> dict:
+        return dict(d=d, factor_kind="fbar", seed=args.seed, **_report_fields(report))
 
     if args.which == "dft":
-        basis = np.zeros(args.dim)
+        d = args.dim
+        basis = np.zeros(d)
         basis[0] = 1.0
-        row("dft_basis_state", args.dim, demos.dft_uncertainty_demo(basis, orders))
+        rep.row("dft_basis_state", **fields(d, demos.dft_uncertainty_demo(basis, orders)))
         rng = np.random.default_rng(args.seed)
-        for trial in range(args.trials):
-            psi = linalg.ginibre(rng, args.dim, 1).ravel()
-            psi /= np.linalg.norm(psi)
-            row("dft_random_state", args.dim, demos.dft_uncertainty_demo(psi, orders))
+
+        def compute(drawn: list):
+            # each trial drew the real parts of its state, then the imaginary parts,
+            # the stream that linalg.ginibre(rng, d, 1) draws
+            z = np.stack(drawn)
+            psi = (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2)
+            psi /= linalg.vector_norm(psi)[:, None]
+            report = demos.dft_uncertainty_demo(psi, orders)
+            common = fields(d, report)
+            return [
+                ("dft_random_state", dict(common, lhs=lhs, slack=slack))
+                for lhs, slack in zip(report.lhs.tolist(), report.slack.tolist())
+            ]
+
+        _stream_trials(rep, args.trials, d, lambda t: rng.standard_normal((2, d)), compute)
     else:
         uniform = np.zeros(2 * args.truncation + 1)
         uniform[args.truncation] = 1.0
         state = demos.AngleState(uniform, args.nbins)
-        row("angle_uniform", args.nbins, demos.angle_momentum_demo(state, orders))
+        rep.row("angle_uniform", **fields(args.nbins, demos.angle_momentum_demo(state, orders)))
         packet = demos.gaussian_wavepacket(args.truncation, args.width, args.nbins)
-        row("angle_gaussian", args.nbins, demos.angle_momentum_demo(packet, orders))
+        rep.row("angle_gaussian", **fields(args.nbins, demos.angle_momentum_demo(packet, orders)))
 
 
 def cmd_ensemble(args, rep: Reporter) -> None:
-    for trial in range(args.trials):
-        base = args.seed + 1000 * trial
-        rho = linalg.random_density(args.dim, args.dim, base)
-        pure = ensembles.ensemble_from_state(rho, args.members, base + 1)
-        res = ensembles.pure_ensemble_bounds_check(pure, args.alpha, "tsallis")
-        rep.row(
-            "pure_ensemble_bound",
-            d=args.dim,
-            alpha=args.alpha,
-            lhs=res.ensemble_entropy,
-            rhs=res.state_entropy,
-            slack=res.ensemble_entropy - res.state_entropy,
-            seed=base,
+    d, m, alpha = args.dim, args.members, args.alpha
+
+    def draw(t: int) -> tuple:
+        # seeds: the state at base, the mixing unitary at base + 1, the mixture's
+        # weights at base + 2 and its members at base + 3 + k
+        base = args.seed + 1000 * t
+        return (
+            base,
+            linalg.random_density(d, d, base),
+            linalg.haar_random_unitary(m, base + 1),
+            np.random.default_rng(base + 2).dirichlet(np.ones(m)),
+            [linalg.random_density(d, d, base + 3 + k) for k in range(m)],
         )
-        rng = np.random.default_rng(base + 2)
-        weights = rng.dirichlet(np.ones(args.members))
-        members = tuple(
-            linalg.random_density(args.dim, args.dim, base + 3 + k) for k in range(args.members)
+
+    def compute(drawn: list):
+        bases, rhos, us, mix_weights, members = zip(*drawn)
+        _, w, v = linalg.density_spectrum(np.stack(rhos), name="rho", vectors=True)
+        weights, states = ensembles._pure_members(w, v, np.stack(us))
+        # normalized again, as PureEnsemble normalizes what ensemble_from_state gives it,
+        # so each row equals the one-element path's to the bit
+        state_h, weight_h = ensembles._pure_bounds(as_prob_vector(weights), states, alpha, "tsallis")
+        members, spectra = linalg.density_spectrum(np.reshape(members, (-1, d, d)), name="member")
+        t = len(drawn)
+        lower, mid, upper = ensembles._sandwich(
+            as_prob_vector(np.stack(mix_weights)), members.reshape(t, m, d, d), spectra.reshape(t, m, d), alpha
         )
-        mixed = ensembles.MixedEnsemble(weights, members)
-        lower, mid, upper = ensembles.mixed_ensemble_bounds_check(mixed, args.alpha)
-        rep.row(
-            "mixed_ensemble_sandwich",
-            d=args.dim,
-            alpha=args.alpha,
-            lhs=upper,
-            rhs=lower,
-            slack=min(mid - lower, upper - mid),
-            seed=base,
-        )
+        rows = []
+        columns = zip(bases, weight_h.tolist(), state_h.tolist(), lower.tolist(), mid.tolist(), upper.tolist())
+        for base, h_weights, h_state, lo, mi, up in columns:
+            common = dict(d=d, alpha=alpha, seed=base)
+            rows.append(("pure_ensemble_bound", dict(common, lhs=h_weights, rhs=h_state, slack=h_weights - h_state)))
+            rows.append(("mixed_ensemble_sandwich", dict(common, lhs=up, rhs=lo, slack=min(mi - lo, up - mi))))
+        return rows
+
+    _stream_trials(rep, args.trials, (m + 1) * d * d + m * m, draw, compute)
 
 
 def cmd_phi_min(args, rep: Reporter) -> None:
@@ -344,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--trials", type=_count(0), required=True)
     s.add_argument("--alpha-grid", default="1.5,2,3")
     s.add_argument("--remixings", type=_count(), default=100)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=_count(0), default=0)
     s.set_defaults(func=cmd_sweep)
 
     s = sub.add_parser("demo", help="worked examples")
@@ -353,9 +412,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--alpha", type=float, required=True)
     s.add_argument("--trials", type=_count(0), default=0)
     s.add_argument("--nbins", type=_count(), default=8)
-    s.add_argument("--L", dest="truncation", type=int, default=50)
+    s.add_argument("--L", dest="truncation", type=_count(0), default=50)
     s.add_argument("--width", type=float, default=3.0)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=_count(0), default=0)
     s.set_defaults(func=cmd_demo)
 
     s = sub.add_parser("ensemble", help="ensemble entropy bounds sweep")
@@ -363,15 +422,41 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--members", type=_count(), required=True)
     s.add_argument("--alpha", type=float, required=True)
     s.add_argument("--trials", type=_count(0), required=True)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=_count(0), default=0)
     s.set_defaults(func=cmd_ensemble)
 
     s = sub.add_parser("phi-min", help="constrained-minimum verifier")
     s.add_argument("--gamma", type=float, required=True)
     s.add_argument("--alpha", type=float, required=True)
-    s.add_argument("--grid", type=int, default=2000)
+    s.add_argument("--grid", type=_count(2), default=2000)
     s.set_defaults(func=cmd_phi_min)
     return p
+
+
+def _fail(message: str, code: int) -> int:
+    """Write the error line to stderr and return the exit code, also when stderr
+    is a closed pipe."""
+    try:
+        sys.stderr.write(json.dumps({"error": message}) + "\n")
+        sys.stderr.flush()
+    except BrokenPipeError:
+        _discard(sys.stderr)
+    return code
+
+
+def _discard(stream) -> None:
+    """Point a standard stream whose reader has gone at the null device, so the
+    interpreter's flush at exit finds no broken pipe (which would print a
+    complaint and change the exit code)."""
+    try:
+        fd = stream.fileno()
+    except (AttributeError, OSError, ValueError):
+        return  # no descriptor behind it, so nothing is flushed to one at exit
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(devnull, fd)
+    finally:
+        os.close(devnull)
 
 
 def main(argv=None) -> int:
@@ -380,11 +465,12 @@ def main(argv=None) -> int:
     try:
         args.func(args, rep)
     except ValueError as exc:
-        sys.stderr.write(json.dumps({"error": str(exc)}) + "\n")
-        return 2
+        return _fail(str(exc), 2)
+    except BrokenPipeError as exc:
+        _discard(sys.stdout)
+        return _fail(f"{type(exc).__name__}: {exc}", 3)
     except Exception as exc:
-        sys.stderr.write(json.dumps({"error": f"{type(exc).__name__}: {exc}"}) + "\n")
-        return 3
+        return _fail(f"{type(exc).__name__}: {exc}", 3)
     return rep.exit_code
 
 

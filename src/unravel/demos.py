@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import linalg
 from .bounds import BoundReport, bound_report
 from .entropy import ConjugateOrders, alpha_log
 
@@ -25,14 +26,22 @@ def dft_matrix(d: int) -> np.ndarray:
 
 
 def dft_uncertainty_demo(state, orders: ConjugateOrders) -> BoundReport:
-    """H_a of the Fourier-side distribution plus H_b of the input one vs ln_mu(d)."""
-    c = np.asarray(state, dtype=complex).ravel()
-    if abs(np.linalg.norm(c) - 1) > 1e-10:
-        raise ValueError("state is not normalized")
-    d = c.size
+    """H_a of the Fourier-side distribution plus H_b of the input one vs ln_mu(d).
+
+    state is one vector (d,) or a stack (T, d) of them, each normalized; for a
+    stack the report's lhs and slack are (T,) arrays.
+    """
+    c = np.asarray(state, dtype=complex)
+    if c.ndim not in (1, 2):
+        raise ValueError(f"state must be a vector or a stack of them, got shape {c.shape}")
+    off = np.abs(linalg.vector_norm(c) - 1) > 1e-10
+    if off.any():
+        which = f"state {int(off.argmax())}" if c.ndim == 2 else "state"
+        raise ValueError(f"{which} is not normalized")
+    d = c.shape[-1]
     q = np.abs(c) ** 2
     # |F c|^2 up to the order of its entries, which no entropy sees
-    p = np.abs(np.fft.fft(c)) ** 2 / d
+    p = np.abs(np.fft.fft(c, axis=-1)) ** 2 / d
     return bound_report(p, q, orders, "tsallis", 1.0 / np.sqrt(d), alpha_log(float(d), orders.mu))
 
 

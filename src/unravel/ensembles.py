@@ -10,14 +10,14 @@ sandwiched between mixtures of member entropies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from . import linalg
 from .entropy import as_prob_vector, classical_entropy, tsallis_entropy
-from .linalg import check_density, haar_random_unitary
+from .linalg import haar_random_unitary
 
 # members lighter than this are dropped (their direction is undefined)
 WEIGHT_DROP_TOL = 1e-14
@@ -51,36 +51,95 @@ class PureEnsemble:
 
 @dataclass(frozen=True)
 class MixedEnsemble:
-    """Weighted normalized density matrices."""
+    """Weighted normalized density matrices.
+
+    The members are held as one (m, dim, dim) array, which indexes and
+    iterates like a tuple of matrices, and `spectra` holds their ascending
+    eigenvalues (m, dim), the ones that served their validation.
+    """
 
     weights: np.ndarray
-    members: tuple[np.ndarray, ...]
+    members: np.ndarray
+    spectra: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         w = as_prob_vector(self.weights)
-        members = tuple(check_density(m, name=f"member {k}") for k, m in enumerate(self.members))
-        if len(members) != w.size:
+        members = linalg.as_matrix_stack(self.members, "members")
+        members, spectra = linalg.density_spectrum(members, name="member")
+        if members.shape[0] != w.size:
             raise ValueError("weights and members disagree in length")
-        dim = members[0].shape[0]
-        if any(m.shape[0] != dim for m in members):
-            raise ValueError("members must share one dimension")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "members", members)
+        object.__setattr__(self, "spectra", spectra)
 
     @property
     def dim(self) -> int:
-        return self.members[0].shape[0]
+        return self.members.shape[1]
+
+
+# The kernels below work on stacks of T ensembles of m members each; the public
+# functions are their one-element views.
+
+
+def _mixture(weights: np.ndarray, ops: np.ndarray) -> np.ndarray:
+    """Hermitian part of sum_i w_i ops_i per ensemble: weights (T, m), ops (T, m, d, d)."""
+    return linalg.hermitianize(np.sum(weights[..., None, None] * ops, axis=1))
+
+
+def _projectors(states: np.ndarray) -> np.ndarray:
+    """|psi><psi| for each state of a (..., d) stack."""
+    return states[..., :, None] * states.conj()[..., None, :]
+
+
+def _pure_members(w: np.ndarray, v: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Members sqrt(p_i) psi_i = sum_j u_ij sqrt(lambda_j) phi_j of T pure ensembles.
+
+    (w, v) is the ascending eigendecomposition of T validated states, (T, d)
+    and (T, d, d), and u holds the (T, m, m) mixing unitaries; the spectra are
+    zero-padded to m.  Returns the normalized weights (T, m) and the states
+    (T, m, d); a member below WEIGHT_DROP_TOL gets weight 0 and a zero state.
+    """
+    m, d = u.shape[-1], w.shape[-1]
+    lam = np.clip(w[..., ::-1], 0.0, None)  # descending
+    rank = np.count_nonzero(lam > linalg.TOL_PSD, axis=-1)
+    over = np.flatnonzero(rank > m)
+    if over.size:
+        raise ValueError(f"m = {m} is below rank(rho) = {rank[over[0]]}")
+    k = min(m, d)
+    phis = np.ascontiguousarray(v[..., ::-1])[..., :k].swapaxes(-1, -2)  # (T, k, d): phi_j as rows
+    vecs = (u[..., :k] * np.sqrt(lam[..., None, :k])) @ phis
+    weights = np.einsum("tij,tij->ti", vecs.conj(), vecs).real
+    keep = weights > WEIGHT_DROP_TOL
+    states = np.where(keep[..., None], vecs / np.sqrt(np.where(keep, weights, 1.0))[..., None], 0.0)
+    return as_prob_vector(np.where(keep, weights, 0.0)), states
+
+
+def _pure_bounds(weights: np.ndarray, states: np.ndarray, alpha: float, kind: str) -> tuple:
+    """(state entropies, weight entropies), each (T,): the entropy of the density
+    regenerated from each ensemble, weights (T, m) and states (T, m, d), and
+    that of its weights."""
+    rho = _mixture(weights, _projectors(states))
+    return classical_entropy(np.linalg.eigvalsh(rho), alpha, kind), classical_entropy(weights, alpha, kind)
+
+
+def _sandwich(weights: np.ndarray, members: np.ndarray, spectra: np.ndarray, alpha: float) -> tuple:
+    """(lower, mid, upper), each (T,), of the Tsallis sandwich of T mixed
+    ensembles: weights (T, m), members (T, m, d, d) and their spectra (T, m, d)."""
+    member_h = tsallis_entropy(spectra, alpha)
+    mid = tsallis_entropy(np.linalg.eigvalsh(_mixture(weights, members)), alpha)
+    upper = np.vecdot(weights**alpha, member_h) + tsallis_entropy(weights, alpha)
+    return np.vecdot(weights, member_h), mid, upper
 
 
 def ensemble_density(e: PureEnsemble | MixedEnsemble) -> np.ndarray:
     """Density matrix generated by the ensemble."""
     if isinstance(e, PureEnsemble):
-        rho = sum(p * np.outer(s, s.conj()) for p, s in zip(e.weights, e.states))
+        ops = _projectors(np.stack(e.states))
     elif isinstance(e, MixedEnsemble):
-        rho = sum(p * m for p, m in zip(e.weights, e.members))
+        ops = e.members
     else:
         raise TypeError(f"not an ensemble: {type(e).__name__}")
-    return linalg.hermitianize(rho)
+    return _mixture(e.weights[None], ops[None])[0]
 
 
 def ensemble_from_state(rho, m: int, seed: int | None) -> PureEnsemble:
@@ -92,21 +151,13 @@ def ensemble_from_state(rho, m: int, seed: int | None) -> PureEnsemble:
     pure-ensemble bound stays testable.  Members below WEIGHT_DROP_TOL are
     dropped.
     """
-    rho = check_density(rho)
-    d = rho.shape[0]
-    w, v = np.linalg.eigh(rho)  # rho is checked, so hermitian_eig would check it twice
-    lam, v = np.clip(w[::-1], 0.0, None), v[:, ::-1].copy()  # descending
-    rank = int(np.count_nonzero(lam > linalg.TOL_PSD))
-    if m < rank:
-        raise ValueError(f"m = {m} is below rank(rho) = {rank}")
+    _, w, v = linalg.density_spectrum(rho, name="rho", vectors=True)
+    if w.ndim != 1:
+        raise ValueError(f"rho must be one matrix, got shape {np.shape(rho)}")
     u = np.eye(m, dtype=complex) if seed is None else haar_random_unitary(m, seed)
-    k = min(m, d)
-    # unnormalized members: sum_j u_ij sqrt(lambda_j) phi_j (lambda padded with zeros)
-    vecs = (u[:, :k] * np.sqrt(lam[:k])) @ v[:, :k].T
-    weights = np.einsum("ij,ij->i", vecs.conj(), vecs).real
-    keep = weights > WEIGHT_DROP_TOL
-    states = tuple(vec / np.sqrt(p) for vec, p in zip(vecs[keep], weights[keep]))
-    return PureEnsemble(weights=as_prob_vector(weights[keep]), states=states)
+    weights, states = _pure_members(w[None], v[None], u[None])
+    keep = weights[0] > 0
+    return PureEnsemble(weights=weights[0][keep], states=tuple(states[0][keep]))
 
 
 class PureBoundsResult(NamedTuple):
@@ -122,10 +173,9 @@ def pure_ensemble_bounds_check(e: PureEnsemble, alpha: float, kind: str = "tsall
     for Renyi at alpha < 1 only; outside that range in_premise is False and
     the values are still returned, just not asserted.
     """
-    state_entropy = classical_entropy(np.linalg.eigvalsh(ensemble_density(e)), alpha, kind)
-    ensemble_entropy = classical_entropy(e.weights, alpha, kind)
+    (state_entropy,), (ensemble_entropy,) = _pure_bounds(e.weights[None], np.stack(e.states)[None], alpha, kind)
     in_premise = kind == "tsallis" or alpha < 1
-    return PureBoundsResult(state_entropy, ensemble_entropy, in_premise)
+    return PureBoundsResult(float(state_entropy), float(ensemble_entropy), in_premise)
 
 
 class MixedBoundsResult(NamedTuple):
@@ -143,8 +193,5 @@ def mixed_ensemble_bounds_check(e: MixedEnsemble, alpha: float, kind: str = "tsa
     """
     if kind != "tsallis":
         raise ValueError(f"mixed-ensemble bounds hold for Tsallis entropies only, got {kind!r}")
-    member_h = tsallis_entropy(np.linalg.eigvalsh(np.stack(e.members)), alpha)
-    lower = float(np.dot(e.weights, member_h))
-    mid = tsallis_entropy(np.linalg.eigvalsh(ensemble_density(e)), alpha)
-    upper = float(np.dot(e.weights**alpha, member_h) + tsallis_entropy(e.weights, alpha))
-    return MixedBoundsResult(lower, mid, upper)
+    bounds = _sandwich(e.weights[None], e.members[None], e.spectra[None], alpha)
+    return MixedBoundsResult(*(float(b[0]) for b in bounds))

@@ -48,9 +48,13 @@ def check_hermitian(h, tol: float = TOL_HERM, name: str = "matrix") -> np.ndarra
     dev = np.linalg.norm(h - h.conj().swapaxes(-1, -2), axis=(-2, -1)).ravel()
     k = int(dev.argmax())
     if dev[k] > tol:
-        which = f"{name} {k}" if h.ndim == 3 else name
-        raise ValueError(f"{which} is not Hermitian: deviation {dev[k]:.3e} > {tol:.1e}")
+        raise ValueError(f"{_element(name, h, k)} is not Hermitian: deviation {dev[k]:.3e} > {tol:.1e}")
     return hermitianize(h)
+
+
+def _element(name: str, x: np.ndarray, k: int) -> str:
+    """How an error names element k of a matrix stack, or the one matrix."""
+    return f"{name} {k}" if x.ndim == 3 else name
 
 
 def check_unitary(u, tol: float = TOL_UNITARY, name: str = "matrix") -> np.ndarray:
@@ -63,20 +67,37 @@ def check_unitary(u, tol: float = TOL_UNITARY, name: str = "matrix") -> np.ndarr
     return u
 
 
-def check_density(rho, dim: int | None = None, name: str = "rho") -> np.ndarray:
-    """Validate a density matrix: Hermitian, unit trace, positive semidefinite,
-    and dim x dim when dim is given."""
+def density_spectrum(rho, dim: int | None = None, name: str = "rho", vectors: bool = False) -> tuple:
+    """Validate a density matrix, or an (n, dim, dim) stack of them: Hermitian,
+    unit trace, positive semidefinite, and dim x dim when dim is given.
+
+    Returns (rho, w), or (rho, w, v) with vectors: the Hermitian part and the
+    ascending eigendecomposition (eigvalsh, or eigh with vectors) whose
+    spectrum served the PSD check, so a caller that needs it decomposes
+    nothing again.  For a stack the errors name the offending element.
+    """
     rho = check_hermitian(rho, name=name)
+    if dim is not None and rho.shape[-1] != dim:
+        raise ValueError(f"{name} has dimension {rho.shape[-1]}, expected {dim}")
+    tr = np.trace(rho, axis1=-2, axis2=-1).real
+    off = np.abs(tr - 1) > TOL_TRACE
+    if off.any():
+        k = int(off.argmax())
+        raise ValueError(f"{_element(name, rho, k)} has trace {np.ravel(tr)[k]!r}, expected 1")
+    eig = np.linalg.eigh(rho) if vectors else (np.linalg.eigvalsh(rho),)
+    low = eig[0][..., 0]
+    if (low < -TOL_PSD).any():
+        k = int(low.argmin())
+        raise ValueError(f"{_element(name, rho, k)} is not PSD: min eigenvalue {np.ravel(low)[k]:.3e}")
+    return (rho, *eig)
+
+
+def check_density(rho, dim: int | None = None, name: str = "rho") -> np.ndarray:
+    """Validate one density matrix as density_spectrum does, and return its
+    Hermitian part."""
+    rho = density_spectrum(rho, dim, name)[0]
     if rho.ndim != 2:
         raise ValueError(f"{name} must be one matrix, got shape {rho.shape}")
-    if dim is not None and rho.shape[0] != dim:
-        raise ValueError(f"{name} has dimension {rho.shape[0]}, expected {dim}")
-    tr = np.trace(rho).real
-    if abs(tr - 1) > TOL_TRACE:
-        raise ValueError(f"{name} has trace {tr!r}, expected 1")
-    w = np.linalg.eigvalsh(rho)
-    if w[0] < -TOL_PSD:
-        raise ValueError(f"{name} is not PSD: min eigenvalue {w[0]:.3e}")
     return rho
 
 
@@ -89,6 +110,13 @@ def hermitian_eig(h) -> tuple[np.ndarray, np.ndarray]:
     """
     w, v = np.linalg.eigh(check_hermitian(h))
     return w[..., ::-1].copy(), v[..., ::-1].copy()
+
+
+def vector_norm(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm over the last axis: for each vector, bit for bit what
+    np.linalg.norm gives it (which also sums the squares of the real and the
+    imaginary parts with one dot product each)."""
+    return np.sqrt(np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag))
 
 
 def ginibre(rng: np.random.Generator, *shape: int) -> np.ndarray:

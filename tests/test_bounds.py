@@ -429,12 +429,24 @@ class TestCheckValidatesOnce:
             extremal_pair_tsallis(a, b, np.eye(2) / 2, conjugate_order(2.0))
 
     def test_ensemble_trial(self, monkeypatch, capsys):
-        # the state and the four mixed members; the bound checks read the spectrum directly
-        calls = _count_calls(monkeypatch, linalg, "check_density")
+        # the state and the four mixed members, each validated once in one stacked call per
+        # kind; the bound checks read the spectra of those calls, so beyond them only the two
+        # regenerated densities are decomposed
+        calls = _count_calls(monkeypatch, linalg, "density_spectrum")
+        decomposed = []
+        for name in ("eigh", "eigvalsh"):
+            original = getattr(np.linalg, name)
+
+            def spy(a, *args, _name=name, _original=original, **kwargs):
+                decomposed.append((_name, np.shape(a)))
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, spy)
         argv = ["ensemble", "--dim", "3", "--members", "4", "--alpha", "2", "--trials", "1"]
         assert cli.main(argv) == 0
         assert len(capsys.readouterr().out.splitlines()) == 2
-        assert len(calls) == 5
+        assert [np.shape(args[0]) for args in calls] == [(1, 3, 3), (4, 3, 3)]
+        assert sorted(decomposed) == [("eigh", (1, 3, 3)), ("eigvalsh", (1, 3, 3)), ("eigvalsh", (1, 3, 3)), ("eigvalsh", (4, 3, 3))]
 
 
 class TestRenyiCheck:
@@ -487,6 +499,18 @@ class TestPhiMin:
     def test_gamma_below_one_rejected(self):
         with pytest.raises(ValueError):
             PhiProblem(0.9, 2.0)
+
+    @pytest.mark.parametrize("block", [1, 7, 64, 1 << 15])
+    def test_edge_blocks_match_one_linspace(self, monkeypatch, block):
+        # reference: the whole edge sweep as one np.linspace, which the blocks reproduce
+        # point for point, so the minimum is the same to the bit
+        monkeypatch.setattr(bounds, "EDGE_BLOCK", block)
+        for gamma, alpha, grid in ((2.0, 2.0, 30), (1.0, 1.5, 2), (5.0, 3.7, 41), (1.3, 1.1, 17)):
+            problem = PhiProblem(gamma, alpha)
+            xi = np.linspace(0.0, 1.0, grid * grid)
+            zeta = np.maximum(1.0, gamma * xi ** (problem.beta / alpha))
+            want = min(bounds._feasible_grid_min(problem, grid), float(problem.phi(xi, zeta).min()))
+            assert phi_min_verify(problem, grid)[1] == want
 
     def test_partial_derivative_signs(self):
         problem = PhiProblem(1.5, 2.0)

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import unravel
-from unravel import bounds, channels, cli, linalg
+from unravel import bounds, channels, cli, demos, ensembles, linalg
 from unravel.channels import random_unraveling
 from unravel.entropy import conjugate_order
 
@@ -274,9 +274,19 @@ class TestSweepCommand:
         assert rows[0]["check_name"] == "factor_chain"
         assert all(r["seed"] == 5 for r in rows)
 
-    def test_killed_sweep_leaves_whole_rows(self):
-        # rows are written as they are made, so a sweep killed mid-run leaves whole JSON lines
-        argv = [sys.executable, "-m", "unravel.cli", "sweep", "--dim", "16", "--trials", "100000"]
+    @pytest.mark.parametrize(
+        "command, first_check",
+        [
+            (["sweep", "--dim", "16", "--trials", "100000"], "factor_chain"),
+            (["demo", "dft", "--dim", "8", "--alpha", "2", "--trials", "10000000"], "dft_basis_state"),
+            (["ensemble", "--dim", "3", "--members", "4", "--alpha", "2", "--trials", "10000000"], "pure_ensemble_bound"),
+        ],
+        ids=["sweep", "demo-dft", "ensemble"],
+    )
+    def test_killed_sweep_leaves_whole_rows(self, command, first_check):
+        # rows are written as they are made (by trial, or by block of trials), so a run
+        # killed mid-way leaves whole JSON lines
+        argv = [sys.executable, "-m", "unravel.cli", *command]
         with subprocess.Popen(argv, env=_src_env(), stdout=subprocess.PIPE, text=True) as proc:
             try:
                 assert select.select([proc.stdout], [], [], 30)[0], "no row within 30 s"
@@ -285,7 +295,7 @@ class TestSweepCommand:
                 proc.kill()
             rest = proc.stdout.read()
             proc.wait(timeout=60)
-        assert json.loads(first)["check_name"] == "factor_chain"
+        assert json.loads(first)["check_name"] == first_check
         assert all(json.loads(line) for line in rest.splitlines())
 
     @settings(max_examples=60, deadline=None)
@@ -342,13 +352,20 @@ class TestSizeArguments:
             (["sweep", "--dim", "2", "--trials", "-1"], "--trials"),
             (["demo", "dft", "--alpha", "2", "--trials", "-1"], "--trials"),
             (["ensemble", "--dim", "2", "--members", "2", "--alpha", "2", "--trials", "-1"], "--trials"),
+            (["sweep", "--dim", "2", "--trials", "1", "--seed", "-1"], "--seed"),
+            (["ensemble", "--dim", "2", "--members", "2", "--alpha", "2", "--trials", "1", "--seed", "-1"], "--seed"),
+            (["demo", "dft", "--alpha", "2", "--trials", "1", "--seed", "-1"], "--seed"),
+            (["demo", "angle", "--alpha", "2", "--L", "-1"], "--L"),
+            (["phi-min", "--gamma", "2", "--alpha", "2", "--grid", "1"], "--grid"),
         ],
     )
     def test_out_of_range_exits_2(self, capsys, argv, flag):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 2
-        assert flag in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert flag in err
+        assert out == ""  # rejected before any row, the basis row of `demo dft` included
 
     def test_zero_trials_allowed(self, capsys):
         code, out, _ = _run(capsys, ["sweep", "--dim", "2", "--trials", "0"])
@@ -366,6 +383,162 @@ class TestUnexpectedError:
         code, out, err = _run(capsys, ["sweep", "--dim", "2", "--trials", "1"])
         assert (code, out) == (3, "")
         assert json.loads(err) == {"error": "RuntimeError: out of luck"}
+
+    @pytest.mark.parametrize("stderr", ["separate", "same pipe"])
+    def test_closed_pipe_exits_3(self, stderr):
+        # `unravel ... | head -1`: the reader closes stdout mid-run.  The exit code is 3,
+        # not a traceback's 1, also when the error line's own stream is the closed pipe
+        argv = [sys.executable, "-m", "unravel.cli", "sweep", "--dim", "2", "--trials", "1000000"]
+        err_to = subprocess.PIPE if stderr == "separate" else subprocess.STDOUT
+        with subprocess.Popen(argv, env=_src_env(), stdout=subprocess.PIPE, stderr=err_to, text=True) as proc:
+            try:
+                assert select.select([proc.stdout], [], [], 30)[0], "no row within 30 s"
+                first = proc.stdout.readline()
+                proc.stdout.close()
+                code = proc.wait(timeout=60)
+            finally:
+                proc.kill()
+            err = proc.stderr.read() if stderr == "separate" else ""
+        assert json.loads(first)["check_name"] == "factor_chain"
+        assert code == 3
+        assert "Traceback" not in err and "Exception ignored" not in err
+        if stderr == "separate":
+            assert json.loads(err)["error"].startswith("BrokenPipeError")
+
+
+class _NullStream:
+    """stdout that keeps nothing, so a long run's memory is the program's own."""
+
+    def write(self, text):
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+class TestBlockedTrials:
+    """`demo dft` and `ensemble` run their trials as stacked blocks; each row must
+    equal the one the one-trial public path gives for the same draws."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        d=st.integers(1, 20),
+        trials=st.integers(0, 40),
+        alpha=st.one_of(st.sampled_from([0.75, 1.0, 2.0]), st.floats(0.55, 6.0)),
+        seed=st.integers(0, 10**6),
+        block=st.integers(1, 7),
+    )
+    def test_dft_rows_match_per_trial_demo(self, d, trials, alpha, seed, block):
+        argv = ["demo", "dft", "--dim", str(d), "--alpha", repr(alpha), "--trials", str(trials), "--seed", str(seed)]
+        with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(io.StringIO()) as out:
+            mp.setattr(cli, "BLOCK_ELEMENTS", block * d)  # blocks of `block` trials
+            assert cli.main(argv) == 0
+        rows = _json_rows(out.getvalue())
+        assert len(rows) == trials + 1
+        orders, rng = conjugate_order(alpha), np.random.default_rng(seed)
+        for row in rows[1:]:
+            psi = linalg.ginibre(rng, d, 1).ravel()
+            psi /= np.linalg.norm(psi)
+            report = demos.dft_uncertainty_demo(psi, orders)
+            assert row == dict(check_name="dft_random_state", d=d, factor_kind="fbar", seed=seed, **cli._report_fields(report))
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        d=st.integers(1, 4),
+        extra=st.integers(0, 6),
+        trials=st.integers(0, 12),
+        alpha=st.one_of(st.sampled_from([0.5, 1.0, 2.0]), st.floats(0.2, 6.0)),
+        seed=st.integers(0, 10**6),
+        block=st.integers(1, 5),
+    )
+    def test_ensemble_rows_match_per_trial_checks(self, d, extra, trials, alpha, seed, block):
+        m = d + extra
+        argv = ["ensemble", "--dim", str(d), "--members", str(m), "--alpha", repr(alpha), "--trials", str(trials)]
+        with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(io.StringIO()) as out:
+            mp.setattr(cli, "BLOCK_ELEMENTS", block * ((m + 1) * d * d + m * m))  # blocks of `block` trials
+            assert cli.main(argv + ["--seed", str(seed)]) == 0
+        rows = _json_rows(out.getvalue())
+        assert len(rows) == 2 * trials
+        for t in range(trials):
+            base = seed + 1000 * t
+            pure = ensembles.ensemble_from_state(linalg.random_density(d, d, base), m, base + 1)
+            res = ensembles.pure_ensemble_bounds_check(pure, alpha, "tsallis")
+            weights = np.random.default_rng(base + 2).dirichlet(np.ones(m))
+            members = [linalg.random_density(d, d, base + 3 + k) for k in range(m)]
+            lower, mid, upper = ensembles.mixed_ensemble_bounds_check(ensembles.MixedEnsemble(weights, members), alpha)
+            want = [
+                ("pure_ensemble_bound", res.ensemble_entropy, res.state_entropy, res.ensemble_entropy - res.state_entropy),
+                ("mixed_ensemble_sandwich", upper, lower, min(mid - lower, upper - mid)),
+            ]
+            for row, (name, lhs, rhs, slack) in zip(rows[2 * t : 2 * t + 2], want):
+                assert (row["check_name"], row["d"], row["alpha"], row["seed"]) == (name, d, alpha, base)
+                assert row["lhs"] == pytest.approx(lhs, abs=1e-12)
+                assert row["rhs"] == pytest.approx(rhs, abs=1e-12)
+                assert row["slack"] == pytest.approx(slack, abs=1e-12)
+
+    def test_failing_draw_leaves_earlier_rows(self, capsys, monkeypatch):
+        # the state of trial 3 fails to draw, in the middle of a block of 4 trials
+        draw, drawn = linalg.random_density, []
+
+        def spy(dim, rank, seed):
+            drawn.append(seed)
+            if seed == 3000:
+                raise ValueError("trial 3 failed")
+            return draw(dim, rank, seed)
+
+        monkeypatch.setattr(linalg, "random_density", spy)
+        monkeypatch.setattr(cli, "BLOCK_ELEMENTS", 4 * (3 * 4 + 4))
+        code, out, err = _run(capsys, ["ensemble", "--dim", "2", "--members", "2", "--alpha", "2", "--trials", "8"])
+        assert code == 2
+        assert json.loads(err) == {"error": "trial 3 failed"}
+        rows = _json_rows(out)
+        assert [r["seed"] for r in rows] == [0, 0, 1000, 1000, 2000, 2000]
+        assert max(drawn) == 3000  # no trial after the failing one was drawn
+
+    def test_failing_trial_leaves_earlier_rows(self, capsys, monkeypatch):
+        # the demo raises on trial 5's state, inside the second block of 4 trials
+        rng = np.random.default_rng(9)
+        for _ in range(6):
+            psi = linalg.ginibre(rng, 3, 1).ravel()
+        psi /= np.linalg.norm(psi)
+        demo = demos.dft_uncertainty_demo
+
+        def spy(state, orders):
+            if np.ndim(state) == 2 and (state == psi).all(axis=1).any():
+                raise RuntimeError("trial 5 failed")
+            return demo(state, orders)
+
+        monkeypatch.setattr(demos, "dft_uncertainty_demo", spy)
+        monkeypatch.setattr(cli, "BLOCK_ELEMENTS", 4 * 3)
+        code, out, err = _run(capsys, ["demo", "dft", "--dim", "3", "--alpha", "2", "--trials", "8", "--seed", "9"])
+        assert code == 3
+        assert json.loads(err) == {"error": "RuntimeError: trial 5 failed"}
+        rows = _json_rows(out)
+        assert [r["check_name"] for r in rows] == ["dft_basis_state"] + ["dft_random_state"] * 5
+
+    @pytest.mark.parametrize(
+        "argv, trials",
+        [
+            (["demo", "dft", "--dim", "8", "--alpha", "2"], 400),
+            (["ensemble", "--dim", "3", "--members", "4", "--alpha", "2"], 40),
+        ],
+        ids=["demo-dft", "ensemble"],
+    )
+    def test_memory_flat_in_trials(self, monkeypatch, argv, trials):
+        # blocks of 25 trials: ten times the trials, the same peak.  (CPython keeps up to
+        # 2000 freed tuples of each length below 21 for reuse, which would count here.)
+        per_trial = 8 if argv[0] == "demo" else 5 * 9 + 16
+        monkeypatch.setattr(cli, "BLOCK_ELEMENTS", 25 * per_trial)
+        monkeypatch.setattr(sys, "stdout", _NullStream())
+        peaks = []
+        for n in (trials, 10 * trials):
+            tracemalloc.start()
+            try:
+                assert cli.main(argv + ["--trials", str(n)]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0], peaks
 
 
 class TestDemoCommand:

@@ -118,8 +118,26 @@ class TestDftDemo:
         assert swapped.lhs == pytest.approx(direct.lhs, abs=1e-10)
 
     def test_rejects_unnormalized(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="state is not normalized"):
             dft_uncertainty_demo(np.array([1.0, 1.0]), conjugate_order(2.0))
+        with pytest.raises(ValueError, match="state 1 is not normalized"):
+            dft_uncertainty_demo(np.array([[1.0, 0.0], [1.0, 1.0]]), conjugate_order(2.0))
+        with pytest.raises(ValueError, match="vector or a stack"):
+            dft_uncertainty_demo(np.ones((1, 1, 1)), conjugate_order(2.0))
+
+    def test_stack_matches_per_state(self):
+        # one stacked call reports what a call per state reports, to the bit
+        rng = np.random.default_rng(4)
+        for d in (1, 2, 5, 8, 13, 64):
+            states = np.stack([random_state_vector(d, rng) for _ in range(30)])
+            for alpha in (0.6, 1.0, 2.5):
+                orders = conjugate_order(alpha)
+                stacked = dft_uncertainty_demo(states, orders)
+                singles = [dft_uncertainty_demo(c, orders) for c in states]
+                assert stacked.lhs.shape == stacked.slack.shape == (30,)
+                assert stacked.lhs.tolist() == [r.lhs for r in singles]
+                assert stacked.slack.tolist() == [r.slack for r in singles]
+                assert (stacked.rhs, stacked.factor) == (singles[0].rhs, singles[0].factor)
 
     def test_matches_dft_matrix_report(self):
         # the FFT gives the entries of |F c|^2 in another order, so the entropies agree

@@ -5,12 +5,15 @@ from unravel import linalg
 from unravel.ensembles import (
     MixedEnsemble,
     PureEnsemble,
+    _pure_bounds,
+    _pure_members,
+    _sandwich,
     ensemble_density,
     ensemble_from_state,
     mixed_ensemble_bounds_check,
     pure_ensemble_bounds_check,
 )
-from unravel.entropy import quantum_entropy, tsallis_entropy
+from unravel.entropy import as_prob_vector, quantum_entropy, tsallis_entropy
 
 
 def _pure_ensemble(weights, vecs):
@@ -177,3 +180,44 @@ class TestMixedEnsembleBounds:
         e = self._random_mixed(2, 2, seed=5)
         with pytest.raises(ValueError):
             mixed_ensemble_bounds_check(e, 2.0, kind="renyi")
+
+    def test_holds_the_spectra_that_validated_its_members(self):
+        e = self._random_mixed(3, 4, seed=6)
+        assert e.members.shape == (4, 3, 3) and e.dim == 3
+        assert np.array_equal(e.spectra, np.linalg.eigvalsh(e.members))
+
+    def test_names_offending_member(self):
+        bad = np.diag([1.5, -0.5]).astype(complex)
+        with pytest.raises(ValueError, match="member 1 is not PSD"):
+            MixedEnsemble(np.array([0.5, 0.5]), (np.eye(2) / 2, bad))
+        with pytest.raises(ValueError, match="disagree in length"):
+            MixedEnsemble(np.array([1.0]), (np.eye(2) / 2, np.eye(2) / 2))
+
+
+class TestStackedKernels:
+    def test_one_stack_matches_one_element_views(self):
+        # the public checks are one-element views of the stacked kernels
+        rng = np.random.default_rng(11)
+        d, m, alpha = 3, 5, 1.7
+        rhos = np.stack([linalg.random_density(d, d, seed=s) for s in range(6)])
+        us = np.stack([linalg.haar_random_unitary(m, 100 + s) for s in range(6)])
+        _, w, v = linalg.density_spectrum(rhos, vectors=True)
+        weights, states = _pure_members(w, v, us)
+        state_h, weight_h = _pure_bounds(weights, states, alpha, "tsallis")
+        mix = as_prob_vector(rng.dirichlet(np.ones(m), size=6))  # as MixedEnsemble holds them
+        members = np.stack([[linalg.random_density(d, d, seed=200 + 10 * s + k) for k in range(m)] for s in range(6)])
+        sandwich = _sandwich(mix, members, np.linalg.eigvalsh(members), alpha)
+        for t in range(6):
+            e = ensemble_from_state(rhos[t], m, seed=100 + t)
+            assert np.array_equal(e.weights, as_prob_vector(weights[t]))
+            res = pure_ensemble_bounds_check(e, alpha, "tsallis")
+            assert res.state_entropy == pytest.approx(state_h[t], abs=1e-14)
+            assert res.ensemble_entropy == pytest.approx(weight_h[t], abs=1e-14)
+            one = mixed_ensemble_bounds_check(MixedEnsemble(mix[t], tuple(members[t])), alpha)
+            assert list(one) == [float(b[t]) for b in sandwich]
+
+    def test_rank_above_members_rejected_in_a_stack(self):
+        rhos = np.stack([np.diag([1.0, 0.0, 0.0]), np.eye(3) / 3]).astype(complex)
+        _, w, v = linalg.density_spectrum(rhos, vectors=True)
+        with pytest.raises(ValueError, match=r"m = 2 is below rank\(rho\) = 3"):
+            _pure_members(w, v, np.stack([np.eye(2, dtype=complex)] * 2))

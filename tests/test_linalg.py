@@ -43,6 +43,39 @@ class TestCheckHermitian:
             linalg.check_density(np.stack([np.eye(2) / 2] * 2))
 
 
+class TestDensitySpectrum:
+    def test_stack_matches_per_matrix(self):
+        rhos = np.stack([linalg.random_density(3, r, seed=s) for s, r in ((1, 3), (2, 1), (3, 2))])
+        stacked, w, v = linalg.density_spectrum(rhos, vectors=True)
+        for k, rho in enumerate(rhos):
+            one, w1, v1 = linalg.density_spectrum(rho, vectors=True)
+            assert np.array_equal(stacked[k], one) and np.array_equal(w[k], w1) and np.array_equal(v[k], v1)
+        assert np.array_equal(linalg.density_spectrum(rhos)[1], np.linalg.eigvalsh(stacked))
+
+    @pytest.mark.parametrize(
+        "spoil, message",
+        [
+            (lambda r: r * 1.01, "rho 1 has trace"),
+            (lambda r: np.diag([1.5, -0.5]).astype(complex), "rho 1 is not PSD"),
+            (lambda r: r + np.triu(np.ones((2, 2)), 1), "rho 1 is not Hermitian"),
+        ],
+    )
+    def test_names_offending_element(self, spoil, message):
+        rhos = np.stack([np.eye(2) / 2] * 3).astype(complex)
+        rhos[1] = spoil(rhos[1])
+        with pytest.raises(ValueError, match=message):
+            linalg.density_spectrum(rhos)
+        with pytest.raises(ValueError, match=message.replace("rho 1", "rho")):
+            linalg.check_density(rhos[1])
+
+
+def test_vector_norm_is_numpy_norm_to_the_bit():
+    rng = np.random.default_rng(5)
+    for d in (1, 2, 7, 8, 33, 100):
+        x = linalg.ginibre(rng, 50, d)
+        assert np.array_equal(linalg.vector_norm(x), [np.linalg.norm(row) for row in x])
+
+
 class TestHermitianEig:
     def test_diagonal(self):
         w, v = linalg.hermitian_eig(np.diag([0.7, 0.3]))
