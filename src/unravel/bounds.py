@@ -54,7 +54,8 @@ class Povm:
     root factors, F_i F_i† = M_i, made when the POVM is built: from one
     eigendecomposition of the validated elements, or, for
     random_projective_povm and povm_from_unraveling, from the factors they
-    already hold.
+    already hold.  The kernels of this module take a stack of T equal-shaped
+    POVMs in one Povm, with elements (T, n, dim, dim) and roots (T, n, dim, r).
     """
 
     elements: np.ndarray
@@ -79,36 +80,56 @@ class Povm:
         return povm
 
     def _hold(self, elems: np.ndarray, roots: np.ndarray) -> None:
-        dev = np.linalg.norm(elems.sum(axis=0) - np.eye(elems.shape[1]))
-        if dev > TOL_POVM_COMPLETE:
-            raise ValueError(f"POVM completeness violated: ||sum M - I||_F = {dev:.3e}")
+        dev = np.linalg.norm(elems.sum(axis=-3) - np.eye(elems.shape[-1]), axis=(-2, -1))
+        if (dev > TOL_POVM_COMPLETE).any():
+            raise ValueError(f"POVM completeness violated: ||sum M - I||_F = {dev.max():.3e}")
         object.__setattr__(self, "elements", elems)
         object.__setattr__(self, "roots", roots)
 
+    def _stacked(self) -> Povm:
+        """This POVM as a stack of one, the form the kernels below take."""
+        povm = object.__new__(Povm)
+        for name, value in vars(self).items():  # the elements and the roots
+            object.__setattr__(povm, name, value[None])
+        return povm
+
     @property
     def dim(self) -> int:
-        return self.elements.shape[1]
+        return self.elements.shape[-1]
 
     @property
     def n_outcomes(self) -> int:
-        return self.elements.shape[0]
+        return self.elements.shape[-3]
 
 
 @dataclass(frozen=True)
 class BoundReport:
     """One evaluated uncertainty inequality: lhs >= rhs up to slack tolerance.
 
-    For stacked distributions lhs and slack are arrays, one entry per row.
+    For stacked distributions lhs and slack are arrays, one entry per row, and
+    so are rhs and factor when each row has its own factor.
     """
 
     lhs: float | np.ndarray
-    rhs: float
+    rhs: float | np.ndarray
     slack: float | np.ndarray
-    factor: float
+    factor: float | np.ndarray
     orders: ConjugateOrders
 
+    def entry(self, t: int) -> BoundReport:
+        """The report of row t of a stacked report, in floats."""
+        return BoundReport(
+            lhs=float(self.lhs[t]),
+            rhs=float(self.rhs[t]),
+            slack=float(self.slack[t]),
+            factor=float(self.factor[t]),
+            orders=self.orders,
+        )
 
-def bound_report(p, q, orders: ConjugateOrders, kind: str, factor: float, rhs: float) -> BoundReport:
+
+def bound_report(
+    p, q, orders: ConjugateOrders, kind: str, factor: float | np.ndarray, rhs: float | np.ndarray
+) -> BoundReport:
     """Report H_a(p) + H_b(q) >= rhs for entropies of the given kind.
 
     alpha is bound to p and beta to q.  The entropies are exact at every
@@ -124,14 +145,20 @@ def _same_dim(x: int, y: int) -> int:
     return x
 
 
+# The kernels below take stacked POVMs (see Povm) and validated states rho
+# (T, dim, dim), and give one value per trial; the public functions are their
+# T = 1 views.
+
+
 def _outcome_weights(m: Povm, rho: np.ndarray) -> np.ndarray:
-    """tr(M_i rho) for a validated state, not yet checked as a distribution."""
-    return np.einsum("iab,ba->i", m.elements, rho).real
+    """tr(M_i rho) = sum_ab conj(rho_ab) (M_i)_ab, rho Hermitian; (T, n), not yet
+    checked as distributions."""
+    return np.vecdot(rho.reshape(rho.shape[0], 1, -1), m.elements.reshape(*m.elements.shape[:2], -1)).real
 
 
 def povm_probabilities(m: Povm, rho) -> np.ndarray:
     """p_i = tr(M_i rho)."""
-    return as_prob_vector(_outcome_weights(m, check_density(rho, m.dim)))
+    return as_prob_vector(_outcome_weights(m._stacked(), check_density(rho, m.dim)[None])[0])
 
 
 def povm_from_unraveling(a: Unraveling) -> Povm:
@@ -140,20 +167,26 @@ def povm_from_unraveling(a: Unraveling) -> Povm:
     return Povm._factored(k_dag @ a.kraus_ops, k_dag)
 
 
-def _max_ratio(p: np.ndarray, q: np.ndarray, overlaps: np.ndarray) -> float:
-    """max |o_kij| / sqrt(p_ki q_kj) over the pairs with p_ki, q_kj > P_ZERO_TOL.
+def _max_ratio(p: np.ndarray, q: np.ndarray, overlaps: np.ndarray) -> np.ndarray:
+    """Per trial, max |o_kij| / sqrt(p_ki q_kj) over the pairs with p_ki, q_kj > P_ZERO_TOL.
 
-    p is (K, n_m), q is (K, n_n) and overlaps is (K, n_m, n_n), one slice per vector k.
+    p is (T, K, n_m), q is (T, K, n_n) and overlaps is (T, K, n_m, n_n), one slice
+    per trial and vector k.
     """
-    ok = (p[:, :, None] > P_ZERO_TOL) & (q[:, None, :] > P_ZERO_TOL)
-    if not ok.any():
+    ok = (p[..., :, None] > P_ZERO_TOL) & (q[..., None, :] > P_ZERO_TOL)
+    if not ok.any(axis=(1, 2, 3)).all():
         raise ValueError("degenerate input: no outcome pair with nonzero probabilities")
-    return float((np.abs(overlaps[ok]) / np.sqrt((p[:, :, None] * q[:, None, :])[ok])).max())
+    ratio = np.abs(overlaps)
+    np.divide(ratio, np.sqrt(p[..., :, None] * q[..., None, :]), out=ratio, where=ok)
+    return ratio.max(axis=(1, 2, 3), where=ok, initial=0.0)
 
 
-def _g(m: Povm, n: Povm, rho: np.ndarray, p: np.ndarray, q: np.ndarray) -> float:
-    overlaps = np.einsum("iab,jbc,ca->ij", m.elements, n.elements, rho, optimize=True)
-    return _max_ratio(p[None], q[None], overlaps[None])
+def _g(m: Povm, n: Povm, rho: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    # tr(M_i N_j rho) = sum_ab conj(M_i)_ab (N_j rho)_ab, M_i Hermitian
+    t = rho.shape[0]
+    nrho = n.elements @ rho[:, None]
+    overlaps = m.elements.reshape(t, m.n_outcomes, -1).conj() @ nrho.reshape(t, n.n_outcomes, -1).swapaxes(1, 2)
+    return _max_ratio(p[:, None], q[:, None], overlaps[:, None])
 
 
 def g_factor(m: Povm, n: Povm, rho) -> float:
@@ -161,15 +194,17 @@ def g_factor(m: Povm, n: Povm, rho) -> float:
     return _uncertainty_check(m, n, rho, (), "g", ())[0]
 
 
-def _f(m: Povm, n: Povm, rho: np.ndarray) -> float:
+def _f(m: Povm, n: Povm, rho: np.ndarray) -> np.ndarray:
     w, v = np.linalg.eigh(rho)
-    psi = v[:, w > P_ZERO_TOL]  # (dim, K)
-    # a[k, i] = M_i psi_k and b[k, j] = N_j psi_k, for every eigenvector at once
-    a = (m.elements @ psi).transpose(2, 0, 1)
-    b = (n.elements @ psi).transpose(2, 0, 1)
-    p = np.einsum("kia,ak->ki", a, psi.conj()).real
-    q = np.einsum("kja,ak->kj", b, psi.conj()).real
-    return _max_ratio(p, q, a.conj() @ b.transpose(0, 2, 1))
+    kept = w > P_ZERO_TOL  # (T, K): eigenvectors psi_k = v[:, :, k] of nonzero weight
+    psi = v.swapaxes(1, 2)[:, :, None]  # (T, K, 1, dim)
+    # a[t, k, i] = M_i psi_k and b[t, k, j] = N_j psi_k, for every eigenvector at once
+    a = np.moveaxis(m.elements @ v[:, None], 3, 1)
+    b = np.moveaxis(n.elements @ v[:, None], 3, 1)
+    # <psi_k|M_i|psi_k>, zero for the eigenvectors left out, so no pair of theirs counts
+    p = np.where(kept[..., None], np.vecdot(psi, a).real, 0.0)
+    q = np.where(kept[..., None], np.vecdot(psi, b).real, 0.0)
+    return _max_ratio(p, q, a.conj() @ b.swapaxes(2, 3))
 
 
 def f_factor(m: Povm, n: Povm, rho) -> float:
@@ -179,7 +214,7 @@ def f_factor(m: Povm, n: Povm, rho) -> float:
     maximized over eigenvectors with nonzero weight and admissible (i, j).
     Coincides with g on pure states and dominates it otherwise.
     """
-    return _f(m, n, check_density(rho, _same_dim(m.dim, n.dim)))
+    return float(_f(m._stacked(), n._stacked(), check_density(rho, _same_dim(m.dim, n.dim))[None])[0])
 
 
 def _root_factors(w: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -194,6 +229,16 @@ def _root_factors(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(v)
 
 
+def _f_bar(m: Povm, n: Povm) -> np.ndarray:
+    # one batched SVD per outcome of m covers every outcome of n and every trial
+    best = None
+    for fi in np.moveaxis(m.roots, 1, 0):  # (T, dim, r_m)
+        products = fi.conj().swapaxes(1, 2)[:, None] @ n.roots  # (T, n_n, r_m, r_n)
+        top = np.linalg.svd(products, compute_uv=False)[..., 0].max(axis=1)
+        best = top if best is None else np.maximum(best, top)
+    return best
+
+
 def f_bar(m: Povm, n: Povm) -> float:
     """State-independent overlap: max spectral norm of M_i^(1/2) N_j^(1/2).
 
@@ -203,28 +248,29 @@ def f_bar(m: Povm, n: Povm) -> float:
     of m covers every outcome of n, in O(n r^2) memory.
     """
     _same_dim(m.dim, n.dim)
-    return max(
-        float(np.linalg.svd(fi.conj().T @ n.roots, compute_uv=False)[:, 0].max()) for fi in m.roots
-    )
+    return float(_f_bar(m._stacked(), n._stacked())[0])
 
 
 def _reports(
     m: Povm, n: Povm, rho: np.ndarray, orders_seq, factor_kind: str, kinds
-) -> tuple[float, list[BoundReport]]:
-    """(factor, reports) at a validated state: p, q and the factor are computed
-    once, then one report per order of orders_seq and kind of kinds, orders outer."""
+) -> tuple[np.ndarray, list[BoundReport]]:
+    """(factor, reports) at validated states, stacked: p, q and the factor are
+    computed once per trial, then one report per order of orders_seq and kind of
+    kinds, orders outer, each with one entry per trial."""
     p, q = _outcome_weights(m, rho), _outcome_weights(n, rho)
     if factor_kind == "g":
         factor = _g(m, n, rho, p, q)
     elif factor_kind == "f":
         factor = _f(m, n, rho)
     elif factor_kind == "fbar":
-        factor = f_bar(m, n)
+        factor = _f_bar(m, n)
     else:
         raise ValueError(f"unknown factor kind {factor_kind!r}")
 
-    def rhs(orders: ConjugateOrders, kind: str) -> float:
-        return alpha_log(factor**-2, orders.mu) if kind == "tsallis" else float(-2.0 * np.log(factor))
+    def rhs(orders: ConjugateOrders, kind: str) -> np.ndarray:
+        if kind == "tsallis":
+            return np.array([alpha_log(f**-2, orders.mu) for f in factor.tolist()])
+        return -2.0 * np.log(factor)
 
     return factor, [bound_report(p, q, o, k, factor, rhs(o, k)) for o in orders_seq for k in kinds]
 
@@ -233,7 +279,15 @@ def _uncertainty_check(
     m: Povm, n: Povm, rho, orders_seq, factor_kind: str, kinds
 ) -> tuple[float, list[BoundReport]]:
     """The factor and the reports of every order and kind, with rho validated once."""
-    return _reports(m, n, check_density(rho, _same_dim(m.dim, n.dim)), orders_seq, factor_kind, kinds)
+    return _one_trial(m, n, check_density(rho, _same_dim(m.dim, n.dim)), orders_seq, factor_kind, kinds)
+
+
+def _one_trial(
+    m: Povm, n: Povm, rho: np.ndarray, orders_seq, factor_kind: str, kinds
+) -> tuple[float, list[BoundReport]]:
+    """_reports for one POVM pair and one validated state, in floats."""
+    factor, reports = _reports(m._stacked(), n._stacked(), rho[None], orders_seq, factor_kind, kinds)
+    return float(factor[0]), [r.entry(0) for r in reports]
 
 
 def tsallis_uncertainty_check(
@@ -280,7 +334,7 @@ class SearchConfig:
 def _extremal_pair(a: Unraveling, b: Unraveling, rho, orders: ConjugateOrders, kind: str) -> BoundReport:
     rho = check_density(rho, _same_dim(a.dim_in, b.dim_in))
     m, n = (povm_from_unraveling(_extremal(x, rho).extremal) for x in (a, b))
-    _, (report,) = _reports(m, n, rho, [orders], "g", (kind,))
+    _, (report,) = _one_trial(m, n, rho, [orders], "g", (kind,))
     return report
 
 
@@ -378,11 +432,17 @@ def phi_min_verify(problem: PhiProblem, grid_points: int = 2000) -> tuple[float,
     return analytic, min(grid_min, edge_min)
 
 
+def _projective(u: np.ndarray) -> Povm:
+    """Rank-1 orthogonal projectors onto the columns of each unitary of a
+    (T, dim, dim) stack, the basis vectors their root factors: a stack of T POVMs."""
+    rows = u.swapaxes(-1, -2)
+    return Povm._factored(rows[..., :, None] * rows.conj()[..., None, :], rows[..., None])
+
+
 def random_projective_povm(dim: int, seed: int) -> Povm:
     """Rank-1 orthogonal projectors onto a Haar-random basis, the basis vectors
     their root factors."""
-    u = linalg.haar_random_unitary(dim, seed)
-    return Povm._factored(u.T[:, :, None] * u.T.conj()[:, None, :], u.T[:, :, None])
+    return _projective(linalg.haar_random_unitary(dim, seed))
 
 
 def random_povm(dim: int, n_outcomes: int, seed: int) -> Povm:

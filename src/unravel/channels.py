@@ -33,11 +33,7 @@ class Unraveling:
 
     def __post_init__(self):
         k = as_matrix_stack(self.kraus_ops, "Kraus operators")
-        # stacked vertically the operators form an isometry V, and sum A†A = V†V
-        v = k.reshape(-1, k.shape[2])
-        dev = np.linalg.norm(v.conj().T @ v - np.eye(k.shape[2]))
-        if dev > TOL_COMPLETE:
-            raise ValueError(f"completeness violated: ||sum A†A - I||_F = {dev:.3e}")
+        _check_complete(k)
         object.__setattr__(self, "kraus_ops", k)
 
     @property
@@ -51,6 +47,16 @@ class Unraveling:
     @property
     def dim_out(self) -> int:
         return self.kraus_ops.shape[1]
+
+
+def _check_complete(k: np.ndarray) -> None:
+    """Reject a Kraus set (n, dim_out, dim_in), or any set of a stack of them,
+    whose completeness sum A†A = I fails beyond TOL_COMPLETE."""
+    # stacked vertically the operators form an isometry V, and sum A†A = V†V
+    v = k.reshape(*k.shape[:-3], -1, k.shape[-1])
+    dev = np.linalg.norm(v.conj().swapaxes(-1, -2) @ v - np.eye(k.shape[-1]), axis=(-2, -1))
+    if (dev > TOL_COMPLETE).any():
+        raise ValueError(f"completeness violated: ||sum A†A - I||_F = {dev.max():.3e}")
 
 
 @dataclass(frozen=True)
@@ -87,29 +93,38 @@ def remix(a: Unraveling, u) -> Unraveling:
     return Unraveling(np.einsum("ji,jkl->ikl", u, k))
 
 
-def _gram(a: Unraveling, rho: np.ndarray) -> np.ndarray:
-    k = a.kraus_ops
-    return linalg.hermitianize(np.einsum("iab,jac,cb->ij", k.conj(), k, rho, optimize=True))
+# The kernels below take Kraus sets k (..., n, dim_out, dim_in) and validated
+# states rho (..., dim_in, dim_in) with any leading trial axes; the public
+# functions call them on one set and one state.
+
+
+def _flat(x: np.ndarray) -> np.ndarray:
+    """Each operator of a (..., n, rows, cols) stack as one row of length rows * cols."""
+    return x.reshape(*x.shape[:-2], -1)
+
+
+def _gram(k: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Pi_ij = tr(A_i† A_j rho) = sum_ab conj(A_i)_ab (A_j rho)_ab."""
+    return linalg.hermitianize(_flat(k).conj() @ _flat(k @ rho[..., None, :, :]).swapaxes(-1, -2))
 
 
 def gram_matrix(a: Unraveling, rho) -> np.ndarray:
     """Hermitian PSD unit-trace matrix with entries tr(A_i† A_j rho)."""
-    return _gram(a, check_density(rho, a.dim_in))
+    return _gram(a.kraus_ops, check_density(rho, a.dim_in))
 
 
-def _effect_weights(a: Unraveling, rho: np.ndarray) -> np.ndarray:
-    """tr(A_i† A_i rho) for a validated state, not yet checked as a distribution."""
-    k = a.kraus_ops
-    return np.einsum("iab,iac,cb->i", k.conj(), k, rho, optimize=True).real
+def _effect_weights(k: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """tr(A_i† A_i rho), not yet checked as a distribution."""
+    return np.vecdot(_flat(k), _flat(k @ rho[..., None, :, :])).real
 
 
 def effect_probabilities(a: Unraveling, rho) -> np.ndarray:
     """p_i = tr(A_i† A_i rho)."""
-    return as_prob_vector(_effect_weights(a, check_density(rho, a.dim_in)))
+    return as_prob_vector(_effect_weights(a.kraus_ops, check_density(rho, a.dim_in)))
 
 
 def _extremal(a: Unraveling, rho: np.ndarray) -> ExtremalResult:
-    pi = _gram(a, rho)
+    pi = _gram(a.kraus_ops, rho)
     w, v = hermitian_eig(pi)
     return ExtremalResult(extremal=remix(a, v), lambdas=as_prob_vector(w), diagonalizer=v, gram=pi)
 
@@ -125,23 +140,30 @@ def extremal_unraveling(a: Unraveling, rho) -> ExtremalResult:
 
 def unraveling_entropy(a: Unraveling, rho, alpha: float, kind: str = "tsallis") -> float:
     """Entropy of the effect-probability distribution."""
-    return classical_entropy(_effect_weights(a, check_density(rho, a.dim_in)), alpha, kind)
+    return classical_entropy(_effect_weights(a.kraus_ops, check_density(rho, a.dim_in)), alpha, kind)
 
 
 def random_unraveling(dim: int, n_kraus: int, seed: int) -> Unraveling:
     """Random unraveling from the blocks of a Haar-random isometry."""
     if dim < 1 or n_kraus < 1:
         raise ValueError("dim and n_kraus must be >= 1")
-    v = linalg.positive_qr(linalg.ginibre(np.random.default_rng(seed), n_kraus * dim, dim))
-    return Unraveling(v.reshape(n_kraus, dim, dim))
+    return Unraveling(_isometry_kraus(linalg.seeded_ginibre(seed, n_kraus * dim, dim), n_kraus))
+
+
+def _isometry_kraus(z: np.ndarray, n_kraus: int) -> np.ndarray:
+    """Kraus sets (..., n_kraus, dim, dim): the blocks of the Haar-random
+    isometries made from Ginibre draws z (..., n_kraus * dim, dim)."""
+    v = linalg.positive_qr(z)
+    return v.reshape(*v.shape[:-2], n_kraus, -1, v.shape[-1])
 
 
 def remixed_probabilities(pi: np.ndarray, unitaries: np.ndarray) -> np.ndarray:
     """Effect probabilities of remixings, straight from the Gram matrix.
 
     For B = remix(A, U) the probabilities are diag(U† Pi U); `unitaries` is a
-    stack (count, n, n) and the result has shape (count, n).
+    stack (count, n, n) and the result has shape (count, n).  A stack of Gram
+    matrices (..., n, n) takes stacks of unitaries (..., count, n, n).
     """
-    p = np.einsum("tji,jl,tli->ti", unitaries.conj(), pi, unitaries, optimize=True).real
+    p = np.vecdot(unitaries, pi[..., None, :, :] @ unitaries, axis=-2).real
     p = np.clip(p, 0.0, None)
-    return p / p.sum(axis=1, keepdims=True)
+    return p / p.sum(axis=-1, keepdims=True)

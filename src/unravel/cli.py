@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
+import io
 import json
 import os
 import sys
@@ -25,7 +27,8 @@ from .entropy import as_prob_vector, conjugate_order, tsallis_entropy
 SLACK_TOL = -1e-9
 
 # Stacked elements (complex entries of the drawn inputs) per block of trials in
-# `demo dft` and `ensemble`: memory stays bounded whatever --trials is.
+# `sweep`, `demo dft` and `ensemble`: memory stays bounded whatever --trials is.
+# The first block holds one trial, so the first rows never wait for a full block.
 BLOCK_ELEMENTS = 1 << 16
 
 ROW_FIELDS = [
@@ -111,18 +114,27 @@ def load_instance(path: str, needs: tuple = ()) -> dict:
 
 
 class Reporter:
-    """Writes each row to the stream as it is made, flushed, so a reader sees
-    whole rows while a run goes on and keeps them if it is killed."""
+    """Writes rows to the stream as they are made, flushed, so a reader sees
+    whole rows while a run goes on and keeps them if it is killed: each row of
+    `row`, or each block of rows of `rows` with one write and one flush."""
 
     def __init__(self, fmt: str, timing: bool, stream):
         self.fmt = fmt
         self.timing = timing
         self.stream = stream
         self.violated = False
+        self._csv = io.StringIO()  # the csv writer writes here, and each line is taken out
         self._writer = None
         self._t0 = time.perf_counter()
 
     def row(self, check_name: str, **fields):
+        self.rows([(check_name, fields)])
+
+    def rows(self, rows):
+        """Write (check_name, fields) pairs as one piece of text."""
+        self._write("".join(self._line(name, fields) for name, fields in rows))
+
+    def _line(self, check_name: str, fields: dict) -> str:
         row = {k: None for k in ROW_FIELDS}
         row["check_name"] = check_name
         row.update(fields)
@@ -133,16 +145,21 @@ class Reporter:
         if row.get("slack") is not None and not row["slack"] >= SLACK_TOL:
             self.violated = True  # NaN counts as a violation
         if self.fmt == "json":
-            self.stream.write(json.dumps({k: v for k, v in row.items() if v is not None}) + "\n")
-        else:
-            if self._writer is None:
-                self._writer = csv.DictWriter(self.stream, fieldnames=ROW_FIELDS)
-                self._writer.writeheader()
-            self._writer.writerow({k: row.get(k) for k in ROW_FIELDS})
-        self.stream.flush()
+            return json.dumps({k: v for k, v in row.items() if v is not None}) + "\n"
+        if self._writer is None:
+            self._writer = csv.DictWriter(self._csv, fieldnames=ROW_FIELDS)
+            self._writer.writeheader()
+        self._writer.writerow({k: row.get(k) for k in ROW_FIELDS})
+        text = self._csv.getvalue()  # the header too, before the first row
+        self._csv.seek(0)
+        self._csv.truncate()
+        return text
 
     def obj(self, payload: dict):
-        self.stream.write(json.dumps(payload) + "\n")
+        self._write(json.dumps(payload) + "\n")
+
+    def _write(self, text: str) -> None:
+        self.stream.write(text)
         self.stream.flush()
 
     @property
@@ -163,8 +180,20 @@ def _report_fields(report: bounds.BoundReport, **extra):
     )
 
 
-def _parse_grid(text: str) -> list[float]:
-    return [float(t) for t in text.split(",") if t.strip()]
+def _positive(text: str) -> float:
+    """argparse type for a finite float > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not 0 < value < np.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text.strip()}")
+    return value
+
+
+def _orders(text: str) -> list[float]:
+    """argparse type for a comma-separated list of entropy orders, each finite and > 0."""
+    return [_positive(t) for t in text.split(",") if t.strip()]
 
 
 def _count(least: int = 1):
@@ -182,18 +211,12 @@ def _count(least: int = 1):
     return parse
 
 
-def _theorem1(lambdas: np.ndarray, gram: np.ndarray, remixings: int, seed: int):
-    """Row fields per order: least Tsallis entropy over `remixings` Haar-random
-    remixings of the Gram matrix (lhs) vs that of its spectrum (rhs)."""
-    us = linalg.haar_random_unitaries(lambdas.size, remixings, seed)
-    probs = channels.remixed_probabilities(gram, us)
-
-    def fields(alpha: float) -> dict:
-        h_ex = tsallis_entropy(lambdas, alpha)
-        h_remix = float(tsallis_entropy(probs, alpha).min())
-        return dict(alpha=alpha, lhs=h_remix, rhs=h_ex, slack=h_remix - h_ex)
-
-    return fields
+def _theorem1(lambdas: np.ndarray, probs: np.ndarray, alpha: float) -> tuple:
+    """The least Tsallis entropy of the remixed distributions probs (lhs) and
+    that of the Gram spectrum lambdas (rhs): one value each for one instance,
+    lambdas (n,) and probs (remixings, n); one per trial for stacks, lambdas
+    (T, n) and probs (T, remixings, n)."""
+    return tsallis_entropy(probs, alpha).min(axis=-1), tsallis_entropy(lambdas, alpha)
 
 
 def cmd_extremal(args, rep: Reporter) -> None:
@@ -207,9 +230,11 @@ def cmd_extremal(args, rep: Reporter) -> None:
             "extremal_kraus": [matrix_to_json(k) for k in result.extremal.kraus_ops],
         }
     )
-    theorem1 = _theorem1(result.lambdas, result.gram, args.remixings, inst["seed"])
-    for alpha in _parse_grid(args.alpha_grid):
-        rep.row("extremal_vs_remixings", d=a.dim_in, seed=inst["seed"], **theorem1(alpha))
+    us = linalg.haar_random_unitaries(a.n_ops, args.remixings, inst["seed"])
+    probs = channels.remixed_probabilities(result.gram, us)
+    for alpha in args.alpha_grid:
+        lhs, rhs = (float(h) for h in _theorem1(result.lambdas, probs, alpha))
+        rep.row("extremal_vs_remixings", d=a.dim_in, seed=inst["seed"], alpha=alpha, lhs=lhs, rhs=rhs, slack=lhs - rhs)
 
 
 def cmd_uncertainty(args, rep: Reporter) -> None:
@@ -228,68 +253,127 @@ def cmd_uncertainty(args, rep: Reporter) -> None:
     )
 
 
+def _stack(arrays) -> np.ndarray:
+    """np.stack, but a view for one array: a block of one large trial holds its
+    draws once."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+
+def _sweep_states(z: np.ndarray) -> np.ndarray:
+    """The trials' states from their Ginibre draws, validated once."""
+    return linalg.density_spectrum(linalg._densities(_stack(z)), name="rho")[0]
+
+
+def _sweep_gram(z, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gram matrices of the trials' channels at their states, and their spectra
+    as extremal_unraveling computes them (without the extremal Kraus sets)."""
+    k = channels._isometry_kraus(_stack(z), rho.shape[-1])
+    channels._check_complete(k)
+    gram = channels._gram(k, rho)
+    return gram, as_prob_vector(linalg.hermitian_eig(gram)[0])
+
+
+def _sweep_remixed(z, gram: np.ndarray) -> np.ndarray:
+    """Distributions of the trials' Haar-random remixings, (T, remixings, n)."""
+    return channels.remixed_probabilities(gram, linalg.positive_qr(_stack(z)))
+
+
+def _sweep_block(draws: list, grid: list, orders: list) -> tuple:
+    """Every quantity of a block of sweep trials, one kernel call each, stage by
+    stage so that each stage's temporaries die before the next one starts.
+
+    draws holds, per draw, one Ginibre array per trial; each stage takes its
+    draws out of the list, so they go when the stage ends.  Returns the
+    factor_chain columns (g, chain slack), the theorem-1 columns per order of
+    grid and the relation reports per order of orders, each entry a list over
+    the trials.
+    """
+    rho = _sweep_states(draws.pop(0))
+    gram, lambdas = _sweep_gram(draws.pop(0), rho)
+    probs = _sweep_remixed(draws.pop(0), gram)
+    theorem1 = [[h.tolist() for h in _theorem1(lambdas, probs, alpha)] for alpha in grid]
+    m = bounds._projective(linalg.positive_qr(_stack(draws.pop(0))))
+    n = bounds._projective(linalg.positive_qr(_stack(draws.pop(0))))
+    g, reports = bounds._reports(m, n, rho, orders, "g", ("tsallis", "renyi"))
+    f, fb = bounds._f(m, n, rho), bounds._f_bar(m, n)
+    chain = np.minimum(np.minimum(f - g, fb - f), 1.0 + 1e-10 - fb)
+    return g.tolist(), chain.tolist(), theorem1, reports
+
+
 def cmd_sweep(args, rep: Reporter) -> None:
-    grid = _parse_grid(args.alpha_grid)
+    d, grid = args.dim, args.alpha_grid
     orders = [conjugate_order(alpha) for alpha in grid if alpha > 0.5]
-    for trial in range(args.trials):
-        base = args.seed + 1000 * trial
-        rho = linalg.random_density(args.dim, args.dim, base)
-        # the spectrum of the Gram matrix, as extremal_unraveling computes it, without its Kraus set
-        gram = channels.gram_matrix(channels.random_unraveling(args.dim, args.dim, base + 1), rho)
-        lambdas = as_prob_vector(linalg.hermitian_eig(gram)[0])
-        theorem1 = _theorem1(lambdas, gram, args.remixings, base + 2)
-        m = bounds.random_projective_povm(args.dim, base + 3)
-        n = bounds.random_projective_povm(args.dim, base + 4)
-        # one validation of rho and one g serve the chain row and every relation row; the
-        # drawn rho is exactly Hermitian, so validation leaves it as is and _f takes it unchecked
-        g, reports = bounds._uncertainty_check(m, n, rho, orders, "g", ("tsallis", "renyi"))
-        f = bounds._f(m, n, rho)
-        fb = bounds.f_bar(m, n)
-        chain = min(f - g, fb - f, 1.0 + 1e-10 - fb)
-        rep.row("factor_chain", d=args.dim, slack=chain, factor=g, seed=base)
-        reports = iter(reports)
-        for alpha in grid:
-            rep.row("theorem1_tsallis", d=args.dim, seed=base, **theorem1(alpha))
-            if alpha <= 0.5:
-                continue
-            for name in ("theorem2_tsallis", "renyi_relation"):
-                rep.row(name, d=args.dim, factor_kind="g", seed=base, **_report_fields(next(reports)))
+    # the Ginibre draws of random_density, random_unraveling, haar_random_unitaries
+    # and the two random_projective_povm, at base + 0..4
+    shapes = ((d, d), (d * d, d), (args.remixings, d, d), (d, d), (d, d))
+
+    def draw(t: int) -> tuple:
+        base = args.seed + 1000 * t
+        return (base, *(linalg.seeded_ginibre(base + k, *shape) for k, shape in enumerate(shapes)))
+
+    def compute(drawn: list):
+        bases, *draws = zip(*drawn)
+        drawn.clear()  # the stages of _sweep_block take the draws over
+        g, chain, theorem1, reports = _sweep_block(draws, grid, orders)
+        rows = []
+        for t, base in enumerate(bases):
+            rows.append(("factor_chain", dict(d=d, slack=chain[t], factor=g[t], seed=base)))
+            relation = iter(reports)
+            for alpha, (lhs, rhs) in zip(grid, theorem1):
+                fields = dict(alpha=alpha, lhs=lhs[t], rhs=rhs[t], slack=lhs[t] - rhs[t])
+                rows.append(("theorem1_tsallis", dict(d=d, seed=base, **fields)))
+                if alpha <= 0.5:
+                    continue
+                for name in ("theorem2_tsallis", "renyi_relation"):
+                    report = next(relation).entry(t)
+                    rows.append((name, dict(d=d, factor_kind="g", seed=base, **_report_fields(report))))
+        return rows
+
+    _stream_trials(rep, args.trials, d * d * (d + args.remixings + 3), draw, compute)
 
 
 def _stream_trials(rep: Reporter, trials: int, per_trial: int, draw, compute) -> None:
-    """Run trials 0..trials-1 in blocks of at most BLOCK_ELEMENTS // per_trial.
+    """Run trials 0..trials-1 in blocks of at most BLOCK_ELEMENTS // per_trial,
+    the first block of trial 0 alone.
 
     draw(t) makes trial t's inputs, in trial order; compute(drawn) takes a list
     of drawn trials, makes one kernel call per quantity over them and returns
-    their rows, (check_name, fields) pairs in trial order.  Each block's rows
-    are written before the next block is drawn.  A trial whose draw or
-    computation raises still leaves the rows of the trials before it.
+    their rows, (check_name, fields) pairs in trial order.  compute may empty
+    the list, so that a large trial's draws go once they are stacked.  Each
+    block's rows are written before the next block is drawn.  A trial whose
+    draw or computation raises still leaves the rows of the trials before it.
     """
     size = max(1, BLOCK_ELEMENTS // per_trial)
-    for start in range(0, trials, size):
+    start = 0
+    while start < trials:
+        stop = min(start + size, trials) if start else 1
         drawn = []
         try:
-            for t in range(start, min(start + size, trials)):
+            for t in range(start, stop):
                 drawn.append(draw(t))
         except Exception:
             _write_block(rep, drawn, compute)
             raise
         _write_block(rep, drawn, compute)
+        start = stop
 
 
 def _write_block(rep: Reporter, drawn: list, compute) -> None:
     if not drawn:
         return
+    # a block of several trials is small (BLOCK_ELEMENTS), so its draws are kept
+    # to run it again one trial at a time; one trial has nothing to fall back to
+    kept = list(drawn) if len(drawn) > 1 else []
     try:
         rows = compute(drawn)
     except Exception:
-        # again one trial at a time: the trials before the one that raises report
-        for one in drawn:
-            for name, fields in compute([one]):
-                rep.row(name, **fields)
+        if not kept:
+            raise
+        # the trials before the one that raises report
+        for one in kept:
+            rep.rows(compute([one]))
         return
-    for name, fields in rows:
-        rep.row(name, **fields)
+    rep.rows(rows)
 
 
 def cmd_demo(args, rep: Reporter) -> None:
@@ -333,24 +417,25 @@ def cmd_ensemble(args, rep: Reporter) -> None:
 
     def draw(t: int) -> tuple:
         # seeds: the state at base, the mixing unitary at base + 1, the mixture's
-        # weights at base + 2 and its members at base + 3 + k
+        # weights at base + 2 and its members at base + 3 + k; the Ginibre draws of
+        # random_density and haar_random_unitary
         base = args.seed + 1000 * t
         return (
             base,
-            linalg.random_density(d, d, base),
-            linalg.haar_random_unitary(m, base + 1),
+            linalg.seeded_ginibre(base, d, d),
+            linalg.seeded_ginibre(base + 1, m, m),
             np.random.default_rng(base + 2).dirichlet(np.ones(m)),
-            [linalg.random_density(d, d, base + 3 + k) for k in range(m)],
+            [linalg.seeded_ginibre(base + 3 + k, d, d) for k in range(m)],
         )
 
     def compute(drawn: list):
         bases, rhos, us, mix_weights, members = zip(*drawn)
-        _, w, v = linalg.density_spectrum(np.stack(rhos), name="rho", vectors=True)
-        weights, states = ensembles._pure_members(w, v, np.stack(us))
+        _, w, v = linalg.density_spectrum(linalg._densities(np.stack(rhos)), name="rho", vectors=True)
+        weights, states = ensembles._pure_members(w, v, linalg.positive_qr(np.stack(us)))
         # normalized again, as PureEnsemble normalizes what ensemble_from_state gives it,
         # so each row equals the one-element path's to the bit
         state_h, weight_h = ensembles._pure_bounds(as_prob_vector(weights), states, alpha, "tsallis")
-        members, spectra = linalg.density_spectrum(np.reshape(members, (-1, d, d)), name="member")
+        members, spectra = linalg.density_spectrum(linalg._densities(np.reshape(members, (-1, d, d))), name="member")
         t = len(drawn)
         lower, mid, upper = ensembles._sandwich(
             as_prob_vector(np.stack(mix_weights)), members.reshape(t, m, d, d), spectra.reshape(t, m, d), alpha
@@ -379,7 +464,10 @@ def cmd_phi_min(args, rep: Reporter) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; main looks each command's function
+    up when it runs."""
     p = argparse.ArgumentParser(prog="unravel", description=__doc__)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--timing", action="store_true", help="include wall_time_ms in rows")
@@ -387,24 +475,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("extremal", help="Gram spectrum and extremal-vs-remixing sweep")
     s.add_argument("--in", dest="infile", required=True)
-    s.add_argument("--alpha-grid", default="0.3,0.7,1.0,1.5,2,5")
+    s.add_argument("--alpha-grid", type=_orders, default="0.3,0.7,1.0,1.5,2,5")
     s.add_argument("--remixings", type=_count(), default=200)
-    s.set_defaults(func=cmd_extremal)
 
     s = sub.add_parser("uncertainty", help="one uncertainty bound report")
     s.add_argument("--in", dest="infile", required=True)
     s.add_argument("--alpha", type=float, required=True)
     s.add_argument("--factor", choices=("g", "f", "fbar"), default="g")
     s.add_argument("--kind", choices=("tsallis", "renyi"), default="tsallis")
-    s.set_defaults(func=cmd_uncertainty)
 
     s = sub.add_parser("sweep", help="randomized verification sweep")
     s.add_argument("--dim", type=_count(), required=True)
     s.add_argument("--trials", type=_count(0), required=True)
-    s.add_argument("--alpha-grid", default="1.5,2,3")
+    s.add_argument("--alpha-grid", type=_orders, default="1.5,2,3")
     s.add_argument("--remixings", type=_count(), default=100)
     s.add_argument("--seed", type=_count(0), default=0)
-    s.set_defaults(func=cmd_sweep)
 
     s = sub.add_parser("demo", help="worked examples")
     s.add_argument("which", choices=("dft", "angle"))
@@ -413,9 +498,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--trials", type=_count(0), default=0)
     s.add_argument("--nbins", type=_count(), default=8)
     s.add_argument("--L", dest="truncation", type=_count(0), default=50)
-    s.add_argument("--width", type=float, default=3.0)
+    s.add_argument("--width", type=_positive, default=3.0)
     s.add_argument("--seed", type=_count(0), default=0)
-    s.set_defaults(func=cmd_demo)
 
     s = sub.add_parser("ensemble", help="ensemble entropy bounds sweep")
     s.add_argument("--dim", type=_count(), required=True)
@@ -423,13 +507,11 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--alpha", type=float, required=True)
     s.add_argument("--trials", type=_count(0), required=True)
     s.add_argument("--seed", type=_count(0), default=0)
-    s.set_defaults(func=cmd_ensemble)
 
     s = sub.add_parser("phi-min", help="constrained-minimum verifier")
     s.add_argument("--gamma", type=float, required=True)
     s.add_argument("--alpha", type=float, required=True)
     s.add_argument("--grid", type=_count(2), default=2000)
-    s.set_defaults(func=cmd_phi_min)
     return p
 
 
@@ -461,9 +543,10 @@ def _discard(stream) -> None:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     rep = Reporter(args.format, args.timing, sys.stdout)
     try:
-        args.func(args, rep)
+        command(args, rep)
     except ValueError as exc:
         return _fail(str(exc), 2)
     except BrokenPipeError as exc:

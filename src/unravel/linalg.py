@@ -3,7 +3,10 @@
 Validation of matrices and matrix stacks (finite, Hermitian, unitary, density),
 the Hermitian part, Hermitian eigendecomposition with a canonical (descending)
 eigenvalue order, and seeded random generators: Ginibre arrays, Haar-random
-unitaries and isometries, and density matrices.
+unitaries and isometries, and density matrices.  Each seeded generator makes
+one Ginibre draw (seeded_ginibre) and hands it to a kernel that works on a
+stack of such draws, so a block of trials can draw one trial at a time and do
+the arithmetic once.
 """
 
 from __future__ import annotations
@@ -124,12 +127,25 @@ def ginibre(rng: np.random.Generator, *shape: int) -> np.ndarray:
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
 
 
+def seeded_ginibre(seed: int, *shape: int) -> np.ndarray:
+    """ginibre from a generator seeded with `seed`: the one draw each seeded
+    generator below makes."""
+    return ginibre(np.random.default_rng(seed), *shape)
+
+
 def positive_qr(z: np.ndarray) -> np.ndarray:
     """Q of z = QR (per matrix of a stack) with R's diagonal real positive: for a
     Ginibre z, a Haar-random unitary (square z) or isometry (tall z)."""
     q, r = np.linalg.qr(z)
     d = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (d / np.abs(d))[..., None, :]
+    q *= (d / np.abs(d))[..., None, :]
+    return q
+
+
+def _densities(g: np.ndarray) -> np.ndarray:
+    """rho = GG†/tr(GG†) for each Ginibre matrix G of a (..., dim, rank) stack."""
+    rho = g @ g.conj().swapaxes(-1, -2)
+    return hermitianize(rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None])
 
 
 def haar_random_unitary(dim: int, seed: int) -> np.ndarray:
@@ -141,7 +157,7 @@ def haar_random_unitaries(dim: int, count: int, seed: int) -> np.ndarray:
     """Stack of `count` Haar-random unitaries, shape (count, dim, dim)."""
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
-    return positive_qr(ginibre(np.random.default_rng(seed), count, dim, dim))
+    return positive_qr(seeded_ginibre(seed, count, dim, dim))
 
 
 def random_density(dim: int, rank: int, seed: int) -> np.ndarray:
@@ -150,6 +166,4 @@ def random_density(dim: int, rank: int, seed: int) -> np.ndarray:
         raise ValueError(f"dim must be >= 1, got {dim}")
     if not 1 <= rank <= dim:
         raise ValueError(f"rank must lie in [1, {dim}], got {rank}")
-    g = ginibre(np.random.default_rng(seed), dim, rank)
-    rho = g @ g.conj().T
-    return hermitianize(rho / np.trace(rho).real)
+    return _densities(seeded_ginibre(seed, dim, rank))

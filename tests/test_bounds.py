@@ -102,10 +102,19 @@ def _count_stack_decompositions(monkeypatch) -> list:
 
 class TestDecompositionCounts:
     def test_sweep_trial_decomposes_no_stack(self, monkeypatch, capsys):
-        # both POVMs come from random_projective_povm, which holds its root factors
-        calls = _count_stack_decompositions(monkeypatch)
-        assert cli.main(["sweep", "--dim", "8", "--trials", "1"]) == 0
-        assert calls == []
+        # both POVMs come from the projective kernel, which holds its root factors; the
+        # sweep decomposes only its stacks of states and Gram matrices, (1, 8, 8) per block
+        shapes = []
+        for name in ("eigh", "eigvalsh"):
+
+            def recorded(a, *args, _original=getattr(np.linalg, name), **kwargs):
+                shapes.append(np.shape(a))
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, recorded)
+        assert cli.main(["sweep", "--dim", "8", "--trials", "2"]) == 0
+        assert (1, 8, 8) in shapes
+        assert [s for s in shapes if s[-3:] == (8, 8, 8)] == []  # no POVM element stack
 
     def test_povm_then_f_bar_decomposes_each_stack_once(self, monkeypatch):
         stacks = [random_povm(4, 3, seed=s).elements for s in (1, 2)]
@@ -406,13 +415,15 @@ class TestCheckValidatesOnce:
                 assert len(calls) == 1
 
     def test_sweep_trial(self, monkeypatch, capsys):
-        # one Gram matrix and one uncertainty body per trial
-        density = _count_calls(monkeypatch, linalg, "check_density")
+        # one validation of the stacked states and one uncertainty body per block:
+        # trials 0 and then 1-2 make two blocks
+        density = _count_calls(monkeypatch, linalg, "density_spectrum")
         g = _count_calls(monkeypatch, bounds, "_g")
         weights = _count_calls(monkeypatch, bounds, "_outcome_weights")
-        assert cli.main(["sweep", "--dim", "3", "--trials", "1", "--seed", "4"]) == 0
-        assert len(capsys.readouterr().out.splitlines()) == 10
-        assert (len(density), len(g), len(weights)) == (2, 1, 2)
+        monkeypatch.setattr(cli, "BLOCK_ELEMENTS", 2 * 9 * (3 + 100 + 3))
+        assert cli.main(["sweep", "--dim", "3", "--trials", "3", "--seed", "4"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 30
+        assert (len(density), len(g), len(weights)) == (2, 2, 4)
 
     def test_extremal_pair(self, monkeypatch):
         calls = _count_calls(monkeypatch, linalg, "check_density")

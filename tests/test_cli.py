@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import unravel
 from unravel import bounds, channels, cli, demos, ensembles, linalg
 from unravel.channels import random_unraveling
-from unravel.entropy import conjugate_order
+from unravel.entropy import conjugate_order, tsallis_entropy
 
 from helpers import x_basis_povm, z_basis_povm
 
@@ -256,15 +256,16 @@ class TestSweepCommand:
     def test_rows_stream_as_made(self, capsys, monkeypatch):
         # trial 0's rows reach stdout before trial 1 draws its state, and an error in
         # trial 1 leaves them there as whole JSON lines
-        draw, before_draw = linalg.random_density, []
+        draw, before_draw = linalg.seeded_ginibre, []
 
-        def spy(dim, rank, seed):
-            before_draw.append(capsys.readouterr().out)
-            if len(before_draw) == 2:
+        def spy(seed, *shape):
+            if seed in (5, 1005):  # each trial's first draw, its state's
+                before_draw.append(capsys.readouterr().out)
+            if seed == 1005:
                 raise ValueError("trial 1 failed")
-            return draw(dim, rank, seed)
+            return draw(seed, *shape)
 
-        monkeypatch.setattr(linalg, "random_density", spy)
+        monkeypatch.setattr(linalg, "seeded_ginibre", spy)
         code, out, err = _run(capsys, ["sweep", "--dim", "2", "--trials", "2", "--seed", "5"])
         assert code == 2
         assert json.loads(err) == {"error": "trial 1 failed"}
@@ -357,6 +358,14 @@ class TestSizeArguments:
             (["demo", "dft", "--alpha", "2", "--trials", "1", "--seed", "-1"], "--seed"),
             (["demo", "angle", "--alpha", "2", "--L", "-1"], "--L"),
             (["phi-min", "--gamma", "2", "--alpha", "2", "--grid", "1"], "--grid"),
+            (["sweep", "--dim", "2", "--trials", "2", "--alpha-grid", "0"], "--alpha-grid"),
+            (["sweep", "--dim", "2", "--trials", "2", "--alpha-grid", "nan"], "--alpha-grid"),
+            (["sweep", "--dim", "2", "--trials", "2", "--alpha-grid", "1.5,-1"], "--alpha-grid"),
+            (["sweep", "--dim", "2", "--trials", "2", "--alpha-grid", "2,inf"], "--alpha-grid"),
+            (["sweep", "--dim", "2", "--trials", "2", "--alpha-grid", "2,x"], "--alpha-grid"),
+            (["extremal", "--in", "instance.json", "--alpha-grid", "0"], "--alpha-grid"),
+            (["demo", "angle", "--alpha", "2", "--width", "0"], "--width"),
+            (["demo", "angle", "--alpha", "2", "--width", "nan"], "--width"),
         ],
     )
     def test_out_of_range_exits_2(self, capsys, argv, flag):
@@ -374,12 +383,50 @@ class TestSizeArguments:
         assert code == 0 and len(_json_rows(out)) == 1
 
 
+class TestParser:
+    def test_built_once_gives_what_a_fresh_parser_gives(self, tmp_path, capsys):
+        path = TestUncertaintyCommand()._zx_instance(tmp_path)
+        runs = [
+            ["sweep", "--dim", "2", "--trials", "1", "--seed", "5"],
+            ["sweep", "--dim", "2", "--trials", "1"],
+            ["sweep", "--dim", "0", "--trials", "1"],
+            ["uncertainty", "--in", path, "--alpha", "2"],
+        ]
+
+        def run(argv):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = f"exit {exc.code}"
+            return (code, *capsys.readouterr())
+
+        one_parser = [run(argv) for argv in runs]
+        assert cli.build_parser() is cli.build_parser()
+        fresh = []
+        for argv in runs:
+            cli.build_parser.cache_clear()
+            fresh.append(run(argv))
+        assert one_parser == fresh
+        assert [r["seed"] for r in _json_rows(one_parser[0][1])] == [5] * 10
+        assert [r["seed"] for r in _json_rows(one_parser[1][1])] == [0] * 10
+        assert one_parser[2][0] == "exit 2" and "--dim" in one_parser[2][2]
+        assert _json_rows(one_parser[3][1])[0]["check_name"] == "tsallis_uncertainty"
+
+    def test_patched_command_applies(self, capsys, monkeypatch):
+        # the command's function is looked up when main runs, not when the parser is built
+        argv = ["phi-min", "--gamma", "2", "--alpha", "2"]
+        assert _run(capsys, argv)[0] == 0
+        monkeypatch.setattr(cli, "cmd_phi_min", lambda args, rep: rep.row("patched", slack=args.gamma))
+        code, out, _ = _run(capsys, argv)
+        assert (code, _json_rows(out)) == (0, [{"check_name": "patched", "slack": 2.0}])
+
+
 class TestUnexpectedError:
     def test_reported_with_exit_3(self, capsys, monkeypatch):
         def broken(m, n):
             raise RuntimeError("out of luck")
 
-        monkeypatch.setattr(bounds, "f_bar", broken)
+        monkeypatch.setattr(bounds, "_f_bar", broken)  # the stacked kernel the sweep calls
         code, out, err = _run(capsys, ["sweep", "--dim", "2", "--trials", "1"])
         assert (code, out) == (3, "")
         assert json.loads(err) == {"error": "RuntimeError: out of luck"}
@@ -478,15 +525,15 @@ class TestBlockedTrials:
 
     def test_failing_draw_leaves_earlier_rows(self, capsys, monkeypatch):
         # the state of trial 3 fails to draw, in the middle of a block of 4 trials
-        draw, drawn = linalg.random_density, []
+        draw, drawn = linalg.seeded_ginibre, []
 
-        def spy(dim, rank, seed):
+        def spy(seed, *shape):
             drawn.append(seed)
             if seed == 3000:
                 raise ValueError("trial 3 failed")
-            return draw(dim, rank, seed)
+            return draw(seed, *shape)
 
-        monkeypatch.setattr(linalg, "random_density", spy)
+        monkeypatch.setattr(linalg, "seeded_ginibre", spy)
         monkeypatch.setattr(cli, "BLOCK_ELEMENTS", 4 * (3 * 4 + 4))
         code, out, err = _run(capsys, ["ensemble", "--dim", "2", "--members", "2", "--alpha", "2", "--trials", "8"])
         assert code == 2
@@ -494,6 +541,16 @@ class TestBlockedTrials:
         rows = _json_rows(out)
         assert [r["seed"] for r in rows] == [0, 0, 1000, 1000, 2000, 2000]
         assert max(drawn) == 3000  # no trial after the failing one was drawn
+
+        drawn.clear()
+        monkeypatch.setattr(cli, "BLOCK_ELEMENTS", 4 * 4 * (2 + 5 + 3))
+        code, out, err = _run(capsys, ["sweep", "--dim", "2", "--trials", "8", "--remixings", "5"])
+        assert code == 2
+        assert json.loads(err) == {"error": "trial 3 failed"}
+        rows = _json_rows(out)
+        assert [r["seed"] for r in rows if r["check_name"] == "factor_chain"] == [0, 1000, 2000]
+        assert len(rows) == 3 * 10
+        assert max(drawn) == 3000
 
     def test_failing_trial_leaves_earlier_rows(self, capsys, monkeypatch):
         # the demo raises on trial 5's state, inside the second block of 4 trials
@@ -516,18 +573,75 @@ class TestBlockedTrials:
         rows = _json_rows(out)
         assert [r["check_name"] for r in rows] == ["dft_basis_state"] + ["dft_random_state"] * 5
 
+        # the sweep's f kernel raises on the stacked states that hold trial 5's
+        rho5, f = linalg.random_density(3, 3, 9 + 5000), bounds._f
+
+        def f_spy(m, n, rho):
+            if (rho == rho5).all(axis=(1, 2)).any():
+                raise RuntimeError("trial 5 failed")
+            return f(m, n, rho)
+
+        monkeypatch.setattr(bounds, "_f", f_spy)
+        monkeypatch.setattr(cli, "BLOCK_ELEMENTS", 4 * 9 * (3 + 7 + 3))
+        code, out, err = _run(capsys, ["sweep", "--dim", "3", "--trials", "8", "--remixings", "7", "--seed", "9"])
+        assert code == 3
+        assert json.loads(err) == {"error": "RuntimeError: trial 5 failed"}
+        rows = _json_rows(out)
+        assert [r["seed"] for r in rows if r["check_name"] == "factor_chain"] == [9, 1009, 2009, 3009, 4009]
+        assert len(rows) == 5 * 10
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        d=st.integers(1, 8),
+        trials=st.integers(0, 9),
+        remixings=st.integers(1, 6),
+        seed=st.integers(0, 10**6),
+        block=st.integers(1, 7),
+        grid=st.lists(st.one_of(st.sampled_from([0.3, 2.0]), st.floats(0.05, 20.0)), max_size=3).flatmap(
+            lambda extra: st.permutations(extra + [0.5, 1.0])
+        ),
+    )
+    def test_sweep_rows_match_per_trial_path(self, d, trials, remixings, seed, block, grid):
+        argv = ["sweep", "--dim", str(d), "--trials", str(trials), "--remixings", str(remixings), "--seed", str(seed)]
+        with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(io.StringIO()) as out:
+            mp.setattr(cli, "BLOCK_ELEMENTS", block * d * d * (d + remixings + 3))  # blocks of `block` trials
+            assert cli.main(argv + ["--alpha-grid", ",".join(map(repr, grid))]) == 0
+        want = []
+        for t in range(trials):
+            # the public one-trial functions, under the sweep's seed layout
+            base = seed + 1000 * t
+            rho = linalg.random_density(d, d, base)
+            extremal = channels.extremal_unraveling(channels.random_unraveling(d, d, base + 1), rho)
+            probs = channels.remixed_probabilities(extremal.gram, linalg.haar_random_unitaries(d, remixings, base + 2))
+            m, n = bounds.random_projective_povm(d, base + 3), bounds.random_projective_povm(d, base + 4)
+            g, f, fb = bounds.g_factor(m, n, rho), bounds.f_factor(m, n, rho), bounds.f_bar(m, n)
+            want.append(dict(check_name="factor_chain", d=d, slack=min(f - g, fb - f, 1.0 + 1e-10 - fb), factor=g, seed=base))
+            for alpha in grid:
+                lhs, rhs = float(tsallis_entropy(probs, alpha).min()), tsallis_entropy(extremal.lambdas, alpha)
+                want.append(dict(check_name="theorem1_tsallis", d=d, alpha=alpha, lhs=lhs, rhs=rhs, slack=lhs - rhs, seed=base))
+                if alpha > 0.5:
+                    orders = conjugate_order(alpha)
+                    for name, check in (
+                        ("theorem2_tsallis", bounds.tsallis_uncertainty_check),
+                        ("renyi_relation", bounds.renyi_uncertainty_check),
+                    ):
+                        report = check(m, n, rho, orders, "g")
+                        want.append(dict(check_name=name, d=d, factor_kind="g", seed=base, **cli._report_fields(report)))
+        assert _json_rows(out.getvalue()) == want
+
     @pytest.mark.parametrize(
         "argv, trials",
         [
             (["demo", "dft", "--dim", "8", "--alpha", "2"], 400),
             (["ensemble", "--dim", "3", "--members", "4", "--alpha", "2"], 40),
+            (["sweep", "--dim", "2", "--remixings", "20"], 40),
         ],
-        ids=["demo-dft", "ensemble"],
+        ids=["demo-dft", "ensemble", "sweep"],
     )
     def test_memory_flat_in_trials(self, monkeypatch, argv, trials):
         # blocks of 25 trials: ten times the trials, the same peak.  (CPython keeps up to
         # 2000 freed tuples of each length below 21 for reuse, which would count here.)
-        per_trial = 8 if argv[0] == "demo" else 5 * 9 + 16
+        per_trial = {"demo": 8, "ensemble": 5 * 9 + 16, "sweep": 4 * (2 + 20 + 3)}[argv[0]]
         monkeypatch.setattr(cli, "BLOCK_ELEMENTS", 25 * per_trial)
         monkeypatch.setattr(sys, "stdout", _NullStream())
         peaks = []
@@ -617,6 +731,21 @@ class TestReporter:
             rep.obj({"check_name": "b"})
             assert len(flushed) == 2
             assert flushed[-1] == stream.getvalue()
+
+    def test_block_is_one_write_and_one_flush(self):
+        # rows(...) writes a block's rows as the same bytes as row(...) one at a time
+        block = [("a", dict(d=2, slack=0.0, seed=1)), ("b", dict(alpha=1.5, lhs=1.0, rhs=0.5, slack=float("nan")))]
+        for fmt in ("json", "csv"):
+            single = io.StringIO()
+            one_at_a_time = cli.Reporter(fmt, False, single)
+            for name, fields in block:
+                one_at_a_time.row(name, **fields)
+            stream, flushed = io.StringIO(), []
+            stream.flush = lambda: flushed.append(stream.getvalue())
+            rep = cli.Reporter(fmt, False, stream)
+            rep.rows(block)
+            assert flushed == [single.getvalue()]
+            assert rep.exit_code == one_at_a_time.exit_code == 1  # the NaN slack
 
     def test_nan_slack_is_a_violation(self):
         rep = cli.Reporter("csv", False, io.StringIO())
