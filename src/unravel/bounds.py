@@ -32,7 +32,7 @@ import numpy as np
 
 from . import linalg
 from .channels import Unraveling, _extremal
-from .entropy import ConjugateOrders, alpha_log, as_prob_vector, classical_entropy
+from .entropy import ConjugateOrders, _entropy, alpha_log, as_prob_vector
 from .linalg import check_density
 
 # Probabilities below this are treated as zero in the factor maxima.
@@ -135,7 +135,12 @@ def bound_report(
     alpha is bound to p and beta to q.  The entropies are exact at every
     order, the Shannon case alpha = beta = 1 included.
     """
-    lhs = classical_entropy(p, orders.alpha, kind) + classical_entropy(q, orders.beta, kind)
+    return _bound_report(as_prob_vector(p), as_prob_vector(q), orders, kind, factor, rhs)
+
+
+def _bound_report(p: np.ndarray, q: np.ndarray, orders: ConjugateOrders, kind: str, factor, rhs) -> BoundReport:
+    """bound_report of distributions already through as_prob_vector."""
+    lhs = _entropy(p, orders.alpha, kind) + _entropy(q, orders.beta, kind)
     return BoundReport(lhs=lhs, rhs=rhs, slack=lhs - rhs, factor=factor, orders=orders)
 
 
@@ -256,7 +261,8 @@ def _reports(
 ) -> tuple[np.ndarray, list[BoundReport]]:
     """(factor, reports) at validated states, stacked: p, q and the factor are
     computed once per trial, then one report per order of orders_seq and kind of
-    kinds, orders outer, each with one entry per trial."""
+    kinds, orders outer, each with one entry per trial.  The reports validate
+    the stacks of p and of q once, for every order and kind."""
     p, q = _outcome_weights(m, rho), _outcome_weights(n, rho)
     if factor_kind == "g":
         factor = _g(m, n, rho, p, q)
@@ -272,7 +278,10 @@ def _reports(
             return np.array([alpha_log(f**-2, orders.mu) for f in factor.tolist()])
         return -2.0 * np.log(factor)
 
-    return factor, [bound_report(p, q, o, k, factor, rhs(o, k)) for o in orders_seq for k in kinds]
+    pairs = [(o, k) for o in orders_seq for k in kinds]
+    if pairs:  # g_factor asks for no report, so it checks no distribution
+        p, q = as_prob_vector(p), as_prob_vector(q)
+    return factor, [_bound_report(p, q, o, k, factor, rhs(o, k)) for o, k in pairs]
 
 
 def _uncertainty_check(

@@ -14,6 +14,7 @@ import argparse
 import csv
 import functools
 import io
+import itertools
 import json
 import os
 import sys
@@ -22,7 +23,7 @@ import time
 import numpy as np
 
 from . import bounds, channels, demos, ensembles, linalg
-from .entropy import as_prob_vector, conjugate_order, tsallis_entropy
+from .entropy import _entropy, as_prob_vector, conjugate_order
 
 SLACK_TOL = -1e-9
 
@@ -31,6 +32,10 @@ SLACK_TOL = -1e-9
 # The first block holds one trial, so the first rows never wait for a full block.
 BLOCK_ELEMENTS = 1 << 16
 
+# The fields of a report row: the order of the keys in each JSON row (keys not
+# listed here follow, in the order given), and the CSV header.  Reporter.table
+# renders a block's rows from its columns; each JSON line is json.dumps of the
+# row's dict, byte for byte, and --timing gives one wall_time_ms per table.
 ROW_FIELDS = [
     "check_name",
     "d",
@@ -115,42 +120,57 @@ def load_instance(path: str, needs: tuple = ()) -> dict:
 
 class Reporter:
     """Writes rows to the stream as they are made, flushed, so a reader sees
-    whole rows while a run goes on and keeps them if it is killed: each row of
-    `row`, or each block of rows of `rows` with one write and one flush."""
+    whole rows while a run goes on and keeps them if it is killed: each table
+    of rows with one write and one flush.
+
+    A table is a list of row shapes, (check_name, fields) pairs.  A field whose
+    value is a list is a column, one number per trial, with the same count in
+    every column of the table; every other field is constant.  The table's
+    rows are those of its shapes in order for trial 0, then for trial 1, and so
+    on; a table without columns is one trial.  Each row is written as
+    json.dumps of a dict of its fields in ROW_FIELDS order, then the other keys
+    in the order given, less the fields that are None (or in the CSV bytes that
+    csv.DictWriter writes for the ROW_FIELDS).
+    """
 
     def __init__(self, fmt: str, timing: bool, stream):
         self.fmt = fmt
         self.timing = timing
         self.stream = stream
         self.violated = False
-        self._csv = io.StringIO()  # the csv writer writes here, and each line is taken out
+        self._csv = io.StringIO()  # the csv writer writes here, and the text is taken out
         self._writer = None
         self._t0 = time.perf_counter()
 
     def row(self, check_name: str, **fields):
-        self.rows([(check_name, fields)])
+        self.table([(check_name, fields)])
 
-    def rows(self, rows):
-        """Write (check_name, fields) pairs as one piece of text."""
-        self._write("".join(self._line(name, fields) for name, fields in rows))
+    def table(self, shapes) -> None:
+        """Write the rows of a table (see the class) as one piece of text."""
+        for _, fields in shapes:
+            slack = fields.get("slack")
+            slacks = slack if isinstance(slack, list) else [] if slack is None else [slack]
+            if not all(s >= SLACK_TOL for s in slacks):
+                self.violated = True  # NaN counts as a violation
+        wall_time_ms = round((time.perf_counter() - self._t0) * 1000.0, 3) if self.timing else None
+        rows = [_ordered(name, fields, wall_time_ms) for name, fields in shapes]
+        self._write(_json_table(rows) if self.fmt == "json" else self._csv_table(rows))
 
-    def _line(self, check_name: str, fields: dict) -> str:
-        row = {k: None for k in ROW_FIELDS}
-        row["check_name"] = check_name
-        row.update(fields)
-        if self.timing:
-            row["wall_time_ms"] = round((time.perf_counter() - self._t0) * 1000.0, 3)
-        else:
-            row.pop("wall_time_ms")
-        if row.get("slack") is not None and not row["slack"] >= SLACK_TOL:
-            self.violated = True  # NaN counts as a violation
-        if self.fmt == "json":
-            return json.dumps({k: v for k, v in row.items() if v is not None}) + "\n"
+    def _csv_table(self, rows: list) -> str:
+        """The table's CSV lines, the header first in a run's first table."""
+        trials = next((len(v) for row in rows for v in row.values() if isinstance(v, list)), 1)
+        per_shape = [
+            zip(*(v if isinstance(v, list) else itertools.repeat(v, trials) for v in map(row.get, ROW_FIELDS)))
+            for row in rows
+        ]
+        lines = list(itertools.chain.from_iterable(zip(*per_shape)))
+        if not lines:
+            return ""
         if self._writer is None:
-            self._writer = csv.DictWriter(self._csv, fieldnames=ROW_FIELDS)
-            self._writer.writeheader()
-        self._writer.writerow({k: row.get(k) for k in ROW_FIELDS})
-        text = self._csv.getvalue()  # the header too, before the first row
+            self._writer = csv.writer(self._csv)
+            self._writer.writerow(ROW_FIELDS)
+        self._writer.writerows(lines)
+        text = self._csv.getvalue()
         self._csv.seek(0)
         self._csv.truncate()
         return text
@@ -167,17 +187,51 @@ class Reporter:
         return 1 if self.violated else 0
 
 
-def _report_fields(report: bounds.BoundReport, **extra):
-    return dict(
-        alpha=report.orders.alpha,
-        beta=report.orders.beta,
-        mu=report.orders.mu,
-        lhs=report.lhs,
-        rhs=report.rhs,
-        slack=report.slack,
-        factor=report.factor,
-        **extra,
+def _ordered(check_name: str, fields: dict, wall_time_ms) -> dict:
+    """A row shape's fields in row order: ROW_FIELDS, then the other keys as given."""
+    row = dict.fromkeys(ROW_FIELDS)
+    row["check_name"] = check_name
+    row.update(fields)
+    row["wall_time_ms"] = wall_time_ms
+    return row
+
+
+def _cells(values: list) -> list:
+    """The JSON text of each value, from one encoder call over the list.  The
+    encoder separates the items with ", ", which no number's text holds; values
+    whose text does (a string with ", ", say) are encoded one by one."""
+    cells = json.dumps(values)[1:-1].split(", ")
+    return cells if len(cells) == len(values) else [json.dumps(v) for v in values]
+
+
+def _json_table(rows: list) -> str:
+    """The table's JSON lines.  A table without columns is its rows' dicts, one
+    json.dumps call each.  Otherwise one trial's lines are a template that holds
+    the keys and the constants, encoded in one json.dumps call, and a %s for
+    each column's cell; each column is encoded with one json.dumps call."""
+    shapes = [{k: v for k, v in row.items() if v is not None} for row in rows]
+    columns = [v for fields in shapes for v in fields.values() if isinstance(v, list)]
+    if not columns:
+        return "".join(json.dumps(fields) + "\n" for fields in shapes)
+    keys = [k for fields in shapes for k in fields]
+    text = _cells(keys + [v for fields in shapes for v in fields.values() if not isinstance(v, list)])
+    key_text, value_text = iter(text), iter(text[len(keys) :])
+    # a NUL marks each cell, since the encoder writes no control character
+    template = "".join(
+        "{" + ", ".join([f"{next(key_text)}: {chr(0) if isinstance(v, list) else next(value_text)}" for v in fields.values()]) + "}\n"
+        for fields in shapes
     )
+    template = template.replace("%", "%%").replace(chr(0), "%s")
+    return "".join(map(template.__mod__, zip(*map(_cells, columns))))
+
+
+def _report_fields(report: bounds.BoundReport, **extra):
+    """A report's fields for a row shape: arrays of a stacked report as columns."""
+    lhs, rhs, slack, factor = (
+        v.tolist() if isinstance(v, np.ndarray) else v for v in (report.lhs, report.rhs, report.slack, report.factor)
+    )
+    orders = report.orders
+    return dict(alpha=orders.alpha, beta=orders.beta, mu=orders.mu, lhs=lhs, rhs=rhs, slack=slack, factor=factor, **extra)
 
 
 def _positive(text: str) -> float:
@@ -213,10 +267,11 @@ def _count(least: int = 1):
 
 def _theorem1(lambdas: np.ndarray, probs: np.ndarray, alpha: float) -> tuple:
     """The least Tsallis entropy of the remixed distributions probs (lhs) and
-    that of the Gram spectrum lambdas (rhs): one value each for one instance,
-    lambdas (n,) and probs (remixings, n); one per trial for stacks, lambdas
-    (T, n) and probs (T, remixings, n)."""
-    return tsallis_entropy(probs, alpha).min(axis=-1), tsallis_entropy(lambdas, alpha)
+    that of the Gram spectrum lambdas (rhs), both already through
+    as_prob_vector: one value each for one instance, lambdas (n,) and probs
+    (remixings, n); one per trial for stacks, lambdas (T, n) and probs
+    (T, remixings, n)."""
+    return _entropy(probs, alpha, "tsallis").min(axis=-1), _entropy(lambdas, alpha, "tsallis")
 
 
 def cmd_extremal(args, rep: Reporter) -> None:
@@ -231,10 +286,13 @@ def cmd_extremal(args, rep: Reporter) -> None:
         }
     )
     us = linalg.haar_random_unitaries(a.n_ops, args.remixings, inst["seed"])
-    probs = channels.remixed_probabilities(result.gram, us)
-    for alpha in args.alpha_grid:
-        lhs, rhs = (float(h) for h in _theorem1(result.lambdas, probs, alpha))
-        rep.row("extremal_vs_remixings", d=a.dim_in, seed=inst["seed"], alpha=alpha, lhs=lhs, rhs=rhs, slack=lhs - rhs)
+    # each stack validated once, for every order
+    lambdas = as_prob_vector(result.lambdas)
+    probs = as_prob_vector(channels.remixed_probabilities(result.gram, us))
+    # one (lhs, rhs) pair per order, as two columns
+    lhs, rhs = np.reshape([_theorem1(lambdas, probs, alpha) for alpha in args.alpha_grid], (-1, 2)).T
+    columns = dict(alpha=args.alpha_grid, lhs=lhs.tolist(), rhs=rhs.tolist(), slack=(lhs - rhs).tolist())
+    rep.table([("extremal_vs_remixings", dict(d=a.dim_in, seed=inst["seed"], **columns))])
 
 
 def cmd_uncertainty(args, rep: Reporter) -> None:
@@ -284,14 +342,18 @@ def _sweep_block(draws: list, grid: list, orders: list) -> tuple:
 
     draws holds, per draw, one Ginibre array per trial; each stage takes its
     draws out of the list, so they go when the stage ends.  Returns the
-    factor_chain columns (g, chain slack), the theorem-1 columns per order of
-    grid and the relation reports per order of orders, each entry a list over
-    the trials.
+    factor_chain columns (g, chain slack), the theorem-1 fields per order of
+    grid and the stacked relation reports per order of orders; each column is
+    a list over the trials.
     """
     rho = _sweep_states(draws.pop(0))
     gram, lambdas = _sweep_gram(draws.pop(0), rho)
-    probs = _sweep_remixed(draws.pop(0), gram)
-    theorem1 = [[h.tolist() for h in _theorem1(lambdas, probs, alpha)] for alpha in grid]
+    # each stack validated once, for every order
+    lambdas, probs = as_prob_vector(lambdas), as_prob_vector(_sweep_remixed(draws.pop(0), gram))
+    theorem1 = []
+    for alpha in grid:
+        lhs, rhs = _theorem1(lambdas, probs, alpha)
+        theorem1.append(dict(alpha=alpha, lhs=lhs.tolist(), rhs=rhs.tolist(), slack=(lhs - rhs).tolist()))
     m = bounds._projective(linalg.positive_qr(_stack(draws.pop(0))))
     n = bounds._projective(linalg.positive_qr(_stack(draws.pop(0))))
     g, reports = bounds._reports(m, n, rho, orders, "g", ("tsallis", "renyi"))
@@ -315,19 +377,15 @@ def cmd_sweep(args, rep: Reporter) -> None:
         bases, *draws = zip(*drawn)
         drawn.clear()  # the stages of _sweep_block take the draws over
         g, chain, theorem1, reports = _sweep_block(draws, grid, orders)
-        rows = []
-        for t, base in enumerate(bases):
-            rows.append(("factor_chain", dict(d=d, slack=chain[t], factor=g[t], seed=base)))
-            relation = iter(reports)
-            for alpha, (lhs, rhs) in zip(grid, theorem1):
-                fields = dict(alpha=alpha, lhs=lhs[t], rhs=rhs[t], slack=lhs[t] - rhs[t])
-                rows.append(("theorem1_tsallis", dict(d=d, seed=base, **fields)))
-                if alpha <= 0.5:
-                    continue
+        seed = list(bases)
+        table = [("factor_chain", dict(d=d, slack=chain, factor=g, seed=seed))]
+        relation = iter(reports)
+        for alpha, fields in zip(grid, theorem1):
+            table.append(("theorem1_tsallis", dict(d=d, seed=seed, **fields)))
+            if alpha > 0.5:
                 for name in ("theorem2_tsallis", "renyi_relation"):
-                    report = next(relation).entry(t)
-                    rows.append((name, dict(d=d, factor_kind="g", seed=base, **_report_fields(report))))
-        return rows
+                    table.append((name, dict(d=d, factor_kind="g", seed=seed, **_report_fields(next(relation)))))
+        return table
 
     _stream_trials(rep, args.trials, d * d * (d + args.remixings + 3), draw, compute)
 
@@ -338,7 +396,7 @@ def _stream_trials(rep: Reporter, trials: int, per_trial: int, draw, compute) ->
 
     draw(t) makes trial t's inputs, in trial order; compute(drawn) takes a list
     of drawn trials, makes one kernel call per quantity over them and returns
-    their rows, (check_name, fields) pairs in trial order.  compute may empty
+    their rows as a table of Reporter.table, in trial order.  compute may empty
     the list, so that a large trial's draws go once they are stacked.  Each
     block's rows are written before the next block is drawn.  A trial whose
     draw or computation raises still leaves the rows of the trials before it.
@@ -371,9 +429,9 @@ def _write_block(rep: Reporter, drawn: list, compute) -> None:
             raise
         # the trials before the one that raises report
         for one in kept:
-            rep.rows(compute([one]))
+            rep.table(compute([one]))
         return
-    rep.rows(rows)
+    rep.table(rows)
 
 
 def cmd_demo(args, rep: Reporter) -> None:
@@ -395,12 +453,7 @@ def cmd_demo(args, rep: Reporter) -> None:
             z = np.stack(drawn)
             psi = (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2)
             psi /= linalg.vector_norm(psi)[:, None]
-            report = demos.dft_uncertainty_demo(psi, orders)
-            common = fields(d, report)
-            return [
-                ("dft_random_state", dict(common, lhs=lhs, slack=slack))
-                for lhs, slack in zip(report.lhs.tolist(), report.slack.tolist())
-            ]
+            return [("dft_random_state", fields(d, demos.dft_uncertainty_demo(psi, orders)))]
 
         _stream_trials(rep, args.trials, d, lambda t: rng.standard_normal((2, d)), compute)
     else:
@@ -440,13 +493,12 @@ def cmd_ensemble(args, rep: Reporter) -> None:
         lower, mid, upper = ensembles._sandwich(
             as_prob_vector(np.stack(mix_weights)), members.reshape(t, m, d, d), spectra.reshape(t, m, d), alpha
         )
-        rows = []
-        columns = zip(bases, weight_h.tolist(), state_h.tolist(), lower.tolist(), mid.tolist(), upper.tolist())
-        for base, h_weights, h_state, lo, mi, up in columns:
-            common = dict(d=d, alpha=alpha, seed=base)
-            rows.append(("pure_ensemble_bound", dict(common, lhs=h_weights, rhs=h_state, slack=h_weights - h_state)))
-            rows.append(("mixed_ensemble_sandwich", dict(common, lhs=up, rhs=lo, slack=min(mi - lo, up - mi))))
-        return rows
+        common = dict(d=d, alpha=alpha, seed=list(bases))
+        pure = dict(lhs=weight_h.tolist(), rhs=state_h.tolist(), slack=(weight_h - state_h).tolist())
+        # min(mid - lower, upper - mid) as Python's min takes it: the first unless the second is less
+        below, above = mid - lower, upper - mid
+        mixed = dict(lhs=upper.tolist(), rhs=lower.tolist(), slack=np.where(above < below, above, below).tolist())
+        return [("pure_ensemble_bound", dict(common, **pure)), ("mixed_ensemble_sandwich", dict(common, **mixed))]
 
     _stream_trials(rep, args.trials, (m + 1) * d * d + m * m, draw, compute)
 

@@ -62,16 +62,19 @@ def alpha_log(x: float, alpha: float) -> float:
     return math.expm1(t * math.log(x)) / t if t else math.log(x)
 
 
-def _entropy(p, alpha: float, renyi: bool):
-    """Tsallis (or Renyi) entropy over the last axis: a float for one
-    distribution, an array for a stack of them.
+def _entropy(p: np.ndarray, alpha: float, kind: str):
+    """Tsallis (or Renyi) entropy over the last axis of distributions that are
+    already through as_prob_vector: a float for one distribution, an array for
+    a stack of them.  The public functions below validate p and call this; a
+    caller that takes several orders or kinds of one stack validates it once.
 
     T = -sum p ln_(2-a)(p) = -sum p^a ln_a(p) in the expm1 form of alpha_log:
     the first for a >= 1, the second for a < 1, so every expm1 argument is
     <= 0 (no overflow, subnormal p included) and all terms share one sign.
     """
+    if kind not in ("tsallis", "renyi"):
+        raise ValueError(f"unknown entropy kind {kind!r}")
     alpha = _check_order(alpha)
-    p = as_prob_vector(p)
     # log(p + 1) = 0 stands in where p == 0, so those terms count as 0
     log_p = np.log(p + (p == 0))
     t = 1.0 - alpha
@@ -80,7 +83,7 @@ def _entropy(p, alpha: float, renyi: bool):
         h = (weights * np.expm1(abs(t) * log_p)).sum(axis=-1) / -abs(t)
     else:
         h = -(p * log_p).sum(axis=-1)
-    if renyi and t:
+    if kind == "renyi" and t:
         s = t * h  # sum p^a - 1, whose log1p stays exact near order 1
         far = s < -0.5  # large alpha: sum p^a << 1 and s has rounded its digits away
         h = np.log1p(np.maximum(s, -0.5)) / t
@@ -95,12 +98,12 @@ def tsallis_entropy(p, alpha: float):
 
     p is one distribution (gives a float) or a stack of them (one per row).
     """
-    return _entropy(p, alpha, renyi=False)
+    return _entropy(as_prob_vector(p), alpha, "tsallis")
 
 
 def renyi_entropy(p, alpha: float):
     """Renyi entropy (1-a)^(-1) ln(sum p^a); Shannon at a = 1; p as for tsallis_entropy."""
-    return _entropy(p, alpha, renyi=True)
+    return _entropy(as_prob_vector(p), alpha, "renyi")
 
 
 def renyi_from_tsallis(h: float, alpha: float) -> float:
@@ -114,9 +117,7 @@ def renyi_from_tsallis(h: float, alpha: float) -> float:
 
 def classical_entropy(p, alpha: float, kind: str):
     """Dispatch on kind in {'tsallis', 'renyi'}; p may be a stack."""
-    if kind not in ("tsallis", "renyi"):
-        raise ValueError(f"unknown entropy kind {kind!r}")
-    return _entropy(p, alpha, renyi=kind == "renyi")
+    return _entropy(as_prob_vector(p), alpha, kind)
 
 
 def quantum_entropy(rho, alpha: float, kind: str = "tsallis") -> float:

@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import csv
+import io
+import json
+import time
+
 import numpy as np
 
 from unravel.bounds import Povm
+from unravel.cli import ROW_FIELDS, SLACK_TOL
 from unravel.channels import Unraveling
 from unravel.linalg import TOL_PSD, hermitianize
 
@@ -50,3 +56,46 @@ def measurement_channel(povm: Povm) -> Unraveling:
 def random_state_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
     psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return psi / np.linalg.norm(psi)
+
+
+class ReferenceReporter:
+    """The CLI's former row-at-a-time renderer, the reference for
+    cli.Reporter.table: a dict per row, filtered and passed to json.dumps, or
+    to csv.DictWriter."""
+
+    def __init__(self, fmt: str, timing: bool, stream):
+        self.fmt = fmt
+        self.timing = timing
+        self.stream = stream
+        self.violated = False
+        self._csv = io.StringIO()
+        self._writer = None
+        self._t0 = time.perf_counter()
+
+    def row(self, check_name: str, **fields):
+        self.stream.write(self._line(check_name, fields))
+
+    def _line(self, check_name: str, fields: dict) -> str:
+        row = {k: None for k in ROW_FIELDS}
+        row["check_name"] = check_name
+        row.update(fields)
+        if self.timing:
+            row["wall_time_ms"] = round((time.perf_counter() - self._t0) * 1000.0, 3)
+        else:
+            row.pop("wall_time_ms")
+        if row.get("slack") is not None and not row["slack"] >= SLACK_TOL:
+            self.violated = True  # NaN counts as a violation
+        if self.fmt == "json":
+            return json.dumps({k: v for k, v in row.items() if v is not None}) + "\n"
+        if self._writer is None:
+            self._writer = csv.DictWriter(self._csv, fieldnames=ROW_FIELDS)
+            self._writer.writeheader()
+        self._writer.writerow({k: row.get(k) for k in ROW_FIELDS})
+        text = self._csv.getvalue()  # the header too, before the first row
+        self._csv.seek(0)
+        self._csv.truncate()
+        return text
+
+    @property
+    def exit_code(self) -> int:
+        return 1 if self.violated else 0

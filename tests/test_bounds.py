@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unravel import bounds, cli, linalg
+from unravel import bounds, cli, entropy, linalg
 from unravel.bounds import (
     PhiProblem,
     Povm,
@@ -424,6 +424,18 @@ class TestCheckValidatesOnce:
         assert cli.main(["sweep", "--dim", "3", "--trials", "3", "--seed", "4"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 30
         assert (len(density), len(g), len(weights)) == (2, 2, 4)
+
+    def test_sweep_block_validates_each_distribution_stack_once(self, monkeypatch, capsys):
+        # per block: the Gram spectra twice (after their eigendecomposition, and once
+        # for every theorem-1 order), the remixed distributions, p and q; trials 0 and
+        # then 1-2 make two blocks
+        calls = _count_calls(monkeypatch, entropy, "as_prob_vector")
+        monkeypatch.setattr(cli, "BLOCK_ELEMENTS", 2 * 4 * (2 + 100 + 3))
+        argv = ["sweep", "--dim", "2", "--trials", "3", "--alpha-grid", "0.3,0.5,0.7,1,1.5,2,3"]
+        assert cli.main(argv) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 3 * 18
+        block = [(2,), (2,), (100, 2), (2,), (2,)]
+        assert [np.shape(args[0]) for args in calls] == [(t, *shape) for t in (1, 2) for shape in block]
 
     def test_extremal_pair(self, monkeypatch):
         calls = _count_calls(monkeypatch, linalg, "check_density")

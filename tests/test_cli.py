@@ -18,7 +18,7 @@ from unravel import bounds, channels, cli, demos, ensembles, linalg
 from unravel.channels import random_unraveling
 from unravel.entropy import conjugate_order, tsallis_entropy
 
-from helpers import x_basis_povm, z_basis_povm
+from helpers import ReferenceReporter, x_basis_povm, z_basis_povm
 
 
 def _encode(m):
@@ -240,6 +240,9 @@ class TestSweepCommand:
         _, out, _ = _run(capsys, ["--timing"] + self.ARGS)
         rows = _json_rows(out)
         assert all("wall_time_ms" in r for r in rows)
+        # one time per table (trial 0, then trials 1-2), taken as it is written
+        times = [r["wall_time_ms"] for r in rows]
+        assert times == sorted(times)
         _, out_plain, _ = _run(capsys, self.ARGS)
         assert all("wall_time_ms" not in r for r in _json_rows(out_plain))
 
@@ -733,17 +736,22 @@ class TestReporter:
             assert flushed[-1] == stream.getvalue()
 
     def test_block_is_one_write_and_one_flush(self):
-        # rows(...) writes a block's rows as the same bytes as row(...) one at a time
-        block = [("a", dict(d=2, slack=0.0, seed=1)), ("b", dict(alpha=1.5, lhs=1.0, rhs=0.5, slack=float("nan")))]
+        # table(...) writes a block's rows, trial by trial, as the same bytes as
+        # row(...) one at a time
+        block = [
+            ("a", dict(d=2, slack=[0.0, 1.0], seed=[1, 1001])),
+            ("b", dict(alpha=1.5, lhs=[1.0, 2.0], rhs=0.5, slack=[float("nan"), 1.5])),
+        ]
         for fmt in ("json", "csv"):
             single = io.StringIO()
             one_at_a_time = cli.Reporter(fmt, False, single)
-            for name, fields in block:
-                one_at_a_time.row(name, **fields)
+            for t in range(2):
+                for name, fields in block:
+                    one_at_a_time.row(name, **{k: v[t] if isinstance(v, list) else v for k, v in fields.items()})
             stream, flushed = io.StringIO(), []
             stream.flush = lambda: flushed.append(stream.getvalue())
             rep = cli.Reporter(fmt, False, stream)
-            rep.rows(block)
+            rep.table(block)
             assert flushed == [single.getvalue()]
             assert rep.exit_code == one_at_a_time.exit_code == 1  # the NaN slack
 
@@ -754,6 +762,77 @@ class TestReporter:
         rep.row("broken", slack=float("nan"))
         rep.row("ok", slack=1.0)
         assert rep.exit_code == 1
+
+
+# numbers whose text is hardest to get right: non-finite, signed zero, subnormal,
+# the largest float, and ints up to the largest int64
+_NUMBERS = st.one_of(
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 5e-324, 1.7976931348623157e308, 2**63 - 1]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-(2**63), 2**63 - 1),
+)
+_TEXT = st.one_of(st.text(max_size=6), st.sampled_from([", ", "a, b", "%s", "%%", "\x00", '"', "\u00e9"]))
+
+
+@st.composite
+def _tables(draw):
+    """A table for Reporter.table: shapes whose fields are left out, constant
+    (None included) or a column of one length; extra keys after ROW_FIELDS.
+    wall_time_ms is the reporter's own field."""
+    trials = draw(st.integers(1, 5))
+    column = st.lists(_NUMBERS, min_size=trials, max_size=trials)
+    shapes = []
+    for _ in range(draw(st.integers(1, 4))):
+        fields = {}
+        for key in draw(st.permutations(cli.ROW_FIELDS[1:-1])):
+            constant = _TEXT if key == "factor_kind" else _NUMBERS
+            value = draw(st.one_of(st.just(...), st.none(), constant, column))
+            if value is not ...:
+                fields[key] = value
+        for key in draw(st.lists(_TEXT.filter(lambda k: k not in cli.ROW_FIELDS), max_size=3, unique=True)):
+            fields[key] = draw(st.one_of(_NUMBERS, _TEXT, column))
+        shapes.append((draw(_TEXT), fields))
+    has_columns = any(isinstance(v, list) for _, fields in shapes for v in fields.values())
+    return trials if has_columns else 1, shapes  # a table without columns is one trial
+
+
+class TestTableRenderer:
+    @settings(max_examples=150, deadline=None)
+    @given(table=_tables(), fmt=st.sampled_from(["json", "csv"]), tables=st.integers(1, 2))
+    def test_matches_row_at_a_time_reference(self, table, fmt, tables):
+        # the bytes and the exit code of the former one-dict-per-row renderer
+        trials, shapes = table
+        got, want = io.StringIO(), io.StringIO()
+        rep, ref = cli.Reporter(fmt, False, got), ReferenceReporter(fmt, False, want)
+        for _ in range(tables):  # a second table gets no second CSV header
+            rep.table(shapes)
+            for t in range(trials):
+                for name, fields in shapes:
+                    ref.row(name, **{k: v[t] if isinstance(v, list) else v for k, v in fields.items()})
+        assert got.getvalue() == want.getvalue()
+        assert rep.exit_code == ref.exit_code
+
+    def test_command_rows_are_json_dumps_in_row_order(self, tmp_path, capsys):
+        path = _write_instance(
+            tmp_path, dim=2, seed=3, kraus=[_encode(k) for k in random_unraveling(2, 3, seed=1).kraus_ops]
+        )
+        commands = [
+            ["sweep", "--dim", "2", "--trials", "3", "--alpha-grid", "0.3,0.5,1,2", "--remixings", "10"],
+            ["demo", "dft", "--dim", "3", "--alpha", "1.5", "--trials", "5"],
+            ["ensemble", "--dim", "2", "--members", "3", "--alpha", "0.7", "--trials", "4"],
+            ["extremal", "--in", path, "--alpha-grid", "0.3,1,2", "--remixings", "10"],
+        ]
+        for argv in commands:
+            code, out, err = _run(capsys, argv)
+            assert (code, err) == (0, "")
+            lines = out.splitlines(keepends=True)
+            assert len(lines) > 3
+            for line in lines:
+                row = json.loads(line)
+                assert line == json.dumps(row) + "\n"
+                keys = list(row)
+                known = [k for k in cli.ROW_FIELDS if k in row]
+                assert keys[: len(known)] == known, keys
 
 
 class TestCsvFormat:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unravel import channels, demos, ensembles, entropy, linalg
+from unravel import bounds, channels, demos, ensembles, entropy, linalg
 from unravel.entropy import (
     alpha_log,
     as_prob_vector,
@@ -143,7 +143,7 @@ class TestNormalizesOnce:
             calls.append(np.shape(p))
             return original(p, *args, **kwargs)
 
-        for module in (entropy, channels, demos, ensembles):
+        for module in (entropy, bounds, channels, demos, ensembles):
             monkeypatch.setattr(module, "as_prob_vector", counting, raising=False)
         orders = conjugate_order(2.0)
         rho = linalg.random_density(3, 3, seed=1)
