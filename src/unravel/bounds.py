@@ -15,6 +15,11 @@ built.  Povm(elements) takes them from one eigendecomposition of the stack
 basis vectors) and povm_from_unraveling (A_i†) pass the factors they hold and
 decompose nothing.
 
+The kernels (_outcome_weights, _g, _f, _f_bar, _reports) take POVM elements
+(..., n, dim, dim), roots (..., n, dim, r) and validated states (..., dim, dim)
+with any leading axes, one value per index of those axes; the public functions
+call them on one POVM pair and one state, and return floats.
+
 The paired reports measure the Gram-extremal unravelings of two Kraus sets.
 Remixing by a unitary U gives the distribution diag(U† Pi U), which the Gram
 spectrum majorizes (Schur); Tsallis and Renyi entropies of positive order are
@@ -31,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .channels import Unraveling, _extremal
+from .channels import Unraveling, _extremal, _flat
 from .entropy import ConjugateOrders, _entropy, alpha_log, as_prob_vector
 from .linalg import check_density
 
@@ -54,8 +59,8 @@ class Povm:
     root factors, F_i F_i† = M_i, made when the POVM is built: from one
     eigendecomposition of the validated elements, or, for
     random_projective_povm and povm_from_unraveling, from the factors they
-    already hold.  The kernels of this module take a stack of T equal-shaped
-    POVMs in one Povm, with elements (T, n, dim, dim) and roots (T, n, dim, r).
+    already hold.  Built by _factored, a Povm may hold a stack of equal-shaped
+    POVMs, leading axes before n, as the kernels take them (see the module).
     """
 
     elements: np.ndarray
@@ -86,13 +91,6 @@ class Povm:
         object.__setattr__(self, "elements", elems)
         object.__setattr__(self, "roots", roots)
 
-    def _stacked(self) -> Povm:
-        """This POVM as a stack of one, the form the kernels below take."""
-        povm = object.__new__(Povm)
-        for name, value in vars(self).items():  # the elements and the roots
-            object.__setattr__(povm, name, value[None])
-        return povm
-
     @property
     def dim(self) -> int:
         return self.elements.shape[-1]
@@ -106,8 +104,8 @@ class Povm:
 class BoundReport:
     """One evaluated uncertainty inequality: lhs >= rhs up to slack tolerance.
 
-    For stacked distributions lhs and slack are arrays, one entry per row, and
-    so are rhs and factor when each row has its own factor.
+    Floats for one instance; for stacked distributions lhs and slack are arrays,
+    one entry per distribution, and so are rhs and factor when each has its own.
     """
 
     lhs: float | np.ndarray
@@ -115,16 +113,6 @@ class BoundReport:
     slack: float | np.ndarray
     factor: float | np.ndarray
     orders: ConjugateOrders
-
-    def entry(self, t: int) -> BoundReport:
-        """The report of row t of a stacked report, in floats."""
-        return BoundReport(
-            lhs=float(self.lhs[t]),
-            rhs=float(self.rhs[t]),
-            slack=float(self.slack[t]),
-            factor=float(self.factor[t]),
-            orders=self.orders,
-        )
 
 
 def bound_report(
@@ -150,66 +138,60 @@ def _same_dim(x: int, y: int) -> int:
     return x
 
 
-# The kernels below take stacked POVMs (see Povm) and validated states rho
-# (T, dim, dim), and give one value per trial; the public functions are their
-# T = 1 views.
-
-
 def _outcome_weights(m: Povm, rho: np.ndarray) -> np.ndarray:
-    """tr(M_i rho) = sum_ab conj(rho_ab) (M_i)_ab, rho Hermitian; (T, n), not yet
+    """tr(M_i rho) = sum_ab conj(rho_ab) (M_i)_ab, rho Hermitian; (..., n), not yet
     checked as distributions."""
-    return np.vecdot(rho.reshape(rho.shape[0], 1, -1), m.elements.reshape(*m.elements.shape[:2], -1)).real
+    return np.vecdot(_flat(rho)[..., None, :], _flat(m.elements)).real
 
 
 def povm_probabilities(m: Povm, rho) -> np.ndarray:
     """p_i = tr(M_i rho)."""
-    return as_prob_vector(_outcome_weights(m._stacked(), check_density(rho, m.dim)[None])[0])
+    return as_prob_vector(_outcome_weights(m, check_density(rho, m.dim)))
 
 
 def povm_from_unraveling(a: Unraveling) -> Povm:
     """Measurement with elements M_i = A_i† A_i and root factors A_i†."""
-    k_dag = a.kraus_ops.conj().swapaxes(1, 2)
+    k_dag = a.kraus_ops.conj().swapaxes(-1, -2)
     return Povm._factored(k_dag @ a.kraus_ops, k_dag)
 
 
 def _max_ratio(p: np.ndarray, q: np.ndarray, overlaps: np.ndarray) -> np.ndarray:
-    """Per trial, max |o_kij| / sqrt(p_ki q_kj) over the pairs with p_ki, q_kj > P_ZERO_TOL.
+    """max |o_kij| / sqrt(p_ki q_kj) over k and the pairs with p_ki, q_kj > P_ZERO_TOL.
 
-    p is (T, K, n_m), q is (T, K, n_n) and overlaps is (T, K, n_m, n_n), one slice
-    per trial and vector k.
+    p is (..., K, n_m), q is (..., K, n_n) and overlaps is (..., K, n_m, n_n),
+    one slice per vector k.
     """
     ok = (p[..., :, None] > P_ZERO_TOL) & (q[..., None, :] > P_ZERO_TOL)
-    if not ok.any(axis=(1, 2, 3)).all():
+    if not ok.any(axis=(-3, -2, -1)).all():
         raise ValueError("degenerate input: no outcome pair with nonzero probabilities")
     ratio = np.abs(overlaps)
-    np.divide(ratio, np.sqrt(p[..., :, None] * q[..., None, :]), out=ratio, where=ok)
-    return ratio.max(axis=(1, 2, 3), where=ok, initial=0.0)
+    # a weight of an outcome with no probability may round below 0; its pairs do not count
+    np.divide(ratio, np.sqrt(np.maximum(p[..., :, None] * q[..., None, :], 0.0)), out=ratio, where=ok)
+    return ratio.max(axis=(-3, -2, -1), where=ok, initial=0.0)
 
 
 def _g(m: Povm, n: Povm, rho: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     # tr(M_i N_j rho) = sum_ab conj(M_i)_ab (N_j rho)_ab, M_i Hermitian
-    t = rho.shape[0]
-    nrho = n.elements @ rho[:, None]
-    overlaps = m.elements.reshape(t, m.n_outcomes, -1).conj() @ nrho.reshape(t, n.n_outcomes, -1).swapaxes(1, 2)
-    return _max_ratio(p[:, None], q[:, None], overlaps[:, None])
+    overlaps = _flat(m.elements).conj() @ _flat(n.elements @ rho[..., None, :, :]).swapaxes(-1, -2)
+    return _max_ratio(p[..., None, :], q[..., None, :], overlaps[..., None, :, :])
 
 
 def g_factor(m: Povm, n: Povm, rho) -> float:
     """max |tr(M_i N_j rho)| / sqrt(p_i q_j) over outcomes with nonzero probability."""
-    return _uncertainty_check(m, n, rho, (), "g", ())[0]
+    return _reports(m, n, check_density(rho, _same_dim(m.dim, n.dim)), (), "g", ())[0]
 
 
 def _f(m: Povm, n: Povm, rho: np.ndarray) -> np.ndarray:
     w, v = np.linalg.eigh(rho)
-    kept = w > P_ZERO_TOL  # (T, K): eigenvectors psi_k = v[:, :, k] of nonzero weight
-    psi = v.swapaxes(1, 2)[:, :, None]  # (T, K, 1, dim)
-    # a[t, k, i] = M_i psi_k and b[t, k, j] = N_j psi_k, for every eigenvector at once
-    a = np.moveaxis(m.elements @ v[:, None], 3, 1)
-    b = np.moveaxis(n.elements @ v[:, None], 3, 1)
+    kept = w > P_ZERO_TOL  # (..., K): eigenvectors psi_k = v[..., :, k] of nonzero weight
+    psi = v.swapaxes(-1, -2)[..., None, :]  # (..., K, 1, dim)
+    # a[..., k, i, :] = M_i psi_k and b[..., k, j, :] = N_j psi_k, for every eigenvector at once
+    a = np.moveaxis(m.elements @ v[..., None, :, :], -1, -3)
+    b = np.moveaxis(n.elements @ v[..., None, :, :], -1, -3)
     # <psi_k|M_i|psi_k>, zero for the eigenvectors left out, so no pair of theirs counts
     p = np.where(kept[..., None], np.vecdot(psi, a).real, 0.0)
     q = np.where(kept[..., None], np.vecdot(psi, b).real, 0.0)
-    return _max_ratio(p, q, a.conj() @ b.swapaxes(2, 3))
+    return _max_ratio(p, q, a.conj() @ b.swapaxes(-1, -2))
 
 
 def f_factor(m: Povm, n: Povm, rho) -> float:
@@ -219,7 +201,7 @@ def f_factor(m: Povm, n: Povm, rho) -> float:
     maximized over eigenvectors with nonzero weight and admissible (i, j).
     Coincides with g on pure states and dominates it otherwise.
     """
-    return float(_f(m._stacked(), n._stacked(), check_density(rho, _same_dim(m.dim, n.dim))[None])[0])
+    return float(_f(m, n, check_density(rho, _same_dim(m.dim, n.dim))))
 
 
 def _root_factors(w: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -227,19 +209,19 @@ def _root_factors(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     eigendecomposition (w, v) of the elements: the eigenvectors E_i of eigenvalue
     above P_ZERO_TOL scaled by the roots S_i.  r is the largest such rank in the
     stack; columns of dropped eigenvalues are zero."""
-    d, r = w.shape[1], int((w > P_ZERO_TOL).sum(axis=1).max())
+    d, r = w.shape[-1], int((w > P_ZERO_TOL).sum(axis=-1).max())
     # eigh sorts ascending, so the kept eigenvalues are the last r of each row
-    w, v = w[:, d - r :], v[:, :, d - r :]
-    v *= np.sqrt(np.where(w > P_ZERO_TOL, w, 0.0))[:, None, :]
+    w, v = w[..., d - r :], v[..., d - r :]
+    v *= np.sqrt(np.where(w > P_ZERO_TOL, w, 0.0))[..., None, :]
     return np.ascontiguousarray(v)
 
 
 def _f_bar(m: Povm, n: Povm) -> np.ndarray:
-    # one batched SVD per outcome of m covers every outcome of n and every trial
+    # one batched SVD per outcome of m covers every outcome of n and every stacked pair
     best = None
-    for fi in np.moveaxis(m.roots, 1, 0):  # (T, dim, r_m)
-        products = fi.conj().swapaxes(1, 2)[:, None] @ n.roots  # (T, n_n, r_m, r_n)
-        top = np.linalg.svd(products, compute_uv=False)[..., 0].max(axis=1)
+    for fi in np.moveaxis(m.roots, -3, 0):  # (..., dim, r_m)
+        products = fi.conj().swapaxes(-1, -2)[..., None, :, :] @ n.roots  # (..., n_n, r_m, r_n)
+        top = np.linalg.svd(products, compute_uv=False)[..., 0].max(axis=-1)
         best = top if best is None else np.maximum(best, top)
     return best
 
@@ -253,16 +235,16 @@ def f_bar(m: Povm, n: Povm) -> float:
     of m covers every outcome of n, in O(n r^2) memory.
     """
     _same_dim(m.dim, n.dim)
-    return float(_f_bar(m._stacked(), n._stacked())[0])
+    return float(_f_bar(m, n))
 
 
 def _reports(
     m: Povm, n: Povm, rho: np.ndarray, orders_seq, factor_kind: str, kinds
-) -> tuple[np.ndarray, list[BoundReport]]:
-    """(factor, reports) at validated states, stacked: p, q and the factor are
-    computed once per trial, then one report per order of orders_seq and kind of
-    kinds, orders outer, each with one entry per trial.  The reports validate
-    the stacks of p and of q once, for every order and kind."""
+) -> tuple[float | np.ndarray, list[BoundReport]]:
+    """(factor, reports) at validated states: p, q and the factor are computed
+    once, then one report per order of orders_seq and kind of kinds, orders
+    outer.  The reports validate p and q once, for every order and kind.  For
+    one POVM pair and one state the factor and every field are floats."""
     p, q = _outcome_weights(m, rho), _outcome_weights(n, rho)
     if factor_kind == "g":
         factor = _g(m, n, rho, p, q)
@@ -272,11 +254,14 @@ def _reports(
         factor = _f_bar(m, n)
     else:
         raise ValueError(f"unknown factor kind {factor_kind!r}")
+    factor = _value(factor)
 
-    def rhs(orders: ConjugateOrders, kind: str) -> np.ndarray:
+    def rhs(orders: ConjugateOrders, kind: str):
         if kind == "tsallis":
-            return np.array([alpha_log(f**-2, orders.mu) for f in factor.tolist()])
-        return -2.0 * np.log(factor)
+            # math's alpha_log per factor, not numpy's log and power, whose last bits differ
+            values = [alpha_log(f**-2, orders.mu) for f in np.ravel(factor).tolist()]
+            return _value(np.reshape(values, np.shape(factor)))
+        return _value(-2.0 * np.log(factor))
 
     pairs = [(o, k) for o in orders_seq for k in kinds]
     if pairs:  # g_factor asks for no report, so it checks no distribution
@@ -284,19 +269,9 @@ def _reports(
     return factor, [_bound_report(p, q, o, k, factor, rhs(o, k)) for o, k in pairs]
 
 
-def _uncertainty_check(
-    m: Povm, n: Povm, rho, orders_seq, factor_kind: str, kinds
-) -> tuple[float, list[BoundReport]]:
-    """The factor and the reports of every order and kind, with rho validated once."""
-    return _one_trial(m, n, check_density(rho, _same_dim(m.dim, n.dim)), orders_seq, factor_kind, kinds)
-
-
-def _one_trial(
-    m: Povm, n: Povm, rho: np.ndarray, orders_seq, factor_kind: str, kinds
-) -> tuple[float, list[BoundReport]]:
-    """_reports for one POVM pair and one validated state, in floats."""
-    factor, reports = _reports(m._stacked(), n._stacked(), rho[None], orders_seq, factor_kind, kinds)
-    return float(factor[0]), [r.entry(0) for r in reports]
+def _value(x):
+    """A float for one instance, as the entropies give one; a stack's array as it is."""
+    return float(x) if np.ndim(x) == 0 else x
 
 
 def tsallis_uncertainty_check(
@@ -308,7 +283,8 @@ def tsallis_uncertainty_check(
     evaluated exactly, mu = 1 (Shannon) included.  rho is validated once and
     the outcome probabilities are computed once.
     """
-    _, (report,) = _uncertainty_check(m, n, rho, [orders], factor_kind, ("tsallis",))
+    rho = check_density(rho, _same_dim(m.dim, n.dim))
+    _, (report,) = _reports(m, n, rho, [orders], factor_kind, ("tsallis",))
     return report
 
 
@@ -316,7 +292,8 @@ def renyi_uncertainty_check(
     m: Povm, n: Povm, rho, orders: ConjugateOrders, factor_kind: str = "g"
 ) -> BoundReport:
     """Evaluate R_a(M|rho) + R_b(N|rho) against -2 ln(factor), as tsallis_uncertainty_check."""
-    _, (report,) = _uncertainty_check(m, n, rho, [orders], factor_kind, ("renyi",))
+    rho = check_density(rho, _same_dim(m.dim, n.dim))
+    _, (report,) = _reports(m, n, rho, [orders], factor_kind, ("renyi",))
     return report
 
 
@@ -343,7 +320,7 @@ class SearchConfig:
 def _extremal_pair(a: Unraveling, b: Unraveling, rho, orders: ConjugateOrders, kind: str) -> BoundReport:
     rho = check_density(rho, _same_dim(a.dim_in, b.dim_in))
     m, n = (povm_from_unraveling(_extremal(x, rho).extremal) for x in (a, b))
-    _, (report,) = _one_trial(m, n, rho, [orders], "g", (kind,))
+    _, (report,) = _reports(m, n, rho, [orders], "g", (kind,))
     return report
 
 
@@ -443,7 +420,7 @@ def phi_min_verify(problem: PhiProblem, grid_points: int = 2000) -> tuple[float,
 
 def _projective(u: np.ndarray) -> Povm:
     """Rank-1 orthogonal projectors onto the columns of each unitary of a
-    (T, dim, dim) stack, the basis vectors their root factors: a stack of T POVMs."""
+    (..., dim, dim) stack, the basis vectors their root factors: one POVM per unitary."""
     rows = u.swapaxes(-1, -2)
     return Povm._factored(rows[..., :, None] * rows.conj()[..., None, :], rows[..., None])
 
@@ -459,11 +436,8 @@ def random_povm(dim: int, n_outcomes: int, seed: int) -> Povm:
     if n_outcomes < 1:
         raise ValueError("n_outcomes must be >= 1")
     rng = np.random.default_rng(seed)
-    pieces = []
-    for _ in range(n_outcomes):
-        g = linalg.ginibre(rng, dim, dim)
-        pieces.append(g @ g.conj().T)
-    total = sum(pieces)
-    w, v = np.linalg.eigh(total)
+    g = np.stack([linalg.ginibre(rng, dim, dim) for _ in range(n_outcomes)])
+    pieces = g @ g.conj().swapaxes(-1, -2)
+    w, v = np.linalg.eigh(sum(pieces))  # in order: numpy's sum pairs the terms at dim = 1
     inv_root = (v / np.sqrt(w)) @ v.conj().T
-    return Povm(tuple(linalg.hermitianize(inv_root @ s @ inv_root) for s in pieces))
+    return Povm(linalg.hermitianize(inv_root @ pieces @ inv_root))

@@ -176,7 +176,9 @@ class Reporter:
         return text
 
     def obj(self, payload: dict):
-        self._write(json.dumps(payload) + "\n")
+        """Write a JSON object line, in JSON output only: CSV has no columns for it."""
+        if self.fmt == "json":
+            self._write(json.dumps(payload) + "\n")
 
     def _write(self, text: str) -> None:
         self.stream.write(text)
@@ -246,8 +248,12 @@ def _positive(text: str) -> float:
 
 
 def _orders(text: str) -> list[float]:
-    """argparse type for a comma-separated list of entropy orders, each finite and > 0."""
-    return [_positive(t) for t in text.split(",") if t.strip()]
+    """argparse type for a non-empty comma-separated list of entropy orders, each
+    finite and > 0."""
+    orders = [_positive(t) for t in text.split(",") if t.strip()]
+    if not orders:
+        raise argparse.ArgumentTypeError(f"needs at least one order, got {text!r}")
+    return orders
 
 
 def _count(least: int = 1):

@@ -16,6 +16,11 @@ from . import linalg
 from .bounds import BoundReport, bound_report
 from .entropy import ConjugateOrders, alpha_log
 
+# gaussian_wavepacket's bound on the weight its truncation discards
+TAIL_TOL = 1e-12
+# points of psi_lb_norm's trapezoid rule
+LB_NORM_POINTS = 8192
+
 
 def dft_matrix(d: int) -> np.ndarray:
     """Unitary with entries exp(2*pi*i*k*l/d)/sqrt(d), k, l = 1..d."""
@@ -111,11 +116,11 @@ def angle_momentum_demo(state: AngleState, orders: ConjugateOrders) -> BoundRepo
     return bound_report(p, q, orders, "tsallis", 1.0 / np.sqrt(k), alpha_log(float(k), orders.mu))
 
 
-def gaussian_wavepacket(truncation: int, width: float, nbins: int, tail_tol: float = 1e-12) -> AngleState:
+def gaussian_wavepacket(truncation: int, width: float, nbins: int) -> AngleState:
     """AngleState with c_l proportional to exp(-l^2/(2*width^2)).
 
     The weight the truncation discards (relative to the untruncated profile)
-    must stay below tail_tol.
+    must stay below TAIL_TOL.
     """
     if width <= 0:
         raise ValueError("width must be positive")
@@ -124,17 +129,17 @@ def gaussian_wavepacket(truncation: int, width: float, nbins: int, tail_tol: flo
     ls_far = np.arange(truncation + 1, max(10 * truncation, truncation + 1000))
     tail = 2 * np.sum(np.exp(-(ls_far.astype(float) ** 2) / width**2))
     body = np.sum(c**2)
-    if tail / (body + tail) > tail_tol:
+    if tail / (body + tail) > TAIL_TOL:
         raise ValueError(
-            f"discarded tail weight {tail / (body + tail):.3e} exceeds {tail_tol:.1e}; raise truncation"
+            f"discarded tail weight {tail / (body + tail):.3e} exceeds {TAIL_TOL:.1e}; raise truncation"
         )
     return AngleState(coeffs=c / np.sqrt(body), nbins=nbins)
 
 
-def psi_lb_norm(state: AngleState, b: float, num_points: int = 8192) -> float:
+def psi_lb_norm(state: AngleState, b: float) -> float:
     """(integral of |Psi|^b over the circle)^(1/b) by periodic trapezoid rule."""
     if b <= 0:
         raise ValueError("b must be positive")
-    phis = np.linspace(0.0, 2 * np.pi, num_points, endpoint=False)
+    phis = np.linspace(0.0, 2 * np.pi, LB_NORM_POINTS, endpoint=False)
     vals = np.abs(wavefunction(state, phis)) ** b
     return float((vals.mean() * 2 * np.pi) ** (1.0 / b))

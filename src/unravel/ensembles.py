@@ -6,6 +6,10 @@ to the spectrum by a unistochastic matrix.  The quantum entropy of rho is
 never above the classical entropy of the weights (Tsallis for every order,
 Renyi for orders below 1), and for mixed ensembles the Tsallis entropy is
 sandwiched between mixtures of member entropies.
+
+The kernels (_mixture, _pure_members, _pure_bounds, _sandwich) take weights
+(..., m), pure states (..., m, dim) or mixed members (..., m, dim, dim) with any
+leading axes; the public functions call them on one ensemble.
 """
 
 from __future__ import annotations
@@ -25,28 +29,30 @@ WEIGHT_DROP_TOL = 1e-14
 
 @dataclass(frozen=True)
 class PureEnsemble:
-    """Weighted normalized pure states."""
+    """Weighted normalized pure states.
+
+    The states are held as one (m, dim) array, one state per row, which
+    indexes and iterates like a tuple of vectors.
+    """
 
     weights: np.ndarray
-    states: tuple[np.ndarray, ...]
+    states: np.ndarray
 
     def __post_init__(self):
         w = as_prob_vector(self.weights)
-        states = tuple(np.asarray(s, dtype=complex).ravel() for s in self.states)
-        if len(states) != w.size:
+        states = np.array(self.states, dtype=complex)
+        if states.ndim == 0 or len(states) != w.size:
             raise ValueError("weights and states disagree in length")
-        dim = states[0].size
-        for k, s in enumerate(states):
-            if s.size != dim:
-                raise ValueError("states must share one dimension")
-            if abs(np.linalg.norm(s) - 1) > 1e-10:
-                raise ValueError(f"state {k} is not normalized")
+        states = states.reshape(w.size, -1)
+        off = ~(np.abs(linalg.vector_norm(states) - 1) <= 1e-10)  # NaN is off too
+        if off.any():
+            raise ValueError(f"state {int(off.argmax())} is not normalized")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "states", states)
 
     @property
     def dim(self) -> int:
-        return self.states[0].size
+        return self.states.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -74,16 +80,12 @@ class MixedEnsemble:
 
     @property
     def dim(self) -> int:
-        return self.members.shape[1]
-
-
-# The kernels below work on stacks of T ensembles of m members each; the public
-# functions are their one-element views.
+        return self.members.shape[-1]
 
 
 def _mixture(weights: np.ndarray, ops: np.ndarray) -> np.ndarray:
-    """Hermitian part of sum_i w_i ops_i per ensemble: weights (T, m), ops (T, m, d, d)."""
-    return linalg.hermitianize(np.sum(weights[..., None, None] * ops, axis=1))
+    """Hermitian part of sum_i w_i ops_i: weights (..., m), ops (..., m, d, d)."""
+    return linalg.hermitianize(np.sum(weights[..., None, None] * ops, axis=-3))
 
 
 def _projectors(states: np.ndarray) -> np.ndarray:
@@ -92,39 +94,39 @@ def _projectors(states: np.ndarray) -> np.ndarray:
 
 
 def _pure_members(w: np.ndarray, v: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Members sqrt(p_i) psi_i = sum_j u_ij sqrt(lambda_j) phi_j of T pure ensembles.
+    """Members sqrt(p_i) psi_i = sum_j u_ij sqrt(lambda_j) phi_j of pure ensembles.
 
-    (w, v) is the ascending eigendecomposition of T validated states, (T, d)
-    and (T, d, d), and u holds the (T, m, m) mixing unitaries; the spectra are
-    zero-padded to m.  Returns the normalized weights (T, m) and the states
-    (T, m, d); a member below WEIGHT_DROP_TOL gets weight 0 and a zero state.
+    (w, v) is the ascending eigendecomposition of validated states, (..., d) and
+    (..., d, d), and u holds the (..., m, m) mixing unitaries; the spectra are
+    zero-padded to m.  Returns the normalized weights (..., m) and the states
+    (..., m, d); a member below WEIGHT_DROP_TOL gets weight 0 and a zero state.
     """
     m, d = u.shape[-1], w.shape[-1]
     lam = np.clip(w[..., ::-1], 0.0, None)  # descending
     rank = np.count_nonzero(lam > linalg.TOL_PSD, axis=-1)
     over = np.flatnonzero(rank > m)
     if over.size:
-        raise ValueError(f"m = {m} is below rank(rho) = {rank[over[0]]}")
+        raise ValueError(f"m = {m} is below rank(rho) = {np.ravel(rank)[over[0]]}")
     k = min(m, d)
-    phis = np.ascontiguousarray(v[..., ::-1])[..., :k].swapaxes(-1, -2)  # (T, k, d): phi_j as rows
+    phis = np.ascontiguousarray(v[..., ::-1])[..., :k].swapaxes(-1, -2)  # (..., k, d): phi_j as rows
     vecs = (u[..., :k] * np.sqrt(lam[..., None, :k])) @ phis
-    weights = np.einsum("tij,tij->ti", vecs.conj(), vecs).real
+    weights = np.einsum("...ij,...ij->...i", vecs.conj(), vecs).real
     keep = weights > WEIGHT_DROP_TOL
     states = np.where(keep[..., None], vecs / np.sqrt(np.where(keep, weights, 1.0))[..., None], 0.0)
     return as_prob_vector(np.where(keep, weights, 0.0)), states
 
 
 def _pure_bounds(weights: np.ndarray, states: np.ndarray, alpha: float, kind: str) -> tuple:
-    """(state entropies, weight entropies), each (T,): the entropy of the density
-    regenerated from each ensemble, weights (T, m) and states (T, m, d), and
+    """(state entropy, weight entropy), each (...,): the entropy of the density
+    regenerated from the ensemble, weights (..., m) and states (..., m, d), and
     that of its weights."""
     rho = _mixture(weights, _projectors(states))
     return classical_entropy(np.linalg.eigvalsh(rho), alpha, kind), classical_entropy(weights, alpha, kind)
 
 
 def _sandwich(weights: np.ndarray, members: np.ndarray, spectra: np.ndarray, alpha: float) -> tuple:
-    """(lower, mid, upper), each (T,), of the Tsallis sandwich of T mixed
-    ensembles: weights (T, m), members (T, m, d, d) and their spectra (T, m, d)."""
+    """(lower, mid, upper), each (...,), of the Tsallis sandwich of mixed
+    ensembles: weights (..., m), members (..., m, d, d) and their spectra (..., m, d)."""
     member_h = tsallis_entropy(spectra, alpha)
     mid = tsallis_entropy(np.linalg.eigvalsh(_mixture(weights, members)), alpha)
     upper = np.vecdot(weights**alpha, member_h) + tsallis_entropy(weights, alpha)
@@ -134,12 +136,12 @@ def _sandwich(weights: np.ndarray, members: np.ndarray, spectra: np.ndarray, alp
 def ensemble_density(e: PureEnsemble | MixedEnsemble) -> np.ndarray:
     """Density matrix generated by the ensemble."""
     if isinstance(e, PureEnsemble):
-        ops = _projectors(np.stack(e.states))
+        ops = _projectors(e.states)
     elif isinstance(e, MixedEnsemble):
         ops = e.members
     else:
         raise TypeError(f"not an ensemble: {type(e).__name__}")
-    return _mixture(e.weights[None], ops[None])[0]
+    return _mixture(e.weights, ops)
 
 
 def ensemble_from_state(rho, m: int, seed: int | None) -> PureEnsemble:
@@ -155,9 +157,9 @@ def ensemble_from_state(rho, m: int, seed: int | None) -> PureEnsemble:
     if w.ndim != 1:
         raise ValueError(f"rho must be one matrix, got shape {np.shape(rho)}")
     u = np.eye(m, dtype=complex) if seed is None else haar_random_unitary(m, seed)
-    weights, states = _pure_members(w[None], v[None], u[None])
-    keep = weights[0] > 0
-    return PureEnsemble(weights=weights[0][keep], states=tuple(states[0][keep]))
+    weights, states = _pure_members(w, v, u)
+    keep = weights > 0
+    return PureEnsemble(weights=weights[keep], states=states[keep])
 
 
 class PureBoundsResult(NamedTuple):
@@ -173,9 +175,8 @@ def pure_ensemble_bounds_check(e: PureEnsemble, alpha: float, kind: str = "tsall
     for Renyi at alpha < 1 only; outside that range in_premise is False and
     the values are still returned, just not asserted.
     """
-    (state_entropy,), (ensemble_entropy,) = _pure_bounds(e.weights[None], np.stack(e.states)[None], alpha, kind)
-    in_premise = kind == "tsallis" or alpha < 1
-    return PureBoundsResult(float(state_entropy), float(ensemble_entropy), in_premise)
+    state_entropy, ensemble_entropy = _pure_bounds(e.weights, e.states, alpha, kind)
+    return PureBoundsResult(state_entropy, ensemble_entropy, kind == "tsallis" or alpha < 1)
 
 
 class MixedBoundsResult(NamedTuple):
@@ -193,5 +194,4 @@ def mixed_ensemble_bounds_check(e: MixedEnsemble, alpha: float, kind: str = "tsa
     """
     if kind != "tsallis":
         raise ValueError(f"mixed-ensemble bounds hold for Tsallis entropies only, got {kind!r}")
-    bounds = _sandwich(e.weights[None], e.members[None], e.spectra[None], alpha)
-    return MixedBoundsResult(*(float(b[0]) for b in bounds))
+    return MixedBoundsResult(*map(float, _sandwich(e.weights, e.members, e.spectra, alpha)))

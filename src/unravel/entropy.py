@@ -12,17 +12,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import check_density
+from .linalg import density_spectrum
 
 _SUM_TOL = 1e-10
 _NEG_TOL = 1e-12
 
 
-def as_prob_vector(p, tol_sum: float = _SUM_TOL) -> np.ndarray:
+def as_prob_vector(p) -> np.ndarray:
     """Validate and normalize a probability vector, or each row of a stack of them.
 
     The last axis holds the outcomes.  Entries in [-1e-12, 0) are clipped to 0;
-    each distribution must sum to 1 within tol_sum (the residual is
+    each distribution must sum to 1 within 1e-10 (the residual is
     renormalized away).
     """
     p = np.asarray(p, dtype=float)
@@ -34,7 +34,7 @@ def as_prob_vector(p, tol_sum: float = _SUM_TOL) -> np.ndarray:
         raise ValueError(f"negative probability {p.min():.3e}")
     p = np.maximum(p, 0.0)
     s = p.sum(axis=-1, keepdims=True)
-    off = np.abs(s - 1) > tol_sum
+    off = np.abs(s - 1) > _SUM_TOL
     if off.any():
         raise ValueError(f"probabilities sum to {s[off][0]!r}, expected 1")
     return p / s
@@ -121,9 +121,11 @@ def classical_entropy(p, alpha: float, kind: str):
 
 
 def quantum_entropy(rho, alpha: float, kind: str = "tsallis") -> float:
-    """Entropy of the eigenvalue distribution of a density matrix."""
-    rho = check_density(rho)
-    w = np.linalg.eigvalsh(rho)
+    """Entropy of the eigenvalue distribution of a density matrix: the spectrum
+    that served its PSD check."""
+    rho, w = density_spectrum(rho)
+    if rho.ndim != 2:
+        raise ValueError(f"rho must be one matrix, got shape {rho.shape}")
     return classical_entropy(w, alpha, kind)
 
 

@@ -39,7 +39,7 @@ def hermitianize(x: np.ndarray) -> np.ndarray:
     return (x + x.conj().swapaxes(-1, -2)) / 2
 
 
-def check_hermitian(h, tol: float = TOL_HERM, name: str = "matrix") -> np.ndarray:
+def check_hermitian(h, name: str = "matrix") -> np.ndarray:
     """Validate a finite Hermitian matrix, or an (n, dim, dim) stack of them, and
     return its Hermitian part.  For a stack the error names the element that
     deviates most."""
@@ -50,8 +50,8 @@ def check_hermitian(h, tol: float = TOL_HERM, name: str = "matrix") -> np.ndarra
         raise ValueError(f"{name} has non-finite entries")
     dev = np.linalg.norm(h - h.conj().swapaxes(-1, -2), axis=(-2, -1)).ravel()
     k = int(dev.argmax())
-    if dev[k] > tol:
-        raise ValueError(f"{_element(name, h, k)} is not Hermitian: deviation {dev[k]:.3e} > {tol:.1e}")
+    if dev[k] > TOL_HERM:
+        raise ValueError(f"{_element(name, h, k)} is not Hermitian: deviation {dev[k]:.3e} > {TOL_HERM:.1e}")
     return hermitianize(h)
 
 
@@ -60,13 +60,13 @@ def _element(name: str, x: np.ndarray, k: int) -> str:
     return f"{name} {k}" if x.ndim == 3 else name
 
 
-def check_unitary(u, tol: float = TOL_UNITARY, name: str = "matrix") -> np.ndarray:
+def check_unitary(u, name: str = "matrix") -> np.ndarray:
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1] or not np.isfinite(u).all():
         raise ValueError(f"{name} is not a finite square matrix: shape {u.shape}")
     dev = np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0]))
-    if dev > tol:
-        raise ValueError(f"{name} is not unitary: deviation {dev:.3e} > {tol:.1e}")
+    if dev > TOL_UNITARY:
+        raise ValueError(f"{name} is not unitary: deviation {dev:.3e} > {TOL_UNITARY:.1e}")
     return u
 
 

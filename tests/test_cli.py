@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import os
@@ -369,6 +370,8 @@ class TestSizeArguments:
             (["extremal", "--in", "instance.json", "--alpha-grid", "0"], "--alpha-grid"),
             (["demo", "angle", "--alpha", "2", "--width", "0"], "--width"),
             (["demo", "angle", "--alpha", "2", "--width", "nan"], "--width"),
+            (["sweep", "--dim", "2", "--trials", "1", "--alpha-grid", ","], "--alpha-grid"),
+            (["extremal", "--in", "instance.json", "--alpha-grid", ","], "--alpha-grid"),
         ],
     )
     def test_out_of_range_exits_2(self, capsys, argv, flag):
@@ -731,8 +734,8 @@ class TestReporter:
             stream.flush = lambda: flushed.append(stream.getvalue())
             rep = cli.Reporter(fmt, False, stream)
             rep.row("a", slack=0.0)
-            rep.obj({"check_name": "b"})
-            assert len(flushed) == 2
+            rep.obj({"check_name": "b"})  # a JSON line; CSV has no columns for it, so writes none
+            assert len(flushed) == {"json": 2, "csv": 1}[fmt]
             assert flushed[-1] == stream.getvalue()
 
     def test_block_is_one_write_and_one_flush(self):
@@ -844,6 +847,18 @@ class TestCsvFormat:
         lines = out.strip().splitlines()
         assert lines[0] == ",".join(cli.ROW_FIELDS)
         assert len(lines) > 1
+
+    def test_extremal_is_csv_rows_only(self, tmp_path, capsys):
+        # the JSON extremal_summary has no CSV columns, so CSV output leaves it out
+        a = random_unraveling(2, 3, seed=3)
+        path = _write_instance(tmp_path, dim=2, kraus=[_encode(k) for k in a.kraus_ops])
+        code, out, err = _run(capsys, ["--format", "csv", "extremal", "--in", path, "--remixings", "50"])
+        assert (code, err) == (0, "")
+        reader = csv.DictReader(io.StringIO(out))
+        rows = list(reader)
+        assert reader.fieldnames == cli.ROW_FIELDS
+        assert [r["check_name"] for r in rows] == ["extremal_vs_remixings"] * 6
+        assert all(None not in r and None not in r.values() for r in rows)  # no short or long record
 
 
 def test_import_loads_no_scipy():

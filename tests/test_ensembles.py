@@ -49,6 +49,12 @@ class TestEnsembleFromState:
             overlap = abs(np.vdot(v[:, k], psi))
             assert overlap == pytest.approx(1.0, abs=1e-10)
 
+    def test_states_are_one_array(self):
+        e = ensemble_from_state(linalg.random_density(3, 3, seed=7), 4, seed=8)
+        assert isinstance(e.states, np.ndarray) and e.states.shape == (4, 3) and e.dim == 3
+        with pytest.raises(ValueError, match="state 1 is not normalized"):
+            _pure_ensemble([0.5, 0.5], [[1, 0], [np.nan, 0]])
+
     def test_maximally_mixed_qubit(self):
         e = ensemble_from_state(np.eye(2) / 2, 2, seed=3)
         assert np.linalg.norm(ensemble_density(e) - np.eye(2) / 2) < 1e-10
@@ -196,7 +202,7 @@ class TestMixedEnsembleBounds:
 
 class TestStackedKernels:
     def test_one_stack_matches_one_element_views(self):
-        # the public checks are one-element views of the stacked kernels
+        # the public checks call the same kernels on one ensemble
         rng = np.random.default_rng(11)
         d, m, alpha = 3, 5, 1.7
         rhos = np.stack([linalg.random_density(d, d, seed=s) for s in range(6)])
