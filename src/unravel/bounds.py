@@ -37,7 +37,7 @@ import numpy as np
 
 from . import linalg
 from .channels import Unraveling, _extremal, _flat
-from .entropy import ConjugateOrders, _entropy, alpha_log, as_prob_vector
+from .entropy import ConjugateOrders, _entropy, alpha_log, as_prob_vector, conjugate_order
 from .linalg import check_density
 
 # Probabilities below this are treated as zero in the factor maxima.
@@ -357,19 +357,20 @@ class PhiProblem:
             raise ValueError(f"gamma must be finite and >= 1, got {self.gamma}")
         if not 1 < self.alpha < np.inf:
             raise ValueError(f"alpha must be finite and > 1, got {self.alpha}")
+        conjugate_order(self.alpha)  # the conjugate order must not round to 0
 
     @property
     def beta(self) -> float:
-        return self.alpha / (2.0 * self.alpha - 1.0)
+        return conjugate_order(self.alpha).beta
 
     @property
     def xi0(self) -> float:
         return self.gamma ** (-self.alpha / self.beta)
 
     def phi(self, xi, zeta):
-        return (np.asarray(xi) - 1.0) / (1.0 - self.alpha) + (np.asarray(zeta) - 1.0) / (
-            1.0 - self.beta
-        )
+        # near the largest float a term overflows to +inf, which never wins the minimum
+        with np.errstate(over="ignore"):
+            return (np.asarray(xi) - 1.0) / (1.0 - self.alpha) + (np.asarray(zeta) - 1.0) / (1.0 - self.beta)
 
 
 def _feasible_grid_min(problem: PhiProblem, grid_points: int) -> float:

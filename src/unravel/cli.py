@@ -27,9 +27,10 @@ from .entropy import _entropy, as_prob_vector, conjugate_order
 
 SLACK_TOL = -1e-9
 
-# Stacked elements (complex entries of the drawn inputs) per block of trials in
-# `sweep`, `demo dft` and `ensemble`: memory stays bounded whatever --trials is.
-# The first block holds one trial, so the first rows never wait for a full block.
+# Stacked elements per block of trials in `sweep`, `demo dft` and `ensemble`: the
+# complex entries that all the stages of a block draw (each stage draws its own
+# when it starts), so memory stays bounded whatever --trials is.  The first block
+# holds one trial, so the first rows never wait for a full block.
 BLOCK_ELEMENTS = 1 << 16
 
 # The fields of a report row: the order of the keys in each JSON row (keys not
@@ -317,127 +318,84 @@ def cmd_uncertainty(args, rep: Reporter) -> None:
     )
 
 
-def _stack(arrays) -> np.ndarray:
-    """np.stack, but a view for one array: a block of one large trial holds its
-    draws once."""
+def _ginibre(seeds, *shape: int) -> np.ndarray:
+    """One seeded_ginibre(seed, *shape) per seed, stacked: a view for one seed,
+    so a block of one large trial holds its draw once."""
+    arrays = [linalg.seeded_ginibre(seed, *shape) for seed in seeds]
     return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
 
 
-def _sweep_states(z: np.ndarray) -> np.ndarray:
-    """The trials' states from their Ginibre draws, validated once."""
-    return linalg.density_spectrum(linalg._densities(_stack(z)), name="rho")[0]
-
-
-def _sweep_gram(z, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gram matrices of the trials' channels at their states, and their spectra
-    as extremal_unraveling computes them (without the extremal Kraus sets)."""
-    k = channels._isometry_kraus(_stack(z), rho.shape[-1])
-    channels._check_complete(k)
-    gram = channels._gram(k, rho)
-    return gram, as_prob_vector(linalg.hermitian_eig(gram)[0])
-
-
-def _sweep_remixed(z, gram: np.ndarray) -> np.ndarray:
-    """Distributions of the trials' Haar-random remixings, (T, remixings, n)."""
-    return channels.remixed_probabilities(gram, linalg.positive_qr(_stack(z)))
-
-
-def _sweep_block(draws: list, grid: list, orders: list) -> tuple:
-    """Every quantity of a block of sweep trials, one kernel call each, stage by
-    stage so that each stage's temporaries die before the next one starts.
-
-    draws holds, per draw, one Ginibre array per trial; each stage takes its
-    draws out of the list, so they go when the stage ends.  Returns the
-    factor_chain columns (g, chain slack), the theorem-1 fields per order of
-    grid and the stacked relation reports per order of orders; each column is
-    a list over the trials.
-    """
-    rho = _sweep_states(draws.pop(0))
-    gram, lambdas = _sweep_gram(draws.pop(0), rho)
-    # each stack validated once, for every order
-    lambdas, probs = as_prob_vector(lambdas), as_prob_vector(_sweep_remixed(draws.pop(0), gram))
-    theorem1 = []
-    for alpha in grid:
-        lhs, rhs = _theorem1(lambdas, probs, alpha)
-        theorem1.append(dict(alpha=alpha, lhs=lhs.tolist(), rhs=rhs.tolist(), slack=(lhs - rhs).tolist()))
-    m = bounds._projective(linalg.positive_qr(_stack(draws.pop(0))))
-    n = bounds._projective(linalg.positive_qr(_stack(draws.pop(0))))
-    g, reports = bounds._reports(m, n, rho, orders, "g", ("tsallis", "renyi"))
-    f, fb = bounds._f(m, n, rho), bounds._f_bar(m, n)
-    chain = np.minimum(np.minimum(f - g, fb - f), 1.0 + 1e-10 - fb)
-    return g.tolist(), chain.tolist(), theorem1, reports
+def _trial_seeds(seed: int):
+    """draw for _stream_trials: the base seeds seed + 1000·t of trials start..stop-1,
+    Python ints at any size."""
+    return lambda start, stop: range(seed + 1000 * start, seed + 1000 * stop, 1000)
 
 
 def cmd_sweep(args, rep: Reporter) -> None:
     d, grid = args.dim, args.alpha_grid
     orders = [conjugate_order(alpha) for alpha in grid if alpha > 0.5]
-    # the Ginibre draws of random_density, random_unraveling, haar_random_unitaries
-    # and the two random_projective_povm, at base + 0..4
-    shapes = ((d, d), (d * d, d), (args.remixings, d, d), (d, d), (d, d))
 
-    def draw(t: int) -> tuple:
-        base = args.seed + 1000 * t
-        return (base, *(linalg.seeded_ginibre(base + k, *shape) for k, shape in enumerate(shapes)))
-
-    def compute(drawn: list):
-        bases, *draws = zip(*drawn)
-        drawn.clear()  # the stages of _sweep_block take the draws over
-        g, chain, theorem1, reports = _sweep_block(draws, grid, orders)
+    def compute(bases: range):
+        # each stage draws its trials' Ginibre arrays when it starts: those of random_density,
+        # random_unraveling, haar_random_unitaries and the two random_projective_povm, at base + 0..4
+        rho = linalg.density_spectrum(linalg._densities(_ginibre(bases, d, d)), name="rho")[0]
+        kraus = channels._isometry_kraus(_ginibre((b + 1 for b in bases), d * d, d), d)
+        channels._check_complete(kraus)
+        gram = channels._gram(kraus, rho)
+        del kraus  # before the remixings are drawn
+        # the Gram spectra through as_prob_vector twice, as extremal_unraveling's lambdas
+        # reach the entropy; each stack validated once, for every order
+        lambdas = as_prob_vector(as_prob_vector(linalg.hermitian_eig(gram)[0]))
+        probs = as_prob_vector(
+            channels.remixed_probabilities(gram, linalg.positive_qr(_ginibre((b + 2 for b in bases), args.remixings, d, d)))
+        )
+        m = bounds._projective(linalg.positive_qr(_ginibre((b + 3 for b in bases), d, d)))
+        n = bounds._projective(linalg.positive_qr(_ginibre((b + 4 for b in bases), d, d)))
+        g, reports = bounds._reports(m, n, rho, orders, "g", ("tsallis", "renyi"))
+        f, fb = bounds._f(m, n, rho), bounds._f_bar(m, n)
+        chain = np.minimum(np.minimum(f - g, fb - f), 1.0 + 1e-10 - fb)
         seed = list(bases)
-        table = [("factor_chain", dict(d=d, slack=chain, factor=g, seed=seed))]
+        table = [("factor_chain", dict(d=d, slack=chain.tolist(), factor=g.tolist(), seed=seed))]
         relation = iter(reports)
-        for alpha, fields in zip(grid, theorem1):
-            table.append(("theorem1_tsallis", dict(d=d, seed=seed, **fields)))
+        for alpha in grid:
+            lhs, rhs = _theorem1(lambdas, probs, alpha)
+            theorem1 = dict(alpha=alpha, lhs=lhs.tolist(), rhs=rhs.tolist(), slack=(lhs - rhs).tolist())
+            table.append(("theorem1_tsallis", dict(d=d, seed=seed, **theorem1)))
             if alpha > 0.5:
                 for name in ("theorem2_tsallis", "renyi_relation"):
                     table.append((name, dict(d=d, factor_kind="g", seed=seed, **_report_fields(next(relation)))))
         return table
 
-    _stream_trials(rep, args.trials, d * d * (d + args.remixings + 3), draw, compute)
+    _stream_trials(rep, args.trials, d * d * (d + args.remixings + 3), _trial_seeds(args.seed), compute)
 
 
 def _stream_trials(rep: Reporter, trials: int, per_trial: int, draw, compute) -> None:
     """Run trials 0..trials-1 in blocks of at most BLOCK_ELEMENTS // per_trial,
-    the first block of trial 0 alone.
+    the first block of trial 0 alone, and write each block's rows before the
+    next block starts.
 
-    draw(t) makes trial t's inputs, in trial order; compute(drawn) takes a list
-    of drawn trials, makes one kernel call per quantity over them and returns
-    their rows as a table of Reporter.table, in trial order.  compute may empty
-    the list, so that a large trial's draws go once they are stacked.  Each
-    block's rows are written before the next block is drawn.  A trial whose
-    draw or computation raises still leaves the rows of the trials before it.
+    draw(start, stop) gives the inputs of trials start..stop-1 as one sliceable
+    object (a range of base seeds, or an array with one row per trial);
+    compute(inputs) makes one kernel call per quantity over those trials, each
+    stage drawing its seeded arrays when it starts, and returns their rows as a
+    table of Reporter.table, in trial order.  If a block of several trials
+    raises, compute runs again on one trial at a time: the rows of the trials
+    before the one that raises are written, and its error propagates.
     """
     size = max(1, BLOCK_ELEMENTS // per_trial)
     start = 0
     while start < trials:
         stop = min(start + size, trials) if start else 1
-        drawn = []
+        inputs = draw(start, stop)
         try:
-            for t in range(start, stop):
-                drawn.append(draw(t))
+            tables = [compute(inputs)]
         except Exception:
-            _write_block(rep, drawn, compute)
-            raise
-        _write_block(rep, drawn, compute)
+            if len(inputs) == 1:
+                raise
+            tables = (compute(inputs[i : i + 1]) for i in range(len(inputs)))
+        for table in tables:
+            rep.table(table)
         start = stop
-
-
-def _write_block(rep: Reporter, drawn: list, compute) -> None:
-    if not drawn:
-        return
-    # a block of several trials is small (BLOCK_ELEMENTS), so its draws are kept
-    # to run it again one trial at a time; one trial has nothing to fall back to
-    kept = list(drawn) if len(drawn) > 1 else []
-    try:
-        rows = compute(drawn)
-    except Exception:
-        if not kept:
-            raise
-        # the trials before the one that raises report
-        for one in kept:
-            rep.table(compute([one]))
-        return
-    rep.table(rows)
 
 
 def cmd_demo(args, rep: Reporter) -> None:
@@ -453,15 +411,14 @@ def cmd_demo(args, rep: Reporter) -> None:
         rep.row("dft_basis_state", **fields(d, demos.dft_uncertainty_demo(basis, orders)))
         rng = np.random.default_rng(args.seed)
 
-        def compute(drawn: list):
-            # each trial drew the real parts of its state, then the imaginary parts,
-            # the stream that linalg.ginibre(rng, d, 1) draws
-            z = np.stack(drawn)
+        def compute(z: np.ndarray):
+            # each trial's real parts, then its imaginary parts: the stream that
+            # linalg.ginibre(rng, d, 1) draws trial by trial
             psi = (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2)
             psi /= linalg.vector_norm(psi)[:, None]
             return [("dft_random_state", fields(d, demos.dft_uncertainty_demo(psi, orders)))]
 
-        _stream_trials(rep, args.trials, d, lambda t: rng.standard_normal((2, d)), compute)
+        _stream_trials(rep, args.trials, d, lambda start, stop: rng.standard_normal((stop - start, 2, d)), compute)
     else:
         uniform = np.zeros(2 * args.truncation + 1)
         uniform[args.truncation] = 1.0
@@ -474,30 +431,21 @@ def cmd_demo(args, rep: Reporter) -> None:
 def cmd_ensemble(args, rep: Reporter) -> None:
     d, m, alpha = args.dim, args.members, args.alpha
 
-    def draw(t: int) -> tuple:
+    def compute(bases: range):
         # seeds: the state at base, the mixing unitary at base + 1, the mixture's
         # weights at base + 2 and its members at base + 3 + k; the Ginibre draws of
-        # random_density and haar_random_unitary
-        base = args.seed + 1000 * t
-        return (
-            base,
-            linalg.seeded_ginibre(base, d, d),
-            linalg.seeded_ginibre(base + 1, m, m),
-            np.random.default_rng(base + 2).dirichlet(np.ones(m)),
-            [linalg.seeded_ginibre(base + 3 + k, d, d) for k in range(m)],
-        )
-
-    def compute(drawn: list):
-        bases, rhos, us, mix_weights, members = zip(*drawn)
-        _, w, v = linalg.density_spectrum(linalg._densities(np.stack(rhos)), name="rho", vectors=True)
-        weights, states = ensembles._pure_members(w, v, linalg.positive_qr(np.stack(us)))
+        # random_density and haar_random_unitary, each drawn when its stage starts
+        _, w, v = linalg.density_spectrum(linalg._densities(_ginibre(bases, d, d)), name="rho", vectors=True)
+        weights, states = ensembles._pure_members(w, v, linalg.positive_qr(_ginibre((b + 1 for b in bases), m, m)))
         # normalized again, as PureEnsemble normalizes what ensemble_from_state gives it,
         # so each row equals the one-element path's to the bit
         state_h, weight_h = ensembles._pure_bounds(as_prob_vector(weights), states, alpha, "tsallis")
-        members, spectra = linalg.density_spectrum(linalg._densities(np.reshape(members, (-1, d, d))), name="member")
-        t = len(drawn)
+        mix_weights = np.stack([np.random.default_rng(b + 2).dirichlet(np.ones(m)) for b in bases])
+        members = _ginibre((b + 3 + k for b in bases for k in range(m)), d, d)
+        members, spectra = linalg.density_spectrum(linalg._densities(members), name="member")
+        t = len(bases)
         lower, mid, upper = ensembles._sandwich(
-            as_prob_vector(np.stack(mix_weights)), members.reshape(t, m, d, d), spectra.reshape(t, m, d), alpha
+            as_prob_vector(mix_weights), members.reshape(t, m, d, d), spectra.reshape(t, m, d), alpha
         )
         common = dict(d=d, alpha=alpha, seed=list(bases))
         pure = dict(lhs=weight_h.tolist(), rhs=state_h.tolist(), slack=(weight_h - state_h).tolist())
@@ -506,7 +454,7 @@ def cmd_ensemble(args, rep: Reporter) -> None:
         mixed = dict(lhs=upper.tolist(), rhs=lower.tolist(), slack=np.where(above < below, above, below).tolist())
         return [("pure_ensemble_bound", dict(common, **pure)), ("mixed_ensemble_sandwich", dict(common, **mixed))]
 
-    _stream_trials(rep, args.trials, (m + 1) * d * d + m * m, draw, compute)
+    _stream_trials(rep, args.trials, (m + 1) * d * d + m * m, _trial_seeds(args.seed), compute)
 
 
 def cmd_phi_min(args, rep: Reporter) -> None:

@@ -154,4 +154,6 @@ def conjugate_order(alpha: float) -> ConjugateOrders:
     if not 0.5 < alpha < np.inf:
         raise ValueError(f"conjugate order needs a finite alpha > 1/2, got {alpha}")
     beta = alpha / (2.0 * alpha - 1.0)
+    if beta == 0:  # 2 alpha - 1 overflowed
+        raise ValueError(f"the conjugate order of alpha = {alpha} rounds to 0")
     return ConjugateOrders(alpha=alpha, beta=beta, mu=max(alpha, beta))

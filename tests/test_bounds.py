@@ -643,6 +643,10 @@ class TestPhiMin:
         with pytest.raises(ValueError):
             PhiProblem(0.9, 2.0)
 
+    def test_overflow_to_inf_never_wins(self):
+        # phi is +inf near zeta = gamma = 1e308, with no RuntimeWarning (which the suite raises)
+        assert phi_min_verify(PhiProblem(1e308, 2.0), 50) == (1.0, 1.0)
+
     @pytest.mark.parametrize("block", [1, 7, 64, 1 << 15])
     def test_edge_blocks_match_one_linspace(self, monkeypatch, block):
         # reference: the whole edge sweep as one np.linspace, which the blocks reproduce

@@ -660,6 +660,95 @@ class TestBlockedTrials:
                 tracemalloc.stop()
         assert peaks[1] <= 1.25 * peaks[0], peaks
 
+    def test_dft_draws_once_per_block(self, capsys, monkeypatch):
+        # one standard_normal call per block of trials, not one per trial
+        calls, default_rng = [], np.random.default_rng
+
+        class Counted:
+            def __init__(self, seed):
+                self._rng = default_rng(seed)
+
+            def __getattr__(self, name):
+                return getattr(self._rng, name)
+
+            def standard_normal(self, size):
+                calls.append(size)
+                return self._rng.standard_normal(size)
+
+        monkeypatch.setattr(cli.np.random, "default_rng", Counted)
+        monkeypatch.setattr(cli, "BLOCK_ELEMENTS", 4 * 3)  # blocks of 4 trials after trial 0
+        code, out, _ = _run(capsys, ["demo", "dft", "--dim", "3", "--alpha", "2", "--trials", "10"])
+        assert code == 0
+        assert len(_json_rows(out)) == 11
+        assert calls == [(1, 2, 3), (4, 2, 3), (4, 2, 3), (1, 2, 3)]
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--dim", "3", "--trials", "6", "--remixings", "10", "--alpha-grid", "0.3,1,2", "--seed", "7"],
+            ["ensemble", "--dim", "3", "--members", "4", "--alpha", "0.7", "--trials", "12", "--seed", "7"],
+            ["demo", "dft", "--dim", "4", "--alpha", "2", "--trials", "20", "--seed", "7"],
+        ],
+        ids=["sweep", "ensemble", "demo-dft"],
+    )
+    def test_block_size_changes_no_byte(self, monkeypatch, fmt, argv):
+        # blocks of one trial each, and the default blocks of several
+        outs = []
+        for block in (1, cli.BLOCK_ELEMENTS):
+            monkeypatch.setattr(cli, "BLOCK_ELEMENTS", block)
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                assert cli.main(["--format", fmt, *argv]) == 0
+            outs.append(out.getvalue())
+        assert outs[0] == outs[1]
+
+    def test_seeds_above_int64(self, capsys):
+        # the base seeds stay Python ints: trials 1-3 make one block, drawn as the
+        # public one-trial path draws them
+        seed, d, m, alpha = 10**23, 2, 3, 1.5
+        argv = ["sweep", "--dim", str(d), "--trials", "4", "--remixings", "5", "--seed", str(seed)]
+        code, out, _ = _run(capsys, argv)
+        assert code == 0
+        want = []
+        for t in range(4):
+            base = seed + 1000 * t
+            rho = linalg.random_density(d, d, base)
+            extremal = channels.extremal_unraveling(channels.random_unraveling(d, d, base + 1), rho)
+            probs = channels.remixed_probabilities(extremal.gram, linalg.haar_random_unitaries(d, 5, base + 2))
+            m_povm, n_povm = bounds.random_projective_povm(d, base + 3), bounds.random_projective_povm(d, base + 4)
+            g, f = bounds.g_factor(m_povm, n_povm, rho), bounds.f_factor(m_povm, n_povm, rho)
+            fb = bounds.f_bar(m_povm, n_povm)
+            want.append(dict(check_name="factor_chain", d=d, slack=min(f - g, fb - f, 1.0 + 1e-10 - fb), factor=g, seed=base))
+            for a in (1.5, 2.0, 3.0):
+                lhs, rhs = float(tsallis_entropy(probs, a).min()), tsallis_entropy(extremal.lambdas, a)
+                want.append(dict(check_name="theorem1_tsallis", d=d, alpha=a, lhs=lhs, rhs=rhs, slack=lhs - rhs, seed=base))
+                for name, check in (
+                    ("theorem2_tsallis", bounds.tsallis_uncertainty_check),
+                    ("renyi_relation", bounds.renyi_uncertainty_check),
+                ):
+                    report = check(m_povm, n_povm, rho, conjugate_order(a), "g")
+                    want.append(dict(check_name=name, d=d, factor_kind="g", seed=base, **cli._report_fields(report)))
+        assert _json_rows(out) == want
+
+        argv = ["ensemble", "--dim", str(d), "--members", str(m), "--alpha", str(alpha), "--trials", "4"]
+        code, out, _ = _run(capsys, argv + ["--seed", str(seed)])
+        assert code == 0
+        want = []
+        for t in range(4):
+            base = seed + 1000 * t
+            pure = ensembles.ensemble_from_state(linalg.random_density(d, d, base), m, base + 1)
+            res = ensembles.pure_ensemble_bounds_check(pure, alpha, "tsallis")
+            weights = np.random.default_rng(base + 2).dirichlet(np.ones(m))
+            members = [linalg.random_density(d, d, base + 3 + k) for k in range(m)]
+            lower, mid, upper = ensembles.mixed_ensemble_bounds_check(ensembles.MixedEnsemble(weights, members), alpha)
+            common = dict(d=d, alpha=alpha, seed=base)
+            lhs, rhs = res.ensemble_entropy, res.state_entropy
+            want.append(dict(check_name="pure_ensemble_bound", lhs=lhs, rhs=rhs, slack=lhs - rhs, **common))
+            want.append(dict(check_name="mixed_ensemble_sandwich", lhs=upper, rhs=lower, slack=min(mid - lower, upper - mid), **common))
+        rows = _json_rows(out)
+        assert rows == want
+        assert [r["seed"] for r in rows] == [seed + 1000 * t for t in range(4) for _ in range(2)]
+
 
 class TestDemoCommand:
     def test_dft(self, capsys):
@@ -719,11 +808,22 @@ class TestPhiMinCommand:
 
 
     def test_non_finite_inputs_exit_2(self, capsys):
-        for argv, name in ((["--gamma", "2", "--alpha", "nan"], "alpha"), (["--gamma", "inf", "--alpha", "2"], "gamma")):
+        for argv, name in (
+            (["--gamma", "2", "--alpha", "nan"], "alpha"),
+            (["--gamma", "inf", "--alpha", "2"], "gamma"),
+            (["--gamma", "2", "--alpha", "9e307"], "alpha"),
+        ):
             code, out, err = _run(capsys, ["phi-min", *argv])
             assert code == 2
             assert out == ""
             assert name in json.loads(err)["error"]
+
+    def test_overflow_writes_no_warning(self):
+        # phi overflows to +inf near zeta = gamma = 1e308, which never wins the minimum
+        argv = [sys.executable, "-m", "unravel.cli", "phi-min", "--gamma", "1e308", "--alpha", "2"]
+        proc = subprocess.run(argv, env=_src_env(), capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert json.loads(proc.stdout)["slack"] == 0.0
 
 
 class TestReporter:

@@ -218,6 +218,11 @@ class TestConjugateOrder:
             with pytest.raises(ValueError, match="alpha"):
                 conjugate_order(bad)
 
+    def test_conjugate_rounding_to_zero_names_alpha(self):
+        # 2 alpha - 1 overflows to inf, so beta would be 0
+        with pytest.raises(ValueError, match=r"conjugate order of alpha = 1e\+308 rounds to 0"):
+            conjugate_order(1e308)
+
     @given(st.floats(min_value=0.51, max_value=50.0))
     @settings(max_examples=50, deadline=None)
     def test_constraint(self, alpha):
