@@ -43,8 +43,6 @@ from .linalg import check_density
 # Probabilities below this are treated as zero in the factor maxima.
 P_ZERO_TOL = 1e-12
 
-TOL_POVM_COMPLETE = 1e-9
-
 # Points of phi_min_verify's edge sweep evaluated at once: its memory stays
 # O(EDGE_BLOCK) however many points it visits.
 EDGE_BLOCK = 1 << 15
@@ -67,13 +65,8 @@ class Povm:
     roots: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        elems = linalg.as_matrix_stack(self.elements, "POVM elements")
-        elems = linalg.check_hermitian(elems, name="POVM element")
-        w, v = np.linalg.eigh(elems)
-        k = int(w[:, 0].argmin())
-        if w[k, 0] < -linalg.TOL_PSD:
-            raise ValueError(f"POVM element {k} not PSD: min eigenvalue {w[k, 0]:.3e}")
-        self._hold(elems, _root_factors(w, v))
+        elems = linalg.check_hermitian(linalg.as_matrix_stack(self.elements, "POVM elements"), name="POVM element")
+        self._hold(elems, _root_factors(*linalg.psd_spectrum(elems, "POVM element", vectors=True)))
 
     @classmethod
     def _factored(cls, products: np.ndarray, roots: np.ndarray) -> Povm:
@@ -85,9 +78,7 @@ class Povm:
         return povm
 
     def _hold(self, elems: np.ndarray, roots: np.ndarray) -> None:
-        dev = np.linalg.norm(elems.sum(axis=-3) - np.eye(elems.shape[-1]), axis=(-2, -1))
-        if (dev > TOL_POVM_COMPLETE).any():
-            raise ValueError(f"POVM completeness violated: ||sum M - I||_F = {dev.max():.3e}")
+        linalg.check_identity(elems.sum(axis=-3), "POVM completeness violated: ||sum M - I||_F")
         object.__setattr__(self, "elements", elems)
         object.__setattr__(self, "roots", roots)
 

@@ -14,9 +14,7 @@ import numpy as np
 
 from . import linalg
 from .entropy import as_prob_vector, classical_entropy
-from .linalg import as_matrix_stack, check_density, check_unitary, hermitian_eig
-
-TOL_COMPLETE = 1e-9
+from .linalg import as_matrix_stack, check_density, check_unitary
 
 
 @dataclass(frozen=True)
@@ -25,8 +23,8 @@ class Unraveling:
 
     The operators are held as one (n, dim_out, dim_in) array, which indexes
     and iterates like a tuple of matrices.  Operators may be rectangular
-    (dim_out x dim_in).  Inputs violating completeness beyond TOL_COMPLETE are
-    rejected, not renormalized.
+    (dim_out x dim_in).  Inputs violating completeness beyond linalg.TOL_UNITARY
+    are rejected, not renormalized.
     """
 
     kraus_ops: np.ndarray
@@ -51,12 +49,10 @@ class Unraveling:
 
 def _check_complete(k: np.ndarray) -> None:
     """Reject a Kraus set (n, dim_out, dim_in), or any set of a stack of them,
-    whose completeness sum A†A = I fails beyond TOL_COMPLETE."""
+    whose completeness sum A†A = I fails beyond linalg.TOL_UNITARY."""
     # stacked vertically the operators form an isometry V, and sum A†A = V†V
     v = k.reshape(*k.shape[:-3], -1, k.shape[-1])
-    dev = np.linalg.norm(v.conj().swapaxes(-1, -2) @ v - np.eye(k.shape[-1]), axis=(-2, -1))
-    if (dev > TOL_COMPLETE).any():
-        raise ValueError(f"completeness violated: ||sum A†A - I||_F = {dev.max():.3e}")
+    linalg.check_identity(v.conj().swapaxes(-1, -2) @ v, "completeness violated: ||sum A†A - I||_F")
 
 
 @dataclass(frozen=True)
@@ -125,7 +121,7 @@ def effect_probabilities(a: Unraveling, rho) -> np.ndarray:
 
 def _extremal(a: Unraveling, rho: np.ndarray) -> ExtremalResult:
     pi = _gram(a.kraus_ops, rho)
-    w, v = hermitian_eig(pi)
+    w, v = linalg._descending_eig(pi)  # _gram made pi Hermitian
     return ExtremalResult(extremal=remix(a, v), lambdas=as_prob_vector(w), diagonalizer=v, gram=pi)
 
 

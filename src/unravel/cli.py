@@ -345,7 +345,7 @@ def cmd_sweep(args, rep: Reporter) -> None:
         del kraus  # before the remixings are drawn
         # the Gram spectra through as_prob_vector twice, as extremal_unraveling's lambdas
         # reach the entropy; each stack validated once, for every order
-        lambdas = as_prob_vector(as_prob_vector(linalg.hermitian_eig(gram)[0]))
+        lambdas = as_prob_vector(as_prob_vector(linalg._descending_eig(gram)[0]))
         probs = as_prob_vector(
             channels.remixed_probabilities(gram, linalg.positive_qr(_ginibre((b + 2 for b in bases), args.remixings, d, d)))
         )

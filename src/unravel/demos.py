@@ -39,10 +39,7 @@ def dft_uncertainty_demo(state, orders: ConjugateOrders) -> BoundReport:
     c = np.asarray(state, dtype=complex)
     if c.ndim not in (1, 2):
         raise ValueError(f"state must be a vector or a stack of them, got shape {c.shape}")
-    off = np.abs(linalg.vector_norm(c) - 1) > 1e-10
-    if off.any():
-        which = f"state {int(off.argmax())}" if c.ndim == 2 else "state"
-        raise ValueError(f"{which} is not normalized")
+    linalg.check_unit_norm(c)
     d = c.shape[-1]
     q = np.abs(c) ** 2
     # |F c|^2 up to the order of its entries, which no entropy sees
@@ -65,7 +62,7 @@ class AngleState:
         c = np.asarray(self.coeffs, dtype=complex).ravel()
         if c.size % 2 == 0:
             raise ValueError("coeffs must cover l = -L..L, so their count is odd")
-        if abs(np.sum(np.abs(c) ** 2) - 1) > 1e-10:
+        if not abs(np.sum(np.abs(c) ** 2) - 1) <= 1e-10:  # NaN fails too
             raise ValueError("momentum amplitudes are not normalized")
         if self.nbins < 1:
             raise ValueError(f"nbins must be >= 1, got {self.nbins}")

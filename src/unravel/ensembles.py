@@ -44,9 +44,7 @@ class PureEnsemble:
         if states.ndim == 0 or len(states) != w.size:
             raise ValueError("weights and states disagree in length")
         states = states.reshape(w.size, -1)
-        off = ~(np.abs(linalg.vector_norm(states) - 1) <= 1e-10)  # NaN is off too
-        if off.any():
-            raise ValueError(f"state {int(off.argmax())} is not normalized")
+        linalg.check_unit_norm(states)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "states", states)
 
@@ -70,8 +68,7 @@ class MixedEnsemble:
 
     def __post_init__(self):
         w = as_prob_vector(self.weights)
-        members = linalg.as_matrix_stack(self.members, "members")
-        members, spectra = linalg.density_spectrum(members, name="member")
+        members, spectra = linalg.density_spectrum(linalg.as_matrix_stack(self.members, "members"), name="member")
         if members.shape[0] != w.size:
             raise ValueError("weights and members disagree in length")
         object.__setattr__(self, "weights", w)
@@ -153,9 +150,7 @@ def ensemble_from_state(rho, m: int, seed: int | None) -> PureEnsemble:
     pure-ensemble bound stays testable.  Members below WEIGHT_DROP_TOL are
     dropped.
     """
-    _, w, v = linalg.density_spectrum(rho, name="rho", vectors=True)
-    if w.ndim != 1:
-        raise ValueError(f"rho must be one matrix, got shape {np.shape(rho)}")
+    _, w, v = linalg.density_spectrum(linalg.check_one_matrix(rho, "rho"), vectors=True)
     u = np.eye(m, dtype=complex) if seed is None else haar_random_unitary(m, seed)
     weights, states = _pure_members(w, v, u)
     keep = weights > 0

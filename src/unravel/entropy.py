@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import density_spectrum
+from .linalg import check_one_matrix, density_spectrum
 
 _SUM_TOL = 1e-10
 _NEG_TOL = 1e-12
@@ -70,7 +70,8 @@ def _entropy(p: np.ndarray, alpha: float, kind: str):
 
     T = -sum p ln_(2-a)(p) = -sum p^a ln_a(p) in the expm1 form of alpha_log:
     the first for a >= 1, the second for a < 1, so every expm1 argument is
-    <= 0 (no overflow, subnormal p included) and all terms share one sign.
+    <= 0 (subnormal p included; at huge orders it overflows to -inf, where expm1
+    gives -1, the exact limit) and all terms share one sign.
     """
     if kind not in ("tsallis", "renyi"):
         raise ValueError(f"unknown entropy kind {kind!r}")
@@ -78,18 +79,21 @@ def _entropy(p: np.ndarray, alpha: float, kind: str):
     # log(p + 1) = 0 stands in where p == 0, so those terms count as 0
     log_p = np.log(p + (p == 0))
     t = 1.0 - alpha
-    if t:
-        weights = p if t < 0 else p**alpha
-        h = (weights * np.expm1(abs(t) * log_p)).sum(axis=-1) / -abs(t)
-    else:
-        h = -(p * log_p).sum(axis=-1)
-    if kind == "renyi" and t:
-        s = t * h  # sum p^a - 1, whose log1p stays exact near order 1
-        far = s < -0.5  # large alpha: sum p^a << 1 and s has rounded its digits away
-        h = np.log1p(np.maximum(s, -0.5)) / t
-        if far.any():
-            m = p.max(axis=-1, keepdims=True)  # factored out, so sum p^a cannot underflow
-            h = np.where(far, (alpha * np.log(m[..., 0]) + np.log(((p / m) ** alpha).sum(axis=-1))) / t, h)
+    with np.errstate(over="ignore"):
+        if t:
+            weights = p if t < 0 else p**alpha
+            h = (weights * np.expm1(abs(t) * log_p)).sum(axis=-1) / -abs(t)
+        else:
+            h = -(p * log_p).sum(axis=-1)
+        if kind == "renyi" and t:
+            s = t * h  # sum p^a - 1, whose log1p stays exact near order 1
+            far = s < -0.5  # large alpha: sum p^a << 1 and s has rounded its digits away
+            h = np.log1p(np.maximum(s, -0.5)) / t
+            if far.any():
+                m = p.max(axis=-1, keepdims=True)  # factored out, so sum p^a cannot underflow
+                log_m, log_s = np.log(m[..., 0]), np.log(((p / m) ** alpha).sum(axis=-1))
+                h = np.where(far, (alpha * log_m + log_s) / t, h)
+                h = np.where(np.isinf(h), (alpha / t) * log_m + log_s / t, h)  # alpha ln m overflowed
     return float(h) if h.ndim == 0 else h
 
 
@@ -123,10 +127,7 @@ def classical_entropy(p, alpha: float, kind: str):
 def quantum_entropy(rho, alpha: float, kind: str = "tsallis") -> float:
     """Entropy of the eigenvalue distribution of a density matrix: the spectrum
     that served its PSD check."""
-    rho, w = density_spectrum(rho)
-    if rho.ndim != 2:
-        raise ValueError(f"rho must be one matrix, got shape {rho.shape}")
-    return classical_entropy(w, alpha, kind)
+    return classical_entropy(density_spectrum(check_one_matrix(rho, "rho"))[1], alpha, kind)
 
 
 @dataclass(frozen=True)

@@ -40,38 +40,67 @@ def hermitianize(x: np.ndarray) -> np.ndarray:
 
 
 def check_hermitian(h, name: str = "matrix") -> np.ndarray:
-    """Validate a finite Hermitian matrix, or an (n, dim, dim) stack of them, and
-    return its Hermitian part.  For a stack the error names the element that
-    deviates most."""
+    """Validate a finite Hermitian matrix, or a (..., dim, dim) stack of them, and return its
+    Hermitian part.  For a stack the error names the element that deviates most."""
     h = np.asarray(h, dtype=complex)
-    if h.ndim not in (2, 3) or h.shape[-1] != h.shape[-2]:
+    if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
         raise ValueError(f"{name} is not a square matrix or a stack of them: shape {h.shape}")
     if not np.isfinite(h).all():
         raise ValueError(f"{name} has non-finite entries")
-    dev = np.linalg.norm(h - h.conj().swapaxes(-1, -2), axis=(-2, -1)).ravel()
+    dev = np.linalg.norm(h - h.conj().swapaxes(-1, -2), axis=(-2, -1))
     k = int(dev.argmax())
-    if dev[k] > TOL_HERM:
-        raise ValueError(f"{_element(name, h, k)} is not Hermitian: deviation {dev[k]:.3e} > {TOL_HERM:.1e}")
+    if dev.flat[k] > TOL_HERM:
+        raise ValueError(f"{_element(name, dev, k)} is not Hermitian: deviation {dev.flat[k]:.3e} > {TOL_HERM:.1e}")
     return hermitianize(h)
 
 
-def _element(name: str, x: np.ndarray, k: int) -> str:
-    """How an error names element k of a matrix stack, or the one matrix."""
-    return f"{name} {k}" if x.ndim == 3 else name
+def _element(name: str, per_element: np.ndarray, k: int) -> str:
+    """How an error names element k of a stack (flat over per_element's axes), or the one item."""
+    return f"{name} {k}" if np.ndim(per_element) else name
+
+
+def check_identity(x: np.ndarray, what: str) -> None:
+    """Reject a matrix, or any of a (..., n, n) stack, off I by more than TOL_UNITARY in Frobenius norm, or NaN."""
+    dev = np.linalg.norm(x - np.eye(x.shape[-1]), axis=(-2, -1)).max()
+    if not dev <= TOL_UNITARY:
+        raise ValueError(f"{what} = {dev:.3e}")
 
 
 def check_unitary(u, name: str = "matrix") -> np.ndarray:
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1] or not np.isfinite(u).all():
         raise ValueError(f"{name} is not a finite square matrix: shape {u.shape}")
-    dev = np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0]))
-    if dev > TOL_UNITARY:
-        raise ValueError(f"{name} is not unitary: deviation {dev:.3e} > {TOL_UNITARY:.1e}")
+    check_identity(u.conj().T @ u, f"{name} is not unitary: ||u†u - I||_F")
     return u
 
 
+def check_unit_norm(x: np.ndarray, name: str = "state") -> None:
+    """Reject a vector, or the first of a (..., d) stack, whose norm is off 1 by more than 1e-10, or NaN."""
+    off = ~(np.abs(vector_norm(x) - 1) <= 1e-10)
+    if off.any():
+        raise ValueError(f"{_element(name, off, int(off.argmax()))} is not normalized")
+
+
+def check_one_matrix(x, name: str):
+    """x, rejected unless it is one matrix (two axes): the gate before a check that takes stacks."""
+    if np.ndim(x) != 2:
+        raise ValueError(f"{name} must be one matrix, got shape {np.shape(x)}")
+    return x
+
+
+def psd_spectrum(h: np.ndarray, name: str, vectors: bool = False) -> tuple:
+    """(w,), or (w, v) with vectors: the ascending eigendecomposition of a Hermitian matrix or
+    (..., dim, dim) stack, rejected below -TOL_PSD; the error names the most negative element."""
+    eig = np.linalg.eigh(h) if vectors else (np.linalg.eigvalsh(h),)
+    low = eig[0][..., 0]
+    k = int(low.argmin())
+    if low.flat[k] < -TOL_PSD:
+        raise ValueError(f"{_element(name, low, k)} is not PSD: min eigenvalue {low.flat[k]:.3e}")
+    return eig
+
+
 def density_spectrum(rho, dim: int | None = None, name: str = "rho", vectors: bool = False) -> tuple:
-    """Validate a density matrix, or an (n, dim, dim) stack of them: Hermitian,
+    """Validate a density matrix, or a (..., dim, dim) stack of them: Hermitian,
     unit trace, positive semidefinite, and dim x dim when dim is given.
 
     Returns (rho, w), or (rho, w, v) with vectors: the Hermitian part and the
@@ -86,22 +115,13 @@ def density_spectrum(rho, dim: int | None = None, name: str = "rho", vectors: bo
     off = np.abs(tr - 1) > TOL_TRACE
     if off.any():
         k = int(off.argmax())
-        raise ValueError(f"{_element(name, rho, k)} has trace {np.ravel(tr)[k]!r}, expected 1")
-    eig = np.linalg.eigh(rho) if vectors else (np.linalg.eigvalsh(rho),)
-    low = eig[0][..., 0]
-    if (low < -TOL_PSD).any():
-        k = int(low.argmin())
-        raise ValueError(f"{_element(name, rho, k)} is not PSD: min eigenvalue {np.ravel(low)[k]:.3e}")
-    return (rho, *eig)
+        raise ValueError(f"{_element(name, tr, k)} has trace {tr.flat[k]!r}, expected 1")
+    return (rho, *psd_spectrum(rho, name, vectors))
 
 
 def check_density(rho, dim: int | None = None, name: str = "rho") -> np.ndarray:
-    """Validate one density matrix as density_spectrum does, and return its
-    Hermitian part."""
-    rho = density_spectrum(rho, dim, name)[0]
-    if rho.ndim != 2:
-        raise ValueError(f"{name} must be one matrix, got shape {rho.shape}")
-    return rho
+    """Validate one density matrix as density_spectrum does, and return its Hermitian part."""
+    return density_spectrum(check_one_matrix(rho, name), dim, name)[0]
 
 
 def hermitian_eig(h) -> tuple[np.ndarray, np.ndarray]:
@@ -111,7 +131,12 @@ def hermitian_eig(h) -> tuple[np.ndarray, np.ndarray]:
     Returns (w, v) with h = v @ diag(w) @ v†.  Eigenvector phases are not
     canonicalized; compare only phase-invariant quantities downstream.
     """
-    w, v = np.linalg.eigh(check_hermitian(h))
+    return _descending_eig(check_hermitian(h))
+
+
+def _descending_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """hermitian_eig of a matrix or stack already Hermitian, unchecked."""
+    w, v = np.linalg.eigh(h)
     return w[..., ::-1].copy(), v[..., ::-1].copy()
 
 

@@ -46,7 +46,7 @@ class TestPovm:
             Povm._factored(half @ half.conj().swapaxes(1, 2), half)
 
     def test_rejects_non_psd(self):
-        with pytest.raises(ValueError, match="POVM element 1 not PSD: min eigenvalue -5.000e-01"):
+        with pytest.raises(ValueError, match="POVM element 1 is not PSD: min eigenvalue -5.000e-01"):
             Povm((np.diag([1.5, 1.0]), np.diag([-0.5, 0.0])))
 
     def test_rejects_non_hermitian(self):
@@ -403,9 +403,9 @@ class TestAxisConvention:
         assert all(type(getattr(report, f)) is float for f in fields)
 
         # ensembles: pure members of each state, their bounds, a mixed sandwich, the densities
-        _, w, v = linalg.density_spectrum(rhos.reshape(-1, dim, dim), vectors=True)
+        _, w, v = linalg.density_spectrum(rhos, vectors=True)
         unitaries = [linalg.haar_random_unitary(members, s + 3) for s in seeds]
-        weights, states = ensembles._pure_members(stacked(list(w)), stacked(list(v)), stacked(unitaries))
+        weights, states = ensembles._pure_members(w, v, stacked(unitaries))
         assume((weights > 0).all())  # ensemble_from_state drops the members of weight 0
         weights = entropy.as_prob_vector(weights)  # as PureEnsemble normalizes what it is given
         pure_h = ensembles._pure_bounds(weights, states, alpha, pure_kind)

@@ -222,6 +222,13 @@ class TestStructuralInvariants:
             rhs = np.sum(h(lam, alpha))
             assert lhs >= rhs - 1e-10
 
+    def test_checks_hermitian_once(self, monkeypatch):
+        # the state is validated; the Gram matrix, Hermitian as built, is not checked again
+        calls, original = [], linalg.check_hermitian
+        monkeypatch.setattr(linalg, "check_hermitian", lambda *a, **k: calls.append(a) or original(*a, **k))
+        extremal_unraveling(random_unraveling(3, 4, seed=37), linalg.random_density(3, 2, seed=38))
+        assert len(calls) == 1
+
     def test_remixed_probabilities_matches_direct(self):
         # the fast diag(U† Pi U) path agrees with building remixed unravelings
         a = random_unraveling(2, 3, seed=34)

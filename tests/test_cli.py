@@ -232,6 +232,12 @@ class TestSweepCommand:
         assert {"factor_chain", "theorem1_tsallis", "theorem2_tsallis", "renyi_relation"} <= names
         assert all(r["slack"] >= -1e-9 for r in rows if "slack" in r)
 
+    def test_largest_order_gives_finite_rows(self, capsys):
+        code, out, err = _run(capsys, ["sweep", "--dim", "16", "--trials", "1", "--alpha-grid", "8e307"])
+        assert (code, err) == (0, "")
+        (relation,) = [r for r in _json_rows(out) if r["check_name"] == "renyi_relation"]
+        assert np.isfinite([relation["lhs"], relation["slack"]]).all()
+
     def test_byte_determinism(self, capsys):
         _, out1, _ = _run(capsys, self.ARGS)
         _, out2, _ = _run(capsys, self.ARGS)
@@ -457,6 +463,24 @@ class TestUnexpectedError:
         assert "Traceback" not in err and "Exception ignored" not in err
         if stderr == "separate":
             assert json.loads(err)["error"].startswith("BrokenPipeError")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--dim", "16", "--trials", "1", "--alpha-grid", "8e307"],
+        ["ensemble", "--dim", "2", "--members", "2", "--alpha", "1e308", "--trials", "2"],
+        ["demo", "dft", "--dim", "8", "--alpha", "8e307", "--trials", "5"],
+        ["phi-min", "--gamma", "1e308", "--alpha", "2"],
+    ],
+)
+def test_accepted_extremes_write_no_warning(argv):
+    # at the largest accepted orders and factors numpy overflows; no warning reaches stderr
+    proc = subprocess.run(
+        [sys.executable, "-m", "unravel.cli", *argv], env=_src_env(), capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode in (0, 1)
+    assert proc.stderr == ""
 
 
 class _NullStream:

@@ -125,6 +125,11 @@ class TestDftDemo:
         with pytest.raises(ValueError, match="vector or a stack"):
             dft_uncertainty_demo(np.ones((1, 1, 1)), conjugate_order(2.0))
 
+    def test_rejects_nan_state(self):
+        # the norm check rejects NaN itself, before any probability is formed
+        with pytest.raises(ValueError, match="state is not normalized"):
+            dft_uncertainty_demo(np.array([np.nan, 0.0]), conjugate_order(2.0))
+
     def test_stack_matches_per_state(self):
         # one stacked call reports what a call per state reports, to the bit
         rng = np.random.default_rng(4)
@@ -176,6 +181,11 @@ class TestAngleState:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
             AngleState(np.array([1.0, 1.0, 1.0]), 4)
+
+    def test_rejects_nan_coefficients(self):
+        # a NaN sum of |c|^2 is not within the tolerance of 1
+        with pytest.raises(ValueError, match="momentum amplitudes are not normalized"):
+            AngleState(np.array([np.nan, 1.0, 0.0]), 4)
 
     def test_delta_phi(self):
         s = _momentum_state([0, 1, 0], 8)

@@ -363,3 +363,10 @@ class TestExactAtEveryOrder:
             assert renyi_entropy(np.full(8, 1 / 8), alpha) == pytest.approx(np.log(8), abs=1e-13)
         p = [0.9, 0.1, 0.0]
         assert renyi_entropy(p, 400.0) == pytest.approx(_exact_entropy(p, 400.0, "renyi"), abs=1e-13)
+
+    def test_at_the_largest_orders(self):
+        # alpha ln(max p) and (alpha - 1) ln p overflow here; the values are the exact limits,
+        # with no overflow warning (the suite turns warnings into errors)
+        assert renyi_entropy(np.full(10, 0.1), 8e307) == pytest.approx(np.log(10), abs=1e-13)
+        assert renyi_entropy([0.9, 0.1], 8e307) == pytest.approx(-np.log(0.9), abs=1e-13)
+        assert tsallis_entropy([0.5, 0.5], 1e308) == pytest.approx(1 / (1e308 - 1), rel=1e-15)

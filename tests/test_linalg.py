@@ -69,6 +69,36 @@ class TestDensitySpectrum:
             linalg.check_density(rhos[1])
 
 
+class TestTwoLeadingAxes:
+    """The validators take any leading axes and name an element by its flat index."""
+
+    def test_match_each_matrix(self):
+        rhos = np.stack([linalg.random_density(3, 1 + s % 3, seed=s) for s in range(6)]).reshape(2, 3, 3, 3)
+        hermitian = linalg.check_hermitian(rhos)
+        stacked, w, v = linalg.density_spectrum(rhos, vectors=True)
+        for idx in np.ndindex(2, 3):
+            one, w1, v1 = linalg.density_spectrum(rhos[idx], vectors=True)
+            assert np.array_equal(hermitian[idx], linalg.check_hermitian(rhos[idx]))
+            assert np.array_equal(stacked[idx], one) and np.array_equal(w[idx], w1) and np.array_equal(v[idx], v1)
+
+    @pytest.mark.parametrize(
+        "spoil, message",
+        [
+            (lambda r: r * 1.01, "rho 4 has trace"),
+            (lambda r: np.diag([1.5, -0.5]).astype(complex), "rho 4 is not PSD"),
+            (lambda r: r + np.triu(np.ones((2, 2)), 1), "rho 4 is not Hermitian"),
+        ],
+    )
+    def test_name_flat_index(self, spoil, message):
+        rhos = np.stack([np.eye(2) / 2] * 6).astype(complex).reshape(2, 3, 2, 2)
+        rhos[1, 1] = spoil(rhos[1, 1])  # flat index 4
+        with pytest.raises(ValueError, match=message):
+            linalg.density_spectrum(rhos)
+        if "Hermitian" in message:
+            with pytest.raises(ValueError, match=message):
+                linalg.check_hermitian(rhos, name="rho")
+
+
 def test_vector_norm_is_numpy_norm_to_the_bit():
     rng = np.random.default_rng(5)
     for d in (1, 2, 7, 8, 33, 100):
