@@ -441,12 +441,9 @@ def cmd_ensemble(args, rep: Reporter) -> None:
         # so each row equals the one-element path's to the bit
         state_h, weight_h = ensembles._pure_bounds(as_prob_vector(weights), states, alpha, "tsallis")
         mix_weights = np.stack([np.random.default_rng(b + 2).dirichlet(np.ones(m)) for b in bases])
-        members = _ginibre((b + 3 + k for b in bases for k in range(m)), d, d)
+        members = _ginibre((b + 3 + k for b in bases for k in range(m)), d, d).reshape(len(bases), m, d, d)
         members, spectra = linalg.density_spectrum(linalg._densities(members), name="member")
-        t = len(bases)
-        lower, mid, upper = ensembles._sandwich(
-            as_prob_vector(mix_weights), members.reshape(t, m, d, d), spectra.reshape(t, m, d), alpha
-        )
+        lower, mid, upper = ensembles._sandwich(as_prob_vector(mix_weights), members, spectra, alpha)
         common = dict(d=d, alpha=alpha, seed=list(bases))
         pure = dict(lhs=weight_h.tolist(), rhs=state_h.tolist(), slack=(weight_h - state_h).tolist())
         # min(mid - lower, upper - mid) as Python's min takes it: the first unless the second is less

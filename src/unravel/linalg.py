@@ -74,11 +74,11 @@ def check_unitary(u, name: str = "matrix") -> np.ndarray:
     return u
 
 
-def check_unit_norm(x: np.ndarray, name: str = "state") -> None:
+def check_unit_norm(x: np.ndarray) -> None:
     """Reject a vector, or the first of a (..., d) stack, whose norm is off 1 by more than 1e-10, or NaN."""
     off = ~(np.abs(vector_norm(x) - 1) <= 1e-10)
     if off.any():
-        raise ValueError(f"{_element(name, off, int(off.argmax()))} is not normalized")
+        raise ValueError(f"{_element('state', off, int(off.argmax()))} is not normalized")
 
 
 def check_one_matrix(x, name: str):

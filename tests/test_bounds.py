@@ -588,8 +588,8 @@ class TestCheckValidatesOnce:
         argv = ["ensemble", "--dim", "3", "--members", "4", "--alpha", "2", "--trials", "1"]
         assert cli.main(argv) == 0
         assert len(capsys.readouterr().out.splitlines()) == 2
-        assert [np.shape(args[0]) for args in calls] == [(1, 3, 3), (4, 3, 3)]
-        assert sorted(decomposed) == [("eigh", (1, 3, 3)), ("eigvalsh", (1, 3, 3)), ("eigvalsh", (1, 3, 3)), ("eigvalsh", (4, 3, 3))]
+        assert [np.shape(args[0]) for args in calls] == [(1, 3, 3), (1, 4, 3, 3)]
+        assert sorted(decomposed) == [("eigh", (1, 3, 3)), ("eigvalsh", (1, 3, 3)), ("eigvalsh", (1, 3, 3)), ("eigvalsh", (1, 4, 3, 3))]
 
 
 class TestRenyiCheck:

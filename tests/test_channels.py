@@ -33,6 +33,12 @@ class TestUnraveling:
         with pytest.raises(ValueError):
             Unraveling((np.eye(2), np.zeros((3, 3))))
 
+    def test_rejects_nan_completeness(self):
+        # finite Kraus entries whose A†A overflows: inf - inf puts NaN off the diagonal,
+        # and the check must reject the NaN deviation, not pass it
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="completeness violated"):
+            Unraveling(([[1e200, 1e200], [1e200, -1e200]],))
+
     def test_depolarizing_complete(self):
         a = depolarizing_unraveling(0.7)
         total = sum(k.conj().T @ k for k in a.kraus_ops)

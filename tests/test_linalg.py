@@ -196,6 +196,17 @@ class TestHaarUnitary:
         assert mean == pytest.approx(0.25, abs=0.01)
 
 
+class TestCheckUnitary:
+    def test_accepts_haar_unitary(self):
+        u = linalg.haar_random_unitary(4, seed=2)
+        assert np.array_equal(linalg.check_unitary(u), u)
+
+    def test_rejects_nan_deviation(self):
+        # u†u overflows to inf - inf = NaN off the diagonal; a NaN deviation is rejected
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="not unitary"):
+            linalg.check_unitary([[1e200, 1e200], [1e200, -1e200]])
+
+
 class TestRandomDensity:
     def test_rank1_is_pure(self):
         rho = linalg.random_density(3, 1, seed=0)
