@@ -18,7 +18,12 @@ decompose nothing.
 The kernels (_outcome_weights, _g, _f, _f_bar, _reports) take POVM elements
 (..., n, dim, dim), roots (..., n, dim, r) and validated states (..., dim, dim)
 with any leading axes, one value per index of those axes; the public functions
-call them on one POVM pair and one state, and return floats.
+call them on one POVM pair and one state, and return floats.  g and f have two
+forms.  When both POVMs are rank one (r = 1: M_i = u_i u_i†, N_j = w_j w_j†,
+as for the basis projectors of random_projective_povm) each overlap is a
+product of inner products of the root vectors, O(d^3) in all for d outcomes;
+every other pair of ranks takes the element form, O(d^4).  The two agree to
+rounding.
 
 The paired reports measure the Gram-extremal unravelings of two Kraus sets.
 Remixing by a unitary U gives the distribution diag(U† Pi U), which the Gram
@@ -161,9 +166,21 @@ def _max_ratio(p: np.ndarray, q: np.ndarray, overlaps: np.ndarray) -> np.ndarray
     return ratio.max(axis=(-3, -2, -1), where=ok, initial=0.0)
 
 
+def _rank_one(m: Povm, n: Povm) -> bool:
+    """Whether both POVMs hold one root column per element, M_i = u_i u_i† and N_j = w_j w_j†."""
+    return m.roots.shape[-1] == n.roots.shape[-1] == 1
+
+
 def _g(m: Povm, n: Povm, rho: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    # tr(M_i N_j rho) = sum_ab conj(M_i)_ab (N_j rho)_ab, M_i Hermitian
-    overlaps = _flat(m.elements).conj() @ _flat(n.elements @ rho[..., None, :, :]).swapaxes(-1, -2)
+    """g at the outcome weights p and q, as g_factor.  Two rank-one POVMs take
+    tr(M_i N_j rho) = (u_i† w_j) conj(u_i† rho w_j) from their root vectors,
+    O(n^2 d + n d^2); any other pair takes sum_ab conj(M_i)_ab (N_j rho)_ab
+    from the elements, O(n d^3 + n^2 d^2).  For n = d outcomes: d^3 against d^4."""
+    if _rank_one(m, n):
+        u_dag, w = m.roots[..., 0].conj(), n.roots[..., 0].swapaxes(-1, -2)  # rows u_i†, columns w_j
+        overlaps = (u_dag @ w) * (u_dag @ rho @ w).conj()
+    else:
+        overlaps = _flat(m.elements).conj() @ _flat(n.elements @ rho[..., None, :, :]).swapaxes(-1, -2)
     return _max_ratio(p[..., None, :], q[..., None, :], overlaps[..., None, :, :])
 
 
@@ -173,16 +190,29 @@ def g_factor(m: Povm, n: Povm, rho) -> float:
 
 
 def _f(m: Povm, n: Povm, rho: np.ndarray) -> np.ndarray:
+    """f, as f_factor, over the eigenvectors psi_k of rho.  Two rank-one POVMs
+    take <M_i psi, N_j psi> = conj(u_i† psi) (u_i† w_j) (w_j† psi) and
+    <psi|M_i|psi> = |u_i† psi|^2 from their root vectors, O(n d^2 + n^2 d);
+    any other pair applies the elements to every eigenvector, O(n d^3 +
+    n^2 d^2).  For n = d outcomes: d^3 against d^4."""
     w, v = np.linalg.eigh(rho)
     kept = w > P_ZERO_TOL  # (..., K): eigenvectors psi_k = v[..., :, k] of nonzero weight
-    psi = v.swapaxes(-1, -2)[..., None, :]  # (..., K, 1, dim)
-    # a[..., k, i, :] = M_i psi_k and b[..., k, j, :] = N_j psi_k, for every eigenvector at once
-    a = np.moveaxis(m.elements @ v[..., None, :, :], -1, -3)
-    b = np.moveaxis(n.elements @ v[..., None, :, :], -1, -3)
+    if _rank_one(m, n):
+        u_dag, w_dag = m.roots[..., 0].conj(), n.roots[..., 0].conj()  # rows u_i†, w_j†
+        a, b = (u_dag @ v).swapaxes(-1, -2), (w_dag @ v).swapaxes(-1, -2)  # (..., K, n): u_i† psi_k, w_j† psi_k
+        cross = u_dag @ n.roots[..., 0].swapaxes(-1, -2)  # u_i† w_j
+        p, q = np.abs(a) ** 2, np.abs(b) ** 2
+        overlaps = a.conj()[..., :, None] * cross[..., None, :, :] * b[..., None, :]
+    else:
+        psi = v.swapaxes(-1, -2)[..., None, :]  # (..., K, 1, dim)
+        # a[..., k, i, :] = M_i psi_k and b[..., k, j, :] = N_j psi_k, for every eigenvector at once
+        a = np.moveaxis(m.elements @ v[..., None, :, :], -1, -3)
+        b = np.moveaxis(n.elements @ v[..., None, :, :], -1, -3)
+        p, q = np.vecdot(psi, a).real, np.vecdot(psi, b).real
+        overlaps = a.conj() @ b.swapaxes(-1, -2)
     # <psi_k|M_i|psi_k>, zero for the eigenvectors left out, so no pair of theirs counts
-    p = np.where(kept[..., None], np.vecdot(psi, a).real, 0.0)
-    q = np.where(kept[..., None], np.vecdot(psi, b).real, 0.0)
-    return _max_ratio(p, q, a.conj() @ b.swapaxes(-1, -2))
+    p, q = (np.where(kept[..., None], x, 0.0) for x in (p, q))
+    return _max_ratio(p, q, overlaps)
 
 
 def f_factor(m: Povm, n: Povm, rho) -> float:

@@ -239,6 +239,17 @@ def _f_bar_loop(m, n):
     return max(np.linalg.norm(a @ b, 2) for a in roots_m for b in roots_n)
 
 
+def _g_loop(m, n, rho):
+    """Reference g: one outcome pair at a time."""
+    best = -np.inf
+    for x in m.elements:
+        for y in n.elements:
+            p, q = np.trace(x @ rho).real, np.trace(y @ rho).real
+            if p > bounds.P_ZERO_TOL and q > bounds.P_ZERO_TOL:
+                best = max(best, abs(np.trace(x @ y @ rho)) / np.sqrt(p * q))
+    return best
+
+
 def _f_loop(m, n, rho):
     """Reference f: one eigenvector of rho and one outcome pair at a time."""
     w, v = np.linalg.eigh(rho)
@@ -305,12 +316,15 @@ class TestBatchedFactorsMatchLoops:
         assert abs(f_bar(m, n) - _f_bar_loop(m, n)) <= 1e-12
         for x in (m, n):
             assert np.abs(x.roots @ x.roots.conj().swapaxes(1, 2) - x.elements).max() <= 1e-12
-        assert abs(f_factor(m, n, rho) - _f_loop(m, n, linalg.check_density(rho))) <= 1e-12
+        rho = linalg.check_density(rho)
+        assert abs(g_factor(m, n, rho) - _g_loop(m, n, rho)) <= 1e-12
+        assert abs(f_factor(m, n, rho) - _f_loop(m, n, rho)) <= 1e-12
 
     def test_no_admissible_pair_raises(self):
         # Povm's validation rejects a set with all-zero probabilities, so build one around it
         zero = object.__new__(Povm)
         object.__setattr__(zero, "elements", np.zeros((2, 2, 2), complex))
+        object.__setattr__(zero, "roots", np.zeros((2, 2, 1), complex))
         for factor in (g_factor, f_factor):
             with pytest.raises(ValueError, match="degenerate"):
                 factor(zero, z_basis_povm(), np.eye(2) / 2)

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unravel import linalg
+from unravel.channels import random_unraveling
 
 from helpers import psd_sqrt
 
@@ -194,6 +197,49 @@ class TestHaarUnitary:
         us = linalg.haar_random_unitaries(4, 10_000, seed=5)
         mean = np.mean(np.abs(us[:, 0, 0]) ** 2)
         assert mean == pytest.approx(0.25, abs=0.01)
+
+
+def _householder_qr(z):
+    """Reference positive_qr: Householder QR with R's diagonal made positive, for every shape."""
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
+
+
+def _orthogonality(q) -> float:
+    """max over a stack of ||Q†Q - I||_F."""
+    return np.linalg.norm(q.conj().swapaxes(-1, -2) @ q - np.eye(q.shape[-1]), axis=(-2, -1)).max()
+
+
+class TestPositiveQr:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.integers(1, 5),
+        cols=st.integers(1, 5),
+        stack=st.one_of(st.just(()), st.tuples(st.integers(1, 3))),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_householder(self, rows, cols, stack, seed):
+        z = linalg.seeded_ginibre(seed, *stack, rows, cols)
+        q, ref = linalg.positive_qr(z), _householder_qr(z)
+        if rows >= 2 * cols:  # Cholesky QR: the same Q up to rounding
+            assert np.abs(q - ref).max() <= 1e-13
+            assert _orthogonality(q) <= 1e-13
+        else:  # Householder QR, bit for bit
+            assert q.dtype == ref.dtype and q.tobytes() == ref.tobytes()
+
+    def test_tall_kraus_draw(self):
+        # the isometry of a d = 64 sweep trial's Kraus set
+        z = linalg.seeded_ginibre(7, 4096, 64)
+        q = linalg.positive_qr(z)
+        assert np.abs(q - _householder_qr(z)).max() <= 1e-13
+        assert _orthogonality(q) <= 1e-13
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 8])
+    def test_one_kraus_operator_is_householder(self, dim):
+        # a square draw: random_unraveling(d, 1, s) is the Householder unitary to the bit
+        want = _householder_qr(linalg.seeded_ginibre(5, dim, dim))
+        assert random_unraveling(dim, 1, 5).kraus_ops[0].tobytes() == want.tobytes()
 
 
 class TestCheckUnitary:
