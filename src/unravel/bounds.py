@@ -42,7 +42,7 @@ import numpy as np
 
 from . import linalg
 from .channels import Unraveling, _extremal, _flat
-from .entropy import ConjugateOrders, _entropy, alpha_log, as_prob_vector, conjugate_order
+from .entropy import ConjugateOrders, _entropy, _normalized, alpha_log, as_prob_vector, conjugate_order
 from .linalg import check_density
 
 # Probabilities below this are treated as zero in the factor maxima.
@@ -123,7 +123,7 @@ def bound_report(
 
 
 def _bound_report(p: np.ndarray, q: np.ndarray, orders: ConjugateOrders, kind: str, factor, rhs) -> BoundReport:
-    """bound_report of distributions already through as_prob_vector."""
+    """bound_report of normalized distributions (through as_prob_vector or _normalized)."""
     lhs = _entropy(p, orders.alpha, kind) + _entropy(q, orders.beta, kind)
     return BoundReport(lhs=lhs, rhs=rhs, slack=lhs - rhs, factor=factor, orders=orders)
 
@@ -136,13 +136,13 @@ def _same_dim(x: int, y: int) -> int:
 
 def _outcome_weights(m: Povm, rho: np.ndarray) -> np.ndarray:
     """tr(M_i rho) = sum_ab conj(rho_ab) (M_i)_ab, rho Hermitian; (..., n), not yet
-    checked as distributions."""
+    normalized."""
     return np.vecdot(_flat(rho)[..., None, :], _flat(m.elements)).real
 
 
 def povm_probabilities(m: Povm, rho) -> np.ndarray:
     """p_i = tr(M_i rho)."""
-    return as_prob_vector(_outcome_weights(m, check_density(rho, m.dim)))
+    return _normalized(_outcome_weights(m, check_density(rho, m.dim)))
 
 
 def povm_from_unraveling(a: Unraveling) -> Povm:
@@ -264,7 +264,7 @@ def _reports(
 ) -> tuple[float | np.ndarray, list[BoundReport]]:
     """(factor, reports) at validated states: p, q and the factor are computed
     once, then one report per order of orders_seq and kind of kinds, orders
-    outer.  The reports validate p and q once, for every order and kind.  For
+    outer.  The reports normalize p and q once, for every order and kind.  For
     one POVM pair and one state the factor and every field are floats."""
     p, q = _outcome_weights(m, rho), _outcome_weights(n, rho)
     if factor_kind == "g":
@@ -278,16 +278,10 @@ def _reports(
     factor = _value(factor)
 
     def rhs(orders: ConjugateOrders, kind: str):
-        if kind == "tsallis":
-            # math's alpha_log per factor, not numpy's log and power, whose last bits differ
-            values = [alpha_log(f**-2, orders.mu) for f in np.ravel(factor).tolist()]
-            return _value(np.reshape(values, np.shape(factor)))
-        return _value(-2.0 * np.log(factor))
+        return alpha_log(np.power(factor, -2.0), orders.mu) if kind == "tsallis" else _value(-2.0 * np.log(factor))
 
-    pairs = [(o, k) for o in orders_seq for k in kinds]
-    if pairs:  # g_factor asks for no report, so it checks no distribution
-        p, q = as_prob_vector(p), as_prob_vector(q)
-    return factor, [_bound_report(p, q, o, k, factor, rhs(o, k)) for o, k in pairs]
+    p, q = _normalized(p), _normalized(q)
+    return factor, [_bound_report(p, q, o, k, factor, rhs(o, k)) for o in orders_seq for k in kinds]
 
 
 def _value(x):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .entropy import as_prob_vector, classical_entropy
+from .entropy import _entropy, _normalized
 from .linalg import as_matrix_stack, check_density, check_unitary
 
 
@@ -109,20 +109,16 @@ def gram_matrix(a: Unraveling, rho) -> np.ndarray:
     return _gram(a.kraus_ops, check_density(rho, a.dim_in))
 
 
-def _effect_weights(k: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """tr(A_i† A_i rho), not yet checked as a distribution."""
-    return np.vecdot(_flat(k), _flat(k @ rho[..., None, :, :])).real
-
-
 def effect_probabilities(a: Unraveling, rho) -> np.ndarray:
     """p_i = tr(A_i† A_i rho)."""
-    return as_prob_vector(_effect_weights(a.kraus_ops, check_density(rho, a.dim_in)))
+    k, rho = a.kraus_ops, check_density(rho, a.dim_in)
+    return _normalized(np.vecdot(_flat(k), _flat(k @ rho)).real)
 
 
 def _extremal(a: Unraveling, rho: np.ndarray) -> ExtremalResult:
     pi = _gram(a.kraus_ops, rho)
     w, v = linalg._descending_eig(pi)  # _gram made pi Hermitian
-    return ExtremalResult(extremal=remix(a, v), lambdas=as_prob_vector(w), diagonalizer=v, gram=pi)
+    return ExtremalResult(extremal=remix(a, v), lambdas=_normalized(w), diagonalizer=v, gram=pi)
 
 
 def extremal_unraveling(a: Unraveling, rho) -> ExtremalResult:
@@ -136,7 +132,7 @@ def extremal_unraveling(a: Unraveling, rho) -> ExtremalResult:
 
 def unraveling_entropy(a: Unraveling, rho, alpha: float, kind: str = "tsallis") -> float:
     """Entropy of the effect-probability distribution."""
-    return classical_entropy(_effect_weights(a.kraus_ops, check_density(rho, a.dim_in)), alpha, kind)
+    return _entropy(effect_probabilities(a, rho), alpha, kind)
 
 
 def random_unraveling(dim: int, n_kraus: int, seed: int) -> Unraveling:
@@ -160,6 +156,4 @@ def remixed_probabilities(pi: np.ndarray, unitaries: np.ndarray) -> np.ndarray:
     stack (count, n, n) and the result has shape (count, n).  A stack of Gram
     matrices (..., n, n) takes stacks of unitaries (..., count, n, n).
     """
-    p = np.vecdot(unitaries, pi[..., None, :, :] @ unitaries, axis=-2).real
-    p = np.clip(p, 0.0, None)
-    return p / p.sum(axis=-1, keepdims=True)
+    return _normalized(np.vecdot(unitaries, pi[..., None, :, :] @ unitaries, axis=-2).real)

@@ -23,7 +23,7 @@ import time
 import numpy as np
 
 from . import bounds, channels, demos, ensembles, linalg
-from .entropy import _entropy, as_prob_vector, conjugate_order
+from .entropy import _entropy, _normalized, conjugate_order
 
 SLACK_TOL = -1e-9
 
@@ -274,8 +274,8 @@ def _count(least: int = 1):
 
 def _theorem1(lambdas: np.ndarray, probs: np.ndarray, alpha: float) -> tuple:
     """The least Tsallis entropy of the remixed distributions probs (lhs) and
-    that of the Gram spectrum lambdas (rhs), both already through
-    as_prob_vector: one value each for one instance, lambdas (n,) and probs
+    that of the Gram spectrum lambdas (rhs), both normalized where they were
+    built: one value each for one instance, lambdas (n,) and probs
     (remixings, n); one per trial for stacks, lambdas (T, n) and probs
     (T, remixings, n)."""
     return _entropy(probs, alpha, "tsallis").min(axis=-1), _entropy(lambdas, alpha, "tsallis")
@@ -293,11 +293,9 @@ def cmd_extremal(args, rep: Reporter) -> None:
         }
     )
     us = linalg.haar_random_unitaries(a.n_ops, args.remixings, inst["seed"])
-    # each stack validated once, for every order
-    lambdas = as_prob_vector(result.lambdas)
-    probs = as_prob_vector(channels.remixed_probabilities(result.gram, us))
+    probs = channels.remixed_probabilities(result.gram, us)
     # one (lhs, rhs) pair per order, as two columns
-    lhs, rhs = np.reshape([_theorem1(lambdas, probs, alpha) for alpha in args.alpha_grid], (-1, 2)).T
+    lhs, rhs = np.reshape([_theorem1(result.lambdas, probs, alpha) for alpha in args.alpha_grid], (-1, 2)).T
     columns = dict(alpha=args.alpha_grid, lhs=lhs.tolist(), rhs=rhs.tolist(), slack=(lhs - rhs).tolist())
     rep.table([("extremal_vs_remixings", dict(d=a.dim_in, seed=inst["seed"], **columns))])
 
@@ -343,12 +341,8 @@ def cmd_sweep(args, rep: Reporter) -> None:
         channels._check_complete(kraus)
         gram = channels._gram(kraus, rho)
         del kraus  # before the remixings are drawn
-        # the Gram spectra through as_prob_vector twice, as extremal_unraveling's lambdas
-        # reach the entropy; each stack validated once, for every order
-        lambdas = as_prob_vector(as_prob_vector(linalg._descending_eig(gram)[0]))
-        probs = as_prob_vector(
-            channels.remixed_probabilities(gram, linalg.positive_qr(_ginibre((b + 2 for b in bases), args.remixings, d, d)))
-        )
+        lambdas = _normalized(linalg._descending_eig(gram)[0])
+        probs = channels.remixed_probabilities(gram, linalg.positive_qr(_ginibre((b + 2 for b in bases), args.remixings, d, d)))
         m = bounds._projective(linalg.positive_qr(_ginibre((b + 3 for b in bases), d, d)))
         n = bounds._projective(linalg.positive_qr(_ginibre((b + 4 for b in bases), d, d)))
         g, reports = bounds._reports(m, n, rho, orders, "g", ("tsallis", "renyi"))
@@ -437,18 +431,14 @@ def cmd_ensemble(args, rep: Reporter) -> None:
         # random_density and haar_random_unitary, each drawn when its stage starts
         _, w, v = linalg.density_spectrum(linalg._densities(_ginibre(bases, d, d)), name="rho", vectors=True)
         weights, states = ensembles._pure_members(w, v, linalg.positive_qr(_ginibre((b + 1 for b in bases), m, m)))
-        # normalized again, as PureEnsemble normalizes what ensemble_from_state gives it,
-        # so each row equals the one-element path's to the bit
-        state_h, weight_h = ensembles._pure_bounds(as_prob_vector(weights), states, alpha, "tsallis")
+        state_h, weight_h = ensembles._pure_bounds(weights, states, alpha, "tsallis")
         mix_weights = np.stack([np.random.default_rng(b + 2).dirichlet(np.ones(m)) for b in bases])
         members = _ginibre((b + 3 + k for b in bases for k in range(m)), d, d).reshape(len(bases), m, d, d)
         members, spectra = linalg.density_spectrum(linalg._densities(members), name="member")
-        lower, mid, upper = ensembles._sandwich(as_prob_vector(mix_weights), members, spectra, alpha)
+        lower, mid, upper = ensembles._sandwich(_normalized(mix_weights), members, spectra, alpha)
         common = dict(d=d, alpha=alpha, seed=list(bases))
         pure = dict(lhs=weight_h.tolist(), rhs=state_h.tolist(), slack=(weight_h - state_h).tolist())
-        # min(mid - lower, upper - mid) as Python's min takes it: the first unless the second is less
-        below, above = mid - lower, upper - mid
-        mixed = dict(lhs=upper.tolist(), rhs=lower.tolist(), slack=np.where(above < below, above, below).tolist())
+        mixed = dict(lhs=upper.tolist(), rhs=lower.tolist(), slack=np.minimum(mid - lower, upper - mid).tolist())
         return [("pure_ensemble_bound", dict(common, **pure)), ("mixed_ensemble_sandwich", dict(common, **mixed))]
 
     _stream_trials(rep, args.trials, (m + 1) * d * d + m * m, _trial_seeds(args.seed), compute)

@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .entropy import as_prob_vector, classical_entropy, tsallis_entropy
+from .entropy import _entropy, _normalized, as_prob_vector
 from .linalg import haar_random_unitary
 
 # members lighter than this are dropped (their direction is undefined)
@@ -47,6 +47,14 @@ class PureEnsemble:
         linalg.check_unit_norm(states)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "states", states)
+
+    @classmethod
+    def _built(cls, weights: np.ndarray, states: np.ndarray) -> PureEnsemble:
+        """The normalized weights and unit states that _pure_members builds, held unchecked."""
+        e = object.__new__(cls)
+        object.__setattr__(e, "weights", weights)
+        object.__setattr__(e, "states", states)
+        return e
 
     @property
     def dim(self) -> int:
@@ -95,8 +103,8 @@ def _pure_members(w: np.ndarray, v: np.ndarray, u: np.ndarray) -> tuple[np.ndarr
 
     (w, v) is the ascending eigendecomposition of validated states, (..., d) and
     (..., d, d), and u holds the (..., m, m) mixing unitaries; the spectra are
-    zero-padded to m.  Returns the normalized weights (..., m) and the states
-    (..., m, d); a member below WEIGHT_DROP_TOL gets weight 0 and a zero state.
+    zero-padded to m.  Returns the weights (..., m), normalized here and only here,
+    and the states (..., m, d); a member below WEIGHT_DROP_TOL gets weight 0 and a zero state.
     """
     m, d = u.shape[-1], w.shape[-1]
     lam = np.clip(w[..., ::-1], 0.0, None)  # descending
@@ -110,23 +118,24 @@ def _pure_members(w: np.ndarray, v: np.ndarray, u: np.ndarray) -> tuple[np.ndarr
     weights = np.einsum("...ij,...ij->...i", vecs.conj(), vecs).real
     keep = weights > WEIGHT_DROP_TOL
     states = np.where(keep[..., None], vecs / np.sqrt(np.where(keep, weights, 1.0))[..., None], 0.0)
-    return as_prob_vector(np.where(keep, weights, 0.0)), states
+    return _normalized(np.where(keep, weights, 0.0)), states
 
 
 def _pure_bounds(weights: np.ndarray, states: np.ndarray, alpha: float, kind: str) -> tuple:
     """(state entropy, weight entropy), each (...,): the entropy of the density
     regenerated from the ensemble, weights (..., m) and states (..., m, d), and
-    that of its weights."""
+    that of its weights, which are normalized already."""
     rho = _mixture(weights, _projectors(states))
-    return classical_entropy(np.linalg.eigvalsh(rho), alpha, kind), classical_entropy(weights, alpha, kind)
+    return _entropy(_normalized(np.linalg.eigvalsh(rho)), alpha, kind), _entropy(weights, alpha, kind)
 
 
 def _sandwich(weights: np.ndarray, members: np.ndarray, spectra: np.ndarray, alpha: float) -> tuple:
     """(lower, mid, upper), each (...,), of the Tsallis sandwich of mixed
-    ensembles: weights (..., m), members (..., m, d, d) and their spectra (..., m, d)."""
-    member_h = tsallis_entropy(spectra, alpha)
-    mid = tsallis_entropy(np.linalg.eigvalsh(_mixture(weights, members)), alpha)
-    upper = np.vecdot(weights**alpha, member_h) + tsallis_entropy(weights, alpha)
+    ensembles: normalized weights (..., m), members (..., m, d, d) and their
+    spectra (..., m, d)."""
+    member_h = _entropy(_normalized(spectra), alpha, "tsallis")
+    mid = _entropy(_normalized(np.linalg.eigvalsh(_mixture(weights, members))), alpha, "tsallis")
+    upper = np.vecdot(weights**alpha, member_h) + _entropy(weights, alpha, "tsallis")
     return np.vecdot(weights, member_h), mid, upper
 
 
@@ -154,7 +163,7 @@ def ensemble_from_state(rho, m: int, seed: int | None) -> PureEnsemble:
     u = np.eye(m, dtype=complex) if seed is None else haar_random_unitary(m, seed)
     weights, states = _pure_members(w, v, u)
     keep = weights > 0
-    return PureEnsemble(weights=weights[keep], states=states[keep])
+    return PureEnsemble._built(weights[keep], states[keep])
 
 
 class PureBoundsResult(NamedTuple):

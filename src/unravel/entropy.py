@@ -19,11 +19,11 @@ _NEG_TOL = 1e-12
 
 
 def as_prob_vector(p) -> np.ndarray:
-    """Validate and normalize a probability vector, or each row of a stack of them.
+    """Validate a probability vector from outside the program, or each row of a
+    stack of them, and normalize it with _normalized.
 
-    The last axis holds the outcomes.  Entries in [-1e-12, 0) are clipped to 0;
-    each distribution must sum to 1 within 1e-10 (the residual is
-    renormalized away).
+    The last axis holds the outcomes.  Entries in [-1e-12, 0) count as 0; each
+    distribution must sum to 1 within 1e-10.
     """
     p = np.asarray(p, dtype=float)
     if p.ndim == 0:
@@ -32,12 +32,19 @@ def as_prob_vector(p) -> np.ndarray:
         raise ValueError("probabilities contain non-finite entries")
     if (p < -_NEG_TOL).any():
         raise ValueError(f"negative probability {p.min():.3e}")
-    p = np.maximum(p, 0.0)
-    s = p.sum(axis=-1, keepdims=True)
+    s = np.maximum(p, 0.0).sum(axis=-1, keepdims=True)
     off = np.abs(s - 1) > _SUM_TOL
     if off.any():
-        raise ValueError(f"probabilities sum to {s[off][0]!r}, expected 1")
-    return p / s
+        raise ValueError(f"probabilities sum to {float(s[off][0])}, expected 1")
+    return _normalized(p)
+
+
+def _normalized(p: np.ndarray) -> np.ndarray:
+    """Distributions over the last axis clipped at 0 and divided by their sums: once
+    for each distribution built from validated operators (a spectrum, outcome
+    weights), which holds to those operators' looser tolerances, not as_prob_vector's."""
+    p = np.maximum(p, 0.0)
+    return p / p.sum(axis=-1, keepdims=True)
 
 
 def _check_order(alpha: float) -> float:
@@ -47,26 +54,30 @@ def _check_order(alpha: float) -> float:
     return alpha
 
 
-def alpha_log(x: float, alpha: float) -> float:
-    """Deformed logarithm ln_a(x) = (x^(1-a) - 1)/(1-a) = expm1((1-a) ln x)/(1-a)."""
+def alpha_log(x, alpha: float):
+    """Deformed logarithm ln_a(x) = (x^(1-a) - 1)/(1-a) = expm1((1-a) ln x)/(1-a)
+    of a scalar x >= 0 (a float) or of each entry of an array.  At x = 0 it is
+    the finite limit -1/(1-a) for a < 1, where expm1(-inf) = -1, and diverges
+    otherwise."""
     alpha = _check_order(alpha)
-    x = float(x)
-    if x < 0:
-        raise ValueError(f"alpha_log requires x >= 0, got {x}")
-    if x == 0:
-        if alpha < 1:
-            # finite limit of (x^(1-a) - 1)/(1-a) as x -> 0+
-            return -1.0 / (1.0 - alpha)
-        raise ValueError(f"alpha_log(0) diverges for order {alpha}")
+    x = np.asarray(x, dtype=float)
+    if (x < 0).any():
+        raise ValueError(f"alpha_log requires x >= 0, got {x[x < 0].min()}")
     t = 1.0 - alpha
-    return math.expm1(t * math.log(x)) / t if t else math.log(x)
+    if t <= 0 and (x == 0).any():
+        raise ValueError(f"alpha_log(0) diverges for order {alpha}")
+    with np.errstate(divide="ignore", over="ignore"):
+        log_x = np.log(x)
+        h = np.expm1(t * log_x) / t if t else log_x
+    return float(h) if h.ndim == 0 else h
 
 
 def _entropy(p: np.ndarray, alpha: float, kind: str):
-    """Tsallis (or Renyi) entropy over the last axis of distributions that are
-    already through as_prob_vector: a float for one distribution, an array for
-    a stack of them.  The public functions below validate p and call this; a
-    caller that takes several orders or kinds of one stack validates it once.
+    """Tsallis (or Renyi) entropy over the last axis of normalized distributions
+    (through as_prob_vector or _normalized): a float for one distribution, an
+    array for a stack of them, +0.0 for a point mass.  The public functions
+    below validate p and call this; a caller that takes several orders or kinds
+    of one stack normalizes it once.
 
     T = -sum p ln_(2-a)(p) = -sum p^a ln_a(p) in the expm1 form of alpha_log:
     the first for a >= 1, the second for a < 1, so every expm1 argument is
@@ -94,6 +105,7 @@ def _entropy(p: np.ndarray, alpha: float, kind: str):
                 log_m, log_s = np.log(m[..., 0]), np.log(((p / m) ** alpha).sum(axis=-1))
                 h = np.where(far, (alpha * log_m + log_s) / t, h)
                 h = np.where(np.isinf(h), (alpha / t) * log_m + log_s / t, h)  # alpha ln m overflowed
+    h = h + 0.0  # a point mass sums to -0.0, and -0.0 + 0.0 is +0.0
     return float(h) if h.ndim == 0 else h
 
 
@@ -119,15 +131,10 @@ def renyi_from_tsallis(h: float, alpha: float) -> float:
     return math.log1p(s) / t if t else float(h)
 
 
-def classical_entropy(p, alpha: float, kind: str):
-    """Dispatch on kind in {'tsallis', 'renyi'}; p may be a stack."""
-    return _entropy(as_prob_vector(p), alpha, kind)
-
-
 def quantum_entropy(rho, alpha: float, kind: str = "tsallis") -> float:
     """Entropy of the eigenvalue distribution of a density matrix: the spectrum
     that served its PSD check."""
-    return classical_entropy(density_spectrum(check_one_matrix(rho, "rho"))[1], alpha, kind)
+    return _entropy(_normalized(density_spectrum(check_one_matrix(rho, "rho"))[1]), alpha, kind)
 
 
 @dataclass(frozen=True)

@@ -402,7 +402,7 @@ class TestAxisConvention:
         fields = ("lhs", "rhs", "slack", "factor")
         for t, idx in enumerate(np.ndindex(shape)):
             m, n, rho = ms[t], ns[t], rhos[idx]
-            assert _same(povm_probabilities(m, rho), entropy.as_prob_vector(p)[idx])
+            assert _same(povm_probabilities(m, rho), entropy._normalized(p)[idx])
             one = {"g": g_factor(m, n, rho), "f": f_factor(m, n, rho), "fbar": f_bar(m, n)}
             for kind, value in one.items():
                 assert type(value) is float and _same(value, factors[kind][idx])
@@ -421,11 +421,10 @@ class TestAxisConvention:
         unitaries = [linalg.haar_random_unitary(members, s + 3) for s in seeds]
         weights, states = ensembles._pure_members(w, v, stacked(unitaries))
         assume((weights > 0).all())  # ensemble_from_state drops the members of weight 0
-        weights = entropy.as_prob_vector(weights)  # as PureEnsemble normalizes what it is given
         pure_h = ensembles._pure_bounds(weights, states, alpha, pure_kind)
         pure_rho = ensembles._mixture(weights, ensembles._projectors(states))
         raw = np.random.default_rng(seed).dirichlet(np.ones(members), size=shape)
-        mix = entropy.as_prob_vector(raw)  # as MixedEnsemble normalizes it
+        mix = entropy._normalized(raw)  # as MixedEnsemble holds it
         mixed = stacked([[linalg.random_density(dim, dim, s + 4 + j) for j in range(members)] for s in seeds])
         sandwich = ensembles._sandwich(mix, mixed, np.linalg.eigvalsh(mixed), alpha)
         mixed_rho = ensembles._mixture(mix, mixed)
@@ -537,15 +536,14 @@ class TestCheckValidatesOnce:
         assert (len(density), len(g), len(weights)) == (2, 2, 4)
 
     def test_sweep_block_validates_each_distribution_stack_once(self, monkeypatch, capsys):
-        # per block: the Gram spectra twice (after their eigendecomposition, and once
-        # for every theorem-1 order), the remixed distributions, p and q; trials 0 and
-        # then 1-2 make two blocks
-        calls = _count_calls(monkeypatch, entropy, "as_prob_vector")
+        # per block, each normalized once, for every order: the Gram spectra, the
+        # remixed distributions, p and q; trials 0 and then 1-2 make two blocks
+        calls = _count_calls(monkeypatch, entropy, "_normalized")
         monkeypatch.setattr(cli, "BLOCK_ELEMENTS", 2 * 4 * (2 + 100 + 3))
         argv = ["sweep", "--dim", "2", "--trials", "3", "--alpha-grid", "0.3,0.5,0.7,1,1.5,2,3"]
         assert cli.main(argv) == 0
         assert len(capsys.readouterr().out.splitlines()) == 3 * 18
-        block = [(2,), (2,), (100, 2), (2,), (2,)]
+        block = [(2,), (100, 2), (2,), (2,)]
         assert [np.shape(args[0]) for args in calls] == [(t, *shape) for t in (1, 2) for shape in block]
 
     def test_quantum_entropy_decomposes_rho_once(self, monkeypatch):

@@ -39,6 +39,13 @@ class TestUnraveling:
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="completeness violated"):
             Unraveling(([[1e200, 1e200], [1e200, -1e200]],))
 
+    @pytest.mark.parametrize("entry", [np.inf, -np.inf])
+    def test_rejects_infinite_entry_without_warning(self, entry):
+        # as_matrix_stack's finiteness test runs before the completeness sum A†A,
+        # which would warn on an infinite entry (the suite raises warnings)
+        with pytest.raises(ValueError, match="non-finite entries"):
+            Unraveling(([[entry, 0.0], [0.0, 1.0]],))
+
     def test_depolarizing_complete(self):
         a = depolarizing_unraveling(0.7)
         total = sum(k.conj().T @ k for k in a.kraus_ops)

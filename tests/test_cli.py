@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import unravel
 from unravel import bounds, channels, cli, demos, ensembles, linalg
 from unravel.channels import random_unraveling
-from unravel.entropy import conjugate_order, tsallis_entropy
+from unravel.entropy import _entropy, conjugate_order
 
 from helpers import ReferenceReporter, x_basis_povm, z_basis_povm
 
@@ -353,6 +353,47 @@ class TestSweepCommand:
         assert err == ""
 
 
+# rho with an eigenvalue of -5e-11, within linalg.TOL_PSD; and POVM elements and
+# Kraus operators whose completeness sum is (1 + 5e-10) I, within linalg.TOL_UNITARY
+_EDGE_RHO = np.diag([1 + 5e-11, -5e-11])
+_LONG = np.sqrt(1 + 5e-10)
+
+
+class TestAcceptedInputsRun:
+    """Inputs the operator checks accept run to their rows: the distributions built
+    from them are normalized, not checked again at tighter tolerances."""
+
+    def _rows(self, capsys, argv):
+        code, out, err = _run(capsys, argv)
+        assert (code, err) == (0, "")
+        rows = [r for r in _json_rows(out) if "slack" in r]
+        assert rows and all(r["slack"] >= cli.SLACK_TOL for r in rows)
+        return rows
+
+    @pytest.mark.parametrize("factor", ["g", "f", "fbar"])
+    @pytest.mark.parametrize("edge", ["rho", "completeness"])
+    def test_uncertainty(self, tmp_path, capsys, factor, edge):
+        z, x = z_basis_povm().elements, x_basis_povm().elements
+        rho, m = (_EDGE_RHO, z) if edge == "rho" else (np.eye(2) / 2, _LONG**2 * z)
+        path = _write_instance(tmp_path, dim=2, povm_m=[_encode(e) for e in m], povm_n=[_encode(e) for e in x], rho=_encode(rho))
+        for kind in ("tsallis", "renyi"):
+            self._rows(capsys, ["uncertainty", "--in", path, "--alpha", "2", "--factor", factor, "--kind", kind])
+
+    @pytest.mark.parametrize("edge", ["rho", "completeness"])
+    def test_extremal(self, tmp_path, capsys, edge):
+        projectors = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
+        rho, kraus = (_EDGE_RHO, projectors) if edge == "rho" else (np.eye(2) / 2, [_LONG * k for k in projectors])
+        path = _write_instance(tmp_path, dim=2, kraus=[_encode(k) for k in kraus], rho=_encode(rho))
+        self._rows(capsys, ["extremal", "--in", path, "--remixings", "5"])
+
+    def test_pure_gram_spectrum_gives_positive_zero(self, tmp_path, capsys):
+        # a point mass has entropy +0.0 at every order, never -0.0
+        path = _write_instance(tmp_path, dim=2, kraus=[_encode(np.eye(2))], rho=_encode(np.diag([1.0, 0.0])))
+        code, out, _ = _run(capsys, ["extremal", "--in", path, "--remixings", "3"])
+        assert code == 0 and "-0.0" not in out
+        assert _json_rows(out)[0]["lambdas"] == [1.0]
+
+
 class TestSizeArguments:
     @pytest.mark.parametrize(
         "argv, flag",
@@ -647,7 +688,7 @@ class TestBlockedTrials:
             g, f, fb = bounds.g_factor(m, n, rho), bounds.f_factor(m, n, rho), bounds.f_bar(m, n)
             want.append(dict(check_name="factor_chain", d=d, slack=min(f - g, fb - f, 1.0 + 1e-10 - fb), factor=g, seed=base))
             for alpha in grid:
-                lhs, rhs = float(tsallis_entropy(probs, alpha).min()), tsallis_entropy(extremal.lambdas, alpha)
+                lhs, rhs = float(_entropy(probs, alpha, "tsallis").min()), _entropy(extremal.lambdas, alpha, "tsallis")
                 want.append(dict(check_name="theorem1_tsallis", d=d, alpha=alpha, lhs=lhs, rhs=rhs, slack=lhs - rhs, seed=base))
                 if alpha > 0.5:
                     orders = conjugate_order(alpha)
@@ -744,7 +785,7 @@ class TestBlockedTrials:
             fb = bounds.f_bar(m_povm, n_povm)
             want.append(dict(check_name="factor_chain", d=d, slack=min(f - g, fb - f, 1.0 + 1e-10 - fb), factor=g, seed=base))
             for a in (1.5, 2.0, 3.0):
-                lhs, rhs = float(tsallis_entropy(probs, a).min()), tsallis_entropy(extremal.lambdas, a)
+                lhs, rhs = float(_entropy(probs, a, "tsallis").min()), _entropy(extremal.lambdas, a, "tsallis")
                 want.append(dict(check_name="theorem1_tsallis", d=d, alpha=a, lhs=lhs, rhs=rhs, slack=lhs - rhs, seed=base))
                 for name, check in (
                     ("theorem2_tsallis", bounds.tsallis_uncertainty_check),

@@ -76,6 +76,16 @@ class TestDftDemo:
                 assert report.rhs == pytest.approx(alpha_log(d, alpha), abs=1e-12)
                 assert abs(report.slack) <= 1e-10
 
+    def test_state_within_norm_tolerance(self):
+        # |c| = 1 + 8e-11 passes the unit-norm check, so its |c|^2, which sums to
+        # 1 + 1.6e-10, is normalized, not rejected
+        c = np.array([0.6, 0.8j]) * (1 + 8e-11)
+        for alpha in (0.7, 1.0, 2.0):
+            report = dft_uncertainty_demo(c, conjugate_order(alpha))
+            assert report.slack >= -1e-9
+            want = dft_uncertainty_demo(c / (1 + 8e-11), conjugate_order(alpha)).lhs
+            assert report.lhs == pytest.approx(want, abs=1e-14)
+
     def test_basis_state_saturation_near_order_one(self):
         # the entropies are exact through alpha = 1, so no order near it loses the saturation
         for d in range(1, 17):

@@ -13,7 +13,7 @@ from unravel.ensembles import (
     mixed_ensemble_bounds_check,
     pure_ensemble_bounds_check,
 )
-from unravel.entropy import as_prob_vector, quantum_entropy, tsallis_entropy
+from unravel.entropy import _normalized, quantum_entropy, tsallis_entropy
 
 
 def _pure_ensemble(weights, vecs):
@@ -192,6 +192,13 @@ class TestMixedEnsembleBounds:
         assert e.members.shape == (4, 3, 3) and e.dim == 3
         assert np.array_equal(e.spectra, np.linalg.eigvalsh(e.members))
 
+    def test_member_eigenvalue_within_psd_tolerance(self):
+        # an eigenvalue of -5e-11 passes the PSD check, and the sandwich holds
+        e = MixedEnsemble([0.4, 0.6], (np.diag([1 + 5e-11, -5e-11]), np.eye(2) / 2))
+        for alpha in (0.5, 1.0, 2.0):
+            lower, mid, upper = mixed_ensemble_bounds_check(e, alpha)
+            assert lower <= mid + 1e-12 and mid <= upper + 1e-12
+
     def test_names_offending_member(self):
         bad = np.diag([1.5, -0.5]).astype(complex)
         with pytest.raises(ValueError, match="member 1 is not PSD"):
@@ -210,12 +217,12 @@ class TestStackedKernels:
         _, w, v = linalg.density_spectrum(rhos, vectors=True)
         weights, states = _pure_members(w, v, us)
         state_h, weight_h = _pure_bounds(weights, states, alpha, "tsallis")
-        mix = as_prob_vector(rng.dirichlet(np.ones(m), size=6))  # as MixedEnsemble holds them
+        mix = _normalized(rng.dirichlet(np.ones(m), size=6))  # as MixedEnsemble holds them
         members = np.stack([[linalg.random_density(d, d, seed=200 + 10 * s + k) for k in range(m)] for s in range(6)])
         sandwich = _sandwich(mix, members, np.linalg.eigvalsh(members), alpha)
         for t in range(6):
             e = ensemble_from_state(rhos[t], m, seed=100 + t)
-            assert np.array_equal(e.weights, as_prob_vector(weights[t]))
+            assert np.array_equal(e.weights, weights[t])
             res = pure_ensemble_bounds_check(e, alpha, "tsallis")
             assert res.state_entropy == pytest.approx(state_h[t], abs=1e-14)
             assert res.ensemble_entropy == pytest.approx(weight_h[t], abs=1e-14)

@@ -1,3 +1,4 @@
+import math
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -75,6 +76,20 @@ class TestAlphaLog:
         # finite limit -1/(1-a) exists for a < 1
         assert alpha_log(0.0, 0.5) == pytest.approx(-2.0)
 
+    def test_array_matches_each_entry(self):
+        x = np.array([[0.0, 0.25, 1.0], [2.5, 1e300, np.inf]])
+        for alpha in (0.3, 0.5, 0.9):
+            values = alpha_log(x, alpha)
+            assert isinstance(values, np.ndarray) and values.shape == x.shape
+            assert values.tolist() == [[alpha_log(v, alpha) for v in row] for row in x.tolist()]
+        assert type(alpha_log(np.float64(4.0), 2.0)) is float
+        for alpha in (1.0, 2.0):
+            assert alpha_log(x[:, 1:], alpha).tolist() == [[alpha_log(v, alpha) for v in row] for row in x[:, 1:].tolist()]
+            with pytest.raises(ValueError, match="diverges"):
+                alpha_log(x, alpha)
+        with pytest.raises(ValueError, match=r"requires x >= 0, got -0\.5"):
+            alpha_log(np.array([1.0, -0.5]), 0.5)
+
 
 class TestTsallis:
     def test_uniform_two(self):
@@ -133,18 +148,18 @@ class TestConversion:
 
 
 class TestNormalizesOnce:
-    """Each distribution a public call reads goes through as_prob_vector once."""
+    """Each distribution a public call builds is normalized once, where it is built."""
 
     def test_one_normalization_per_distribution(self, monkeypatch):
         calls = []
-        original = entropy.as_prob_vector
+        original = entropy._normalized
 
         def counting(p, *args, **kwargs):
             calls.append(np.shape(p))
             return original(p, *args, **kwargs)
 
         for module in (entropy, bounds, channels, demos, ensembles):
-            monkeypatch.setattr(module, "as_prob_vector", counting, raising=False)
+            monkeypatch.setattr(module, "_normalized", counting, raising=False)
         orders = conjugate_order(2.0)
         rho = linalg.random_density(3, 3, seed=1)
         psi = np.linalg.qr(linalg.ginibre(np.random.default_rng(2), 4, 1))[0].ravel()
@@ -158,8 +173,8 @@ class TestNormalizesOnce:
             (lambda: channels.unraveling_entropy(unraveling, rho, 2.0), 1),
             (lambda: demos.dft_uncertainty_demo(psi, orders), 2),
             (lambda: demos.angle_momentum_demo(packet, orders), 2),
-            # member spectra (one stack), the state's spectrum, the weights
-            (lambda: ensembles.mixed_ensemble_bounds_check(mixed, 2.0), 3),
+            # member spectra (one stack) and the state's spectrum; the weights were normalized when held
+            (lambda: ensembles.mixed_ensemble_bounds_check(mixed, 2.0), 2),
         ]
         for call, expected in cases:
             calls.clear()
@@ -167,7 +182,23 @@ class TestNormalizesOnce:
             assert len(calls) == expected
 
 
+class TestPointMass:
+    @pytest.mark.parametrize("kind", ["tsallis", "renyi"])
+    def test_entropy_is_positive_zero(self, kind):
+        for alpha in (1e-3, 0.3, 0.5, 1.0, 1.5, 2.0, 7.5, 400.0):
+            for p in ([1.0, 0.0], [0.0, 0.0, 1.0], [1.0]):
+                h = (tsallis_entropy if kind == "tsallis" else renyi_entropy)(p, alpha)
+                assert h == 0.0 and math.copysign(1.0, h) == 1.0
+            stacked = entropy._entropy(np.eye(3), alpha, kind)
+            assert np.array_equal(np.copysign(1.0, stacked), np.ones(3))
+
+
 class TestQuantumEntropy:
+    def test_eigenvalue_within_psd_tolerance(self):
+        # an eigenvalue of -5e-11 passes the PSD check and counts as 0
+        rho = np.diag([1 + 5e-11, -5e-11])
+        for kind in ("tsallis", "renyi"):
+            assert quantum_entropy(rho, 2.0, kind) == 0.0
     def test_maximally_mixed(self):
         d = 3
         rho = np.eye(d) / d
@@ -274,6 +305,10 @@ class TestProbVector:
     def test_rejects_bad_sum(self):
         with pytest.raises(ValueError):
             as_prob_vector([0.5, 0.6])
+
+    def test_sum_error_prints_the_float(self):
+        with pytest.raises(ValueError, match=r"^probabilities sum to 1\.0000000005, expected 1$"):
+            as_prob_vector([0.5, 0.5000000005])
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):

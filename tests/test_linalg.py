@@ -247,6 +247,13 @@ class TestCheckUnitary:
         u = linalg.haar_random_unitary(4, seed=2)
         assert np.array_equal(linalg.check_unitary(u), u)
 
+    @pytest.mark.parametrize("entry", [np.inf, -np.inf])
+    def test_rejects_infinite_entry_without_warning(self, entry):
+        # u†u of an infinite entry warns "invalid value encountered in matmul", which the
+        # suite raises, so the finiteness test must come before check_identity
+        with pytest.raises(ValueError, match="not a finite square matrix"):
+            linalg.check_unitary([[entry, 0.0], [0.0, 1.0]])
+
     def test_rejects_nan_deviation(self):
         # u†u overflows to inf - inf = NaN off the diagonal; a NaN deviation is rejected
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="not unitary"):
