@@ -9,21 +9,26 @@ f_bar (state-independent) obey g <= f <= f_bar <= 1 and set the lower bounds
 for conjugate orders 1/a + 1/b = 2, mu = max(a, b).  f_bar is computed in
 root-factor form: with F_i F_i† = M_i and G_j G_j† = N_j,
 ||M_i^(1/2) N_j^(1/2)|| = ||F_i† G_j||, a matrix only as large as the elements'
-ranks.  A Povm holds its elements and their root factors, made once when it is
+ranks.  A Povm holds the root factors of its elements, made once when it is
 built.  Povm(elements) takes them from one eigendecomposition of the stack
-(kept eigenvectors scaled by root eigenvalues); random_projective_povm (the
-basis vectors) and povm_from_unraveling (A_i†) pass the factors they hold and
-decompose nothing.
+(kept eigenvectors scaled by root eigenvalues) and keeps the elements too;
+random_projective_povm (the basis vectors) and povm_from_unraveling (A_i†)
+pass the factors they hold and decompose nothing.  The basis vectors alone
+hold a projective POVM: it makes its element stack only when one is read.
 
 The kernels (_outcome_weights, _g, _f, _f_bar, _reports) take POVM elements
 (..., n, dim, dim), roots (..., n, dim, r) and validated states (..., dim, dim)
 with any leading axes, one value per index of those axes; the public functions
-call them on one POVM pair and one state, and return floats.  g and f have two
-forms.  When both POVMs are rank one (r = 1: M_i = u_i u_i†, N_j = w_j w_j†,
-as for the basis projectors of random_projective_povm) each overlap is a
-product of inner products of the root vectors, O(d^3) in all for d outcomes;
-every other pair of ranks takes the element form, O(d^4).  The two agree to
-rounding.
+call them on one POVM pair and one state, and return floats.  The form follows
+the roots' rank.  Rank-one roots (r = 1: M_i = u_i u_i†, as for the basis
+projectors of random_projective_povm) give p_i = u_i† rho u_i.  When both
+POVMs are rank one (N_j = w_j w_j†) every overlap comes from inner products of
+the root vectors, O(d^3) in all for d outcomes, and reads no element:
+g from (u_i† w_j) conj(u_i† rho w_j); f and f_bar from the one array
+|u_i† w_j|, since for rank-one elements each of f's ratios and each of
+f_bar's norms is |u_i† w_j| exactly (see _f), so f <= f_bar holds exactly.
+Every other pair of ranks takes the element form, O(d^4), and f_bar its
+per-outcome SVDs.  The forms agree to rounding.
 
 The paired reports measure the Gram-extremal unravelings of two Kraus sets.
 Remixing by a unitary U gives the distribution diag(U† Pi U), which the Gram
@@ -36,7 +41,8 @@ constrained minimum yields the Tsallis bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,43 +63,63 @@ EDGE_BLOCK = 1 << 15
 class Povm:
     """Set of Hermitian PSD operators summing to the identity.
 
-    The elements are held as one (n, dim, dim) array, which indexes and
-    iterates like a tuple of matrices.  `roots` is an (n, dim, r) stack of
-    root factors, F_i F_i† = M_i, made when the POVM is built: from one
-    eigendecomposition of the validated elements, or, for
-    random_projective_povm and povm_from_unraveling, from the factors they
-    already hold.  Built by _factored, a Povm may hold a stack of equal-shaped
-    POVMs, leading axes before n, as the kernels take them (see the module).
+    `roots` is an (n, dim, r) stack of root factors, F_i F_i† = M_i, made
+    when the POVM is built: from one eigendecomposition of the validated
+    elements, or, for random_projective_povm and povm_from_unraveling, from
+    the factors they already hold.  `elements` is the (n, dim, dim) element
+    stack, which indexes and iterates like a tuple of matrices.  A POVM held
+    through rank-one roots alone (random_projective_povm) stores no element
+    stack: it makes hermitianize(u_i u_i†) from its root vectors on first
+    read, and the kernels read only the roots.  Built by _factored, a Povm may
+    hold a stack of equal-shaped POVMs, leading axes before n, as the kernels
+    take them (see the module).
     """
 
-    elements: np.ndarray
-    roots: np.ndarray = field(init=False, repr=False, compare=False)
+    roots: np.ndarray
 
-    def __post_init__(self):
-        elems = linalg.check_hermitian(linalg.as_matrix_stack(self.elements, "POVM elements"), name="POVM element")
-        self._hold(elems, _root_factors(*linalg.psd_spectrum(elems, "POVM element", vectors=True)))
+    def __init__(self, elements):
+        elems = linalg.check_hermitian(linalg.as_matrix_stack(elements, "POVM elements"), name="POVM element")
+        roots = _root_factors(*linalg.psd_spectrum(elems, "POVM element", vectors=True))
+        _check_complete(elems.sum(axis=-3))
+        object.__setattr__(self, "roots", roots)
+        self.__dict__["elements"] = elems
 
     @classmethod
-    def _factored(cls, products: np.ndarray, roots: np.ndarray) -> Povm:
-        """POVM with elements hermitianize(products), where products[i] = F_i F_i†
-        for roots[i] = F_i.  Such elements are Hermitian and PSD by construction,
-        so only completeness is checked, and nothing is decomposed."""
+    def _factored(cls, roots: np.ndarray, products: np.ndarray | None = None) -> Povm:
+        """POVM with root factors roots[i] = F_i and elements M_i = F_i F_i†,
+        Hermitian and PSD by construction: only completeness is checked, from
+        the roots as one dim x dim product, and nothing is decomposed.  The
+        elements are hermitianize(products), products[i] = F_i F_i† as the
+        caller made them; rank-one roots come without, and their elements are
+        made on first read."""
+        roots = np.ascontiguousarray(roots)
+        *lead, n, d, r = roots.shape
+        side = np.moveaxis(roots, -3, -2).reshape(*lead, d, n * r)  # [F_1 ... F_n]
+        _check_complete(side @ side.conj().swapaxes(-1, -2))
         povm = object.__new__(cls)
-        povm._hold(linalg.hermitianize(np.ascontiguousarray(products)), np.ascontiguousarray(roots))
+        object.__setattr__(povm, "roots", roots)
+        if products is not None:
+            povm.__dict__["elements"] = linalg.hermitianize(np.ascontiguousarray(products))
         return povm
 
-    def _hold(self, elems: np.ndarray, roots: np.ndarray) -> None:
-        linalg.check_identity(elems.sum(axis=-3), "POVM completeness violated: ||sum M - I||_F")
-        object.__setattr__(self, "elements", elems)
-        object.__setattr__(self, "roots", roots)
+    @functools.cached_property
+    def elements(self) -> np.ndarray:
+        # only a POVM of rank-one roots u_i gets here: the outer products u_i u_i†, entry by entry
+        u = self.roots[..., 0]
+        return linalg.hermitianize(u[..., :, None] * u.conj()[..., None, :])
 
     @property
     def dim(self) -> int:
-        return self.elements.shape[-1]
+        return self.roots.shape[-2]
 
     @property
     def n_outcomes(self) -> int:
-        return self.elements.shape[-3]
+        return self.roots.shape[-3]
+
+
+def _check_complete(total: np.ndarray) -> None:
+    """Reject sum_i M_i off the identity (per POVM of a stack)."""
+    linalg.check_identity(total, "POVM completeness violated: ||sum M - I||_F")
 
 
 @dataclass(frozen=True)
@@ -135,8 +161,13 @@ def _same_dim(x: int, y: int) -> int:
 
 
 def _outcome_weights(m: Povm, rho: np.ndarray) -> np.ndarray:
-    """tr(M_i rho) = sum_ab conj(rho_ab) (M_i)_ab, rho Hermitian; (..., n), not yet
-    normalized."""
+    """tr(M_i rho), (..., n), not yet normalized.  Rank-one roots give
+    u_i† rho u_i from the root vectors, O(n d^2); any other POVM gives
+    sum_ab conj(rho_ab) (M_i)_ab from the elements (rho Hermitian), O(n d^2)
+    too, but it reads the (n, d, d) element stack."""
+    if m.roots.shape[-1] == 1:
+        u = m.roots[..., 0]
+        return np.vecdot(u, u @ rho.swapaxes(-1, -2)).real
     return np.vecdot(_flat(rho)[..., None, :], _flat(m.elements)).real
 
 
@@ -148,7 +179,7 @@ def povm_probabilities(m: Povm, rho) -> np.ndarray:
 def povm_from_unraveling(a: Unraveling) -> Povm:
     """Measurement with elements M_i = A_i† A_i and root factors A_i†."""
     k_dag = a.kraus_ops.conj().swapaxes(-1, -2)
-    return Povm._factored(k_dag @ a.kraus_ops, k_dag)
+    return Povm._factored(k_dag, k_dag @ a.kraus_ops)
 
 
 def _max_ratio(p: np.ndarray, q: np.ndarray, overlaps: np.ndarray) -> np.ndarray:
@@ -158,17 +189,28 @@ def _max_ratio(p: np.ndarray, q: np.ndarray, overlaps: np.ndarray) -> np.ndarray
     one slice per vector k.
     """
     ok = (p[..., :, None] > P_ZERO_TOL) & (q[..., None, :] > P_ZERO_TOL)
-    if not ok.any(axis=(-3, -2, -1)).all():
-        raise ValueError("degenerate input: no outcome pair with nonzero probabilities")
     ratio = np.abs(overlaps)
     # a weight of an outcome with no probability may round below 0; its pairs do not count
     np.divide(ratio, np.sqrt(np.maximum(p[..., :, None] * q[..., None, :], 0.0)), out=ratio, where=ok)
-    return ratio.max(axis=(-3, -2, -1), where=ok, initial=0.0)
+    return _admissible_max(ratio, ok)
+
+
+def _admissible_max(x: np.ndarray, ok: np.ndarray) -> np.ndarray:
+    """max of x over its last three axes where ok; an instance with no such entry is degenerate."""
+    if not ok.any(axis=(-3, -2, -1)).all():
+        raise ValueError("degenerate input: no outcome pair with nonzero probabilities")
+    return x.max(axis=(-3, -2, -1), where=ok, initial=0.0)
 
 
 def _rank_one(m: Povm, n: Povm) -> bool:
     """Whether both POVMs hold one root column per element, M_i = u_i u_i† and N_j = w_j w_j†."""
     return m.roots.shape[-1] == n.roots.shape[-1] == 1
+
+
+def _cross(m: Povm, n: Povm) -> np.ndarray:
+    """u_i† w_j, (..., n_m, n_n), for two POVMs of rank-one roots: the one array
+    that g, f and f_bar all read their overlaps from."""
+    return m.roots[..., 0].conj() @ n.roots[..., 0].swapaxes(-1, -2)
 
 
 def _g(m: Povm, n: Povm, rho: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -178,7 +220,7 @@ def _g(m: Povm, n: Povm, rho: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.nd
     from the elements, O(n d^3 + n^2 d^2).  For n = d outcomes: d^3 against d^4."""
     if _rank_one(m, n):
         u_dag, w = m.roots[..., 0].conj(), n.roots[..., 0].swapaxes(-1, -2)  # rows u_i†, columns w_j
-        overlaps = (u_dag @ w) * (u_dag @ rho @ w).conj()
+        overlaps = _cross(m, n) * (u_dag @ rho @ w).conj()
     else:
         overlaps = _flat(m.elements).conj() @ _flat(n.elements @ rho[..., None, :, :]).swapaxes(-1, -2)
     return _max_ratio(p[..., None, :], q[..., None, :], overlaps[..., None, :, :])
@@ -190,29 +232,30 @@ def g_factor(m: Povm, n: Povm, rho) -> float:
 
 
 def _f(m: Povm, n: Povm, rho: np.ndarray) -> np.ndarray:
-    """f, as f_factor, over the eigenvectors psi_k of rho.  Two rank-one POVMs
-    take <M_i psi, N_j psi> = conj(u_i† psi) (u_i† w_j) (w_j† psi) and
-    <psi|M_i|psi> = |u_i† psi|^2 from their root vectors, O(n d^2 + n^2 d);
-    any other pair applies the elements to every eigenvector, O(n d^3 +
-    n^2 d^2).  For n = d outcomes: d^3 against d^4."""
+    """f, as f_factor, over the eigenvectors psi_k of rho.  For two rank-one
+    POVMs, <M_i psi, N_j psi> = conj(u_i† psi) (u_i† w_j) (w_j† psi) and
+    <psi|M_i|psi> = |u_i† psi|^2, so each ratio is |u_i† w_j| exactly, whatever
+    psi: f is the largest |u_i† w_j| over the admissible pairs, those with
+    |u_i† psi_k|^2 and |w_j† psi_k|^2 above P_ZERO_TOL for one kept psi_k.
+    That is O(n d^2 + n^2 d), and it reads the same |U†W| array as f_bar, so
+    f <= f_bar holds exactly.  Any other pair applies the elements to every
+    eigenvector, O(n d^3 + n^2 d^2)."""
     w, v = np.linalg.eigh(rho)
     kept = w > P_ZERO_TOL  # (..., K): eigenvectors psi_k = v[..., :, k] of nonzero weight
     if _rank_one(m, n):
-        u_dag, w_dag = m.roots[..., 0].conj(), n.roots[..., 0].conj()  # rows u_i†, w_j†
-        a, b = (u_dag @ v).swapaxes(-1, -2), (w_dag @ v).swapaxes(-1, -2)  # (..., K, n): u_i† psi_k, w_j† psi_k
-        cross = u_dag @ n.roots[..., 0].swapaxes(-1, -2)  # u_i† w_j
-        p, q = np.abs(a) ** 2, np.abs(b) ** 2
-        overlaps = a.conj()[..., :, None] * cross[..., None, :, :] * b[..., None, :]
-    else:
-        psi = v.swapaxes(-1, -2)[..., None, :]  # (..., K, 1, dim)
-        # a[..., k, i, :] = M_i psi_k and b[..., k, j, :] = N_j psi_k, for every eigenvector at once
-        a = np.moveaxis(m.elements @ v[..., None, :, :], -1, -3)
-        b = np.moveaxis(n.elements @ v[..., None, :, :], -1, -3)
-        p, q = np.vecdot(psi, a).real, np.vecdot(psi, b).real
-        overlaps = a.conj() @ b.swapaxes(-1, -2)
+        # seen[..., i, k]: outcome i has weight |u_i† psi_k|^2 above P_ZERO_TOL on a kept psi_k
+        seen_m, seen_n = (
+            (np.abs(x.roots[..., 0].conj() @ v) ** 2 > P_ZERO_TOL) & kept[..., None, :] for x in (m, n)
+        )
+        pairs = seen_m @ seen_n.swapaxes(-1, -2)  # boolean product: one shared psi_k admits (i, j)
+        return _admissible_max(np.abs(_cross(m, n))[..., None, :, :], pairs[..., None, :, :])
+    psi = v.swapaxes(-1, -2)[..., None, :]  # (..., K, 1, dim)
+    # a[..., k, i, :] = M_i psi_k and b[..., k, j, :] = N_j psi_k, for every eigenvector at once
+    a = np.moveaxis(m.elements @ v[..., None, :, :], -1, -3)
+    b = np.moveaxis(n.elements @ v[..., None, :, :], -1, -3)
     # <psi_k|M_i|psi_k>, zero for the eigenvectors left out, so no pair of theirs counts
-    p, q = (np.where(kept[..., None], x, 0.0) for x in (p, q))
-    return _max_ratio(p, q, overlaps)
+    p, q = (np.where(kept[..., None], np.vecdot(psi, x).real, 0.0) for x in (a, b))
+    return _max_ratio(p, q, a.conj() @ b.swapaxes(-1, -2))
 
 
 def f_factor(m: Povm, n: Povm, rho) -> float:
@@ -238,6 +281,11 @@ def _root_factors(w: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _f_bar(m: Povm, n: Povm) -> np.ndarray:
+    """f_bar, as the public function: max |u_i† w_j| for two rank-one POVMs,
+    one batched SVD per outcome of m for any other pair."""
+    if _rank_one(m, n):
+        # ||u_i u_i† w_j w_j†|| = |u_i† w_j|: one matrix product, no SVD
+        return np.abs(_cross(m, n)).max(axis=(-2, -1))
     # one batched SVD per outcome of m covers every outcome of n and every stacked pair
     best = None
     for fi in np.moveaxis(m.roots, -3, 0):  # (..., dim, r_m)
@@ -252,8 +300,11 @@ def f_bar(m: Povm, n: Povm) -> float:
 
     Any root factor F_i of M_i (F_i F_i† = M_i) is M_i^(1/2) W_i with W_i a
     partial isometry, so the norm equals ||F_i† G_j|| for the POVMs' held roots,
-    the top singular value of an r_m x r_n matrix.  One batched SVD per outcome
-    of m covers every outcome of n, in O(n r^2) memory.
+    the top singular value of an r_m x r_n matrix.  For two rank-one POVMs that
+    matrix is the number u_i† w_j, and f_bar is the Maassen-Uffink overlap
+    max |u_i† w_j| (PRL 60, 1103, 1988), from one matrix product.  Any other
+    pair takes one batched SVD per outcome of m, covering every outcome of n,
+    in O(n r^2) memory.
     """
     _same_dim(m.dim, n.dim)
     return float(_f_bar(m, n))
@@ -436,9 +487,9 @@ def phi_min_verify(problem: PhiProblem, grid_points: int = 2000) -> tuple[float,
 
 def _projective(u: np.ndarray) -> Povm:
     """Rank-1 orthogonal projectors onto the columns of each unitary of a
-    (..., dim, dim) stack, the basis vectors their root factors: one POVM per unitary."""
-    rows = u.swapaxes(-1, -2)
-    return Povm._factored(rows[..., :, None] * rows.conj()[..., None, :], rows[..., None])
+    (..., dim, dim) stack, held through the basis vectors, their root factors,
+    alone: one POVM per unitary."""
+    return Povm._factored(u.swapaxes(-1, -2)[..., None])
 
 
 def random_projective_povm(dim: int, seed: int) -> Povm:

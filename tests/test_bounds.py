@@ -1,3 +1,4 @@
+import functools
 import sys
 import tracemalloc
 
@@ -43,7 +44,7 @@ class TestPovm:
         # the factored path, which skips the decomposition, keeps the check and its message
         half = np.array([[[1.0], [0.0]]], dtype=complex) / np.sqrt(2)
         with pytest.raises(ValueError, match="POVM completeness violated"):
-            Povm._factored(half @ half.conj().swapaxes(1, 2), half)
+            Povm._factored(half)
 
     def test_rejects_non_psd(self):
         with pytest.raises(ValueError, match="POVM element 1 is not PSD: min eigenvalue -5.000e-01"):
@@ -62,7 +63,7 @@ class TestPovm:
     def test_factored_elements_match_public_path(self):
         # the constructors that hold root factors skip the decomposition, but their
         # elements are bit-identical to Povm(elements) on the same products, layout included
-        for dim in (1, 3, 8):
+        for dim in (1, 3, 8, 64):
             u = linalg.haar_random_unitary(dim, dim)
             k = _kraus_set_with_zeros(dim, dim + 1, 2, 1, seed=dim).kraus_ops
             pairs = (
@@ -72,6 +73,12 @@ class TestPovm:
             for factored, public in pairs:
                 assert factored.elements.tobytes() == public.elements.tobytes()
                 assert factored.elements.flags.c_contiguous and factored.roots.flags.c_contiguous
+
+    def test_rank_one_roots_hold_no_element_stack(self):
+        # a projective POVM reads its size off the roots and makes its elements once, when read
+        m = random_projective_povm(5, 3)
+        assert "elements" not in vars(m) and (m.dim, m.n_outcomes) == (5, 5)
+        assert m.elements is m.elements
 
     def test_povm_memory_of_a_full_rank_stack(self):
         # the one decomposition of Povm(elements) holds the stack, its eigenvectors and roots
@@ -115,6 +122,25 @@ class TestDecompositionCounts:
         assert cli.main(["sweep", "--dim", "8", "--trials", "2"]) == 0
         assert (1, 8, 8) in shapes
         assert [s for s in shapes if s[-3:] == (8, 8, 8)] == []  # no POVM element stack
+
+    def test_sweep_builds_no_element_stack_and_makes_no_svd(self, monkeypatch, capsys):
+        # the projective POVMs of a sweep are read through their root vectors alone
+        built, svds = [], []
+        build = Povm.__dict__["elements"].func
+
+        def counted(povm):
+            built.append(povm.roots.shape)
+            return build(povm)
+
+        elements = functools.cached_property(counted)
+        elements.__set_name__(Povm, "elements")
+        monkeypatch.setattr(Povm, "elements", elements)
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: svds.append(1) or svd(*a, **k))
+        assert cli.main(["sweep", "--dim", "8", "--trials", "3"]) == 0
+        assert (built, svds) == ([], [])
+        random_projective_povm(3, 0).elements  # the counter sees a read
+        assert built == [(3, 3, 1)]
 
     def test_povm_then_f_bar_decomposes_each_stack_once(self, monkeypatch):
         stacks = [random_povm(4, 3, seed=s).elements for s in (1, 2)]
@@ -230,6 +256,54 @@ class TestFBar:
             comp = Povm(tuple(np.diag(np.eye(d)[k]).astype(complex) for k in range(d)))
             four = Povm(tuple(np.outer(u[:, k], u[:, k].conj()) for k in range(d)))
             assert f_bar(comp, four) == pytest.approx(1 / np.sqrt(d), abs=1e-12)
+
+
+@st.composite
+def _rank_one_pair_and_state(draw):
+    dim = draw(st.integers(1, 6))
+    seed = st.integers(0, 2**32 - 1)
+
+    def povm():
+        if draw(st.booleans()):
+            return random_projective_povm(dim, draw(seed))
+        # n > dim outcomes M_i = v_i v_i†, v_i† the rows of a Haar isometry C^dim -> C^n
+        v = linalg.positive_qr(linalg.ginibre(np.random.default_rng(draw(seed)), dim + draw(st.integers(1, 4)), dim))
+        return Povm(v.conj()[:, :, None] * v[:, None, :])
+
+    m, n = povm(), povm()
+    return m, n, linalg.random_density(dim, draw(st.integers(1, dim)), draw(seed))
+
+
+def _admissible_pairs(m, n, rho) -> set:
+    """Loop oracle: the (i, j) with weights above P_ZERO_TOL on one kept eigenvector of rho."""
+    w, v = np.linalg.eigh(rho)
+    pairs = set()
+    for psi in v[:, w > bounds.P_ZERO_TOL].T:
+        p = [np.vdot(psi, x @ psi).real for x in m.elements]
+        q = [np.vdot(psi, y @ psi).real for y in n.elements]
+        pairs |= {(i, j) for i, pi in enumerate(p) for j, qj in enumerate(q) if min(pi, qj) > bounds.P_ZERO_TOL}
+    return pairs
+
+
+class TestRankOneOverlaps:
+    """For rank-one elements f and f_bar are maxima of one |u_i† w_j| array, f over
+    the admissible pairs only, so f <= f_bar holds with no rounding slack."""
+
+    @given(_rank_one_pair_and_state())
+    @settings(max_examples=150, deadline=None)
+    def test_f_never_exceeds_f_bar(self, case):
+        m, n, rho = case
+        assert m.roots.shape[-1] == n.roots.shape[-1] == 1
+        f, fb = f_factor(m, n, rho), f_bar(m, n)
+        assert f <= fb
+        if len(_admissible_pairs(m, n, linalg.check_density(rho))) == m.n_outcomes * n.n_outcomes:
+            assert f == fb
+
+    def test_f_equals_f_bar_when_every_pair_is_admissible(self):
+        # at I/d every weight |u_i† e_k|^2 of a Haar basis is nonzero
+        for d in (2, 16, 64):
+            m, n = random_projective_povm(d, 1), random_projective_povm(d, 2)
+            assert f_factor(m, n, np.eye(d) / d) == f_bar(m, n)
 
 
 def _f_bar_loop(m, n):
@@ -385,7 +459,7 @@ class TestAxisConvention:
         ms, ns = ([povm(kind, s + k) for s in seeds] for k, kind in enumerate(kinds))
         assume(len({p.roots.shape for p in ms}) == len({p.roots.shape for p in ns}) == 1)
         m_stack, n_stack = (
-            Povm._factored(stacked([p.elements for p in ps]), stacked([p.roots for p in ps])) for ps in (ms, ns)
+            Povm._factored(stacked([p.roots for p in ps]), stacked([p.elements for p in ps])) for ps in (ms, ns)
         )
         rhos = stacked([linalg.random_density(dim, min(rank, dim), s + 2) for s in seeds])
 

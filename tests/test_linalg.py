@@ -102,6 +102,17 @@ class TestTwoLeadingAxes:
                 linalg.check_hermitian(rhos, name="rho")
 
 
+@pytest.mark.parametrize("seed", [0, 1, 7, 12345, 10**23])
+def test_ginibre_is_the_two_draw_formula_to_the_bit(seed):
+    # one generator shared by a sequence of draws, as random_povm draws its pieces
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    for shape in [(1,), (3, 1), (8, 8), (2, 3, 4), (5, 64), (0, 3), (4, 4)]:
+        a, b = theirs.standard_normal(shape), theirs.standard_normal(shape)
+        want, got = (a + 1j * b) / np.sqrt(2), linalg.ginibre(ours, *shape)
+        assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert got.flags.c_contiguous
+
+
 def test_vector_norm_is_numpy_norm_to_the_bit():
     rng = np.random.default_rng(5)
     for d in (1, 2, 7, 8, 33, 100):
