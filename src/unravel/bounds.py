@@ -87,19 +87,20 @@ class Povm:
     @classmethod
     def _factored(cls, roots: np.ndarray, products: np.ndarray | None = None) -> Povm:
         """POVM with root factors roots[i] = F_i and elements M_i = F_i F_i†,
-        Hermitian and PSD by construction: only completeness is checked, from
-        the roots as one dim x dim product, and nothing is decomposed.  The
-        elements are hermitianize(products), products[i] = F_i F_i† as the
-        caller made them; rank-one roots come without, and their elements are
+        Hermitian and PSD by construction: only completeness is checked, and
+        nothing is decomposed.  The elements are hermitianize(products),
+        products[i] = F_i F_i† as the caller made them, and their sum is
+        checked.  Rank-one roots u_i may come alone: then sum_i u_i u_i† is
+        checked as one dim x dim product of the roots, and the elements are
         made on first read."""
-        roots = np.ascontiguousarray(roots)
-        *lead, n, d, r = roots.shape
-        side = np.moveaxis(roots, -3, -2).reshape(*lead, d, n * r)  # [F_1 ... F_n]
-        _check_complete(side @ side.conj().swapaxes(-1, -2))
         povm = object.__new__(cls)
-        object.__setattr__(povm, "roots", roots)
-        if products is not None:
+        object.__setattr__(povm, "roots", np.ascontiguousarray(roots))
+        if products is None:
+            u = povm.roots[..., 0]
+            _check_complete(u.swapaxes(-1, -2) @ u.conj())
+        else:
             povm.__dict__["elements"] = linalg.hermitianize(np.ascontiguousarray(products))
+            _check_complete(povm.elements.sum(axis=-3))
         return povm
 
     @functools.cached_property
