@@ -157,11 +157,11 @@ def vector_norm(x: np.ndarray) -> np.ndarray:
 def ginibre(rng: np.random.Generator, *shape: int) -> np.ndarray:
     """Array of independent standard complex Gaussians, e.g. ginibre(rng, rows, cols).
 
-    One draw of the real parts, then the imaginary parts, the stream of two
-    standard_normal(shape) calls, scaled into one complex array with no
-    temporaries.  Bit for bit (a + 1j b) / sqrt(2): numpy divides a complex
-    array by a real scalar through the reciprocal, so the product by
-    1 / sqrt(2) rounds the same way."""
+    One draw of the real parts, then the imaginary parts (the stream of two
+    standard_normal(shape) calls), scaled into one complex array with no
+    temporaries.  Bit for bit (a + 1j b) / sqrt(2), as numpy divides a complex
+    array by a real scalar through the reciprocal; numpy does not promise
+    that, so test_linalg pins it."""
     re, im = rng.standard_normal((2, *shape))
     z = np.empty(shape, dtype=complex)
     np.multiply(re, 1 / np.sqrt(2), out=z.real)

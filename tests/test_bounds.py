@@ -41,8 +41,11 @@ class TestPovm:
     def test_rejects_incomplete(self):
         with pytest.raises(ValueError, match="POVM completeness violated"):
             Povm((np.diag([0.5, 0.5]),))
-        # the factored path, which skips the decomposition, keeps the check and its message
+        # the factored path, which skips the decomposition, keeps the check and its message,
+        # both on the sum of the products it is given and on the rank-one roots alone
         half = np.array([[[1.0], [0.0]]], dtype=complex) / np.sqrt(2)
+        with pytest.raises(ValueError, match="POVM completeness violated"):
+            Povm._factored(half, half @ half.conj().swapaxes(1, 2))
         with pytest.raises(ValueError, match="POVM completeness violated"):
             Povm._factored(half)
 
