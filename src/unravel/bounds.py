@@ -34,13 +34,14 @@ The paired reports measure the Gram-extremal unravelings of two Kraus sets.
 Remixing by a unitary U gives the distribution diag(U† Pi U), which the Gram
 spectrum majorizes (Schur); Tsallis and Renyi entropies of positive order are
 Schur-concave (Marshall & Olkin, Inequalities: Theory of Majorization, ch. 3 A
-and 9 B), so that unraveling minimizes both at every order, exactly.  The
-module also hosts a grid verifier for the two-variable function whose
-constrained minimum yields the Tsallis bound.
+and 9 B), so that unraveling minimizes both at every order, exactly.
+phi_min_verify checks the Tsallis bound's minimization by brute force on a grid
+and exactly on the edge, where phi does not rise while zeta = 1, then is concave.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 from dataclasses import dataclass
 
@@ -53,10 +54,6 @@ from .linalg import check_density
 
 # Probabilities below this are treated as zero in the factor maxima.
 P_ZERO_TOL = 1e-12
-
-# Points of phi_min_verify's edge sweep evaluated at once: its memory stays
-# O(EDGE_BLOCK) however many points it visits.
-EDGE_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -227,22 +224,27 @@ def _g(m: Povm, n: Povm, rho: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.nd
     return _max_ratio(p[..., None, :], q[..., None, :], overlaps[..., None, :, :])
 
 
+def _state(m: Povm, n: Povm, rho, factor_kind: str) -> tuple:
+    """density_spectrum of one state for a POVM pair, with the eigenvectors that the f factor reads."""
+    return linalg.density_spectrum(linalg.check_one_matrix(rho, "rho"), _same_dim(m.dim, n.dim), vectors=factor_kind == "f")
+
+
 def g_factor(m: Povm, n: Povm, rho) -> float:
     """max |tr(M_i N_j rho)| / sqrt(p_i q_j) over outcomes with nonzero probability."""
-    return _reports(m, n, check_density(rho, _same_dim(m.dim, n.dim)), (), "g", ())[0]
+    return _reports(m, n, _state(m, n, rho, "g"), (), "g", ())[0]
 
 
-def _f(m: Povm, n: Povm, rho: np.ndarray) -> np.ndarray:
-    """f, as f_factor, over the eigenvectors psi_k of rho.  For two rank-one
-    POVMs, <M_i psi, N_j psi> = conj(u_i† psi) (u_i† w_j) (w_j† psi) and
+def _f(m: Povm, n: Povm, w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """f, as f_factor, over the eigenvectors psi_k = v[..., :, k] of rho, with
+    (w, v) from density_spectrum.  For two rank-one POVMs,
+    <M_i psi, N_j psi> = conj(u_i† psi) (u_i† w_j) (w_j† psi) and
     <psi|M_i|psi> = |u_i† psi|^2, so each ratio is |u_i† w_j| exactly, whatever
     psi: f is the largest |u_i† w_j| over the admissible pairs, those with
     |u_i† psi_k|^2 and |w_j† psi_k|^2 above P_ZERO_TOL for one kept psi_k.
     That is O(n d^2 + n^2 d), and it reads the same |U†W| array as f_bar, so
     f <= f_bar holds exactly.  Any other pair applies the elements to every
     eigenvector, O(n d^3 + n^2 d^2)."""
-    w, v = np.linalg.eigh(rho)
-    kept = w > P_ZERO_TOL  # (..., K): eigenvectors psi_k = v[..., :, k] of nonzero weight
+    kept = w > P_ZERO_TOL  # (..., K): eigenvectors of nonzero weight
     if _rank_one(m, n):
         # seen[..., i, k]: outcome i has weight |u_i† psi_k|^2 above P_ZERO_TOL on a kept psi_k
         seen_m, seen_n = (
@@ -266,7 +268,7 @@ def f_factor(m: Povm, n: Povm, rho) -> float:
     maximized over eigenvectors with nonzero weight and admissible (i, j).
     Coincides with g on pure states and dominates it otherwise.
     """
-    return float(_f(m, n, check_density(rho, _same_dim(m.dim, n.dim))))
+    return float(_f(m, n, *_state(m, n, rho, "f")[1:]))
 
 
 def _root_factors(w: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -312,17 +314,18 @@ def f_bar(m: Povm, n: Povm) -> float:
 
 
 def _reports(
-    m: Povm, n: Povm, rho: np.ndarray, orders_seq, factor_kind: str, kinds
+    m: Povm, n: Povm, states: tuple, orders_seq, factor_kind: str, kinds
 ) -> tuple[float | np.ndarray, list[BoundReport]]:
-    """(factor, reports) at validated states: p, q and the factor are computed
-    once, then one report per order of orders_seq and kind of kinds, orders
-    outer.  The reports normalize p and q once, for every order and kind.  For
-    one POVM pair and one state the factor and every field are floats."""
+    """(factor, reports) at validated states, (rho, w, v) from density_spectrum
+    or (rho,) for kinds other than f: p, q and the factor are computed once,
+    then one report per order of orders_seq and kind of kinds, orders outer,
+    normalizing p and q once.  One POVM pair and one state give floats."""
+    rho = states[0]
     p, q = _outcome_weights(m, rho), _outcome_weights(n, rho)
     if factor_kind == "g":
         factor = _g(m, n, rho, p, q)
     elif factor_kind == "f":
-        factor = _f(m, n, rho)
+        factor = _f(m, n, *states[1:])
     elif factor_kind == "fbar":
         factor = _f_bar(m, n)
     else:
@@ -347,11 +350,9 @@ def tsallis_uncertainty_check(
     """Evaluate H_a(M|rho) + H_b(N|rho) against ln_mu(factor^-2).
 
     alpha is bound to the first POVM and beta to the second; every order is
-    evaluated exactly, mu = 1 (Shannon) included.  rho is validated once and
-    the outcome probabilities are computed once.
+    evaluated exactly, mu = 1 (Shannon) included.  rho is decomposed once.
     """
-    rho = check_density(rho, _same_dim(m.dim, n.dim))
-    _, (report,) = _reports(m, n, rho, [orders], factor_kind, ("tsallis",))
+    _, (report,) = _reports(m, n, _state(m, n, rho, factor_kind), [orders], factor_kind, ("tsallis",))
     return report
 
 
@@ -359,8 +360,7 @@ def renyi_uncertainty_check(
     m: Povm, n: Povm, rho, orders: ConjugateOrders, factor_kind: str = "g"
 ) -> BoundReport:
     """Evaluate R_a(M|rho) + R_b(N|rho) against -2 ln(factor), as tsallis_uncertainty_check."""
-    rho = check_density(rho, _same_dim(m.dim, n.dim))
-    _, (report,) = _reports(m, n, rho, [orders], factor_kind, ("renyi",))
+    _, (report,) = _reports(m, n, _state(m, n, rho, factor_kind), [orders], factor_kind, ("renyi",))
     return report
 
 
@@ -387,7 +387,7 @@ class SearchConfig:
 def _extremal_pair(a: Unraveling, b: Unraveling, rho, orders: ConjugateOrders, kind: str) -> BoundReport:
     rho = check_density(rho, _same_dim(a.dim_in, b.dim_in))
     m, n = (povm_from_unraveling(_extremal(x, rho).extremal) for x in (a, b))
-    _, (report,) = _reports(m, n, rho, [orders], "g", (kind,))
+    _, (report,) = _reports(m, n, (rho,), [orders], "g", (kind,))
     return report
 
 
@@ -459,31 +459,31 @@ def _feasible_grid_min(problem: PhiProblem, grid_points: int) -> float:
 def phi_min_verify(problem: PhiProblem, grid_points: int = 2000) -> tuple[float, float]:
     """Return (analytic_min, numeric_min) for a PhiProblem.
 
-    The numeric minimum combines a grid_points x grid_points rectangular grid
-    (restricted to the feasible region; zeta <= gamma suffices since phi
-    increases in zeta) with a fine sweep along the active lower boundary
-    zeta = max(1, gamma * xi^(beta/alpha)), where the minimum lives.  The
-    sweep runs in blocks of EDGE_BLOCK points.
+    numeric_min is the lesser of a brute-force search of the feasible points of
+    a grid_points x grid_points grid (phi increases in zeta, so zeta <= gamma
+    suffices) and the minimum over n = min(grid_points^2, 4_000_001) points
+    xi = np.linspace(0, 1, n) of the edge zeta = max(1, gamma * xi^(beta/alpha)).
+    There phi does not rise while zeta = 1, in floating point too, and is concave
+    after (linear plus a positive multiple of xi^(beta/alpha), 0 < beta/alpha < 1),
+    so least at the last flat point (bisection finds it), the next or xi = 1,
+    each taken as a sweep of all n points would.  That sweep's minimum is lower
+    only where phi rises between points by less than zeta's rounding (gamma - 1
+    below ~1e-9, large alpha), and by ~1e-16.
     """
     if grid_points < 2:
         raise ValueError("grid_points must be >= 2")
-    gamma, alpha, beta = problem.gamma, problem.alpha, problem.beta
-    analytic = (problem.xi0 - 1.0) / (1.0 - alpha)
-    grid_min = _feasible_grid_min(problem, grid_points)
+    gamma, c = problem.gamma, problem.beta / problem.alpha
+    n = min(grid_points * grid_points, 4_000_001)
 
-    # The edge points are np.linspace(0, 1, n_edge), made EDGE_BLOCK at a time
-    # in the same arithmetic (index times step, the last point pinned to 1).
-    n_edge = min(grid_points * grid_points, 4_000_001)
-    step = 1.0 / (n_edge - 1)
-    edge_min = np.inf
-    for lo in range(0, n_edge, EDGE_BLOCK):
-        xi = np.arange(lo, min(lo + EDGE_BLOCK, n_edge)) * step
-        if lo + EDGE_BLOCK >= n_edge:
-            xi[-1] = 1.0
-        zeta = np.maximum(1.0, gamma * xi ** (beta / alpha))
-        edge_min = min(edge_min, float(problem.phi(xi, zeta).min()))
+    def edge(i: np.ndarray) -> np.ndarray:
+        # np.linspace(0, 1, n)[i]: the index times the step, the last point pinned to 1
+        return np.where(i == n - 1, 1.0, i * (1.0 / (n - 1)))
 
-    return analytic, min(grid_min, edge_min)
+    # the flat points are the first k + 1 (xi = 0 is flat); bisection over the rest finds k
+    k = bisect.bisect_left(range(1, n), True, key=lambda i: (gamma * edge(np.array([i])) ** c)[0] > 1.0)
+    xi = edge(np.unique([k, min(k + 1, n - 1), n - 1]))
+    edge_min = float(problem.phi(xi, np.maximum(1.0, gamma * xi**c)).min())
+    return (problem.xi0 - 1.0) / (1.0 - problem.alpha), min(_feasible_grid_min(problem, grid_points), edge_min)
 
 
 def _projective(u: np.ndarray) -> Povm:

@@ -31,6 +31,8 @@ class Unraveling:
 
     def __post_init__(self):
         k = as_matrix_stack(self.kraus_ops, "Kraus operators")
+        if not np.isfinite(k).all():  # before the completeness sum, which would warn on an inf
+            raise ValueError("Kraus operators have non-finite entries")
         _check_complete(k)
         object.__setattr__(self, "kraus_ops", k)
 

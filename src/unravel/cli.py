@@ -336,7 +336,7 @@ def cmd_sweep(args, rep: Reporter) -> None:
     def compute(bases: range):
         # each stage draws its trials' Ginibre arrays when it starts: those of random_density,
         # random_unraveling, haar_random_unitaries and the two random_projective_povm, at base + 0..4
-        rho = linalg.density_spectrum(linalg._densities(_ginibre(bases, d, d)), name="rho")[0]
+        rho, w, v = linalg.density_spectrum(linalg._densities(_ginibre(bases, d, d)), name="rho", vectors=True)
         kraus = channels._isometry_kraus(_ginibre((b + 1 for b in bases), d * d, d), d)
         channels._check_complete(kraus)
         gram = channels._gram(kraus, rho)
@@ -345,8 +345,8 @@ def cmd_sweep(args, rep: Reporter) -> None:
         probs = channels.remixed_probabilities(gram, linalg.positive_qr(_ginibre((b + 2 for b in bases), args.remixings, d, d)))
         m = bounds._projective(linalg.positive_qr(_ginibre((b + 3 for b in bases), d, d)))
         n = bounds._projective(linalg.positive_qr(_ginibre((b + 4 for b in bases), d, d)))
-        g, reports = bounds._reports(m, n, rho, orders, "g", ("tsallis", "renyi"))
-        f, fb = bounds._f(m, n, rho), bounds._f_bar(m, n)
+        g, reports = bounds._reports(m, n, (rho,), orders, "g", ("tsallis", "renyi"))
+        f, fb = bounds._f(m, n, w, v), bounds._f_bar(m, n)
         chain = np.minimum(np.minimum(f - g, fb - f), 1.0 + 1e-10 - fb)
         seed = list(bases)
         table = [("factor_chain", dict(d=d, slack=chain.tolist(), factor=g.tolist(), seed=seed))]

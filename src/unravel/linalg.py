@@ -29,15 +29,13 @@ TOL_PSD = 1e-10
 
 def as_matrix_stack(xs, name: str) -> np.ndarray:
     """Coerce equal-shape matrices (a sequence or an (n, rows, cols) array) to one
-    finite, C-ordered complex stack, always a fresh copy."""
+    C-ordered complex stack, always a fresh copy; finiteness is its callers' test."""
     try:
         k = np.array(xs, dtype=complex, order="C")
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{name} must be matrices of one shape: {exc}") from None
     if k.ndim != 3 or k.shape[0] == 0:
         raise ValueError(f"{name} must form a non-empty (n, rows, cols) stack, got shape {k.shape}")
-    if not np.isfinite(k).all():
-        raise ValueError(f"{name} have non-finite entries")
     return k
 
 

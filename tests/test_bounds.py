@@ -53,6 +53,18 @@ class TestPovm:
         with pytest.raises(ValueError, match="POVM element 1 is not PSD: min eigenvalue -5.000e-01"):
             Povm((np.diag([1.5, 1.0]), np.diag([-0.5, 0.0])))
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    def test_non_finite_element_rejected_in_one_pass(self, monkeypatch, entry):
+        # the element stack is tested for finiteness once, in check_hermitian, before any product
+        passes, isfinite = [], np.isfinite
+        monkeypatch.setattr(np, "isfinite", lambda x, *a, **k: passes.append(np.shape(x)) or isfinite(x, *a, **k))
+        elements = np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]).astype(complex)
+        Povm(elements)
+        assert passes == [(2, 2, 2)]
+        elements[1, 0, 1] = entry
+        with pytest.raises(ValueError, match="POVM element has non-finite entries"):
+            Povm(elements)
+
     def test_rejects_non_hermitian(self):
         skew = np.array([[0.5, 0.1], [0.0, 0.5]], dtype=complex)
         with pytest.raises(ValueError, match="element 1 is not Hermitian"):
@@ -467,14 +479,15 @@ class TestAxisConvention:
         rhos = stacked([linalg.random_density(dim, min(rank, dim), s + 2) for s in seeds])
 
         # bounds: the outcome weights, the factors and the reports
+        states = linalg.density_spectrum(rhos, vectors=True)
         p = bounds._outcome_weights(m_stack, rhos)
         factors = {
             "g": bounds._g(m_stack, n_stack, rhos, p, bounds._outcome_weights(n_stack, rhos)),
-            "f": bounds._f(m_stack, n_stack, rhos),
+            "f": bounds._f(m_stack, n_stack, *states[1:]),
             "fbar": bounds._f_bar(m_stack, n_stack),
         }
         reports = {
-            k: bounds._reports(m_stack, n_stack, rhos, [orders], k, ("tsallis", "renyi")) for k in factors
+            k: bounds._reports(m_stack, n_stack, states, [orders], k, ("tsallis", "renyi")) for k in factors
         }
         fields = ("lhs", "rhs", "slack", "factor")
         for t, idx in enumerate(np.ndindex(shape)):
@@ -494,7 +507,7 @@ class TestAxisConvention:
         assert all(type(getattr(report, f)) is float for f in fields)
 
         # ensembles: pure members of each state, their bounds, a mixed sandwich, the densities
-        _, w, v = linalg.density_spectrum(rhos, vectors=True)
+        _, w, v = states
         unitaries = [linalg.haar_random_unitary(members, s + 3) for s in seeds]
         weights, states = ensembles._pure_members(w, v, stacked(unitaries))
         assume((weights > 0).all())  # ensemble_from_state drops the members of weight 0
@@ -591,15 +604,30 @@ def _count_calls(monkeypatch, home, name):
 
 class TestCheckValidatesOnce:
     def test_one_check_density_per_call(self, monkeypatch):
-        calls = _count_calls(monkeypatch, linalg, "check_density")
+        # one validation of rho (density_spectrum, the body of check_density) and one
+        # decomposition, whose eigenvectors the f factor reads, whatever the factor
+        calls = _count_calls(monkeypatch, linalg, "density_spectrum")
         m = random_povm(3, 4, seed=60)
         n = random_projective_povm(3, seed=61)
         rho = linalg.random_density(3, 3, seed=62)
+        decomposed = []
+        for name in ("eigh", "eigvalsh"):
+
+            def spy(a, *args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+                decomposed.append(_name)
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, spy)
         for check in (tsallis_uncertainty_check, renyi_uncertainty_check):
             for kind in ("g", "f", "fbar"):
-                calls.clear()
+                calls.clear(), decomposed.clear()
                 check(m, n, rho, conjugate_order(2.0), kind)
                 assert len(calls) == 1
+                assert decomposed == ["eigh" if kind == "f" else "eigvalsh"]
+        for factor in (g_factor, f_factor):
+            calls.clear(), decomposed.clear()
+            factor(m, n, rho)
+            assert (len(calls), decomposed) == (1, ["eigh" if factor is f_factor else "eigvalsh"])
 
     def test_sweep_trial(self, monkeypatch, capsys):
         # one validation of the stacked states and one uncertainty body per block:
@@ -736,17 +764,61 @@ class TestPhiMin:
         # phi is +inf near zeta = gamma = 1e308, with no RuntimeWarning (which the suite raises)
         assert phi_min_verify(PhiProblem(1e308, 2.0), 50) == (1.0, 1.0)
 
-    @pytest.mark.parametrize("block", [1, 7, 64, 1 << 15])
-    def test_edge_blocks_match_one_linspace(self, monkeypatch, block):
-        # reference: the whole edge sweep as one np.linspace, which the blocks reproduce
-        # point for point, so the minimum is the same to the bit
-        monkeypatch.setattr(bounds, "EDGE_BLOCK", block)
+    @staticmethod
+    def _edge_sweep_min(problem, xi):
+        # reference: phi at every point xi of the edge, slices of one np.linspace
+        c, slices = problem.beta / problem.alpha, (xi[i : i + 2**18] for i in range(0, xi.size, 2**18))
+        return min(float(problem.phi(x, np.maximum(1.0, problem.gamma * x**c)).min()) for x in slices)
+
+    def _check_edge(self, gamma, alpha, grid):
+        problem = PhiProblem(gamma, alpha)
+        edge = self._edge_sweep_min(problem, np.linspace(0.0, 1.0, min(grid * grid, 4_000_001)))
+        assert phi_min_verify(problem, grid)[1] == min(bounds._feasible_grid_min(problem, grid), edge)
+        with pytest.MonkeyPatch.context() as patch:  # the edge minimum alone, to the bit
+            patch.setattr(bounds, "_feasible_grid_min", lambda problem, grid: np.inf)
+            assert phi_min_verify(problem, grid)[1] == edge
+
+    def test_edge_matches_one_linspace(self):
         for gamma, alpha, grid in ((2.0, 2.0, 30), (1.0, 1.5, 2), (5.0, 3.7, 41), (1.3, 1.1, 17)):
-            problem = PhiProblem(gamma, alpha)
-            xi = np.linspace(0.0, 1.0, grid * grid)
-            zeta = np.maximum(1.0, gamma * xi ** (problem.beta / alpha))
-            want = min(bounds._feasible_grid_min(problem, grid), float(problem.phi(xi, zeta).min()))
-            assert phi_min_verify(problem, grid)[1] == want
+            self._check_edge(gamma, alpha, grid)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        gamma=st.one_of(
+            st.sampled_from([1.0, 1.0 + 2.0**-52, 1.0 + 1e-9, 1.0001, 1e308]), st.floats(1.0, 1e308)
+        ),
+        alpha=st.one_of(st.sampled_from([1.0001, 1e6]), st.floats(1.0001, 1e6)),
+        grid=st.integers(2, 60),
+    )
+    def test_edge_minimum_is_the_sweeps(self, gamma, alpha, grid):
+        self._check_edge(gamma, alpha, grid)
+
+    def test_workload_case_against_the_full_edge(self):
+        # phi-min --gamma 2 --alpha 2 at the default grid: 4,000,001 edge points
+        self._check_edge(2.0, 2.0, 2000)
+
+    def test_edge_where_phi_rises_below_rounding(self, monkeypatch):
+        # gamma - 1 ~ 1e-11 and alpha ~ 1e5: past the flat points phi rises from one point to
+        # the next by less than the rounding of zeta, so a sweep's minimum sits a few points
+        # on, lower by that rounding; the edge minimum is phi at the first point past them
+        problem = PhiProblem(1.0000000000108866, 98786.467276984)
+        c = problem.beta / problem.alpha
+        xi = np.linspace(0.0, 1.0, 2000 * 2000)
+        first = int(np.count_nonzero(problem.gamma * xi**c <= 1.0))
+        at_first = float(problem.phi(xi[first], problem.gamma * xi[first : first + 1] ** c)[0])
+        sweep = self._edge_sweep_min(problem, xi)
+        monkeypatch.setattr(bounds, "_feasible_grid_min", lambda problem, grid: np.inf)
+        assert phi_min_verify(problem, 2000)[1] == at_first
+        assert sweep < at_first <= sweep + np.spacing(1.0) / (1.0 - problem.beta)
+
+    def test_phi_evaluates_a_few_points(self, monkeypatch):
+        # the grid's rows, then at most three edge points, out of the 4,000,001 the edge has
+        sizes, phi = [], PhiProblem.phi
+        monkeypatch.setattr(PhiProblem, "phi", lambda self, xi, zeta: sizes.append(np.size(xi)) or phi(self, xi, zeta))
+        for gamma, alpha, grid in ((2.0, 2.0, 2000), (1.0, 1.5, 2), (1e308, 2.0, 50), (1.0001, 1e6, 700)):
+            sizes.clear()
+            phi_min_verify(PhiProblem(gamma, alpha), grid)
+            assert sum(sizes) <= grid + 3
 
     def test_partial_derivative_signs(self):
         problem = PhiProblem(1.5, 2.0)

@@ -41,7 +41,7 @@ class TestUnraveling:
 
     @pytest.mark.parametrize("entry", [np.inf, -np.inf])
     def test_rejects_infinite_entry_without_warning(self, entry):
-        # as_matrix_stack's finiteness test runs before the completeness sum A†A,
+        # Unraveling's finiteness test runs before the completeness sum A†A,
         # which would warn on an infinite entry (the suite raises warnings)
         with pytest.raises(ValueError, match="non-finite entries"):
             Unraveling(([[entry, 0.0], [0.0, 1.0]],))

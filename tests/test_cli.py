@@ -115,6 +115,15 @@ class TestLoadInstance:
             assert (code, out) == (2, "")
             assert "instance" in json.loads(err)["error"]
 
+    @pytest.mark.parametrize("entry", [float("nan"), float("inf")])
+    def test_non_finite_povm_exits_2(self, tmp_path, capsys, entry):
+        povm = [_encode(m) for m in z_basis_povm().elements]
+        povm[1][0][1] = [entry, 0.0]
+        path = _write_instance(tmp_path, dim=2, povm_m=povm, povm_n=self._POVMS["povm_n"])
+        code, out, err = _run(capsys, ["uncertainty", "--in", path, "--alpha", "2"])
+        assert (code, out) == (2, "")
+        assert "non-finite" in json.loads(err)["error"]
+
     def test_large_dim_rejected_before_allocating(self, tmp_path, capsys):
         # the default rho = I/dim would take 32 MB at dim 2000, and the file has no operator to match
         path = _write_instance(tmp_path, dim=2000)
@@ -644,13 +653,13 @@ class TestBlockedTrials:
         rows = _json_rows(out)
         assert [r["check_name"] for r in rows] == ["dft_basis_state"] + ["dft_random_state"] * 5
 
-        # the sweep's f kernel raises on the stacked states that hold trial 5's
-        rho5, f = linalg.random_density(3, 3, 9 + 5000), bounds._f
+        # the sweep's f kernel raises on the spectra of the stacked states that hold trial 5's
+        w5, f = np.linalg.eigh(linalg.random_density(3, 3, 9 + 5000))[0], bounds._f
 
-        def f_spy(m, n, rho):
-            if (rho == rho5).all(axis=(1, 2)).any():
+        def f_spy(m, n, w, v):
+            if (w == w5).all(axis=1).any():
                 raise RuntimeError("trial 5 failed")
-            return f(m, n, rho)
+            return f(m, n, w, v)
 
         monkeypatch.setattr(bounds, "_f", f_spy)
         monkeypatch.setattr(cli, "BLOCK_ELEMENTS", 4 * 9 * (3 + 7 + 3))

@@ -142,6 +142,18 @@ class TestMixedEnsembleBounds:
         members = tuple(linalg.random_density(dim, dim, seed=seed * 100 + k) for k in range(n))
         return MixedEnsemble(weights, members)
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    def test_non_finite_member_rejected_in_one_pass(self, monkeypatch, entry):
+        # the member stack is tested for finiteness once, in check_hermitian, before any product
+        passes, isfinite = [], np.isfinite
+        monkeypatch.setattr(np, "isfinite", lambda x, *a, **k: passes.append(np.shape(x)) or isfinite(x, *a, **k))
+        members = np.stack([np.eye(2) / 2, np.diag([1.0, 0.0])]).astype(complex)
+        MixedEnsemble([0.5, 0.5], members)
+        assert [s for s in passes if len(s) == 3] == [(2, 2, 2)]
+        members[0, 1, 1] = entry
+        with pytest.raises(ValueError, match="member has non-finite entries"):
+            MixedEnsemble([0.5, 0.5], members)
+
     def test_identical_members(self):
         om = linalg.random_density(2, 2, seed=80)
         weights = np.array([0.3, 0.7])
