@@ -618,16 +618,15 @@ class TestCheckValidatesOnce:
                 return _original(a, *args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, spy)
-        for check in (tsallis_uncertainty_check, renyi_uncertainty_check):
-            for kind in ("g", "f", "fbar"):
-                calls.clear(), decomposed.clear()
-                check(m, n, rho, conjugate_order(2.0), kind)
-                assert len(calls) == 1
-                assert decomposed == ["eigh" if kind == "f" else "eigvalsh"]
-        for factor in (g_factor, f_factor):
-            calls.clear(), decomposed.clear()
-            factor(m, n, rho)
-            assert (len(calls), decomposed) == (1, ["eigh" if factor is f_factor else "eigvalsh"])
+        checks = (tsallis_uncertainty_check, renyi_uncertainty_check)
+        runs = [(check, (m, n, rho, conjugate_order(2.0), kind), kind) for check in checks for kind in ("g", "f", "fbar")]
+        runs += [(g_factor, (m, n, rho), "g"), (f_factor, (m, n, rho), "f")]
+        for function, args, kind in runs:
+            calls.clear()
+            decomposed.clear()
+            function(*args)
+            assert len(calls) == 1
+            assert decomposed == ["eigh" if kind == "f" else "eigvalsh"]
 
     def test_sweep_trial(self, monkeypatch, capsys):
         # one validation of the stacked states and one uncertainty body per block:
@@ -765,10 +764,13 @@ class TestPhiMin:
         assert phi_min_verify(PhiProblem(1e308, 2.0), 50) == (1.0, 1.0)
 
     @staticmethod
-    def _edge_sweep_min(problem, xi):
+    def _slices(xi):
+        return [xi[i : i + 2**18] for i in range(0, xi.size, 2**18)]
+
+    def _edge_sweep_min(self, problem, xi):
         # reference: phi at every point xi of the edge, slices of one np.linspace
-        c, slices = problem.beta / problem.alpha, (xi[i : i + 2**18] for i in range(0, xi.size, 2**18))
-        return min(float(problem.phi(x, np.maximum(1.0, problem.gamma * x**c)).min()) for x in slices)
+        c = problem.beta / problem.alpha
+        return min(float(problem.phi(x, np.maximum(1.0, problem.gamma * x**c)).min()) for x in self._slices(xi))
 
     def _check_edge(self, gamma, alpha, grid):
         problem = PhiProblem(gamma, alpha)
@@ -804,7 +806,7 @@ class TestPhiMin:
         problem = PhiProblem(1.0000000000108866, 98786.467276984)
         c = problem.beta / problem.alpha
         xi = np.linspace(0.0, 1.0, 2000 * 2000)
-        first = int(np.count_nonzero(problem.gamma * xi**c <= 1.0))
+        first = sum(int(np.count_nonzero(problem.gamma * x**c <= 1.0)) for x in self._slices(xi))
         at_first = float(problem.phi(xi[first], problem.gamma * xi[first : first + 1] ** c)[0])
         sweep = self._edge_sweep_min(problem, xi)
         monkeypatch.setattr(bounds, "_feasible_grid_min", lambda problem, grid: np.inf)
