@@ -764,25 +764,28 @@ class TestPhiMin:
         assert phi_min_verify(PhiProblem(1e308, 2.0), 50) == (1.0, 1.0)
 
     @staticmethod
-    def _slices(xi):
-        return [xi[i : i + 2**18] for i in range(0, xi.size, 2**18)]
+    def _slices(xi, block=2**18):
+        return [xi[i : i + block] for i in range(0, xi.size, block)]
 
-    def _edge_sweep_min(self, problem, xi):
-        # reference: phi at every point xi of the edge, slices of one np.linspace
+    def _edge_sweep_min(self, problem, xi, block=2**18):
+        # reference: phi at every point xi of the edge, slices of `block` points of one np.linspace
         c = problem.beta / problem.alpha
-        return min(float(problem.phi(x, np.maximum(1.0, problem.gamma * x**c)).min()) for x in self._slices(xi))
+        slices = self._slices(xi, block)
+        return min(float(problem.phi(x, np.maximum(1.0, problem.gamma * x**c)).min()) for x in slices)
 
-    def _check_edge(self, gamma, alpha, grid):
+    def _check_edge(self, gamma, alpha, grid, block=2**18):
         problem = PhiProblem(gamma, alpha)
-        edge = self._edge_sweep_min(problem, np.linspace(0.0, 1.0, min(grid * grid, 4_000_001)))
+        edge = self._edge_sweep_min(problem, np.linspace(0.0, 1.0, min(grid * grid, 4_000_001)), block)
         assert phi_min_verify(problem, grid)[1] == min(bounds._feasible_grid_min(problem, grid), edge)
         with pytest.MonkeyPatch.context() as patch:  # the edge minimum alone, to the bit
             patch.setattr(bounds, "_feasible_grid_min", lambda problem, grid: np.inf)
             assert phi_min_verify(problem, grid)[1] == edge
 
-    def test_edge_matches_one_linspace(self):
+    @pytest.mark.parametrize("block", [1, 7, 64, 1 << 15])
+    def test_edge_blocks_match_one_linspace(self, block):
+        # the reference sweep in slices of any size has the exact edge minimum's bits
         for gamma, alpha, grid in ((2.0, 2.0, 30), (1.0, 1.5, 2), (5.0, 3.7, 41), (1.3, 1.1, 17)):
-            self._check_edge(gamma, alpha, grid)
+            self._check_edge(gamma, alpha, grid, block)
 
     @settings(max_examples=150, deadline=None)
     @given(
