@@ -503,8 +503,9 @@ def random_povm(dim: int, n_outcomes: int, seed: int) -> Povm:
     """General POVM: Wishart pieces whitened by the inverse root of their sum."""
     if n_outcomes < 1:
         raise ValueError("n_outcomes must be >= 1")
-    rng = np.random.default_rng(seed)
-    g = np.stack([linalg.ginibre(rng, dim, dim) for _ in range(n_outcomes)])
+    # one generator's stream in C order: the real, then the imaginary parts of each piece in turn
+    z = np.random.default_rng(seed).standard_normal((n_outcomes, 2, dim, dim))
+    g = linalg._complex_gaussian(z[:, 0], z[:, 1])
     pieces = g @ g.conj().swapaxes(-1, -2)
     w, v = np.linalg.eigh(sum(pieces))  # in order: numpy's sum pairs the terms at dim = 1
     inv_root = (v / np.sqrt(w)) @ v.conj().T

@@ -17,6 +17,7 @@ import io
 import itertools
 import json
 import os
+import select
 import sys
 import time
 
@@ -122,7 +123,7 @@ def load_instance(path: str, needs: tuple = ()) -> dict:
 class Reporter:
     """Writes rows to the stream as they are made, flushed, so a reader sees
     whole rows while a run goes on and keeps them if it is killed: each table
-    of rows with one write and one flush.
+    of rows as few writes of whole lines as PIPE_BUF allows, each flushed.
 
     A table is a list of row shapes, (check_name, fields) pairs.  A field whose
     value is a list is a column, one number per trial, with the same count in
@@ -182,8 +183,17 @@ class Reporter:
             self._write(json.dumps(payload) + "\n")
 
     def _write(self, text: str) -> None:
-        self.stream.write(text)
-        self.stream.flush()
+        """Write text in pieces of whole lines, each flushed, of at most PIPE_BUF
+        bytes unless one line is longer.  POSIX makes a pipe write of at most
+        PIPE_BUF bytes atomic, so a run killed while a reader is behind leaves
+        no part of a row in the pipe; one write of a large table would leave
+        what fitted.  The rows are ASCII, so characters count bytes."""
+        start = 0
+        while start < len(text):
+            stop = text.rfind("\n", start, start + select.PIPE_BUF) + 1 or text.find("\n", start) + 1 or len(text)
+            self.stream.write(text[start:stop])
+            self.stream.flush()
+            start = stop
 
     @property
     def exit_code(self) -> int:
@@ -316,13 +326,6 @@ def cmd_uncertainty(args, rep: Reporter) -> None:
     )
 
 
-def _ginibre(seeds, *shape: int) -> np.ndarray:
-    """One seeded_ginibre(seed, *shape) per seed, stacked: a view for one seed,
-    so a block of one large trial holds its draw once."""
-    arrays = [linalg.seeded_ginibre(seed, *shape) for seed in seeds]
-    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
-
-
 def _trial_seeds(seed: int):
     """draw for _stream_trials: the base seeds seed + 1000·t of trials start..stop-1,
     Python ints at any size."""
@@ -336,15 +339,17 @@ def cmd_sweep(args, rep: Reporter) -> None:
     def compute(bases: range):
         # each stage draws its trials' Ginibre arrays when it starts: those of random_density,
         # random_unraveling, haar_random_unitaries and the two random_projective_povm, at base + 0..4
-        rho, w, v = linalg.density_spectrum(linalg._densities(_ginibre(bases, d, d)), name="rho", vectors=True)
-        kraus = channels._isometry_kraus(_ginibre((b + 1 for b in bases), d * d, d), d)
+        rho, w, v = linalg.density_spectrum(linalg._densities(linalg.ginibre_stack(bases, d, d)), name="rho", vectors=True)
+        kraus = channels._isometry_kraus(linalg.ginibre_stack([b + 1 for b in bases], d * d, d), d)
         channels._check_complete(kraus)
         gram = channels._gram(kraus, rho)
         del kraus  # before the remixings are drawn
         lambdas = _normalized(linalg._descending_eig(gram)[0])
-        probs = channels.remixed_probabilities(gram, linalg.positive_qr(_ginibre((b + 2 for b in bases), args.remixings, d, d)))
-        m = bounds._projective(linalg.positive_qr(_ginibre((b + 3 for b in bases), d, d)))
-        n = bounds._projective(linalg.positive_qr(_ginibre((b + 4 for b in bases), d, d)))
+        probs = channels.remixed_probabilities(
+            gram, linalg.positive_qr(linalg.ginibre_stack([b + 2 for b in bases], args.remixings, d, d))
+        )
+        m = bounds._projective(linalg.positive_qr(linalg.ginibre_stack([b + 3 for b in bases], d, d)))
+        n = bounds._projective(linalg.positive_qr(linalg.ginibre_stack([b + 4 for b in bases], d, d)))
         g, reports = bounds._reports(m, n, (rho,), orders, "g", ("tsallis", "renyi"))
         f, fb = bounds._f(m, n, w, v), bounds._f_bar(m, n)
         chain = np.minimum(np.minimum(f - g, fb - f), 1.0 + 1e-10 - fb)
@@ -408,7 +413,7 @@ def cmd_demo(args, rep: Reporter) -> None:
         def compute(z: np.ndarray):
             # each trial's real parts, then its imaginary parts: the stream that
             # linalg.ginibre(rng, d, 1) draws trial by trial
-            psi = (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2)
+            psi = linalg._complex_gaussian(z[:, 0], z[:, 1])
             psi /= linalg.vector_norm(psi)[:, None]
             return [("dft_random_state", fields(d, demos.dft_uncertainty_demo(psi, orders)))]
 
@@ -429,11 +434,11 @@ def cmd_ensemble(args, rep: Reporter) -> None:
         # seeds: the state at base, the mixing unitary at base + 1, the mixture's
         # weights at base + 2 and its members at base + 3 + k; the Ginibre draws of
         # random_density and haar_random_unitary, each drawn when its stage starts
-        _, w, v = linalg.density_spectrum(linalg._densities(_ginibre(bases, d, d)), name="rho", vectors=True)
-        weights, states = ensembles._pure_members(w, v, linalg.positive_qr(_ginibre((b + 1 for b in bases), m, m)))
+        _, w, v = linalg.density_spectrum(linalg._densities(linalg.ginibre_stack(bases, d, d)), name="rho", vectors=True)
+        weights, states = ensembles._pure_members(w, v, linalg.positive_qr(linalg.ginibre_stack([b + 1 for b in bases], m, m)))
         state_h, weight_h = ensembles._pure_bounds(weights, states, alpha, "tsallis")
         mix_weights = np.stack([np.random.default_rng(b + 2).dirichlet(np.ones(m)) for b in bases])
-        members = _ginibre((b + 3 + k for b in bases for k in range(m)), d, d).reshape(len(bases), m, d, d)
+        members = linalg.ginibre_stack([b + 3 + k for b in bases for k in range(m)], d, d).reshape(len(bases), m, d, d)
         members, spectra = linalg.density_spectrum(linalg._densities(members), name="member")
         lower, mid, upper = ensembles._sandwich(_normalized(mix_weights), members, spectra, alpha)
         common = dict(d=d, alpha=alpha, seed=list(bases))

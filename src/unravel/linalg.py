@@ -3,10 +3,14 @@
 Validation of matrices and matrix stacks (finite, Hermitian, unitary, density),
 the Hermitian part, Hermitian eigendecomposition with a canonical (descending)
 eigenvalue order, and seeded random generators: Ginibre arrays, Haar-random
-unitaries and isometries, and density matrices.  Each seeded generator makes
-one Ginibre draw (seeded_ginibre) and hands it to a kernel that works on a
-stack of such draws, so a block of trials can draw one trial at a time and do
-the arithmetic once.
+unitaries and isometries, and density matrices.  Each seed's Ginibre draw comes
+from one kernel, ginibre_stack(seeds, *shape): each seed's generator is opened
+once and fills its slot of one real buffer, and the complex stack is built from
+the whole buffer in one pass.  (numpy's policy for seeded bit generators,
+NEP 19, fixes each seed's stream, so a slot of a shared buffer reads the same
+numbers as an array of its own.)  Each seeded generator is a one-seed view of
+that kernel (seeded_ginibre) handed to a kernel that works on a stack of such
+draws, so a block of trials draws, and does the arithmetic, once per stage.
 
 Haar sampling is Mezzadri's (Notices AMS 54, 592, 2007): Q of a Ginibre draw
 with R's diagonal positive (positive_qr).  A draw at least twice as tall as
@@ -152,25 +156,45 @@ def vector_norm(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag))
 
 
-def ginibre(rng: np.random.Generator, *shape: int) -> np.ndarray:
-    """Array of independent standard complex Gaussians, e.g. ginibre(rng, rows, cols).
-
-    One draw of the real parts, then the imaginary parts (the stream of two
-    standard_normal(shape) calls), scaled into one complex array with no
-    temporaries.  Bit for bit (a + 1j b) / sqrt(2), as numpy divides a complex
-    array by a real scalar through the reciprocal; numpy does not promise
-    that, so test_linalg pins it."""
-    re, im = rng.standard_normal((2, *shape))
-    z = np.empty(shape, dtype=complex)
+def _complex_gaussian(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """(re + 1j im) / sqrt(2) as one fresh C-ordered complex array, built with no
+    temporaries: each part scaled by 1/sqrt(2) into place.  Bit for bit that
+    expression, as numpy divides a complex array by a real scalar through the
+    reciprocal; numpy does not promise that, so test_linalg pins it.  The one
+    complex assembly of every Ginibre draw."""
+    z = np.empty(re.shape, dtype=complex)
     np.multiply(re, 1 / np.sqrt(2), out=z.real)
     np.multiply(im, 1 / np.sqrt(2), out=z.imag)
     return z
 
 
+def ginibre(rng: np.random.Generator, *shape: int) -> np.ndarray:
+    """Array of independent standard complex Gaussians, e.g. ginibre(rng, rows, cols).
+
+    One draw of the real parts, then the imaginary parts: the stream of two
+    standard_normal(shape) calls."""
+    return _complex_gaussian(*rng.standard_normal((2, *shape)))
+
+
+def ginibre_stack(seeds, *shape: int) -> np.ndarray:
+    """The (len(seeds), *shape) stack whose slot i is, bit for bit,
+    ginibre(np.random.default_rng(seeds[i]), *shape).
+
+    seeds is a sequence of anything default_rng takes (Python ints of any
+    size included), repeats allowed.  Each seed's generator is opened once
+    and fills its (2, *shape) slot of one real buffer with the stream
+    standard_normal((2, *shape)) reads; the complex stack is then built from
+    the whole buffer at once."""
+    pairs = np.empty((len(seeds), 2, *shape))
+    for seed, pair in zip(seeds, pairs):
+        np.random.default_rng(seed).standard_normal(out=pair)
+    return _complex_gaussian(pairs[:, 0], pairs[:, 1])
+
+
 def seeded_ginibre(seed: int, *shape: int) -> np.ndarray:
-    """ginibre from a generator seeded with `seed`: the one draw each seeded
-    generator below makes."""
-    return ginibre(np.random.default_rng(seed), *shape)
+    """ginibre from a generator seeded with `seed`, the one-seed view of
+    ginibre_stack: the one draw each seeded generator below makes."""
+    return ginibre_stack((seed,), *shape)[0]
 
 
 def positive_qr(z: np.ndarray) -> np.ndarray:

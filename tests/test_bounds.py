@@ -75,6 +75,22 @@ class TestPovm:
         assert m.n_outcomes == 4
         assert np.linalg.norm(sum(m.elements) - np.eye(3)) < 1e-9
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        dim=st.integers(1, 5),
+        n_outcomes=st.integers(1, 5),
+        seed=st.sampled_from([0, 2**63, 10**23]) | st.integers(0, 2**64),
+    )
+    def test_random_povm_is_one_draw_of_its_pieces(self, dim, n_outcomes, seed):
+        # one (n, 2, dim, dim) draw reads the stream of n ginibre(rng, dim, dim) calls on one generator
+        rng = np.random.default_rng(seed)
+        g = np.stack([linalg.ginibre(rng, dim, dim) for _ in range(n_outcomes)])
+        pieces = g @ g.conj().swapaxes(-1, -2)
+        w, v = np.linalg.eigh(sum(pieces))
+        inv_root = (v / np.sqrt(w)) @ v.conj().T
+        want = linalg.hermitianize(inv_root @ pieces @ inv_root)
+        assert random_povm(dim, n_outcomes, seed).elements.tobytes() == want.tobytes()
+
     def test_factored_elements_match_public_path(self):
         # the constructors that hold root factors skip the decomposition, but their
         # elements are bit-identical to Povm(elements) on the same products, layout included

@@ -6,6 +6,7 @@ import os
 import select
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -275,16 +276,18 @@ class TestSweepCommand:
     def test_rows_stream_as_made(self, capsys, monkeypatch):
         # trial 0's rows reach stdout before trial 1 draws its state, and an error in
         # trial 1 leaves them there as whole JSON lines
-        draw, before_draw = linalg.seeded_ginibre, []
+        opened, before_draw = [], []
 
-        def spy(seed, *shape):
+        def spy(seed):  # each seed's stream is opened here, in linalg.ginibre_stack's per-seed fill
+            opened.append(seed)
             if seed in (5, 1005):  # each trial's first draw, its state's
                 before_draw.append(capsys.readouterr().out)
             if seed == 1005:
                 raise ValueError("trial 1 failed")
-            return draw(seed, *shape)
+            return default_rng(seed)
 
-        monkeypatch.setattr(linalg, "seeded_ginibre", spy)
+        default_rng = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", spy)
         code, out, err = _run(capsys, ["sweep", "--dim", "2", "--trials", "2", "--seed", "5"])
         assert code == 2
         assert json.loads(err) == {"error": "trial 1 failed"}
@@ -293,6 +296,7 @@ class TestSweepCommand:
         assert len(rows) == 10
         assert rows[0]["check_name"] == "factor_chain"
         assert all(r["seed"] == 5 for r in rows)
+        assert opened == [5, 6, 7, 8, 9, 1005]  # one stream per seed, stage by stage
 
     @pytest.mark.parametrize(
         "command, first_check",
@@ -316,6 +320,23 @@ class TestSweepCommand:
             rest = proc.stdout.read()
             proc.wait(timeout=60)
         assert json.loads(first)["check_name"] == first_check
+        assert all(json.loads(line) for line in rest.splitlines())
+
+    def test_late_kill_leaves_whole_rows(self):
+        # the reader kills the run only after it has filled the pipe and blocked in the
+        # middle of a block of 8192 trials (~2 MB of rows): the pipe holds whole rows only
+        argv = [sys.executable, "-m", "unravel.cli", "demo", "dft", "--dim", "8", "--alpha", "2", "--trials", "10000000"]
+        with subprocess.Popen(argv, env=_src_env(), stdout=subprocess.PIPE, text=True) as proc:
+            try:
+                assert select.select([proc.stdout], [], [], 30)[0], "no row within 30 s"
+                first = proc.stdout.readline()
+                time.sleep(0.5)
+            finally:
+                proc.kill()
+            rest = proc.stdout.read()
+            proc.wait(timeout=60)
+        assert json.loads(first)["check_name"] == "dft_basis_state"
+        assert len(rest) > 4096  # the run wrote past its first rows before it was killed
         assert all(json.loads(line) for line in rest.splitlines())
 
     @settings(max_examples=60, deadline=None)
@@ -605,15 +626,16 @@ class TestBlockedTrials:
 
     def test_failing_draw_leaves_earlier_rows(self, capsys, monkeypatch):
         # the state of trial 3 fails to draw, in the middle of a block of 4 trials
-        draw, drawn = linalg.seeded_ginibre, []
+        drawn = []
 
-        def spy(seed, *shape):
+        def spy(seed):  # each seed's stream is opened here, in linalg.ginibre_stack's per-seed fill
             drawn.append(seed)
             if seed == 3000:
                 raise ValueError("trial 3 failed")
-            return draw(seed, *shape)
+            return default_rng(seed)
 
-        monkeypatch.setattr(linalg, "seeded_ginibre", spy)
+        default_rng = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", spy)
         monkeypatch.setattr(cli, "BLOCK_ELEMENTS", 4 * (3 * 4 + 4))
         code, out, err = _run(capsys, ["ensemble", "--dim", "2", "--members", "2", "--alpha", "2", "--trials", "8"])
         assert code == 2
@@ -621,6 +643,11 @@ class TestBlockedTrials:
         rows = _json_rows(out)
         assert [r["seed"] for r in rows] == [0, 0, 1000, 1000, 2000, 2000]
         assert max(drawn) == 3000  # no trial after the failing one was drawn
+        # trial 0 alone, then the block of trials 1..4, whose first stage stops at 3000, run
+        # again one trial at a time: each stage opens each of its seeds' streams once
+        # (ensemble's base + 2 is the mixture's weights, drawn by a generator of its own)
+        opened_once = [*range(5), 1000, 2000, 3000, *range(1000, 1005), *range(2000, 2005), 3000]
+        assert drawn == opened_once
 
         drawn.clear()
         monkeypatch.setattr(cli, "BLOCK_ELEMENTS", 4 * 4 * (2 + 5 + 3))
@@ -631,6 +658,7 @@ class TestBlockedTrials:
         assert [r["seed"] for r in rows if r["check_name"] == "factor_chain"] == [0, 1000, 2000]
         assert len(rows) == 3 * 10
         assert max(drawn) == 3000
+        assert drawn == opened_once
 
     def test_failing_trial_leaves_earlier_rows(self, capsys, monkeypatch):
         # the demo raises on trial 5's state, inside the second block of 4 trials
@@ -931,6 +959,20 @@ class TestReporter:
             rep.table(block)
             assert flushed == [single.getvalue()]
             assert rep.exit_code == one_at_a_time.exit_code == 1  # the NaN slack
+
+    def test_large_table_is_whole_lines_within_pipe_buf(self):
+        # POSIX makes a pipe write of at most PIPE_BUF bytes atomic, so a table larger than
+        # that goes out in flushed pieces of whole lines that fit: the same bytes in all
+        block = [("a", dict(d=2, slack=np.linspace(0, 1, 500).tolist(), seed=list(range(500))))]
+        for fmt in ("json", "csv"):
+            whole, stream, calls = io.StringIO(), io.StringIO(), []
+            cli.Reporter(fmt, False, whole).table(block)
+            stream.write, stream.flush = (lambda text: calls.append(text)), (lambda: calls.append(None))
+            cli.Reporter(fmt, False, stream).table(block)
+            pieces = calls[::2]
+            assert calls[1::2] == [None] * len(pieces) and len(pieces) > 1
+            assert "".join(pieces) == whole.getvalue()
+            assert all(len(p) <= select.PIPE_BUF and p.endswith("\n") for p in pieces)
 
     def test_nan_slack_is_a_violation(self):
         rep = cli.Reporter("csv", False, io.StringIO())

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from unravel import linalg
+from unravel import bounds, channels, linalg
 from unravel.channels import random_unraveling
 
 from helpers import psd_sqrt
@@ -111,6 +111,51 @@ def test_ginibre_is_the_two_draw_formula_to_the_bit(seed):
         want, got = (a + 1j * b) / np.sqrt(2), linalg.ginibre(ours, *shape)
         assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
         assert got.flags.c_contiguous
+    # the shared assembly on the strided halves of one (trials, 2, d) draw, as demo dft reads it
+    z = theirs.standard_normal((5, 2, 3))
+    want, got = (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2), linalg._complex_gaussian(z[:, 0], z[:, 1])
+    assert got.tobytes() == want.tobytes() and got.flags.c_contiguous
+
+
+def _reference_ginibre(seed, *shape):
+    """Reference seeded draw: two standard_normal(shape) calls on a fresh generator."""
+    rng = np.random.default_rng(seed)
+    a, b = rng.standard_normal(shape), rng.standard_normal(shape)
+    return (a + 1j * b) / np.sqrt(2)
+
+
+class TestGinibreStack:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seeds=st.lists(st.sampled_from([0, 1, 2**63, 10**23]) | st.integers(0, 2**128), min_size=1, max_size=6),
+        shape=st.lists(st.integers(0, 4), max_size=3),
+    )
+    @example(seeds=[0, 2**63, 10**23], shape=[3, 2])
+    @example(seeds=[10**23, 10**23, 0, 10**23], shape=[2, 2])
+    @example(seeds=[2**63], shape=[4, 1])
+    @example(seeds=[5], shape=[0, 3])
+    @example(seeds=[5, 6, 5], shape=[3, 0])
+    def test_is_per_seed_ginibre_to_the_bit(self, seeds, shape):
+        want = np.stack([linalg.ginibre(np.random.default_rng(s), *shape) for s in seeds])
+        got = linalg.ginibre_stack(seeds, *shape)
+        assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert got.flags.c_contiguous
+
+    @pytest.mark.parametrize("seed", [0, 3, 2**63, 10**23])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 8])
+    def test_one_seed_generators_keep_their_draws(self, seed, dim):
+        # each one-seed generator is, bit for bit, its kernel on the reference draw
+        z = _reference_ginibre(seed, dim, dim)
+        assert linalg.seeded_ginibre(seed, dim, dim).tobytes() == z.tobytes()
+        assert linalg.seeded_ginibre(seed, dim, dim).flags.c_contiguous
+        want = linalg._densities(_reference_ginibre(seed, dim, max(1, dim - 1)))
+        assert linalg.random_density(dim, max(1, dim - 1), seed).tobytes() == want.tobytes()
+        want = linalg.positive_qr(_reference_ginibre(seed, 3, dim, dim))
+        assert linalg.haar_random_unitaries(dim, 3, seed).tobytes() == want.tobytes()
+        want = channels._isometry_kraus(_reference_ginibre(seed, 2 * dim, dim), 2)
+        assert random_unraveling(dim, 2, seed).kraus_ops.tobytes() == want.tobytes()
+        want = bounds._projective(linalg.positive_qr(_reference_ginibre(seed, 1, dim, dim))[0])
+        assert bounds.random_projective_povm(dim, seed).roots.tobytes() == want.roots.tobytes()
 
 
 def test_vector_norm_is_numpy_norm_to_the_bit():
