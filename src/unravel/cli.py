@@ -161,8 +161,11 @@ class Reporter:
     def _csv_table(self, rows: list) -> str:
         """The table's CSV lines, the header first in a run's first table."""
         trials = next((len(v) for row in rows for v in row.values() if isinstance(v, list)), 1)
+        # zip(*list), not zip(*iterator): unpacking an iterator builds its argument tuple
+        # by resizing, and each such tuple, once freed, is one more entry on CPython's
+        # free list of its size (to 2000): memory that grows with the blocks of a run
         per_shape = [
-            zip(*(v if isinstance(v, list) else itertools.repeat(v, trials) for v in map(row.get, ROW_FIELDS)))
+            zip(*[v if isinstance(v, list) else itertools.repeat(v, trials) for v in map(row.get, ROW_FIELDS)])
             for row in rows
         ]
         lines = list(itertools.chain.from_iterable(zip(*per_shape)))
@@ -235,7 +238,7 @@ def _json_table(rows: list) -> str:
         for fields in shapes
     )
     template = template.replace("%", "%%").replace(chr(0), "%s")
-    return "".join(map(template.__mod__, zip(*map(_cells, columns))))
+    return "".join(map(template.__mod__, zip(*[_cells(column) for column in columns])))  # see _csv_table
 
 
 def _report_fields(report: bounds.BoundReport, **extra):
