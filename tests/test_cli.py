@@ -1,11 +1,14 @@
+import array
 import contextlib
 import csv
+import fcntl
 import io
 import json
 import os
 import select
 import subprocess
 import sys
+import termios
 import time
 import tracemalloc
 from pathlib import Path
@@ -323,20 +326,25 @@ class TestSweepCommand:
         assert all(json.loads(line) for line in rest.splitlines())
 
     def test_late_kill_leaves_whole_rows(self):
-        # the reader kills the run only after it has filled the pipe and blocked in the
+        # the reader kills the run only after the run has filled the pipe and blocked in the
         # middle of a block of 8192 trials (~2 MB of rows): the pipe holds whole rows only
         argv = [sys.executable, "-m", "unravel.cli", "demo", "dft", "--dim", "8", "--alpha", "2", "--trials", "10000000"]
         with subprocess.Popen(argv, env=_src_env(), stdout=subprocess.PIPE, text=True) as proc:
             try:
                 assert select.select([proc.stdout], [], [], 30)[0], "no row within 30 s"
                 first = proc.stdout.readline()
-                time.sleep(0.5)
+                waiting = array.array("i", [0])
+                deadline = time.monotonic() + 30
+                while waiting[0] < 4096 and time.monotonic() < deadline:  # the second block's rows
+                    time.sleep(0.01)
+                    fcntl.ioctl(proc.stdout.fileno(), termios.FIONREAD, waiting)
+                assert waiting[0] >= 4096, "no second block within 30 s"
+                time.sleep(0.2)  # the rest of the block fills the pipe
             finally:
                 proc.kill()
             rest = proc.stdout.read()
             proc.wait(timeout=60)
         assert json.loads(first)["check_name"] == "dft_basis_state"
-        assert len(rest) > 4096  # the run wrote past its first rows before it was killed
         assert all(json.loads(line) for line in rest.splitlines())
 
     @settings(max_examples=60, deadline=None)
