@@ -35,8 +35,8 @@ Remixing by a unitary U gives the distribution diag(U† Pi U), which the Gram
 spectrum majorizes (Schur); Tsallis and Renyi entropies of positive order are
 Schur-concave (Marshall & Olkin, Inequalities: Theory of Majorization, ch. 3 A
 and 9 B), so that unraveling minimizes both at every order, exactly.
-phi_min_verify checks the Tsallis bound's minimization by brute force on a grid
-and exactly on the edge, where phi does not rise while zeta = 1, then is concave.
+phi_min_verify checks the Tsallis bound's minimization exactly on the edge of the
+feasible set, where phi does not rise while zeta = 1, then is concave.
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ from .linalg import check_density
 
 # Probabilities below this are treated as zero in the factor maxima.
 P_ZERO_TOL = 1e-12
+EDGE_POINTS = 2000 * 2000  # points of the edge that phi_min_verify minimizes phi over
 
 
 @dataclass(frozen=True)
@@ -440,40 +441,20 @@ class PhiProblem:
             return (np.asarray(xi) - 1.0) / (1.0 - self.alpha) + (np.asarray(zeta) - 1.0) / (1.0 - self.beta)
 
 
-def _feasible_grid_min(problem: PhiProblem, grid_points: int) -> float:
-    """Minimum of phi over the feasible points of a grid_points x grid_points grid.
-
-    phi increases in zeta, so the minimum of each xi row sits at the first
-    grid zeta on or above the constraint curve; rows with no such zeta drop out.
-    """
-    gamma, alpha, beta = problem.gamma, problem.alpha, problem.beta
-    xi = np.linspace(0.0, 1.0, grid_points)
-    zeta = np.linspace(1.0, gamma, grid_points) if gamma > 1 else np.ones(1)
-    first = np.searchsorted(zeta, gamma * xi ** (beta / alpha), side="left")
-    rows = first < zeta.size
-    if not rows.any():
-        raise ValueError("empty feasible grid")
-    return float(problem.phi(xi[rows], zeta[first[rows]]).min())
-
-
-def phi_min_verify(problem: PhiProblem, grid_points: int = 2000) -> tuple[float, float]:
+def phi_min_verify(problem: PhiProblem) -> tuple[float, float]:
     """Return (analytic_min, numeric_min) for a PhiProblem.
 
-    numeric_min is the lesser of a brute-force search of the feasible points of
-    a grid_points x grid_points grid (phi increases in zeta, so zeta <= gamma
-    suffices) and the minimum over n = min(grid_points^2, 4_000_001) points
-    xi = np.linspace(0, 1, n) of the edge zeta = max(1, gamma * xi^(beta/alpha)).
-    There phi does not rise while zeta = 1, in floating point too, and is concave
-    after (linear plus a positive multiple of xi^(beta/alpha), 0 < beta/alpha < 1),
+    numeric_min is the minimum over the n = EDGE_POINTS points
+    xi = np.linspace(0, 1, n) of the edge zeta = max(1, gamma * xi^(beta/alpha));
+    phi increases in zeta, so no feasible point lies below the edge.  There phi
+    does not rise while zeta = 1, in floating point too, and is concave after
+    (linear plus a positive multiple of xi^(beta/alpha), 0 < beta/alpha < 1),
     so least at the last flat point (bisection finds it), the next or xi = 1,
     each taken as a sweep of all n points would.  That sweep's minimum is lower
     only where phi rises between points by less than zeta's rounding (gamma - 1
     below ~1e-9, large alpha), and by ~1e-16.
     """
-    if grid_points < 2:
-        raise ValueError("grid_points must be >= 2")
-    gamma, c = problem.gamma, problem.beta / problem.alpha
-    n = min(grid_points * grid_points, 4_000_001)
+    gamma, c, n = problem.gamma, problem.beta / problem.alpha, EDGE_POINTS
 
     def edge(i: np.ndarray) -> np.ndarray:
         # np.linspace(0, 1, n)[i]: the index times the step, the last point pinned to 1
@@ -483,7 +464,7 @@ def phi_min_verify(problem: PhiProblem, grid_points: int = 2000) -> tuple[float,
     k = bisect.bisect_left(range(1, n), True, key=lambda i: (gamma * edge(np.array([i])) ** c)[0] > 1.0)
     xi = edge(np.unique([k, min(k + 1, n - 1), n - 1]))
     edge_min = float(problem.phi(xi, np.maximum(1.0, gamma * xi**c)).min())
-    return (problem.xi0 - 1.0) / (1.0 - problem.alpha), min(_feasible_grid_min(problem, grid_points), edge_min)
+    return (problem.xi0 - 1.0) / (1.0 - problem.alpha), edge_min
 
 
 def _projective(u: np.ndarray) -> Povm:

@@ -454,7 +454,7 @@ def cmd_ensemble(args, rep: Reporter) -> None:
 
 def cmd_phi_min(args, rep: Reporter) -> None:
     problem = bounds.PhiProblem(gamma=args.gamma, alpha=args.alpha)
-    analytic, numeric = bounds.phi_min_verify(problem, args.grid)
+    analytic, numeric = bounds.phi_min_verify(problem)
     rep.row(
         "phi_min",
         alpha=args.alpha,
@@ -512,7 +512,6 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("phi-min", help="constrained-minimum verifier")
     s.add_argument("--gamma", type=float, required=True)
     s.add_argument("--alpha", type=float, required=True)
-    s.add_argument("--grid", type=_count(2), default=2000)
     return p
 
 

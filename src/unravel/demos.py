@@ -18,16 +18,6 @@ from .entropy import ConjugateOrders, _normalized, alpha_log
 
 # gaussian_wavepacket's bound on the weight its truncation discards
 TAIL_TOL = 1e-12
-# points of psi_lb_norm's trapezoid rule
-LB_NORM_POINTS = 8192
-
-
-def dft_matrix(d: int) -> np.ndarray:
-    """Unitary with entries exp(2*pi*i*k*l/d)/sqrt(d), k, l = 1..d."""
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
-    k = np.arange(1, d + 1)
-    return np.exp(2j * np.pi * np.outer(k, k) / d) / np.sqrt(d)
 
 
 def dft_uncertainty_demo(state, orders: ConjugateOrders) -> BoundReport:
@@ -69,18 +59,8 @@ class AngleState:
         object.__setattr__(self, "coeffs", c)
 
     @property
-    def truncation(self) -> int:
-        return (self.coeffs.size - 1) // 2
-
-    @property
     def delta_phi(self) -> float:
         return 2 * np.pi / self.nbins
-
-
-def wavefunction(state: AngleState, phis) -> np.ndarray:
-    """Psi evaluated at the given angles."""
-    ls = np.arange(-state.truncation, state.truncation + 1)
-    return np.exp(1j * np.outer(np.asarray(phis, float), ls)) @ state.coeffs / np.sqrt(2 * np.pi)
 
 
 def bin_probabilities(state: AngleState) -> np.ndarray:
@@ -117,26 +97,21 @@ def gaussian_wavepacket(truncation: int, width: float, nbins: int) -> AngleState
     """AngleState with c_l proportional to exp(-l^2/(2*width^2)).
 
     The weight the truncation discards (relative to the untruncated profile)
-    must stay below TAIL_TOL.
+    must stay below TAIL_TOL.  Below a width of ~0.026 every c_l but c_0
+    underflows to 0: the limiting packet.
     """
-    if width <= 0:
-        raise ValueError("width must be positive")
+    if not width > 0:  # NaN fails too
+        raise ValueError(f"width must be positive, got {width}")
     ls = np.arange(-truncation, truncation + 1)
-    c = np.exp(-(ls.astype(float) ** 2) / (2 * width**2))
     ls_far = np.arange(truncation + 1, max(10 * truncation, truncation + 1000))
-    tail = 2 * np.sum(np.exp(-(ls_far.astype(float) ** 2) / width**2))
+    # overflows to inf: width^2 if too wide (the tail test rejects it), l^2 / w2 if narrow
+    with np.errstate(over="ignore"):
+        w2 = max(np.float64(width) ** 2, np.finfo(float).tiny)  # never 0, so l^2 / w2 is never 0 / 0
+        c = np.exp(-(ls.astype(float) ** 2) / (2 * w2))
+        tail = 2 * np.sum(np.exp(-(ls_far.astype(float) ** 2) / w2))
     body = np.sum(c**2)
     if tail / (body + tail) > TAIL_TOL:
         raise ValueError(
             f"discarded tail weight {tail / (body + tail):.3e} exceeds {TAIL_TOL:.1e}; raise truncation"
         )
     return AngleState(coeffs=c / np.sqrt(body), nbins=nbins)
-
-
-def psi_lb_norm(state: AngleState, b: float) -> float:
-    """(integral of |Psi|^b over the circle)^(1/b) by periodic trapezoid rule."""
-    if b <= 0:
-        raise ValueError("b must be positive")
-    phis = np.linspace(0.0, 2 * np.pi, LB_NORM_POINTS, endpoint=False)
-    vals = np.abs(wavefunction(state, phis)) ** b
-    return float((vals.mean() * 2 * np.pi) ** (1.0 / b))

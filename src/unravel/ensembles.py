@@ -189,13 +189,10 @@ class MixedBoundsResult(NamedTuple):
     upper: float
 
 
-def mixed_ensemble_bounds_check(e: MixedEnsemble, alpha: float, kind: str = "tsallis") -> MixedBoundsResult:
+def mixed_ensemble_bounds_check(e: MixedEnsemble, alpha: float) -> MixedBoundsResult:
     """Tsallis sandwich for a mixture of density matrices.
 
     lower = sum p_i H(omega_i), mid = H(rho), upper = sum p_i^alpha H(omega_i)
-    + H(p).  The treatment does not carry over to Renyi entropies, which are
-    rejected.
+    + H(p).  The treatment does not carry over to Renyi entropies.
     """
-    if kind != "tsallis":
-        raise ValueError(f"mixed-ensemble bounds hold for Tsallis entropies only, got {kind!r}")
     return MixedBoundsResult(*map(float, _sandwich(e.weights, e.members, e.spectra, alpha)))

@@ -122,15 +122,6 @@ def renyi_entropy(p, alpha: float):
     return _entropy(as_prob_vector(p), alpha, "renyi")
 
 
-def renyi_from_tsallis(h: float, alpha: float) -> float:
-    """Convert a Tsallis value to the Renyi value of the same order: log1p((1-a) h)/(1-a)."""
-    t = 1.0 - _check_order(alpha)
-    s = t * float(h)
-    if s <= -1:
-        raise ValueError(f"log argument {1 + s!r} <= 0 in Tsallis-to-Renyi conversion")
-    return math.log1p(s) / t if t else float(h)
-
-
 def quantum_entropy(rho, alpha: float, kind: str = "tsallis") -> float:
     """Entropy of the eigenvalue distribution of a density matrix: the spectrum
     that served its PSD check."""

@@ -133,18 +133,9 @@ def check_density(rho, dim: int | None = None, name: str = "rho") -> np.ndarray:
     return density_spectrum(check_one_matrix(rho, name), dim, name)[0]
 
 
-def hermitian_eig(h) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix (or of each matrix of a stack),
-    eigenvalues descending.
-
-    Returns (w, v) with h = v @ diag(w) @ v†.  Eigenvector phases are not
-    canonicalized; compare only phase-invariant quantities downstream.
-    """
-    return _descending_eig(check_hermitian(h))
-
-
 def _descending_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """hermitian_eig of a matrix or stack already Hermitian, unchecked."""
+    """(w, v) with h = v @ diag(w) @ v†, w descending, for a Hermitian matrix or
+    stack, unchecked.  Eigenvector phases are not canonicalized."""
     w, v = np.linalg.eigh(h)
     return w[..., ::-1].copy(), v[..., ::-1].copy()
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import time
 
 import numpy as np
@@ -12,11 +13,16 @@ import numpy as np
 from unravel.bounds import Povm
 from unravel.cli import ROW_FIELDS, SLACK_TOL
 from unravel.channels import Unraveling
+from unravel.demos import AngleState
+from unravel.entropy import _check_order
 from unravel.linalg import TOL_PSD, hermitianize
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+
+# points of psi_lb_norm's trapezoid rule
+LB_NORM_POINTS = 8192
 
 
 def depolarizing_unraveling(p: float) -> Unraveling:
@@ -51,6 +57,44 @@ def psd_sqrt(m) -> np.ndarray:
 def measurement_channel(povm: Povm) -> Unraveling:
     """von Neumann style channel with Kraus operators M_i^(1/2)."""
     return Unraveling(tuple(psd_sqrt(m) for m in povm.elements))
+
+
+def dft_matrix(d: int) -> np.ndarray:
+    """Unitary with entries exp(2*pi*i*k*l/d)/sqrt(d), k, l = 1..d: the matrix
+    whose product with a state the DFT demo's FFT stands in for."""
+    if d < 1:
+        raise ValueError(f"d must be >= 1, got {d}")
+    k = np.arange(1, d + 1)
+    return np.exp(2j * np.pi * np.outer(k, k) / d) / np.sqrt(d)
+
+
+def momenta(state: AngleState) -> np.ndarray:
+    """The momenta l = -L..L of an AngleState's amplitudes c_l."""
+    L = (state.coeffs.size - 1) // 2
+    return np.arange(-L, L + 1)
+
+
+def wavefunction(state: AngleState, phis) -> np.ndarray:
+    """Psi evaluated at the given angles."""
+    return np.exp(1j * np.outer(np.asarray(phis, float), momenta(state))) @ state.coeffs / np.sqrt(2 * np.pi)
+
+
+def psi_lb_norm(state: AngleState, b: float) -> float:
+    """(integral of |Psi|^b over the circle)^(1/b) by periodic trapezoid rule."""
+    if b <= 0:
+        raise ValueError("b must be positive")
+    phis = np.linspace(0.0, 2 * np.pi, LB_NORM_POINTS, endpoint=False)
+    vals = np.abs(wavefunction(state, phis)) ** b
+    return float((vals.mean() * 2 * np.pi) ** (1.0 / b))
+
+
+def renyi_from_tsallis(h: float, alpha: float) -> float:
+    """Convert a Tsallis value to the Renyi value of the same order: log1p((1-a) h)/(1-a)."""
+    t = 1.0 - _check_order(alpha)
+    s = t * float(h)
+    if s <= -1:
+        raise ValueError(f"log argument {1 + s!r} <= 0 in Tsallis-to-Renyi conversion")
+    return math.log1p(s) / t if t else float(h)
 
 
 def random_state_vector(dim: int, rng: np.random.Generator) -> np.ndarray:

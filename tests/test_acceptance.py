@@ -25,8 +25,6 @@ from unravel.demos import (
     angle_momentum_demo,
     dft_uncertainty_demo,
     gaussian_wavepacket,
-    psi_lb_norm,
-    wavefunction,
 )
 from unravel.ensembles import (
     MixedEnsemble,
@@ -36,6 +34,8 @@ from unravel.ensembles import (
 )
 from unravel.entropy import conjugate_order, renyi_entropy
 from unravel.bounds import SearchConfig, extremal_pair_renyi
+
+from helpers import psi_lb_norm, wavefunction
 
 
 VERDICTS: list[str] = []
@@ -267,13 +267,13 @@ def test_07_ensemble_bounds():
 
 def test_08_constrained_minimum():
     worst_gap = 0.0
-    grid_ok = True
+    edge_ok = True
     for gamma in (1.0, 1.2, 2.0, 5.0):
         for alpha in (1.5, 2.0, 3.0):
             problem = bounds.PhiProblem(gamma=gamma, alpha=alpha)
-            analytic, numeric = bounds.phi_min_verify(problem, grid_points=2000)
+            analytic, numeric = bounds.phi_min_verify(problem)
             if numeric < analytic - 1e-12:
-                grid_ok = False
+                edge_ok = False
             worst_gap = max(worst_gap, abs(numeric - analytic))
     hand = bounds.PhiProblem(gamma=2.0, alpha=2.0)
     hand_val = (hand.xi0 - 1.0) / (1.0 - hand.alpha)
@@ -290,9 +290,9 @@ def test_08_constrained_minimum():
         d_zeta = (problem.phi(xi, zeta + h) - problem.phi(xi, zeta - h)) / (2 * h)
         if not (d_xi < 0 and d_zeta > 0):
             signs_ok = False
-    ok = grid_ok and worst_gap <= 1e-4 and hand_ok and signs_ok
+    ok = edge_ok and worst_gap <= 1e-4 and hand_ok and signs_ok
     _verdict(
-        f"criterion 8: constrained minimum (max |grid-analytic| {worst_gap:.2e}, "
+        f"criterion 8: constrained minimum (max |edge-analytic| {worst_gap:.2e}, "
         f"hand case 7/8: {hand_ok}, derivative signs: {signs_ok})",
         ok,
     )

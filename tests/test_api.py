@@ -6,6 +6,7 @@ caught here: each call below has the form perfbench/workloads.py uses.
 
 import json
 import re
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,34 @@ def test_readme_python_runs():
     assert blocks
     for block in blocks:
         exec(compile(block, str(readme), "exec"), {})
+
+
+def test_readme_cli_runs(tmp_path, monkeypatch, capsys):
+    # every `unravel ...` line of the README's sh blocks, the --in ones on a written instance.json
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    lines = [
+        line
+        for block in re.findall(r"```sh\n(.*?)```", readme.read_text(), re.S)
+        for line in block.splitlines()
+        if line.startswith("unravel ")
+    ]
+    assert lines
+    monkeypatch.chdir(tmp_path)
+    enc = unravel.cli.matrix_to_json
+    kraus = unravel.channels.random_unraveling(2, 3, 1).kraus_ops
+    m, n = (unravel.bounds.random_projective_povm(2, seed).elements for seed in (2, 3))
+    instance = dict(
+        dim=2,
+        kraus=[enc(k) for k in kraus],
+        povm_m=[enc(e) for e in m],
+        povm_n=[enc(e) for e in n],
+        rho=enc(unravel.random_density(2, 2, 4)),
+    )
+    (tmp_path / "instance.json").write_text(json.dumps(instance))
+    for line in lines:
+        code = unravel.cli.main(shlex.split(line)[1:])
+        err = capsys.readouterr().err
+        assert (line, code, err) == (line, 0, "")
 
 
 def _renyi(p, alpha):

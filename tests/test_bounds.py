@@ -26,10 +26,9 @@ from unravel.bounds import (
     tsallis_uncertainty_check,
 )
 from unravel.channels import Unraveling, effect_probabilities, random_unraveling
-from unravel.demos import dft_matrix
 from unravel.entropy import alpha_log, conjugate_order, tsallis_entropy
 
-from helpers import depolarizing_unraveling, psd_sqrt, x_basis_povm, z_basis_povm
+from helpers import depolarizing_unraveling, dft_matrix, measurement_channel, psd_sqrt, x_basis_povm, z_basis_povm
 
 
 def _pure(psi):
@@ -759,14 +758,14 @@ class TestRenyiCheck:
 
 class TestPhiMin:
     def test_gamma_one(self):
-        analytic, numeric = phi_min_verify(PhiProblem(1.0, 2.0), grid_points=200)
+        analytic, numeric = phi_min_verify(PhiProblem(1.0, 2.0))
         assert analytic == 0.0
         assert numeric == pytest.approx(0.0, abs=1e-12)
 
     def test_hand_case(self):
         problem = PhiProblem(2.0, 2.0)
         assert problem.xi0 == pytest.approx(1 / 8)
-        analytic, numeric = phi_min_verify(problem, grid_points=2000)
+        analytic, numeric = phi_min_verify(problem)
         assert analytic == pytest.approx(7 / 8)
         assert numeric >= analytic - 1e-6
         assert numeric == pytest.approx(analytic, abs=1e-4)
@@ -777,7 +776,7 @@ class TestPhiMin:
 
     def test_overflow_to_inf_never_wins(self):
         # phi is +inf near zeta = gamma = 1e308, with no RuntimeWarning (which the suite raises)
-        assert phi_min_verify(PhiProblem(1e308, 2.0), 50) == (1.0, 1.0)
+        assert phi_min_verify(PhiProblem(1e308, 2.0)) == (1.0, 1.0)
 
     @staticmethod
     def _slices(xi, block=2**18):
@@ -789,19 +788,18 @@ class TestPhiMin:
         slices = self._slices(xi, block)
         return min(float(problem.phi(x, np.maximum(1.0, problem.gamma * x**c)).min()) for x in slices)
 
-    def _check_edge(self, gamma, alpha, grid, block=2**18):
+    def _check_edge(self, gamma, alpha, n, block=2**18):
         problem = PhiProblem(gamma, alpha)
-        edge = self._edge_sweep_min(problem, np.linspace(0.0, 1.0, min(grid * grid, 4_000_001)), block)
-        assert phi_min_verify(problem, grid)[1] == min(bounds._feasible_grid_min(problem, grid), edge)
-        with pytest.MonkeyPatch.context() as patch:  # the edge minimum alone, to the bit
-            patch.setattr(bounds, "_feasible_grid_min", lambda problem, grid: np.inf)
-            assert phi_min_verify(problem, grid)[1] == edge
+        edge = self._edge_sweep_min(problem, np.linspace(0.0, 1.0, n), block)
+        with pytest.MonkeyPatch.context() as patch:  # the edge minimum over n points, to the bit
+            patch.setattr(bounds, "EDGE_POINTS", n)
+            assert phi_min_verify(problem)[1] == edge
 
     @pytest.mark.parametrize("block", [1, 7, 64, 1 << 15])
     def test_edge_blocks_match_one_linspace(self, block):
         # the reference sweep in slices of any size has the exact edge minimum's bits
-        for gamma, alpha, grid in ((2.0, 2.0, 30), (1.0, 1.5, 2), (5.0, 3.7, 41), (1.3, 1.1, 17)):
-            self._check_edge(gamma, alpha, grid, block)
+        for gamma, alpha, n in ((2.0, 2.0, 30 * 30), (1.0, 1.5, 2 * 2), (5.0, 3.7, 41 * 41), (1.3, 1.1, 17 * 17)):
+            self._check_edge(gamma, alpha, n, block)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -809,14 +807,15 @@ class TestPhiMin:
             st.sampled_from([1.0, 1.0 + 2.0**-52, 1.0 + 1e-9, 1.0001, 1e308]), st.floats(1.0, 1e308)
         ),
         alpha=st.one_of(st.sampled_from([1.0001, 1e6]), st.floats(1.0001, 1e6)),
-        grid=st.integers(2, 60),
+        n=st.integers(2, 60).map(lambda side: side * side),
     )
-    def test_edge_minimum_is_the_sweeps(self, gamma, alpha, grid):
-        self._check_edge(gamma, alpha, grid)
+    def test_edge_minimum_is_the_sweeps(self, gamma, alpha, n):
+        self._check_edge(gamma, alpha, n)
 
     def test_workload_case_against_the_full_edge(self):
-        # phi-min --gamma 2 --alpha 2 at the default grid: 4,000,001 edge points
-        self._check_edge(2.0, 2.0, 2000)
+        # phi-min --gamma 2 --alpha 2: the 4,000,000 = 2000^2 edge points
+        assert bounds.EDGE_POINTS == 2000 * 2000
+        self._check_edge(2.0, 2.0, bounds.EDGE_POINTS)
 
     def test_edge_where_phi_rises_below_rounding(self, monkeypatch):
         # gamma - 1 ~ 1e-11 and alpha ~ 1e5: past the flat points phi rises from one point to
@@ -828,18 +827,17 @@ class TestPhiMin:
         first = sum(int(np.count_nonzero(problem.gamma * x**c <= 1.0)) for x in self._slices(xi))
         at_first = float(problem.phi(xi[first], problem.gamma * xi[first : first + 1] ** c)[0])
         sweep = self._edge_sweep_min(problem, xi)
-        monkeypatch.setattr(bounds, "_feasible_grid_min", lambda problem, grid: np.inf)
-        assert phi_min_verify(problem, 2000)[1] == at_first
+        assert phi_min_verify(problem)[1] == at_first
         assert sweep < at_first <= sweep + np.spacing(1.0) / (1.0 - problem.beta)
 
     def test_phi_evaluates_a_few_points(self, monkeypatch):
-        # the grid's rows, then at most three edge points, out of the 4,000,001 the edge has
+        # at most three edge points, out of the 4,000,000 the edge has
         sizes, phi = [], PhiProblem.phi
         monkeypatch.setattr(PhiProblem, "phi", lambda self, xi, zeta: sizes.append(np.size(xi)) or phi(self, xi, zeta))
-        for gamma, alpha, grid in ((2.0, 2.0, 2000), (1.0, 1.5, 2), (1e308, 2.0, 50), (1.0001, 1e6, 700)):
+        for gamma, alpha in ((2.0, 2.0), (1.0, 1.5), (1e308, 2.0), (1.0001, 1e6)):
             sizes.clear()
-            phi_min_verify(PhiProblem(gamma, alpha), grid)
-            assert sum(sizes) <= grid + 3
+            phi_min_verify(PhiProblem(gamma, alpha))
+            assert sum(sizes) <= 3
 
     def test_partial_derivative_signs(self):
         problem = PhiProblem(1.5, 2.0)
@@ -856,18 +854,6 @@ class TestPhiMin:
             assert dphi_dxi < 0
             assert dphi_dzeta > 0
             count += 1
-
-    def test_grid_min_matches_masked_grid(self):
-        # reference: phi over the whole grid, masked to the feasible points
-        for gamma in (1.0, 1.01, 1.5, 2.0, 7.3, 40.0):
-            for alpha in (1.2, 2.0, 5.0):
-                for grid in (2, 3, 17, 101, 400):
-                    problem = PhiProblem(gamma, alpha)
-                    xi = np.linspace(0.0, 1.0, grid)
-                    zeta = np.linspace(1.0, gamma, grid) if gamma > 1 else np.ones(1)
-                    feasible = zeta[None, :] >= gamma * (xi[:, None] ** (problem.beta / alpha))
-                    masked = float(problem.phi(xi[:, None], zeta[None, :])[feasible].min())
-                    assert bounds._feasible_grid_min(problem, grid) == masked
 
     def test_curve_derivative_positive(self):
         # d/dxi of phi along the constraint curve is positive on (xi0, 1]
@@ -891,3 +877,70 @@ class TestBoundReportConsistency:
         assert report.lhs == pytest.approx(lhs, abs=1e-12)
         assert report.rhs == pytest.approx(alpha_log(report.factor**-2, orders.mu), abs=1e-12)
         assert report.slack == pytest.approx(report.lhs - report.rhs, abs=1e-12)
+
+
+class TestSearchConfig:
+    def test_rejects_bad_fields(self):
+        with pytest.raises(ValueError):
+            SearchConfig(alpha=-1.0)
+        with pytest.raises(ValueError):
+            SearchConfig(alpha=3.0, restarts=0)
+
+
+class TestExtremalPairTsallis:
+    def test_unitary_pair(self):
+        a = Unraveling((linalg.haar_random_unitary(2, 60),))
+        report = extremal_pair_tsallis(a, a, np.eye(2) / 2, conjugate_order(2.0))
+        assert report.lhs == pytest.approx(0.0, abs=1e-12)
+        assert report.factor == pytest.approx(1.0, abs=1e-12)
+        assert report.rhs == pytest.approx(0.0, abs=1e-12)
+
+    def test_zx_measurement_channels(self):
+        a = measurement_channel(z_basis_povm())
+        b = measurement_channel(x_basis_povm())
+        orders = conjugate_order(2.0)
+        report = extremal_pair_tsallis(a, b, np.eye(2) / 2, orders)
+        # both sides measure uniformly on I/2
+        assert report.lhs == pytest.approx(0.5 + 3 * (2 ** (1 / 3) - 1), abs=1e-10)
+        assert report.slack >= -1e-9
+
+    def test_random_pairs(self):
+        for seed in range(10):
+            a = random_unraveling(2, 2, seed=70 + seed)
+            b = random_unraveling(2, 3, seed=80 + seed)
+            rho = linalg.random_density(2, 2, seed=90 + seed)
+            for alpha in (1.5, 2.0, 3.0):
+                report = extremal_pair_tsallis(a, b, rho, conjugate_order(alpha))
+                assert report.slack >= -1e-9
+
+
+class TestExtremalPairRenyi:
+    def test_unitary_pair(self):
+        a = Unraveling((linalg.haar_random_unitary(2, 61),))
+        cfg = SearchConfig(alpha=2.0, restarts=2, iterations=10)
+        report = extremal_pair_renyi(a, a, np.eye(2) / 2, conjugate_order(2.0), cfg)
+        assert report.lhs == pytest.approx(0.0, abs=1e-12)
+        assert report.rhs == pytest.approx(0.0, abs=1e-12)
+
+    def test_zx_measurement_channels(self):
+        a = measurement_channel(z_basis_povm())
+        b = measurement_channel(x_basis_povm())
+        cfg = SearchConfig(alpha=2.0, restarts=3, iterations=50)
+        report = extremal_pair_renyi(a, b, np.eye(2) / 2, conjugate_order(2.0), cfg)
+        assert report.lhs == pytest.approx(2 * np.log(2), abs=1e-10)
+        assert report.slack >= -1e-9
+
+    def test_alpha_below_one_rejected(self):
+        a = depolarizing_unraveling(0.5)
+        cfg = SearchConfig(alpha=2.0, restarts=2, iterations=10)
+        with pytest.raises(ValueError):
+            extremal_pair_renyi(a, a, np.eye(2) / 2, conjugate_order(0.7), cfg)
+
+    def test_random_pairs(self):
+        cfg = SearchConfig(alpha=2.0, restarts=3, iterations=60, seed=7)
+        for seed in range(5):
+            a = random_unraveling(2, 3, seed=110 + seed)
+            b = random_unraveling(2, 2, seed=120 + seed)
+            rho = linalg.random_density(2, 2, seed=130 + seed)
+            report = extremal_pair_renyi(a, b, rho, conjugate_order(2.0), cfg)
+            assert report.slack >= -1e-9

@@ -8,16 +8,13 @@ from unravel.demos import (
     AngleState,
     angle_momentum_demo,
     bin_probabilities,
-    dft_matrix,
     dft_uncertainty_demo,
     gaussian_wavepacket,
-    psi_lb_norm,
-    wavefunction,
 )
 from unravel.entropy import alpha_log, conjugate_order
 from unravel.linalg import TOL_UNITARY
 
-from helpers import random_state_vector
+from helpers import dft_matrix, momenta, psi_lb_norm, random_state_vector, wavefunction
 
 
 def _momentum_state(coeffs, nbins):
@@ -27,8 +24,7 @@ def _momentum_state(coeffs, nbins):
 
 def _exact_bin_probs(state):
     """Fourier-coefficient oracle: integrate |Psi|^2 over each bin analytically."""
-    L = state.truncation
-    ls = np.arange(-L, L + 1)
+    ls = momenta(state)
     c = state.coeffs
     edges = np.linspace(0.0, 2 * np.pi, state.nbins + 1)
     p = np.zeros(state.nbins)
@@ -266,6 +262,19 @@ class TestAngleDemo:
     def test_tail_guard(self):
         with pytest.raises(ValueError):
             gaussian_wavepacket(5, 3.0, 8)
+
+    @pytest.mark.parametrize("width", [0.02, 1e-154, 1e-160, 1e-300, 5e-324])
+    def test_narrow_width_is_the_limiting_packet(self, width):
+        assert gaussian_wavepacket(5, width, 8).coeffs.tolist() == [0j] * 5 + [1 + 0j] + [0j] * 5
+
+    @pytest.mark.parametrize("width", [1e155, 1.7e308])
+    def test_overflowing_width_fails_the_tail_guard(self, width):
+        with pytest.raises(ValueError, match="discarded tail weight"):
+            gaussian_wavepacket(3, width, 8)
+
+    def test_nan_width_rejected(self):
+        with pytest.raises(ValueError, match="width must be positive"):
+            gaussian_wavepacket(5, float("nan"), 8)
 
 
 class TestAngleNormInequalities:

@@ -13,10 +13,10 @@ from unravel.entropy import (
     conjugate_order,
     quantum_entropy,
     renyi_entropy,
-    renyi_from_tsallis,
     tsallis_entropy,
 )
 
+from helpers import renyi_from_tsallis
 from test_acceptance import _renyi_rows, _tsallis_rows
 
 ORDERS = [0.3, 0.7, 2.0, 5.0]
