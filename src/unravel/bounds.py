@@ -13,21 +13,23 @@ ranks.  A Povm holds the root factors of its elements, made once when it is
 built.  Povm(elements) takes them from one eigendecomposition of the stack
 (kept eigenvectors scaled by root eigenvalues) and keeps the elements too;
 random_projective_povm (the basis vectors) and povm_from_unraveling (A_i†)
-pass the factors they hold and decompose nothing.  The basis vectors alone
-hold a projective POVM: it makes its element stack only when one is read.
+pass the factors they hold, decompose nothing, and make the elements F_i F_i†
+only when one is read.  The adjoints A_i = F_i† are a Kraus set with
+A_i† A_i = M_i, so the channels kernels check a factored POVM's completeness
+and give every POVM's outcome weights p_i = tr(A_i rho A_i†).
 
-The kernels (_outcome_weights, _g, _f, _f_bar, _reports) take POVM elements
-(..., n, dim, dim), roots (..., n, dim, r) and validated states (..., dim, dim)
-with any leading axes, one value per index of those axes; the public functions
-call them on one POVM pair and one state, and return floats.  The form follows
-the roots' rank.  Rank-one roots (r = 1: M_i = u_i u_i†, as for the basis
-projectors of random_projective_povm) give p_i = u_i† rho u_i.  When both
-POVMs are rank one (N_j = w_j w_j†) every overlap comes from inner products of
-the root vectors, O(d^3) in all for d outcomes, and reads no element:
-g from (u_i† w_j) conj(u_i† rho w_j); f and f_bar from the one array
-|u_i† w_j|, since for rank-one elements each of f's ratios and each of
-f_bar's norms is |u_i† w_j| exactly (see _f), so f <= f_bar holds exactly.
-Every other pair of ranks takes the element form, O(d^4), and f_bar its
+The kernels (_g, _f, _f_bar, _reports) take POVMs held through roots
+(..., n, dim, r) and validated states (..., dim, dim) with any leading axes,
+one value per index of those axes; the public functions call them on one POVM
+pair and one state, and return floats.  The form of each factor follows the
+roots' rank.  When both POVMs are rank one (r = 1: M_i = u_i u_i† and
+N_j = w_j w_j†, as for the basis projectors of random_projective_povm) every
+overlap comes from inner products of the root vectors, O(d^3) in all for d
+outcomes, and reads no element: g from (u_i† w_j) conj(u_i† rho w_j); f and
+f_bar from the one array |u_i† w_j|, since for rank-one elements each of f's
+ratios and each of f_bar's norms is |u_i† w_j| exactly (see _f), so
+f <= f_bar holds exactly.  Every other pair of ranks takes the element form,
+O(d^4), g through the pair traces of the channels Gram kernel, and f_bar its
 per-outcome SVDs.  The forms agree to rounding.
 
 The paired reports measure the Gram-extremal unravelings of two Kraus sets.
@@ -48,13 +50,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .channels import Unraveling, _extremal, _flat
+from .channels import Unraveling, _check_complete, _extremal, _pair_traces, _weights
 from .entropy import ConjugateOrders, _entropy, _normalized, alpha_log, as_prob_vector, conjugate_order
 from .linalg import check_density
 
 # Probabilities below this are treated as zero in the factor maxima.
 P_ZERO_TOL = 1e-12
 EDGE_POINTS = 2000 * 2000  # points of the edge that phi_min_verify minimizes phi over
+# the error of both completeness checks of a Povm, on its elements or on its roots
+_INCOMPLETE = "POVM completeness violated: ||sum M - I||_F"
 
 
 @dataclass(frozen=True)
@@ -64,13 +68,13 @@ class Povm:
     `roots` is an (n, dim, r) stack of root factors, F_i F_i† = M_i, made
     when the POVM is built: from one eigendecomposition of the validated
     elements, or, for random_projective_povm and povm_from_unraveling, from
-    the factors they already hold.  `elements` is the (n, dim, dim) element
-    stack, which indexes and iterates like a tuple of matrices.  A POVM held
-    through rank-one roots alone (random_projective_povm) stores no element
-    stack: it makes hermitianize(u_i u_i†) from its root vectors on first
-    read, and the kernels read only the roots.  Built by _factored, a Povm may
-    hold a stack of equal-shaped POVMs, leading axes before n, as the kernels
-    take them (see the module).
+    the factors they already hold.  The roots' adjoints A_i = F_i† are a Kraus
+    set with A_i† A_i = M_i, which the channels kernels measure.  `elements`
+    is the (n, dim, dim) element stack, which indexes and iterates like a
+    tuple of matrices.  A POVM built from its roots alone (_factored) makes
+    hermitianize(F_i F_i†) on first read, and the rank-one kernels read only
+    the roots.  Built by _factored, a Povm may hold a stack of equal-shaped
+    POVMs, leading axes before n, as the kernels take them (see the module).
     """
 
     roots: np.ndarray
@@ -78,47 +82,32 @@ class Povm:
     def __init__(self, elements):
         elems = linalg.check_hermitian(linalg.as_matrix_stack(elements, "POVM elements"), name="POVM element")
         roots = _root_factors(*linalg.psd_spectrum(elems, "POVM element", vectors=True))
-        _check_complete(elems.sum(axis=-3))
+        linalg.check_identity(elems.sum(axis=-3), _INCOMPLETE)
         object.__setattr__(self, "roots", roots)
         self.__dict__["elements"] = elems
 
     @classmethod
-    def _factored(cls, roots: np.ndarray, products: np.ndarray | None = None) -> Povm:
-        """POVM with root factors roots[i] = F_i and elements M_i = F_i F_i†,
-        Hermitian and PSD by construction: only completeness is checked, and
-        nothing is decomposed.  The elements are hermitianize(products),
-        products[i] = F_i F_i† as the caller made them, and their sum is
-        checked.  Rank-one roots u_i may come alone: then sum_i u_i u_i† is
-        checked as one dim x dim product of the roots, and the elements are
-        made on first read."""
+    def _factored(cls, roots: np.ndarray) -> Povm:
+        """POVM with root factors roots[i] = F_i, of any rank, and elements
+        M_i = F_i F_i†, Hermitian and PSD by construction: only completeness is
+        checked, on the Kraus set F_i†, and nothing is decomposed."""
         povm = object.__new__(cls)
         object.__setattr__(povm, "roots", np.ascontiguousarray(roots))
-        if products is None:
-            u = povm.roots[..., 0]
-            _check_complete(u.swapaxes(-1, -2) @ u.conj())
-        else:
-            povm.__dict__["elements"] = linalg.hermitianize(np.ascontiguousarray(products))
-            _check_complete(povm.elements.sum(axis=-3))
+        _check_complete(povm._kraus, _INCOMPLETE)
         return povm
 
     @functools.cached_property
     def elements(self) -> np.ndarray:
-        # only a POVM of rank-one roots u_i gets here: the outer products u_i u_i†, entry by entry
-        u = self.roots[..., 0]
-        return linalg.hermitianize(u[..., :, None] * u.conj()[..., None, :])
+        return linalg.hermitianize(self.roots @ self._kraus)
+
+    @property
+    def _kraus(self) -> np.ndarray:
+        """The Kraus set A_i = F_i†, (..., n, r, dim), with A_i† A_i = M_i."""
+        return self.roots.conj().swapaxes(-1, -2)
 
     @property
     def dim(self) -> int:
         return self.roots.shape[-2]
-
-    @property
-    def n_outcomes(self) -> int:
-        return self.roots.shape[-3]
-
-
-def _check_complete(total: np.ndarray) -> None:
-    """Reject sum_i M_i off the identity (per POVM of a stack)."""
-    linalg.check_identity(total, "POVM completeness violated: ||sum M - I||_F")
 
 
 @dataclass(frozen=True)
@@ -159,26 +148,14 @@ def _same_dim(x: int, y: int) -> int:
     return x
 
 
-def _outcome_weights(m: Povm, rho: np.ndarray) -> np.ndarray:
-    """tr(M_i rho), (..., n), not yet normalized.  Rank-one roots give
-    u_i† rho u_i from the root vectors, O(n d^2); any other POVM gives
-    sum_ab conj(rho_ab) (M_i)_ab from the elements (rho Hermitian), O(n d^2)
-    too, but it reads the (n, d, d) element stack."""
-    if m.roots.shape[-1] == 1:
-        u = m.roots[..., 0]
-        return np.vecdot(u, u @ rho.swapaxes(-1, -2)).real
-    return np.vecdot(_flat(rho)[..., None, :], _flat(m.elements)).real
-
-
 def povm_probabilities(m: Povm, rho) -> np.ndarray:
     """p_i = tr(M_i rho)."""
-    return _normalized(_outcome_weights(m, check_density(rho, m.dim)))
+    return _normalized(_weights(m._kraus, check_density(rho, m.dim)))
 
 
 def povm_from_unraveling(a: Unraveling) -> Povm:
     """Measurement with elements M_i = A_i† A_i and root factors A_i†."""
-    k_dag = a.kraus_ops.conj().swapaxes(-1, -2)
-    return Povm._factored(k_dag, k_dag @ a.kraus_ops)
+    return Povm._factored(a.kraus_ops.conj().swapaxes(-1, -2))
 
 
 def _max_ratio(p: np.ndarray, q: np.ndarray, overlaps: np.ndarray) -> np.ndarray:
@@ -221,7 +198,7 @@ def _g(m: Povm, n: Povm, rho: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.nd
         u_dag, w = m.roots[..., 0].conj(), n.roots[..., 0].swapaxes(-1, -2)  # rows u_i†, columns w_j
         overlaps = _cross(m, n) * (u_dag @ rho @ w).conj()
     else:
-        overlaps = _flat(m.elements).conj() @ _flat(n.elements @ rho[..., None, :, :]).swapaxes(-1, -2)
+        overlaps = _pair_traces(m.elements, n.elements, rho)
     return _max_ratio(p[..., None, :], q[..., None, :], overlaps[..., None, :, :])
 
 
@@ -322,7 +299,7 @@ def _reports(
     then one report per order of orders_seq and kind of kinds, orders outer,
     normalizing p and q once.  One POVM pair and one state give floats."""
     rho = states[0]
-    p, q = _outcome_weights(m, rho), _outcome_weights(n, rho)
+    p, q = _weights(m._kraus, rho), _weights(n._kraus, rho)
     if factor_kind == "g":
         factor = _g(m, n, rho, p, q)
     elif factor_kind == "f":

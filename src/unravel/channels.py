@@ -49,12 +49,12 @@ class Unraveling:
         return self.kraus_ops.shape[1]
 
 
-def _check_complete(k: np.ndarray) -> None:
+def _check_complete(k: np.ndarray, what: str = "completeness violated: ||sum A†A - I||_F") -> None:
     """Reject a Kraus set (n, dim_out, dim_in), or any set of a stack of them,
-    whose completeness sum A†A = I fails beyond linalg.TOL_UNITARY."""
-    # stacked vertically the operators form an isometry V, and sum A†A = V†V
-    v = k.reshape(*k.shape[:-3], -1, k.shape[-1])
-    linalg.check_identity(v.conj().swapaxes(-1, -2) @ v, "completeness violated: ||sum A†A - I||_F")
+    whose completeness sum A†A = I fails beyond linalg.TOL_UNITARY, with the
+    error text `what`."""
+    v = _rows(k)  # stacked vertically the operators form an isometry V, and sum A†A = V†V
+    linalg.check_identity(v.conj().swapaxes(-1, -2) @ v, what)
 
 
 @dataclass(frozen=True)
@@ -93,7 +93,8 @@ def remix(a: Unraveling, u) -> Unraveling:
 
 # The kernels below take Kraus sets k (..., n, dim_out, dim_in) and validated
 # states rho (..., dim_in, dim_in) with any leading trial axes; the public
-# functions call them on one set and one state.
+# functions call them on one set and one state, and bounds calls _weights on
+# the Kraus set F_i† of a POVM's root factors.
 
 
 def _flat(x: np.ndarray) -> np.ndarray:
@@ -101,9 +102,25 @@ def _flat(x: np.ndarray) -> np.ndarray:
     return x.reshape(*x.shape[:-2], -1)
 
 
+def _rows(k: np.ndarray) -> np.ndarray:
+    """The rows of every operator of a (..., n, rows, cols) stack, (..., n * rows, cols)."""
+    return k.reshape(*k.shape[:-3], -1, k.shape[-1])
+
+
+def _pair_traces(x: np.ndarray, y: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """tr(X_i† Y_j rho) = sum_ab conj(X_i)_ab (Y_j rho)_ab, (..., n_x, n_y)."""
+    return _flat(x).conj() @ _flat(y @ rho[..., None, :, :]).swapaxes(-1, -2)
+
+
 def _gram(k: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Pi_ij = tr(A_i† A_j rho) = sum_ab conj(A_i)_ab (A_j rho)_ab."""
-    return linalg.hermitianize(_flat(k).conj() @ _flat(k @ rho[..., None, :, :]).swapaxes(-1, -2))
+    """Pi_ij = tr(A_i† A_j rho)."""
+    return linalg.hermitianize(_pair_traces(k, k, rho))
+
+
+def _weights(k: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """tr(A_i rho A_i†) = sum_ab conj(A_i)_ab (A_i rho)_ab, (..., n), not yet
+    normalized: one product of rho with every row of every operator."""
+    return np.vecdot(_flat(k), _flat((_rows(k) @ rho).reshape(k.shape))).real
 
 
 def gram_matrix(a: Unraveling, rho) -> np.ndarray:
@@ -113,8 +130,7 @@ def gram_matrix(a: Unraveling, rho) -> np.ndarray:
 
 def effect_probabilities(a: Unraveling, rho) -> np.ndarray:
     """p_i = tr(A_i† A_i rho)."""
-    k, rho = a.kraus_ops, check_density(rho, a.dim_in)
-    return _normalized(np.vecdot(_flat(k), _flat(k @ rho)).real)
+    return _normalized(_weights(a.kraus_ops, check_density(rho, a.dim_in)))
 
 
 def _extremal(a: Unraveling, rho: np.ndarray) -> ExtremalResult:

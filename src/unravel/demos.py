@@ -58,10 +58,6 @@ class AngleState:
             raise ValueError(f"nbins must be >= 1, got {self.nbins}")
         object.__setattr__(self, "coeffs", c)
 
-    @property
-    def delta_phi(self) -> float:
-        return 2 * np.pi / self.nbins
-
 
 def bin_probabilities(state: AngleState) -> np.ndarray:
     """Exact per-bin integrals of |Psi|^2.

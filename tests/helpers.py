@@ -97,6 +97,20 @@ def renyi_from_tsallis(h: float, alpha: float) -> float:
     return math.log1p(s) / t if t else float(h)
 
 
+def tsallis_rows(p: np.ndarray, alpha: float) -> np.ndarray:
+    """Tsallis entropy of each row of a probability matrix, in float64 from the definition."""
+    if alpha == 1.0:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = np.where(p > 0, -p * np.log(np.where(p > 0, p, 1.0)), 0.0)
+        return terms.sum(axis=-1)
+    return (np.power(p, alpha).sum(axis=-1) - 1.0) / (1.0 - alpha)
+
+
+def renyi_rows(p: np.ndarray, alpha: float) -> np.ndarray:
+    """Renyi entropy of each row of a probability matrix, alpha != 1, in float64 from the definition."""
+    return np.log(np.power(p, alpha).sum(axis=-1)) / (1.0 - alpha)
+
+
 def random_state_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
     psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return psi / np.linalg.norm(psi)

@@ -35,7 +35,7 @@ from unravel.ensembles import (
 from unravel.entropy import conjugate_order, renyi_entropy
 from unravel.bounds import SearchConfig, extremal_pair_renyi
 
-from helpers import psi_lb_norm, wavefunction
+from helpers import psi_lb_norm, renyi_rows, tsallis_rows, wavefunction
 
 
 VERDICTS: list[str] = []
@@ -46,19 +46,6 @@ def _verdict(label: str, ok: bool) -> None:
     VERDICTS.append(line)
     print(line, file=sys.stdout, flush=True)
     assert ok, label
-
-
-def _tsallis_rows(p: np.ndarray, alpha: float) -> np.ndarray:
-    """Tsallis entropy of each row of a probability matrix."""
-    if alpha == 1.0:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = np.where(p > 0, -p * np.log(np.where(p > 0, p, 1.0)), 0.0)
-        return terms.sum(axis=-1)
-    return (np.power(p, alpha).sum(axis=-1) - 1.0) / (1.0 - alpha)
-
-
-def _renyi_rows(p: np.ndarray, alpha: float) -> np.ndarray:
-    return np.log(np.power(p, alpha).sum(axis=-1)) / (1.0 - alpha)
 
 
 def _random_instance(seed: int, d: int, projective: bool = True):
@@ -89,10 +76,10 @@ def test_01_extremal_beats_remixings():
             lambdas = extremal_unraveling(a, rho).lambdas
             probs = remixed_probabilities(pi, remix_bank[a.n_ops])
             for alpha in tsallis_orders:
-                slack = _tsallis_rows(probs, alpha).min() - _tsallis_rows(lambdas, alpha)
+                slack = tsallis_rows(probs, alpha).min() - tsallis_rows(lambdas, alpha)
                 worst = min(worst, slack)
             for alpha in renyi_orders:
-                slack = _renyi_rows(probs, alpha).min() - _renyi_rows(lambdas, alpha)
+                slack = renyi_rows(probs, alpha).min() - renyi_rows(lambdas, alpha)
                 worst = min(worst, slack)
     elapsed = time.perf_counter() - t0
     ok = worst >= -1e-10 and elapsed < 60.0
@@ -215,7 +202,7 @@ def test_06_angle_demo():
         c = rng.standard_normal(13) + 1j * rng.standard_normal(13)
         state = AngleState(c / np.linalg.norm(c), 4)
         edges = np.linspace(0, 2 * np.pi, 5)
-        w = state.delta_phi
+        w = 2 * np.pi / state.nbins
         for k in range(4):
             phis = np.linspace(edges[k], edges[k + 1], 513)
             dens = np.abs(wavefunction(state, phis)) ** 2
@@ -349,13 +336,13 @@ def test_10_search_sanity():
     for a, rho in instances:
         lambdas = extremal_unraveling(a, rho).lambdas
         found = renyi_entropy(lambdas, 0.5)
-        target = _renyi_rows(lambdas, 0.5)
+        target = renyi_rows(lambdas, 0.5)
         worst_inv = max(worst_inv, abs(found - target))
     bank = linalg.haar_random_unitaries(3, 100_000, seed=2)
     worst_gap = -np.inf
     for a, rho in instances:
         pi = gram_matrix(a, rho)
-        baseline = _renyi_rows(remixed_probabilities(pi, bank), 3.0).min()
+        baseline = renyi_rows(remixed_probabilities(pi, bank), 3.0).min()
         found = renyi_entropy(extremal_unraveling(a, rho).lambdas, 3.0)
         worst_gap = max(worst_gap, found - baseline)
     worst_slack = np.inf

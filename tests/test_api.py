@@ -15,6 +15,8 @@ import pytest
 import unravel
 import unravel.cli
 
+from helpers import renyi_rows
+
 
 def test_every_exported_name_resolves():
     missing = [name for name in unravel.__all__ if not hasattr(unravel, name)]
@@ -57,11 +59,6 @@ def test_readme_cli_runs(tmp_path, monkeypatch, capsys):
         assert (line, code, err) == (line, 0, "")
 
 
-def _renyi(p, alpha):
-    p = p[p > 0]
-    return float(np.log(np.sum(p**alpha)) / (1.0 - alpha))
-
-
 def _gram_spectrum(kraus, rho):
     """Eigenvalues of Pi_ij = tr(A_i rho A_j†), clipped at 0."""
     pi = np.einsum("iab,bc,jac->ij", kraus, rho, kraus.conj())
@@ -79,8 +76,8 @@ def test_extremal_pair_renyi(d, n_kraus):
     cfg = unravel.SearchConfig(alpha=alpha, restarts=6, iterations=150, seed=int(rng.integers(1_000_000)))
     rep = unravel.extremal_pair_renyi(ua, ub, rho, orders, cfg)
     # the alpha side is the Renyi entropy of its Gram spectrum, the exact minimum over remixings
-    alpha_side = rep.lhs - _renyi(_gram_spectrum(b, rho), orders.beta)
-    assert abs(alpha_side - _renyi(_gram_spectrum(a, rho), alpha)) <= 1e-12
+    alpha_side = rep.lhs - renyi_rows(_gram_spectrum(b, rho), orders.beta)
+    assert abs(alpha_side - renyi_rows(_gram_spectrum(a, rho), alpha)) <= 1e-12
     assert rep.slack >= -1e-9
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from unravel import bounds, cli, ensembles, entropy, linalg
+from unravel import bounds, channels, cli, ensembles, entropy, linalg
 from unravel.bounds import (
     PhiProblem,
     Povm,
@@ -40,13 +40,16 @@ class TestPovm:
     def test_rejects_incomplete(self):
         with pytest.raises(ValueError, match="POVM completeness violated"):
             Povm((np.diag([0.5, 0.5]),))
-        # the factored path, which skips the decomposition, keeps the check and its message,
-        # both on the sum of the products it is given and on the rank-one roots alone
+        # the factored path, which skips the decomposition, keeps the check and its message
         half = np.array([[[1.0], [0.0]]], dtype=complex) / np.sqrt(2)
         with pytest.raises(ValueError, match="POVM completeness violated"):
-            Povm._factored(half, half @ half.conj().swapaxes(1, 2))
-        with pytest.raises(ValueError, match="POVM completeness violated"):
             Povm._factored(half)
+
+    def test_factored_checks_every_root_column(self):
+        # column 0 of each root sums to the identity, but sum F F† = diag(1, 1.25)
+        roots = np.array([[[1, 0], [0, 0.5]], [[0, 0], [1, 0]]], dtype=complex)
+        with pytest.raises(ValueError, match="POVM completeness violated"):
+            Povm._factored(roots)
 
     def test_rejects_non_psd(self):
         with pytest.raises(ValueError, match="POVM element 1 is not PSD: min eigenvalue -5.000e-01"):
@@ -71,7 +74,7 @@ class TestPovm:
 
     def test_random_povm_valid(self):
         m = random_povm(3, 4, seed=0)
-        assert m.n_outcomes == 4
+        assert m.roots.shape[-3] == 4
         assert np.linalg.norm(sum(m.elements) - np.eye(3)) < 1e-9
 
     @settings(max_examples=40, deadline=None)
@@ -91,23 +94,37 @@ class TestPovm:
         assert random_povm(dim, n_outcomes, seed).elements.tobytes() == want.tobytes()
 
     def test_factored_elements_match_public_path(self):
-        # the constructors that hold root factors skip the decomposition, but their
-        # elements are bit-identical to Povm(elements) on the same products, layout included
+        # the constructors that hold root factors skip the decomposition, but their elements
+        # are bit-identical to Povm(elements) on the matmul products F F†, layout included
         for dim in (1, 3, 8, 64):
             u = linalg.haar_random_unitary(dim, dim)
             k = _kraus_set_with_zeros(dim, dim + 1, 2, 1, seed=dim).kraus_ops
             pairs = (
-                (random_projective_povm(dim, dim), Povm(u.T[:, :, None] * u.T.conj()[:, None, :])),
+                (random_projective_povm(dim, dim), Povm(u.T[:, :, None] @ u.T.conj()[:, None, :])),
                 (povm_from_unraveling(Unraveling(k)), Povm(k.conj().swapaxes(1, 2) @ k)),
             )
             for factored, public in pairs:
                 assert factored.elements.tobytes() == public.elements.tobytes()
                 assert factored.elements.flags.c_contiguous and factored.roots.flags.c_contiguous
 
+    @settings(max_examples=60, deadline=None)
+    @given(dim=st.integers(1, 5), data=st.data())
+    def test_factored_roots_of_every_rank(self, dim, data):
+        # roots F_i = A_i† of rank up to r = 1..dim: rectangular r x dim Kraus operators, some zero
+        rank, seed = data.draw(st.integers(1, dim)), data.draw(st.integers(0, 2**32 - 1))
+        n_ops = -(-dim // rank) + data.draw(st.integers(0, 2))  # an isometry needs n_ops * rank >= dim
+        a = _kraus_set_with_zeros(dim, rank, n_ops, data.draw(st.integers(0, 2)), seed)
+        f = np.ascontiguousarray(a.kraus_ops.conj().swapaxes(-1, -2))
+        m = Povm._factored(f)
+        assert _same(m.elements, linalg.hermitianize(f @ f.conj().swapaxes(-1, -2)))
+        rho = linalg.random_density(dim, data.draw(st.integers(1, dim)), seed + 1)
+        want = [np.trace(x @ rho).real for x in m.elements]
+        assert np.abs(povm_probabilities(m, rho) - want).max() <= 1e-14
+
     def test_rank_one_roots_hold_no_element_stack(self):
         # a projective POVM reads its size off the roots and makes its elements once, when read
         m = random_projective_povm(5, 3)
-        assert "elements" not in vars(m) and (m.dim, m.n_outcomes) == (5, 5)
+        assert "elements" not in vars(m) and m.roots.shape == (5, 5, 1)
         assert m.elements is m.elements
 
     def test_povm_memory_of_a_full_rank_stack(self):
@@ -212,13 +229,10 @@ class TestPovmFromUnraveling:
             assert np.allclose(elem, w * np.eye(2), atol=1e-12)
 
     def test_consistency_with_effect_probabilities(self):
+        # both run the one weight kernel on the same Kraus set
         a = random_unraveling(2, 3, seed=4)
         rho = linalg.random_density(2, 2, seed=5)
-        assert np.allclose(
-            povm_probabilities(povm_from_unraveling(a), rho),
-            effect_probabilities(a, rho),
-            atol=1e-12,
-        )
+        assert _same(povm_probabilities(povm_from_unraveling(a), rho), effect_probabilities(a, rho))
 
 
 class TestGFactor:
@@ -326,7 +340,7 @@ class TestRankOneOverlaps:
         assert m.roots.shape[-1] == n.roots.shape[-1] == 1
         f, fb = f_factor(m, n, rho), f_bar(m, n)
         assert f <= fb
-        if len(_admissible_pairs(m, n, linalg.check_density(rho))) == m.n_outcomes * n.n_outcomes:
+        if len(_admissible_pairs(m, n, linalg.check_density(rho))) == m.roots.shape[-3] * n.roots.shape[-3]:
             assert f == fb
 
     def test_f_equals_f_bar_when_every_pair_is_admissible(self):
@@ -477,10 +491,11 @@ class TestAxisConvention:
         orders, members = conjugate_order(alpha), dim + extra
 
         def povm(kind, s):
+            # each instance held through its roots alone, as the stack of them is
             if kind == "projective":
                 return random_projective_povm(dim, s)
             if kind == "general":
-                return random_povm(dim, members, s)
+                return Povm._factored(random_povm(dim, members, s).roots)
             return povm_from_unraveling(random_unraveling(dim, members, s))
 
         def stacked(arrays):
@@ -488,16 +503,14 @@ class TestAxisConvention:
 
         ms, ns = ([povm(kind, s + k) for s in seeds] for k, kind in enumerate(kinds))
         assume(len({p.roots.shape for p in ms}) == len({p.roots.shape for p in ns}) == 1)
-        m_stack, n_stack = (
-            Povm._factored(stacked([p.roots for p in ps]), stacked([p.elements for p in ps])) for ps in (ms, ns)
-        )
+        m_stack, n_stack = (Povm._factored(stacked([p.roots for p in ps])) for ps in (ms, ns))
         rhos = stacked([linalg.random_density(dim, min(rank, dim), s + 2) for s in seeds])
 
         # bounds: the outcome weights, the factors and the reports
         states = linalg.density_spectrum(rhos, vectors=True)
-        p = bounds._outcome_weights(m_stack, rhos)
+        p = channels._weights(m_stack._kraus, rhos)
         factors = {
-            "g": bounds._g(m_stack, n_stack, rhos, p, bounds._outcome_weights(n_stack, rhos)),
+            "g": bounds._g(m_stack, n_stack, rhos, p, channels._weights(n_stack._kraus, rhos)),
             "f": bounds._f(m_stack, n_stack, *states[1:]),
             "fbar": bounds._f_bar(m_stack, n_stack),
         }
@@ -648,7 +661,7 @@ class TestCheckValidatesOnce:
         # trials 0 and then 1-2 make two blocks
         density = _count_calls(monkeypatch, linalg, "density_spectrum")
         g = _count_calls(monkeypatch, bounds, "_g")
-        weights = _count_calls(monkeypatch, bounds, "_outcome_weights")
+        weights = _count_calls(monkeypatch, channels, "_weights")
         monkeypatch.setattr(cli, "BLOCK_ELEMENTS", 2 * 9 * (3 + 100 + 3))
         assert cli.main(["sweep", "--dim", "3", "--trials", "3", "--seed", "4"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 30

@@ -193,10 +193,6 @@ class TestAngleState:
         with pytest.raises(ValueError, match="momentum amplitudes are not normalized"):
             AngleState(np.array([np.nan, 1.0, 0.0]), 4)
 
-    def test_delta_phi(self):
-        s = _momentum_state([0, 1, 0], 8)
-        assert s.delta_phi == pytest.approx(np.pi / 4)
-
 
 class TestBinProbabilities:
     def test_uniform_wave(self):
@@ -289,7 +285,7 @@ class TestAngleNormInequalities:
             s = self._random_packet(rng)
             beta = 2 / 3
             edges = np.linspace(0, 2 * np.pi, s.nbins + 1)
-            w = s.delta_phi
+            w = 2 * np.pi / s.nbins
             for k in range(s.nbins):
                 phis = np.linspace(edges[k], edges[k + 1], 513)
                 dens = np.abs(wavefunction(s, phis)) ** 2
@@ -305,7 +301,7 @@ class TestAngleNormInequalities:
         for _ in range(10):
             s = self._random_packet(rng)
             p = bin_probabilities(s)
-            w = s.delta_phi
+            w = 2 * np.pi / s.nbins
             for beta in (0.6, 0.75, 0.9):
                 alpha = beta / (2 * beta - 1)
                 lhs = psi_lb_norm(s, 2 * beta) ** 2

@@ -16,8 +16,7 @@ from unravel.entropy import (
     tsallis_entropy,
 )
 
-from helpers import renyi_from_tsallis
-from test_acceptance import _renyi_rows, _tsallis_rows
+from helpers import renyi_from_tsallis, renyi_rows, tsallis_rows
 
 ORDERS = [0.3, 0.7, 2.0, 5.0]
 
@@ -331,8 +330,8 @@ class TestStackedEntropy:
     @settings(max_examples=200, deadline=None)
     def test_rows_match_single_calls_and_oracle(self, p, alpha):
         for fn, oracle, kind in (
-            (tsallis_entropy, _tsallis_rows, "tsallis"),
-            (renyi_entropy, _renyi_rows, "renyi"),
+            (tsallis_entropy, tsallis_rows, "tsallis"),
+            (renyi_entropy, renyi_rows, "renyi"),
         ):
             rows = fn(p, alpha)
             assert rows.shape == (p.shape[0],)
