@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import bisect
 import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,7 +61,6 @@ EDGE_POINTS = 2000 * 2000  # points of the edge that phi_min_verify minimizes ph
 _INCOMPLETE = "POVM completeness violated: ||sum M - I||_F"
 
 
-@dataclass(frozen=True)
 class Povm:
     """Set of Hermitian PSD operators summing to the identity.
 
@@ -77,22 +76,19 @@ class Povm:
     POVMs, leading axes before n, as the kernels take them (see the module).
     """
 
-    roots: np.ndarray
-
     def __init__(self, elements):
         elems = linalg.check_hermitian(linalg.as_matrix_stack(elements, "POVM elements"), name="POVM element")
         roots = _root_factors(*linalg.psd_spectrum(elems, "POVM element", vectors=True))
         linalg.check_identity(elems.sum(axis=-3), _INCOMPLETE)
-        object.__setattr__(self, "roots", roots)
-        self.__dict__["elements"] = elems
+        self.roots, self.elements = roots, elems
 
     @classmethod
     def _factored(cls, roots: np.ndarray) -> Povm:
         """POVM with root factors roots[i] = F_i, of any rank, and elements
         M_i = F_i F_i†, Hermitian and PSD by construction: only completeness is
         checked, on the Kraus set F_i†, and nothing is decomposed."""
-        povm = object.__new__(cls)
-        object.__setattr__(povm, "roots", np.ascontiguousarray(roots))
+        povm = cls.__new__(cls)
+        povm.roots = np.ascontiguousarray(roots)
         _check_complete(povm._kraus, _INCOMPLETE)
         return povm
 
@@ -110,8 +106,7 @@ class Povm:
         return self.roots.shape[-2]
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """One evaluated uncertainty inequality: lhs >= rhs up to slack tolerance.
 
     Floats for one instance; for stacked distributions lhs and slack are arrays,
@@ -342,7 +337,6 @@ def renyi_uncertainty_check(
     return report
 
 
-@dataclass(frozen=True)
 class SearchConfig:
     """Settings of the former numerical Renyi search, still accepted by
     extremal_pair_renyi.
@@ -350,16 +344,12 @@ class SearchConfig:
     Every field is validated, and none changes the result, which is exact.
     """
 
-    alpha: float
-    restarts: int = 10
-    iterations: int = 300
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.alpha <= 0:
+    def __init__(self, alpha: float, restarts: int = 10, iterations: int = 300, seed: int = 0):
+        if alpha <= 0:
             raise ValueError("alpha must be positive")
-        if self.restarts < 1 or self.iterations < 1:
+        if restarts < 1 or iterations < 1:
             raise ValueError("restarts and iterations must be >= 1")
+        self.alpha, self.restarts, self.iterations, self.seed = alpha, restarts, iterations, seed
 
 
 def _extremal_pair(a: Unraveling, b: Unraveling, rho, orders: ConjugateOrders, kind: str) -> BoundReport:
@@ -384,7 +374,6 @@ def extremal_pair_renyi(
     return _extremal_pair(a, b, rho, orders, "renyi")
 
 
-@dataclass(frozen=True)
 class PhiProblem:
     """Constrained minimization instance for phi(xi, zeta).
 
@@ -394,15 +383,13 @@ class PhiProblem:
     alpha > 1.  The minimum sits at (xi0, 1), xi0 = gamma^(-alpha/beta).
     """
 
-    gamma: float
-    alpha: float
-
-    def __post_init__(self):
-        if not 1 <= self.gamma < np.inf:
-            raise ValueError(f"gamma must be finite and >= 1, got {self.gamma}")
-        if not 1 < self.alpha < np.inf:
-            raise ValueError(f"alpha must be finite and > 1, got {self.alpha}")
-        conjugate_order(self.alpha)  # the conjugate order must not round to 0
+    def __init__(self, gamma: float, alpha: float):
+        if not 1 <= gamma < np.inf:
+            raise ValueError(f"gamma must be finite and >= 1, got {gamma}")
+        if not 1 < alpha < np.inf:
+            raise ValueError(f"alpha must be finite and > 1, got {alpha}")
+        conjugate_order(alpha)  # the conjugate order must not round to 0
+        self.gamma, self.alpha = gamma, alpha
 
     @property
     def beta(self) -> float:

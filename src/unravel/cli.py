@@ -221,14 +221,12 @@ def _cells(values: list) -> list:
 
 
 def _json_table(rows: list) -> str:
-    """The table's JSON lines.  A table without columns is its rows' dicts, one
-    json.dumps call each.  Otherwise one trial's lines are a template that holds
-    the keys and the constants, encoded in one json.dumps call, and a %s for
-    each column's cell; each column is encoded with one json.dumps call."""
+    """The table's JSON lines.  One trial's lines are a template that holds the
+    keys and the constants, encoded in one json.dumps call, and a %s for each
+    column's cell; each column is encoded with one json.dumps call.  A table
+    without columns is one trial with no cells."""
     shapes = [{k: v for k, v in row.items() if v is not None} for row in rows]
     columns = [v for fields in shapes for v in fields.values() if isinstance(v, list)]
-    if not columns:
-        return "".join(json.dumps(fields) + "\n" for fields in shapes)
     keys = [k for fields in shapes for k in fields]
     text = _cells(keys + [v for fields in shapes for v in fields.values() if not isinstance(v, list)])
     key_text, value_text = iter(text), iter(text[len(keys) :])
@@ -238,7 +236,8 @@ def _json_table(rows: list) -> str:
         for fields in shapes
     )
     template = template.replace("%", "%%").replace(chr(0), "%s")
-    return "".join(map(template.__mod__, zip(*[_cells(column) for column in columns])))  # see _csv_table
+    cells = zip(*[_cells(column) for column in columns]) if columns else [()]
+    return "".join(map(template.__mod__, cells))  # see _csv_table
 
 
 def _report_fields(report: bounds.BoundReport, **extra):

@@ -8,8 +8,6 @@ wavefunction on the circle, where the bound is ln_mu(2*pi/delta_phi).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import linalg
@@ -37,7 +35,6 @@ def dft_uncertainty_demo(state, orders: ConjugateOrders) -> BoundReport:
     return _bound_report(_normalized(p), _normalized(q), orders, "tsallis", 1.0 / np.sqrt(d), alpha_log(d, orders.mu))
 
 
-@dataclass(frozen=True)
 class AngleState:
     """Momentum amplitudes c_l, l = -L..L, with an angular bin count.
 
@@ -45,18 +42,15 @@ class AngleState:
     bins share the width delta_phi = 2*pi/nbins.
     """
 
-    coeffs: np.ndarray
-    nbins: int
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=complex).ravel()
+    def __init__(self, coeffs, nbins: int):
+        c = np.asarray(coeffs, dtype=complex).ravel()
         if c.size % 2 == 0:
             raise ValueError("coeffs must cover l = -L..L, so their count is odd")
         if not abs(np.sum(np.abs(c) ** 2) - 1) <= 1e-10:  # NaN fails too
             raise ValueError("momentum amplitudes are not normalized")
-        if self.nbins < 1:
-            raise ValueError(f"nbins must be >= 1, got {self.nbins}")
-        object.__setattr__(self, "coeffs", c)
+        if nbins < 1:
+            raise ValueError(f"nbins must be >= 1, got {nbins}")
+        self.coeffs, self.nbins = c, nbins
 
 
 def bin_probabilities(state: AngleState) -> np.ndarray:

@@ -14,7 +14,6 @@ leading axes; the public functions call them on one ensemble.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -27,7 +26,6 @@ from .linalg import haar_random_unitary
 WEIGHT_DROP_TOL = 1e-14
 
 
-@dataclass(frozen=True)
 class PureEnsemble:
     """Weighted normalized pure states.
 
@@ -35,25 +33,20 @@ class PureEnsemble:
     indexes and iterates like a tuple of vectors.
     """
 
-    weights: np.ndarray
-    states: np.ndarray
-
-    def __post_init__(self):
-        w = as_prob_vector(self.weights)
-        states = np.array(self.states, dtype=complex)
+    def __init__(self, weights, states):
+        w = as_prob_vector(weights)
+        states = np.array(states, dtype=complex)
         if states.ndim == 0 or len(states) != w.size:
             raise ValueError("weights and states disagree in length")
         states = states.reshape(w.size, -1)
         linalg.check_unit_norm(states)
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "states", states)
+        self.weights, self.states = w, states
 
     @classmethod
     def _built(cls, weights: np.ndarray, states: np.ndarray) -> PureEnsemble:
         """The normalized weights and unit states that _pure_members builds, held unchecked."""
-        e = object.__new__(cls)
-        object.__setattr__(e, "weights", weights)
-        object.__setattr__(e, "states", states)
+        e = cls.__new__(cls)
+        e.weights, e.states = weights, states
         return e
 
     @property
@@ -61,7 +54,6 @@ class PureEnsemble:
         return self.states.shape[-1]
 
 
-@dataclass(frozen=True)
 class MixedEnsemble:
     """Weighted normalized density matrices.
 
@@ -70,18 +62,12 @@ class MixedEnsemble:
     eigenvalues (m, dim), the ones that served their validation.
     """
 
-    weights: np.ndarray
-    members: np.ndarray
-    spectra: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        w = as_prob_vector(self.weights)
-        members, spectra = linalg.density_spectrum(linalg.as_matrix_stack(self.members, "members"), name="member")
+    def __init__(self, weights, members):
+        w = as_prob_vector(weights)
+        members, spectra = linalg.density_spectrum(linalg.as_matrix_stack(members, "members"), name="member")
         if members.shape[0] != w.size:
             raise ValueError("weights and members disagree in length")
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "members", members)
-        object.__setattr__(self, "spectra", spectra)
+        self.weights, self.members, self.spectra = w, members, spectra
 
     @property
     def dim(self) -> int:

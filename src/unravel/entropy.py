@@ -8,7 +8,6 @@ near it (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 1.14.1
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -128,23 +127,17 @@ def quantum_entropy(rho, alpha: float, kind: str = "tsallis") -> float:
     return _entropy(_normalized(density_spectrum(check_one_matrix(rho, "rho"))[1]), alpha, kind)
 
 
-@dataclass(frozen=True)
 class ConjugateOrders:
     """Order pair with 1/alpha + 1/beta = 2 and mu = max(alpha, beta)."""
 
-    alpha: float
-    beta: float
-    mu: float
-
-    def __post_init__(self):
-        if self.alpha <= 0 or self.beta <= 0:
+    def __init__(self, alpha: float, beta: float, mu: float):
+        if not (0 < alpha < np.inf and 0 < beta < np.inf):  # NaN and inf fail too
             raise ValueError("orders must be positive")
-        if abs(1.0 / self.alpha + 1.0 / self.beta - 2.0) > 1e-12:
-            raise ValueError(
-                f"orders ({self.alpha}, {self.beta}) are not conjugate: 1/a + 1/b != 2"
-            )
-        if self.mu != max(self.alpha, self.beta):
+        if abs(1.0 / alpha + 1.0 / beta - 2.0) > 1e-12:
+            raise ValueError(f"orders ({alpha}, {beta}) are not conjugate: 1/a + 1/b != 2")
+        if mu != max(alpha, beta):
             raise ValueError("mu must equal max(alpha, beta)")
+        self.alpha, self.beta, self.mu = alpha, beta, mu
 
 
 def conjugate_order(alpha: float) -> ConjugateOrders:

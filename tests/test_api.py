@@ -1,7 +1,8 @@
 """The package API that the benchmark harness in perfbench/ calls.
 
 The harness runs outside this suite, so an API break that only it would see is
-caught here: each call below has the form perfbench/workloads.py uses.
+caught here: each call below has the form perfbench/workloads.py uses.  The
+value types compare and hash by identity.
 """
 
 import json
@@ -108,3 +109,25 @@ def test_cli_main(capsys):
     rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert code == 0
     assert [r["check_name"] for r in rows] == ["phi_min"]
+
+
+_RHO = unravel.random_density(2, 2, 4)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: unravel.Unraveling(unravel.channels.random_unraveling(2, 3, 1).kraus_ops),
+        lambda: unravel.Povm(unravel.bounds.random_projective_povm(2, 2).elements),
+        lambda: unravel.bounds.random_projective_povm(2, 2),
+        lambda: unravel.PureEnsemble([0.5, 0.5], [[1, 0], [0, 1]]),
+        lambda: unravel.ensemble_from_state(_RHO, 3, 5),
+        lambda: unravel.MixedEnsemble([0.5, 0.5], [_RHO, np.eye(2) / 2]),
+        lambda: unravel.AngleState([0, 1, 0], 4),
+    ],
+    ids=["Unraveling", "Povm", "Povm-factored", "PureEnsemble", "PureEnsemble-built", "MixedEnsemble", "AngleState"],
+)
+def test_value_types_compare_by_identity(make):
+    a, b = make(), make()
+    assert (a == a, a != a, a == b, a != b) == (True, False, False, True)
+    assert hash(a) == hash(a) and len({a, b, a}) == 2

@@ -1106,8 +1106,9 @@ class TestCsvFormat:
         assert all(None not in r and None not in r.values() for r in rows)  # no short or long record
 
 
-def test_import_loads_no_scipy():
-    code = "import sys, unravel.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+@pytest.mark.parametrize("package", ["scipy", "dataclasses"])
+def test_import_loads_no(package):
+    code = f"import sys, unravel.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))"
     proc = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

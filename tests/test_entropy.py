@@ -248,6 +248,23 @@ class TestConjugateOrder:
             with pytest.raises(ValueError, match="alpha"):
                 conjugate_order(bad)
 
+    @pytest.mark.parametrize(
+        "orders, message",
+        [
+            ((0.0, 1.0, 1.0), "positive"),
+            ((1.0, float("nan"), 1.0), "positive"),
+            ((float("nan"), 1.0, 1.0), "positive"),
+            ((float("inf"), 0.5, float("inf")), "positive"),  # 1/inf + 1/0.5 = 2 exactly
+            ((0.5, float("inf"), float("inf")), "positive"),
+            ((2.0, 1.0, 2.0), "not conjugate"),
+            ((2.0, 2 / 3, 2 / 3), "mu must equal"),
+        ],
+        ids=["zero", "nan-beta", "nan-alpha", "inf-alpha", "inf-beta", "not-conjugate", "wrong-mu"],
+    )
+    def test_constructor_rejects(self, orders, message):
+        with pytest.raises(ValueError, match=message):
+            entropy.ConjugateOrders(*orders)
+
     def test_conjugate_rounding_to_zero_names_alpha(self):
         # 2 alpha - 1 overflows to inf, so beta would be 0
         with pytest.raises(ValueError, match=r"conjugate order of alpha = 1e\+308 rounds to 0"):
