@@ -340,18 +340,23 @@ def cmd_sweep(args, rep: Reporter) -> None:
 
     def compute(bases: range):
         # each stage draws its trials' Ginibre arrays when it starts: those of random_density,
-        # random_unraveling, haar_random_unitaries and the two random_projective_povm, at base + 0..4
-        rho, w, v = linalg.density_spectrum(linalg._densities(linalg.ginibre_stack(bases, d, d)), name="rho", vectors=True)
-        kraus = channels._isometry_kraus(linalg.ginibre_stack([b + 1 for b in bases], d * d, d), d)
+        # random_unraveling, haar_random_unitaries and the two random_projective_povm, at
+        # base + 0..4, from its slice of the block's seed states, hashed once as it starts
+        t = len(bases)
+        seed_states = linalg._seed_states([b + k for k in range(5) for b in bases])
+
+        def draw(k: int, *shape: int) -> np.ndarray:
+            return linalg.ginibre_stack([b + k for b in bases], *shape, states=seed_states[k * t : (k + 1) * t])
+
+        rho, w, v = linalg.density_spectrum(linalg._densities(draw(0, d, d)), name="rho", vectors=True)
+        kraus = channels._isometry_kraus(draw(1, d * d, d), d)
         channels._check_complete(kraus)
         gram = channels._gram(kraus, rho)
         del kraus  # before the remixings are drawn
         lambdas = _normalized(linalg._descending_eig(gram)[0])
-        probs = channels.remixed_probabilities(
-            gram, linalg.positive_qr(linalg.ginibre_stack([b + 2 for b in bases], args.remixings, d, d))
-        )
-        m = bounds._projective(linalg.positive_qr(linalg.ginibre_stack([b + 3 for b in bases], d, d)))
-        n = bounds._projective(linalg.positive_qr(linalg.ginibre_stack([b + 4 for b in bases], d, d)))
+        probs = channels.remixed_probabilities(gram, linalg.positive_qr(draw(2, args.remixings, d, d)))
+        m = bounds._projective(linalg.positive_qr(draw(3, d, d)))
+        n = bounds._projective(linalg.positive_qr(draw(4, d, d)))
         g, reports = bounds._reports(m, n, (rho,), orders, "g", ("tsallis", "renyi"))
         f, fb = bounds._f(m, n, w, v), bounds._f_bar(m, n)
         chain = np.minimum(np.minimum(f - g, fb - f), 1.0 + 1e-10 - fb)
@@ -434,13 +439,22 @@ def cmd_ensemble(args, rep: Reporter) -> None:
 
     def compute(bases: range):
         # seeds: the state at base, the mixing unitary at base + 1, the mixture's
-        # weights at base + 2 and its members at base + 3 + k; the Ginibre draws of
-        # random_density and haar_random_unitary, each drawn when its stage starts
-        _, w, v = linalg.density_spectrum(linalg._densities(linalg.ginibre_stack(bases, d, d)), name="rho", vectors=True)
-        weights, states = ensembles._pure_members(w, v, linalg.positive_qr(linalg.ginibre_stack([b + 1 for b in bases], m, m)))
+        # weights at base + 2 and its members at base + 3 + k, hashed together when
+        # the block starts; each stage draws from its slice of the states when it
+        # starts (the Ginibre draws of random_density and haar_random_unitary)
+        t = len(bases)
+        seed_states = linalg._seed_states([b + k for k in range(3) for b in bases] + [b + 3 + k for b in bases for k in range(m)])
+
+        def draw(seeds: list, stage: int, *shape: int) -> np.ndarray:
+            return linalg.ginibre_stack(seeds, *shape, states=seed_states[stage * t : stage * t + len(seeds)])
+
+        _, w, v = linalg.density_spectrum(linalg._densities(draw(bases, 0, d, d)), name="rho", vectors=True)
+        weights, states = ensembles._pure_members(w, v, linalg.positive_qr(draw([b + 1 for b in bases], 1, m, m)))
         state_h, weight_h = ensembles._pure_bounds(weights, states, alpha, "tsallis")
-        mix_weights = np.stack([np.random.default_rng(b + 2).dirichlet(np.ones(m)) for b in bases])
-        members = linalg.ginibre_stack([b + 3 + k for b in bases for k in range(m)], d, d).reshape(len(bases), m, d, d)
+        ones = np.ones(m)
+        weight_streams = zip([b + 2 for b in bases], seed_states[2 * t : 3 * t])
+        mix_weights = np.stack([linalg._stream(seed, state).dirichlet(ones) for seed, state in weight_streams])
+        members = draw([b + 3 + k for b in bases for k in range(m)], 3, d, d).reshape(t, m, d, d)
         members, spectra = linalg.density_spectrum(linalg._densities(members), name="member")
         lower, mid, upper = ensembles._sandwich(_normalized(mix_weights), members, spectra, alpha)
         common = dict(d=d, alpha=alpha, seed=list(bases))

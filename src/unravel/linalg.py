@@ -4,13 +4,26 @@ Validation of matrices and matrix stacks (finite, Hermitian, unitary, density),
 the Hermitian part, Hermitian eigendecomposition with a canonical (descending)
 eigenvalue order, and seeded random generators: Ginibre arrays, Haar-random
 unitaries and isometries, and density matrices.  Each seed's Ginibre draw comes
-from one kernel, ginibre_stack(seeds, *shape): each seed's generator is opened
-once and fills its slot of one real buffer, and the complex stack is built from
-the whole buffer in one pass.  (numpy's policy for seeded bit generators,
-NEP 19, fixes each seed's stream, so a slot of a shared buffer reads the same
-numbers as an array of its own.)  Each seeded generator is a one-seed view of
-that kernel (seeded_ginibre) handed to a kernel that works on a stack of such
-draws, so a block of trials draws, and does the arithmetic, once per stage.
+from one kernel, ginibre_stack(seeds, *shape), in two steps: hash, then fill.
+Seeds are non-negative integers of any size, which is what every caller passes.
+
+The hash, _seed_states, is numpy's own seeding of default_rng(seed) done for a
+whole batch of seeds at once: SeedSequence's hash mixing (O'Neill's seed_seq_fe
+scheme: a pool of four 32-bit words, each seed word hashed in, the twelve
+cross-mixes, then generate_state(4, uint64)) as uint32 array operations over
+all seeds.  The fill sets one shared Generator(PCG64) to each seed's stream in
+turn (_stream), seeding PCG64 from the hashed words in Python ints (O'Neill,
+"PCG", HMC-CS-2014-0905: inc = 2 initseq + 1 and state = ((inc + initstate) M
++ inc) mod 2^128), and the seed's draw fills its slot of one real buffer; the
+complex stack is then built from the whole buffer in one pass.  So slot i is
+the stream of default_rng(seeds[i]) bit for bit.  numpy's policy (NEP 19) lets
+a release change default_rng's bit generator or its seeding, so test_linalg
+pins the batched states against SeedSequence and default_rng; they were
+written against numpy 2.4.6.  A caller that draws several stages from one
+batch of seeds hashes them once (_seed_states) and hands each stage its rows.
+Each seeded generator is a one-seed view of that kernel (seeded_ginibre) handed
+to a kernel that works on a stack of such draws, so a block of trials draws,
+and does the arithmetic, once per stage.
 
 Haar sampling is Mezzadri's (Notices AMS 54, 592, 2007): Q of a Ginibre draw
 with R's diagonal positive (positive_qr).  A draw at least twice as tall as
@@ -21,6 +34,9 @@ Square and less tall draws, every unitary included, take Householder QR.
 """
 
 from __future__ import annotations
+
+import functools
+import operator
 
 import numpy as np
 
@@ -167,18 +183,143 @@ def ginibre(rng: np.random.Generator, *shape: int) -> np.ndarray:
     return _complex_gaussian(*rng.standard_normal((2, *shape)))
 
 
-def ginibre_stack(seeds, *shape: int) -> np.ndarray:
+# SeedSequence's hash constants (numpy/random/bit_generator.pyx) and PCG64's multiplier
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R, _SHIFT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), np.uint32(16)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+_SEED_SLICE = 4096
+
+
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """The (count + 1, 1) column init·mult^k mod 2^32, k = 0..count: hash step k
+    xors with row k and multiplies by row k + 1."""
+    out = [init]
+    for _ in range(count):
+        out.append(out[-1] * mult & 0xFFFFFFFF)
+    return np.array(out, dtype=np.uint32)[:, None]
+
+
+def _hashmix(v: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    """seed_seq_fe's hashmix of the uint32 words v at one hash step (its constant,
+    then the next), as a new array."""
+    v = v ^ xor
+    v *= mult
+    v ^= v >> _SHIFT
+    return v
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """seed_seq_fe's mix of pool words x with hashed words y, as a new array; y is overwritten."""
+    y *= _MIX_R
+    r = x * _MIX_L
+    r -= y
+    r ^= r >> _SHIFT
+    return r
+
+
+_A = _hash_constants(_INIT_A, _MULT_A, 16)
+_B = _hash_constants(_INIT_B, _MULT_B, 8)
+# The cross-mix of pool lane src into the three others takes hash steps 4 + 3 src ..
+# 6 + 3 src, in lane order; each row's entry for lane src itself is unused.
+_CROSS = [
+    (np.insert(_A[4 + 3 * src : 7 + 3 * src], src, 0, axis=0), np.insert(_A[5 + 3 * src : 8 + 3 * src], src, 1, axis=0))
+    for src in range(4)
+]
+
+
+def _seed_states(seeds) -> np.ndarray:
+    """The (len(seeds), 4) uint64 array whose row i is, bit for bit,
+    np.random.SeedSequence(seeds[i]).generate_state(4, np.uint64): the words
+    that PCG64 seeds itself from in np.random.default_rng(seeds[i]) (see
+    _stream).  seeds are non-negative integers of any size; raises as
+    default_rng does, TypeError for a non-integer and ValueError for a negative
+    seed.
+
+    The seeds are hashed _SEED_SLICE at a time (_hash_seeds), so the hash's
+    temporaries, a few hundred bytes a seed, stay small beside a block's draws
+    whatever the block's size; a row of the result is 32 bytes."""
+    seeds = [operator.index(s) for s in seeds]
+    if seeds and min(seeds) < 0:
+        raise ValueError("expected non-negative integer")
+    n_words = max(4, -(-max([s.bit_length() for s in seeds], default=0) // 32))
+    states = np.empty((len(seeds), 4), np.uint64)
+    for i in range(0, len(seeds), _SEED_SLICE):
+        states[i : i + _SEED_SLICE] = _hash_seeds(seeds[i : i + _SEED_SLICE], n_words)
+    return states
+
+
+def _hash_seeds(seeds: list, n_words: int) -> np.ndarray:
+    """SeedSequence's generate_state(4, uint64) of each of seeds, ints below
+    2^(32 n_words) with n_words >= 4, as an (n, 4) array.
+
+    A seed's 32-bit words, least significant first, go through SeedSequence's
+    mixing as the columns of (words, n) uint32 arrays, whose operations wrap
+    mod 2^32.  Seeds of at most four words are their words padded with zeros;
+    a longer seed's words past the fourth each take one more round, applied
+    only to the seeds that have that word."""
+    raw = b"".join([s.to_bytes(4 * n_words, "little") for s in seeds])
+    words = np.frombuffer(raw, "<u4").reshape(len(seeds), n_words).T.astype(np.uint32)
+    pool = _hashmix(words[:4], _A[:4], _A[1:5])
+    for src, (xor, mult) in enumerate(_CROSS):
+        mixed = _mix(pool, _hashmix(pool[src], xor, mult))
+        mixed[src] = pool[src]
+        pool = mixed
+    if n_words > 4:
+        a = _hash_constants(_INIT_A, _MULT_A, 4 * n_words)
+        for i in range(4, n_words):
+            k = 4 * i
+            extra = _mix(pool, _hashmix(words[i], a[k : k + 4], a[k + 1 : k + 5]))
+            pool = np.where(words[i:].any(axis=0), extra, pool)
+    # generate_state's eight uint32 words per seed, paired little-endian into four uint64, as numpy does
+    out = _hashmix(np.concatenate([pool, pool]), _B[:8], _B[1:])
+    return np.ascontiguousarray(out.T, dtype="<u4").view("<u8")
+
+
+@functools.cache
+def _generator() -> np.random.Generator:
+    """The one Generator(PCG64) every seeded draw resets, built on first use so
+    that importing the package does not import numpy.random.  Shared, so not
+    for draws on two threads at once."""
+    return np.random.Generator(np.random.PCG64(0))
+
+
+def _stream(seed: int, state: np.ndarray) -> np.random.Generator:
+    """The shared generator, set to the stream of np.random.default_rng(seed),
+    whose _seed_states row is state.  The draws depend on state alone; seed
+    names the stream.
+
+    PCG64 seeds itself from initstate = (w0, w1) and initseq = (w2, w3), high
+    word first, as inc = 2 initseq + 1 and state = ((inc + initstate) M + inc)
+    mod 2^128 (O'Neill's pcg_setseq_128_srandom_r), with nothing buffered.  The
+    generator is only good until the next call, which resets it."""
+    s_hi, s_lo, q_hi, q_lo = state.tolist()
+    inc = (q_hi << 65 | q_lo << 1 | 1) & _MASK128
+    pcg = {"state": (((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc) & _MASK128, "inc": inc}
+    rng = _generator()
+    rng.bit_generator.state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+    return rng
+
+
+def ginibre_stack(seeds, *shape: int, states: np.ndarray | None = None) -> np.ndarray:
     """The (len(seeds), *shape) stack whose slot i is, bit for bit,
     ginibre(np.random.default_rng(seeds[i]), *shape).
 
-    seeds is a sequence of anything default_rng takes (Python ints of any
-    size included), repeats allowed.  Each seed's generator is opened once
-    and fills its (2, *shape) slot of one real buffer with the stream
-    standard_normal((2, *shape)) reads; the complex stack is then built from
-    the whole buffer at once."""
+    seeds is a sequence of non-negative integers (Python ints of any size
+    included), repeats allowed.  Hash, then fill: their states are hashed in
+    one batch (_seed_states: SeedSequence's seed_seq_fe mixing, written
+    against numpy 2.4.6; NEP 19 lets a release change it, so test_linalg pins
+    it), unless states, their rows of a batch hashed before, is given.  Then
+    each seed's stream, on the shared generator (_stream: PCG64's seeding),
+    fills its (2, *shape) slot of one real buffer with what
+    standard_normal((2, *shape)) reads, and the complex stack is built from the
+    whole buffer at once."""
+    if states is None:
+        states = _seed_states(seeds)
     pairs = np.empty((len(seeds), 2, *shape))
-    for seed, pair in zip(seeds, pairs):
-        np.random.default_rng(seed).standard_normal(out=pair)
+    for seed, state, pair in zip(seeds, states, pairs):
+        _stream(seed, state).standard_normal(out=pair)
     return _complex_gaussian(pairs[:, 0], pairs[:, 1])
 
 

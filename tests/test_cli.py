@@ -288,16 +288,16 @@ class TestSweepCommand:
         # trial 1 leaves them there as whole JSON lines
         opened, before_draw = [], []
 
-        def spy(seed):  # each seed's stream is opened here, in linalg.ginibre_stack's per-seed fill
+        def spy(seed, state):  # each seed's stream is set here, before linalg.ginibre_stack fills its slot
             opened.append(seed)
             if seed in (5, 1005):  # each trial's first draw, its state's
                 before_draw.append(capsys.readouterr().out)
             if seed == 1005:
                 raise ValueError("trial 1 failed")
-            return default_rng(seed)
+            return stream(seed, state)
 
-        default_rng = np.random.default_rng
-        monkeypatch.setattr(np.random, "default_rng", spy)
+        stream = linalg._stream
+        monkeypatch.setattr(linalg, "_stream", spy)
         code, out, err = _run(capsys, ["sweep", "--dim", "2", "--trials", "2", "--seed", "5"])
         assert code == 2
         assert json.loads(err) == {"error": "trial 1 failed"}
@@ -664,14 +664,14 @@ class TestBlockedTrials:
         # the state of trial 3 fails to draw, in the middle of a block of 4 trials
         drawn = []
 
-        def spy(seed):  # each seed's stream is opened here, in linalg.ginibre_stack's per-seed fill
+        def spy(seed, state):  # each seed's stream is set here, before linalg.ginibre_stack fills its slot
             drawn.append(seed)
             if seed == 3000:
                 raise ValueError("trial 3 failed")
-            return default_rng(seed)
+            return stream(seed, state)
 
-        default_rng = np.random.default_rng
-        monkeypatch.setattr(np.random, "default_rng", spy)
+        stream = linalg._stream
+        monkeypatch.setattr(linalg, "_stream", spy)
         monkeypatch.setattr(cli, "BLOCK_ELEMENTS", 4 * (3 * 4 + 4))
         code, out, err = _run(capsys, ["ensemble", "--dim", "2", "--members", "2", "--alpha", "2", "--trials", "8"])
         assert code == 2
@@ -680,8 +680,8 @@ class TestBlockedTrials:
         assert [r["seed"] for r in rows] == [0, 0, 1000, 1000, 2000, 2000]
         assert max(drawn) == 3000  # no trial after the failing one was drawn
         # trial 0 alone, then the block of trials 1..4, whose first stage stops at 3000, run
-        # again one trial at a time: each stage opens each of its seeds' streams once
-        # (ensemble's base + 2 is the mixture's weights, drawn by a generator of its own)
+        # again one trial at a time: each stage sets each of its seeds' streams once
+        # (ensemble's base + 2 is the mixture's weights, drawn from the same hook)
         opened_once = [*range(5), 1000, 2000, 3000, *range(1000, 1005), *range(2000, 2005), 3000]
         assert drawn == opened_once
 
@@ -871,21 +871,47 @@ class TestBlockedTrials:
         argv = ["ensemble", "--dim", str(d), "--members", str(m), "--alpha", str(alpha), "--trials", "4"]
         code, out, _ = _run(capsys, argv + ["--seed", str(seed)])
         assert code == 0
-        want = []
-        for t in range(4):
-            base = seed + 1000 * t
-            pure = ensembles.ensemble_from_state(linalg.random_density(d, d, base), m, base + 1)
-            res = ensembles.pure_ensemble_bounds_check(pure, alpha, "tsallis")
-            weights = np.random.default_rng(base + 2).dirichlet(np.ones(m))
-            members = [linalg.random_density(d, d, base + 3 + k) for k in range(m)]
-            lower, mid, upper = ensembles.mixed_ensemble_bounds_check(ensembles.MixedEnsemble(weights, members), alpha)
-            common = dict(d=d, alpha=alpha, seed=base)
-            lhs, rhs = res.ensemble_entropy, res.state_entropy
-            want.append(dict(check_name="pure_ensemble_bound", lhs=lhs, rhs=rhs, slack=lhs - rhs, **common))
-            want.append(dict(check_name="mixed_ensemble_sandwich", lhs=upper, rhs=lower, slack=min(mid - lower, upper - mid), **common))
         rows = _json_rows(out)
-        assert rows == want
+        assert rows == _ensemble_rows(d, m, alpha, 4, seed)
         assert [r["seed"] for r in rows] == [seed + 1000 * t for t in range(4) for _ in range(2)]
+
+    @pytest.mark.parametrize("block", [1, 4])
+    def test_ensemble_weights_are_default_rng_dirichlet(self, capsys, monkeypatch, block):
+        # each trial's mixture weights are, bit for bit, default_rng(base + 2).dirichlet,
+        # in blocks of one trial and of four, at a seed of five 32-bit words
+        seed, d, m, alpha, trials = 2**130, 2, 3, 1.5, 6
+        drawn, normalized = [], cli._normalized
+
+        def spy(weights):  # the command normalizes its stacked Dirichlet draws here, once per block
+            drawn.append(weights.copy())
+            return normalized(weights)
+
+        monkeypatch.setattr(cli, "_normalized", spy)
+        monkeypatch.setattr(cli, "BLOCK_ELEMENTS", block * ((m + 1) * d * d + m * m))
+        argv = ["ensemble", "--dim", str(d), "--members", str(m), "--alpha", str(alpha), "--trials", str(trials)]
+        code, out, _ = _run(capsys, argv + ["--seed", str(seed)])
+        assert code == 0
+        assert [len(w) for w in drawn] == ([1] * trials if block == 1 else [1, 4, 1])
+        want = np.stack([np.random.default_rng(seed + 1000 * t + 2).dirichlet(np.ones(m)) for t in range(trials)])
+        assert np.concatenate(drawn).tobytes() == want.tobytes()
+        assert _json_rows(out) == _ensemble_rows(d, m, alpha, trials, seed)
+
+
+def _ensemble_rows(d: int, m: int, alpha: float, trials: int, seed: int) -> list:
+    """The rows of `ensemble`, each trial drawn through the public one-trial path."""
+    want = []
+    for t in range(trials):
+        base = seed + 1000 * t
+        pure = ensembles.ensemble_from_state(linalg.random_density(d, d, base), m, base + 1)
+        res = ensembles.pure_ensemble_bounds_check(pure, alpha, "tsallis")
+        weights = np.random.default_rng(base + 2).dirichlet(np.ones(m))
+        members = [linalg.random_density(d, d, base + 3 + k) for k in range(m)]
+        lower, mid, upper = ensembles.mixed_ensemble_bounds_check(ensembles.MixedEnsemble(weights, members), alpha)
+        common = dict(d=d, alpha=alpha, seed=base)
+        lhs, rhs = res.ensemble_entropy, res.state_entropy
+        want.append(dict(check_name="pure_ensemble_bound", lhs=lhs, rhs=rhs, slack=lhs - rhs, **common))
+        want.append(dict(check_name="mixed_ensemble_sandwich", lhs=upper, rhs=lower, slack=min(mid - lower, upper - mid), **common))
+    return want
 
 
 class TestDemoCommand:
@@ -1106,9 +1132,10 @@ class TestCsvFormat:
         assert all(None not in r and None not in r.values() for r in rows)  # no short or long record
 
 
-@pytest.mark.parametrize("package", ["scipy", "dataclasses"])
+@pytest.mark.parametrize("package", ["scipy", "dataclasses", "numpy.random"])
 def test_import_loads_no(package):
-    code = f"import sys, unravel.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))"
+    # numpy.random too: the seeded draws build their generator on first use, not at import
+    code = f"import sys, unravel.cli; print(sorted(m for m in sys.modules if (m + '.').startswith({package!r} + '.')))"
     proc = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

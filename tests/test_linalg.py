@@ -127,10 +127,11 @@ def _reference_ginibre(seed, *shape):
 class TestGinibreStack:
     @settings(max_examples=200, deadline=None)
     @given(
-        seeds=st.lists(st.sampled_from([0, 1, 2**63, 10**23]) | st.integers(0, 2**128), min_size=1, max_size=6),
+        seeds=st.lists(st.sampled_from([0, 1, 2**63, 10**23]) | st.integers(0, 2**256), min_size=1, max_size=6),
         shape=st.lists(st.integers(0, 4), max_size=3),
     )
     @example(seeds=[0, 2**63, 10**23], shape=[3, 2])
+    @example(seeds=[7, 2**191 + 5, 0, 3**120], shape=[2, 3])  # one-word and six-word seeds in one batch
     @example(seeds=[10**23, 10**23, 0, 10**23], shape=[2, 2])
     @example(seeds=[2**63], shape=[4, 1])
     @example(seeds=[5], shape=[0, 3])
@@ -140,6 +141,13 @@ class TestGinibreStack:
         got = linalg.ginibre_stack(seeds, *shape)
         assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
         assert got.flags.c_contiguous
+
+    def test_states_hashed_in_a_larger_batch(self):
+        # a stage draws from its slice of the states of a batch hashed before
+        seeds = [3, 9, 3, 2**160]
+        states = linalg._seed_states([0, *seeds, 1])
+        want = np.stack([linalg.ginibre(np.random.default_rng(s), 2, 2) for s in seeds])
+        assert linalg.ginibre_stack(seeds, 2, 2, states=states[1:5]).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("seed", [0, 3, 2**63, 10**23])
     @pytest.mark.parametrize("dim", [1, 2, 3, 8])
@@ -156,6 +164,61 @@ class TestGinibreStack:
         assert random_unraveling(dim, 2, seed).kraus_ops.tobytes() == want.tobytes()
         want = bounds._projective(linalg.positive_qr(_reference_ginibre(seed, 1, dim, dim))[0])
         assert bounds.random_projective_povm(dim, seed).roots.tobytes() == want.roots.tobytes()
+
+
+# seeds at each word-count edge of numpy's SeedSequence: one to seven 32-bit words
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 10**23, 2**128 - 1, 2**128, 2**200]
+
+
+class TestSeedStates:
+    """_seed_states is SeedSequence's hashing, batched, and _stream seeds PCG64 from
+    it: together, default_rng's seeding of each seed."""
+
+    @staticmethod
+    def check(seeds):
+        got = linalg._seed_states(seeds)
+        want = np.array([np.random.SeedSequence(s).generate_state(4, np.uint64) for s in seeds], np.uint64).reshape(-1, 4)
+        assert got.dtype == np.uint64 and got.shape == want.shape and got.tobytes() == want.tobytes()
+        for s, state in zip(seeds, got):
+            assert linalg._stream(s, state).bit_generator.state == np.random.default_rng(s).bit_generator.state
+
+    @pytest.mark.parametrize("seed", EDGE_SEEDS)
+    def test_is_default_rng_state(self, seed):
+        self.check([seed])
+
+    def test_one_batch_of_every_word_count(self):
+        self.check(EDGE_SEEDS + EDGE_SEEDS[::-1] + [5, 5, 2**200])  # repeats, and every word count mixed
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(0, 2**256) | st.integers(0, 2**40), max_size=20))
+    def test_any_batch(self, seeds):
+        self.check(seeds)
+
+    def test_hashed_in_slices(self, monkeypatch):
+        monkeypatch.setattr(linalg, "_SEED_SLICE", 3)
+        self.check([2**200, 1, 2, 3, 2**64, 5, 6, 10**23, 2**200, 9])  # the last slice holds one seed
+
+    def test_numpy_integer_seeds(self):
+        self.check([np.int64(7), np.uint64(2**64 - 1), np.int32(0)])
+
+    def test_empty_batch(self):
+        self.check([])
+
+    @pytest.mark.parametrize("seed, error", [(-1, ValueError), (np.int64(-2), ValueError), (1.5, TypeError), ("3", TypeError)])
+    def test_rejects_what_default_rng_rejects(self, seed, error):
+        with pytest.raises(error):
+            np.random.default_rng(seed)
+        with pytest.raises(error):
+            linalg._seed_states([3, seed])
+
+    def test_stream_continues_as_default_rng(self):
+        # the shared generator, set to a seed, reads that seed's whole stream, whatever it drew before
+        big, small = linalg._seed_states([2**130, 11])
+        linalg._stream(2**130, big).integers(0, 2**32, size=3, dtype=np.uint32)  # leaves a buffered half word
+        rng, want = linalg._stream(11, small), np.random.default_rng(11)
+        assert rng.bit_generator.state == want.bit_generator.state
+        assert rng.integers(0, 2**32, size=5, dtype=np.uint32).tolist() == want.integers(0, 2**32, size=5, dtype=np.uint32).tolist()
+        assert rng.dirichlet(np.ones(4)).tobytes() == want.dirichlet(np.ones(4)).tobytes()
 
 
 def test_vector_norm_is_numpy_norm_to_the_bit():
