@@ -451,9 +451,8 @@ def cmd_ensemble(args, rep: Reporter) -> None:
         _, w, v = linalg.density_spectrum(linalg._densities(draw(bases, 0, d, d)), name="rho", vectors=True)
         weights, states = ensembles._pure_members(w, v, linalg.positive_qr(draw([b + 1 for b in bases], 1, m, m)))
         state_h, weight_h = ensembles._pure_bounds(weights, states, alpha, "tsallis")
-        ones = np.ones(m)
-        weight_streams = zip([b + 2 for b in bases], seed_states[2 * t : 3 * t])
-        mix_weights = np.stack([linalg._stream(seed, state).dirichlet(ones) for seed, state in weight_streams])
+        weight_states = zip(bases, seed_states[2 * t : 3 * t])
+        mix_weights = np.stack([linalg._stream(b + 2, state).dirichlet(np.ones(m)) for b, state in weight_states])
         members = draw([b + 3 + k for b in bases for k in range(m)], 3, d, d).reshape(t, m, d, d)
         members, spectra = linalg.density_spectrum(linalg._densities(members), name="member")
         lower, mid, upper = ensembles._sandwich(_normalized(mix_weights), members, spectra, alpha)
