@@ -446,6 +446,8 @@ def random_projective_povm(dim: int, seed: int) -> Povm:
 
 def random_povm(dim: int, n_outcomes: int, seed: int) -> Povm:
     """General POVM: Wishart pieces whitened by the inverse root of their sum."""
+    if dim < 1:
+        raise ValueError(f"dim must be >= 1, got {dim}")
     if n_outcomes < 1:
         raise ValueError("n_outcomes must be >= 1")
     # one generator's stream in C order: the real, then the imaginary parts of each piece in turn

@@ -341,22 +341,18 @@ def cmd_sweep(args, rep: Reporter) -> None:
     def compute(bases: range):
         # each stage draws its trials' Ginibre arrays when it starts: those of random_density,
         # random_unraveling, haar_random_unitaries and the two random_projective_povm, at
-        # base + 0..4, from its slice of the block's seed states, hashed once as it starts
-        t = len(bases)
-        seed_states = linalg._seed_states([b + k for k in range(5) for b in bases])
-
-        def draw(k: int, *shape: int) -> np.ndarray:
-            return linalg.ginibre_stack([b + k for b in bases], *shape, states=seed_states[k * t : (k + 1) * t])
-
-        rho, w, v = linalg.density_spectrum(linalg._densities(draw(0, d, d)), name="rho", vectors=True)
-        kraus = channels._isometry_kraus(draw(1, d * d, d), d)
+        # base + 0..4, from its row of the block's seed states, hashed once as it starts
+        seed_states = linalg._seed_states([b + k for k in range(5) for b in bases]).reshape(5, len(bases), 4)
+        rho, w, v = linalg.density_spectrum(linalg._densities(linalg.ginibre_stack(seed_states[0], d, d)), vectors=True)
+        kraus = channels._isometry_kraus(linalg.ginibre_stack(seed_states[1], d * d, d), d)
         channels._check_complete(kraus)
         gram = channels._gram(kraus, rho)
         del kraus  # before the remixings are drawn
         lambdas = _normalized(linalg._descending_eig(gram)[0])
-        probs = channels.remixed_probabilities(gram, linalg.positive_qr(draw(2, args.remixings, d, d)))
-        m = bounds._projective(linalg.positive_qr(draw(3, d, d)))
-        n = bounds._projective(linalg.positive_qr(draw(4, d, d)))
+        remixes = linalg.positive_qr(linalg.ginibre_stack(seed_states[2], args.remixings, d, d))
+        probs = channels.remixed_probabilities(gram, remixes)
+        m = bounds._projective(linalg.positive_qr(linalg.ginibre_stack(seed_states[3], d, d)))
+        n = bounds._projective(linalg.positive_qr(linalg.ginibre_stack(seed_states[4], d, d)))
         g, reports = bounds._reports(m, n, (rho,), orders, "g", ("tsallis", "renyi"))
         f, fb = bounds._f(m, n, w, v), bounds._f_bar(m, n)
         chain = np.minimum(np.minimum(f - g, fb - f), 1.0 + 1e-10 - fb)
@@ -440,20 +436,16 @@ def cmd_ensemble(args, rep: Reporter) -> None:
     def compute(bases: range):
         # seeds: the state at base, the mixing unitary at base + 1, the mixture's
         # weights at base + 2 and its members at base + 3 + k, hashed together when
-        # the block starts; each stage draws from its slice of the states when it
+        # the block starts; each stage draws from its row of the states when it
         # starts (the Ginibre draws of random_density and haar_random_unitary)
         t = len(bases)
-        seed_states = linalg._seed_states([b + k for k in range(3) for b in bases] + [b + 3 + k for b in bases for k in range(m)])
-
-        def draw(seeds: list, stage: int, *shape: int) -> np.ndarray:
-            return linalg.ginibre_stack(seeds, *shape, states=seed_states[stage * t : stage * t + len(seeds)])
-
-        _, w, v = linalg.density_spectrum(linalg._densities(draw(bases, 0, d, d)), name="rho", vectors=True)
-        weights, states = ensembles._pure_members(w, v, linalg.positive_qr(draw([b + 1 for b in bases], 1, m, m)))
+        seed_states = linalg._seed_states([b + k for k in range(3 + m) for b in bases]).reshape(3 + m, t, 4)
+        _, w, v = linalg.density_spectrum(linalg._densities(linalg.ginibre_stack(seed_states[0], d, d)), vectors=True)
+        weights, states = ensembles._pure_members(w, v, linalg.positive_qr(linalg.ginibre_stack(seed_states[1], m, m)))
         state_h, weight_h = ensembles._pure_bounds(weights, states, alpha, "tsallis")
-        weight_states = zip(bases, seed_states[2 * t : 3 * t])
-        mix_weights = np.stack([linalg._stream(b + 2, state).dirichlet(np.ones(m)) for b, state in weight_states])
-        members = draw([b + 3 + k for b in bases for k in range(m)], 3, d, d).reshape(t, m, d, d)
+        mix_weights = np.stack([linalg._stream(state).dirichlet(np.ones(m)) for state in seed_states[2]])
+        # trial-major, so the members' streams open trial by trial
+        members = linalg.ginibre_stack(seed_states[3:].swapaxes(0, 1).reshape(-1, 4), d, d).reshape(t, m, d, d)
         members, spectra = linalg.density_spectrum(linalg._densities(members), name="member")
         lower, mid, upper = ensembles._sandwich(_normalized(mix_weights), members, spectra, alpha)
         common = dict(d=d, alpha=alpha, seed=list(bases))

@@ -48,9 +48,11 @@ class AngleState:
             raise ValueError("coeffs must cover l = -L..L, so their count is odd")
         if not abs(np.sum(np.abs(c) ** 2) - 1) <= 1e-10:  # NaN fails too
             raise ValueError("momentum amplitudes are not normalized")
+        if isinstance(nbins, bool) or not isinstance(nbins, (int, np.integer)):
+            raise ValueError(f"nbins must be an integer, got {nbins!r}")
         if nbins < 1:
             raise ValueError(f"nbins must be >= 1, got {nbins}")
-        self.coeffs, self.nbins = c, nbins
+        self.coeffs, self.nbins = c, int(nbins)
 
 
 def bin_probabilities(state: AngleState) -> np.ndarray:

@@ -145,6 +145,8 @@ def ensemble_from_state(rho, m: int, seed: int | None) -> PureEnsemble:
     pure-ensemble bound stays testable.  Members below WEIGHT_DROP_TOL are
     dropped.
     """
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
     _, w, v = linalg.density_spectrum(linalg.check_one_matrix(rho, "rho"), vectors=True)
     u = np.eye(m, dtype=complex) if seed is None else haar_random_unitary(m, seed)
     weights, states = _pure_members(w, v, u)

@@ -3,27 +3,27 @@
 Validation of matrices and matrix stacks (finite, Hermitian, unitary, density),
 the Hermitian part, Hermitian eigendecomposition with a canonical (descending)
 eigenvalue order, and seeded random generators: Ginibre arrays, Haar-random
-unitaries and isometries, and density matrices.  Each seed's Ginibre draw comes
-from one kernel, ginibre_stack(seeds, *shape), in two steps: hash, then fill.
-Seeds are non-negative integers of any size, which is what every caller passes.
+unitaries and isometries, and density matrices.  A seeded stream is named by
+its hashed state alone: _seed_states hashes seeds (non-negative integers of any
+size) to (n, 4) rows, and ginibre_stack(states, *shape) fills a slot from each.
 
 The hash, _seed_states, is numpy's own seeding of default_rng(seed) done for a
 whole batch of seeds at once: SeedSequence's hash mixing (O'Neill's seed_seq_fe
 scheme: a pool of four 32-bit words, each seed word hashed in, the twelve
 cross-mixes, then generate_state(4, uint64)) as uint32 array operations over
-all seeds.  The fill sets one shared Generator(PCG64) to each seed's stream in
+all seeds.  The fill sets one shared Generator(PCG64) to each row's stream in
 turn (_stream), seeding PCG64 from the hashed words in Python ints (O'Neill,
 "PCG", HMC-CS-2014-0905: inc = 2 initseq + 1 and state = ((inc + initstate) M
-+ inc) mod 2^128), and the seed's draw fills its slot of one real buffer; the
-complex stack is then built from the whole buffer in one pass.  So slot i is
-the stream of default_rng(seeds[i]) bit for bit.  numpy's policy (NEP 19) lets
-a release change default_rng's bit generator or its seeding, so test_linalg
-pins the batched states against SeedSequence and default_rng; they were
-written against numpy 2.4.6.  A caller that draws several stages from one
-batch of seeds hashes them once (_seed_states) and hands each stage its rows.
-Each seeded generator is a one-seed view of that kernel (seeded_ginibre) handed
-to a kernel that works on a stack of such draws, so a block of trials draws,
-and does the arithmetic, once per stage.
++ inc) mod 2^128), and the row's draw fills its slot of one real buffer; the
+complex stack is then built from the whole buffer in one pass.  So the slot of
+seed s's row is the stream of default_rng(s) bit for bit.  numpy's policy
+(NEP 19) lets a release change default_rng's bit generator or its seeding, so
+test_linalg pins the batched states against SeedSequence and default_rng; they
+were written against numpy 2.4.6.  A caller that draws several stages from one
+block of trials hashes all their seeds once, as a (stages, trials, 4) array,
+and hands each stage its row.  Each seeded generator is a one-seed view of that
+kernel (seeded_ginibre) handed to a kernel that works on a stack of such
+draws, so a block of trials draws, and does the arithmetic, once per stage.
 
 Haar sampling is Mezzadri's (Notices AMS 54, 592, 2007): Q of a Ginibre draw
 with R's diagonal positive (positive_qr).  A draw at least twice as tall as
@@ -285,10 +285,9 @@ def _generator() -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(0))
 
 
-def _stream(seed: int, state: np.ndarray) -> np.random.Generator:
-    """The shared generator, set to the stream of np.random.default_rng(seed),
-    whose _seed_states row is state.  The draws depend on state alone; seed
-    names the stream.
+def _stream(state: np.ndarray) -> np.random.Generator:
+    """The shared generator, set to the stream whose _seed_states row is state:
+    that of np.random.default_rng(seed) for the seed hashed to it.
 
     PCG64 seeds itself from initstate = (w0, w1) and initseq = (w2, w3), high
     word first, as inc = 2 initseq + 1 and state = ((inc + initstate) M + inc)
@@ -302,31 +301,22 @@ def _stream(seed: int, state: np.ndarray) -> np.random.Generator:
     return rng
 
 
-def ginibre_stack(seeds, *shape: int, states: np.ndarray | None = None) -> np.ndarray:
-    """The (len(seeds), *shape) stack whose slot i is, bit for bit,
-    ginibre(np.random.default_rng(seeds[i]), *shape).
-
-    seeds is a sequence of non-negative integers (Python ints of any size
-    included), repeats allowed.  Hash, then fill: their states are hashed in
-    one batch (_seed_states: SeedSequence's seed_seq_fe mixing, written
-    against numpy 2.4.6; NEP 19 lets a release change it, so test_linalg pins
-    it), unless states, their rows of a batch hashed before, is given.  Then
-    each seed's stream, on the shared generator (_stream: PCG64's seeding),
-    fills its (2, *shape) slot of one real buffer with what
-    standard_normal((2, *shape)) reads, and the complex stack is built from the
-    whole buffer at once."""
-    if states is None:
-        states = _seed_states(seeds)
-    pairs = np.empty((len(seeds), 2, *shape))
-    for seed, state, pair in zip(seeds, states, pairs):
-        _stream(seed, state).standard_normal(out=pair)
+def ginibre_stack(states: np.ndarray, *shape: int) -> np.ndarray:
+    """The (len(states), *shape) stack whose slot i is, bit for bit,
+    ginibre(np.random.default_rng(s), *shape) for the seed s that _seed_states
+    hashed to states[i].  Each row's stream (_stream) fills its (2, *shape)
+    slot of one real buffer with what standard_normal((2, *shape)) reads, and
+    the complex stack is built from the whole buffer at once."""
+    pairs = np.empty((len(states), 2, *shape))
+    for state, pair in zip(states, pairs):
+        _stream(state).standard_normal(out=pair)
     return _complex_gaussian(pairs[:, 0], pairs[:, 1])
 
 
 def seeded_ginibre(seed: int, *shape: int) -> np.ndarray:
     """ginibre from a generator seeded with `seed`, the one-seed view of
     ginibre_stack: the one draw each seeded generator below makes."""
-    return ginibre_stack((seed,), *shape)[0]
+    return ginibre_stack(_seed_states((seed,)), *shape)[0]
 
 
 def positive_qr(z: np.ndarray) -> np.ndarray:

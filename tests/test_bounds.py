@@ -72,6 +72,13 @@ class TestPovm:
         with pytest.raises(ValueError, match="element 1 is not Hermitian"):
             Povm((np.eye(2) / 2, skew))
 
+    @pytest.mark.parametrize("dim", [0, -2])
+    def test_random_povms_reject_dim_below_one(self, dim):
+        with pytest.raises(ValueError, match=f"dim must be >= 1, got {dim}"):
+            random_povm(dim, 2, 1)
+        with pytest.raises(ValueError, match=f"dim must be >= 1, got {dim}"):
+            random_projective_povm(dim, 1)
+
     def test_random_povm_valid(self):
         m = random_povm(3, 4, seed=0)
         assert m.roots.shape[-3] == 4

@@ -55,6 +55,12 @@ def _cli_process(argv):
     )
 
 
+def _seed_names(seeds):
+    """The seed hashed to each linalg._seed_states row, keyed by the row's bytes: how a
+    spy on linalg._stream(state) tells whose stream opens."""
+    return {state.tobytes(): seed for seed, state in zip(seeds, linalg._seed_states(seeds))}
+
+
 def _json_rows(out):
     return [json.loads(line) for line in out.strip().splitlines()]
 
@@ -287,14 +293,16 @@ class TestSweepCommand:
         # trial 0's rows reach stdout before trial 1 draws its state, and an error in
         # trial 1 leaves them there as whole JSON lines
         opened, before_draw = [], []
+        names = _seed_names([b + k for b in (5, 1005) for k in range(5)])
 
-        def spy(seed, state):  # each seed's stream is set here, before linalg.ginibre_stack fills its slot
+        def spy(state):  # each seed's stream is set here, before linalg.ginibre_stack fills its slot
+            seed = names[state.tobytes()]
             opened.append(seed)
             if seed in (5, 1005):  # each trial's first draw, its state's
                 before_draw.append(capsys.readouterr().out)
             if seed == 1005:
                 raise ValueError("trial 1 failed")
-            return stream(seed, state)
+            return stream(state)
 
         stream = linalg._stream
         monkeypatch.setattr(linalg, "_stream", spy)
@@ -663,12 +671,14 @@ class TestBlockedTrials:
     def test_failing_draw_leaves_earlier_rows(self, capsys, monkeypatch):
         # the state of trial 3 fails to draw, in the middle of a block of 4 trials
         drawn = []
+        names = _seed_names([1000 * t + k for t in range(8) for k in range(5)])
 
-        def spy(seed, state):  # each seed's stream is set here, before linalg.ginibre_stack fills its slot
+        def spy(state):  # each seed's stream is set here, before linalg.ginibre_stack fills its slot
+            seed = names[state.tobytes()]
             drawn.append(seed)
             if seed == 3000:
                 raise ValueError("trial 3 failed")
-            return stream(seed, state)
+            return stream(state)
 
         stream = linalg._stream
         monkeypatch.setattr(linalg, "_stream", spy)
@@ -819,6 +829,29 @@ class TestBlockedTrials:
         assert code == 0
         assert len(_json_rows(out)) == 11
         assert calls == [(1, 2, 3), (4, 2, 3), (4, 2, 3), (1, 2, 3)]
+
+    @pytest.mark.parametrize(
+        "argv, per_trial, stages, rows",
+        [
+            (["sweep", "--dim", "2", "--trials", "10", "--remixings", "5"], 4 * (2 + 5 + 3), 5, 10),
+            (["ensemble", "--dim", "2", "--members", "2", "--alpha", "2", "--trials", "10"], 3 * 4 + 4, 3 + 2, 2),
+        ],
+        ids=["sweep", "ensemble"],
+    )
+    def test_seeds_hashed_once_per_block(self, capsys, monkeypatch, argv, per_trial, stages, rows):
+        # one hash per block, of every stage's seeds: each stage reads its row of the result
+        calls, seed_states = [], linalg._seed_states
+
+        def counting(seeds):
+            calls.append(len(seeds))
+            return seed_states(seeds)
+
+        monkeypatch.setattr(linalg, "_seed_states", counting)
+        monkeypatch.setattr(cli, "BLOCK_ELEMENTS", 4 * per_trial)  # blocks of 4 trials after trial 0
+        code, out, _ = _run(capsys, argv)
+        assert code == 0
+        assert len(_json_rows(out)) == 10 * rows
+        assert calls == [stages * t for t in (1, 4, 4, 1)]
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     @pytest.mark.parametrize(

@@ -193,6 +193,25 @@ class TestAngleState:
         with pytest.raises(ValueError, match="momentum amplitudes are not normalized"):
             AngleState(np.array([np.nan, 1.0, 0.0]), 4)
 
+    @pytest.mark.parametrize(
+        "nbins, message",
+        [(2.5, "an integer"), (4.0, "an integer"), (np.nan, "an integer"), (True, "an integer"), (np.True_, "an integer")]
+        + [("4", "an integer"), (None, "an integer"), (0, ">= 1, got 0"), (np.int64(-3), ">= 1, got -3")],
+    )
+    def test_rejects_bad_nbins(self, nbins, message):
+        # before np.bincount sees it; NaN raises no RuntimeWarning on the way
+        with pytest.raises(ValueError, match=f"nbins must be {message}"):
+            AngleState([0, 1, 0], nbins)
+
+    @pytest.mark.parametrize("nbins", [np.int64(3), np.int32(3), np.uint8(3)])
+    def test_accepts_numpy_integer_nbins(self, nbins):
+        # held as an int, so the bound is the one of nbins = 3 (np.sqrt(np.uint8(3)) is a float16)
+        state, want = AngleState([0, 1, 0], nbins), AngleState([0, 1, 0], 3)
+        assert type(state.nbins) is int and state.nbins == 3
+        assert bin_probabilities(state).tobytes() == bin_probabilities(want).tobytes()
+        orders = conjugate_order(2.0)
+        assert angle_momentum_demo(state, orders)[:4] == angle_momentum_demo(want, orders)[:4]  # lhs, rhs, slack, factor
+
 
 class TestBinProbabilities:
     def test_uniform_wave(self):

@@ -83,6 +83,13 @@ class TestEnsembleFromState:
         with pytest.raises(ValueError):
             ensemble_from_state(rho, 2, seed=0)
 
+    @pytest.mark.parametrize("seed", [0, None])
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_no_members_rejected(self, m, seed):
+        # one message naming m, whether or not a mixing unitary is drawn
+        with pytest.raises(ValueError, match=rf"^m must be >= 1, got {m}$"):
+            ensemble_from_state(np.eye(2) / 2, m, seed)
+
 
 class TestPureEnsembleBounds:
     def test_eigen_ensemble_saturates(self):
