@@ -77,7 +77,8 @@ class Povm:
     """
 
     def __init__(self, elements):
-        elems = linalg.check_hermitian(linalg.as_matrix_stack(elements, "POVM elements"), name="POVM element")
+        elems = linalg.check_entries(linalg.as_matrix_stack(elements, "POVM elements"), "POVM element")
+        elems = linalg.check_hermitian(elems, name="POVM element")
         roots = _root_factors(*linalg.psd_spectrum(elems, "POVM element", vectors=True))
         linalg.check_identity(elems.sum(axis=-3), _INCOMPLETE)
         self.roots, self.elements = roots, elems

@@ -30,7 +30,7 @@ class Unraveling:
         k = as_matrix_stack(kraus_ops, "Kraus operators")
         if not np.isfinite(k).all():  # before the completeness sum, which would warn on an inf
             raise ValueError("Kraus operators have non-finite entries")
-        _check_complete(k)
+        _check_complete(linalg.check_entries(k, "completeness violated: Kraus set"))  # an entry above 1 breaks it
         self.kraus_ops = k
 
     @property

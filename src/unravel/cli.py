@@ -16,6 +16,7 @@ import functools
 import io
 import itertools
 import json
+import math
 import os
 import select
 import sys
@@ -28,10 +29,11 @@ from .entropy import _entropy, _normalized, conjugate_order
 
 SLACK_TOL = -1e-9
 
-# Stacked elements per block of trials in `sweep`, `demo dft` and `ensemble`: the
-# complex entries that all the stages of a block draw (each stage draws its own
-# when it starts), so memory stays bounded whatever --trials is.  The first block
-# holds one trial, so the first rows never wait for a full block.
+# Stacked entries per block of trials in `sweep`, `demo dft` and `ensemble`: the
+# entries that all the stages of a block draw, complex draws and real weights alike
+# (for `sweep` and `ensemble`, the sum over the shapes of the stage plan, _run_plan),
+# so memory stays bounded whatever --trials is.  The first block holds one trial, so
+# the first rows never wait for a full block.
 BLOCK_ELEMENTS = 1 << 16
 
 # The fields of a report row: the order of the keys in each JSON row (keys not
@@ -328,31 +330,35 @@ def cmd_uncertainty(args, rep: Reporter) -> None:
     )
 
 
-def _trial_seeds(seed: int):
-    """draw for _stream_trials: the base seeds seed + 1000·t of trials start..stop-1,
-    Python ints at any size."""
-    return lambda start, stop: range(seed + 1000 * start, seed + 1000 * stop, 1000)
+def _run_plan(rep: Reporter, trials: int, seed: int, plan: list, compute) -> None:
+    """Run a stacked command's trials (_stream_trials) from its plan, the (fill, shape)
+    stages of a trial: stage k of trial t fills from seed seed + 1000·t + k.  compute(bases,
+    draw) makes the rows of the trials with base seeds bases; draw(k) is stage k's fill over
+    them, made when called, from the seeds of every stage, hashed once per block."""
+
+    def block(bases: range):
+        states = linalg._seed_states([b + k for k in range(len(plan)) for b in bases]).reshape(len(plan), -1, 4)
+        return compute(bases, lambda k: plan[k][0](states[k], *plan[k][1]))
+
+    per_trial = sum(math.prod(shape) for _, shape in plan)
+    _stream_trials(rep, trials, per_trial, lambda start, stop: range(seed + 1000 * start, seed + 1000 * stop, 1000), block)
 
 
 def cmd_sweep(args, rep: Reporter) -> None:
     d, grid = args.dim, args.alpha_grid
     orders = [conjugate_order(alpha) for alpha in grid if alpha > 0.5]
+    # the draws of random_density, random_unraveling, haar_random_unitaries and the two random_projective_povm
+    plan = [(linalg.ginibre_stack, shape) for shape in ((d, d), (d * d, d), (args.remixings, d, d), (d, d), (d, d))]
 
-    def compute(bases: range):
-        # each stage draws its trials' Ginibre arrays when it starts: those of random_density,
-        # random_unraveling, haar_random_unitaries and the two random_projective_povm, at
-        # base + 0..4, from its row of the block's seed states, hashed once as it starts
-        seed_states = linalg._seed_states([b + k for k in range(5) for b in bases]).reshape(5, len(bases), 4)
-        rho, w, v = linalg.density_spectrum(linalg._densities(linalg.ginibre_stack(seed_states[0], d, d)), vectors=True)
-        kraus = channels._isometry_kraus(linalg.ginibre_stack(seed_states[1], d * d, d), d)
+    def compute(bases: range, draw):
+        rho, w, v = linalg.density_spectrum(linalg._densities(draw(0)), vectors=True)
+        kraus = channels._isometry_kraus(draw(1), d)
         channels._check_complete(kraus)
         gram = channels._gram(kraus, rho)
         del kraus  # before the remixings are drawn
         lambdas = _normalized(linalg._descending_eig(gram)[0])
-        remixes = linalg.positive_qr(linalg.ginibre_stack(seed_states[2], args.remixings, d, d))
-        probs = channels.remixed_probabilities(gram, remixes)
-        m = bounds._projective(linalg.positive_qr(linalg.ginibre_stack(seed_states[3], d, d)))
-        n = bounds._projective(linalg.positive_qr(linalg.ginibre_stack(seed_states[4], d, d)))
+        probs = channels.remixed_probabilities(gram, linalg.positive_qr(draw(2)))
+        m, n = bounds._projective(linalg.positive_qr(draw(3))), bounds._projective(linalg.positive_qr(draw(4)))
         g, reports = bounds._reports(m, n, (rho,), orders, "g", ("tsallis", "renyi"))
         f, fb = bounds._f(m, n, w, v), bounds._f_bar(m, n)
         chain = np.minimum(np.minimum(f - g, fb - f), 1.0 + 1e-10 - fb)
@@ -368,7 +374,7 @@ def cmd_sweep(args, rep: Reporter) -> None:
                     table.append((name, dict(d=d, factor_kind="g", seed=seed, **_report_fields(next(relation)))))
         return table
 
-    _stream_trials(rep, args.trials, d * d * (d + args.remixings + 3), _trial_seeds(args.seed), compute)
+    _run_plan(rep, args.trials, args.seed, plan, compute)
 
 
 def _stream_trials(rep: Reporter, trials: int, per_trial: int, draw, compute) -> None:
@@ -433,27 +439,25 @@ def cmd_demo(args, rep: Reporter) -> None:
 def cmd_ensemble(args, rep: Reporter) -> None:
     d, m, alpha = args.dim, args.members, args.alpha
 
-    def compute(bases: range):
-        # seeds: the state at base, the mixing unitary at base + 1, the mixture's
-        # weights at base + 2 and its members at base + 3 + k, hashed together when
-        # the block starts; each stage draws from its row of the states when it
-        # starts (the Ginibre draws of random_density and haar_random_unitary)
-        t = len(bases)
-        seed_states = linalg._seed_states([b + k for k in range(3 + m) for b in bases]).reshape(3 + m, t, 4)
-        _, w, v = linalg.density_spectrum(linalg._densities(linalg.ginibre_stack(seed_states[0], d, d)), vectors=True)
-        weights, states = ensembles._pure_members(w, v, linalg.positive_qr(linalg.ginibre_stack(seed_states[1], m, m)))
+    # the state, the mixing unitary, the mixture's weights and its members
+    plan = [(linalg.ginibre_stack, (d, d)), (linalg.ginibre_stack, (m, m)), (linalg.exponential_stack, (m,))]
+    plan += [(linalg.ginibre_stack, (d, d))] * m
+
+    def compute(bases: range, draw):
+        _, w, v = linalg.density_spectrum(linalg._densities(draw(0)), vectors=True)
+        weights, states = ensembles._pure_members(w, v, linalg.positive_qr(draw(1)))
         state_h, weight_h = ensembles._pure_bounds(weights, states, alpha, "tsallis")
-        mix_weights = np.stack([linalg._stream(state).dirichlet(np.ones(m)) for state in seed_states[2]])
-        # trial-major, so the members' streams open trial by trial
-        members = linalg.ginibre_stack(seed_states[3:].swapaxes(0, 1).reshape(-1, 4), d, d).reshape(t, m, d, d)
-        members, spectra = linalg.density_spectrum(linalg._densities(members), name="member")
-        lower, mid, upper = ensembles._sandwich(_normalized(mix_weights), members, spectra, alpha)
+        # numpy's dirichlet(np.ones(m)) bit for bit: gamma(1) draws, times 1 / their left-to-right sum
+        e = draw(2)
+        mix_weights = _normalized(e * (1 / np.add.accumulate(e, axis=-1)[:, -1:]))
+        members = linalg._densities(np.stack([draw(3 + k) for k in range(m)], axis=1))
+        lower, mid, upper = ensembles._sandwich(mix_weights, *linalg.density_spectrum(members, name="member"), alpha)
         common = dict(d=d, alpha=alpha, seed=list(bases))
         pure = dict(lhs=weight_h.tolist(), rhs=state_h.tolist(), slack=(weight_h - state_h).tolist())
         mixed = dict(lhs=upper.tolist(), rhs=lower.tolist(), slack=np.minimum(mid - lower, upper - mid).tolist())
         return [("pure_ensemble_bound", dict(common, **pure)), ("mixed_ensemble_sandwich", dict(common, **mixed))]
 
-    _stream_trials(rep, args.trials, (m + 1) * d * d + m * m, _trial_seeds(args.seed), compute)
+    _run_plan(rep, args.trials, args.seed, plan, compute)
 
 
 def cmd_phi_min(args, rep: Reporter) -> None:

@@ -64,7 +64,8 @@ class MixedEnsemble:
 
     def __init__(self, weights, members):
         w = as_prob_vector(weights)
-        members, spectra = linalg.density_spectrum(linalg.as_matrix_stack(members, "members"), name="member")
+        members = linalg.check_entries(linalg.as_matrix_stack(members, "members"), "member")
+        members, spectra = linalg.density_spectrum(members, name="member")
         if members.shape[0] != w.size:
             raise ValueError("weights and members disagree in length")
         self.weights, self.members, self.spectra = w, members, spectra

@@ -1,11 +1,11 @@
 """Dense complex-matrix kernel.
 
-Validation of matrices and matrix stacks (finite, Hermitian, unitary, density),
+Validation of matrices and matrix stacks (finite, bounded, Hermitian, unitary, density),
 the Hermitian part, Hermitian eigendecomposition with a canonical (descending)
 eigenvalue order, and seeded random generators: Ginibre arrays, Haar-random
 unitaries and isometries, and density matrices.  A seeded stream is named by
 its hashed state alone: _seed_states hashes seeds (non-negative integers of any
-size) to (n, 4) rows, and ginibre_stack(states, *shape) fills a slot from each.
+size) to (n, 4) rows, and _fill fills a slot of a stack from each.
 
 The hash, _seed_states, is numpy's own seeding of default_rng(seed) done for a
 whole batch of seeds at once: SeedSequence's hash mixing (O'Neill's seed_seq_fe
@@ -14,16 +14,14 @@ cross-mixes, then generate_state(4, uint64)) as uint32 array operations over
 all seeds.  The fill sets one shared Generator(PCG64) to each row's stream in
 turn (_stream), seeding PCG64 from the hashed words in Python ints (O'Neill,
 "PCG", HMC-CS-2014-0905: inc = 2 initseq + 1 and state = ((inc + initstate) M
-+ inc) mod 2^128), and the row's draw fills its slot of one real buffer; the
-complex stack is then built from the whole buffer in one pass.  So the slot of
-seed s's row is the stream of default_rng(s) bit for bit.  numpy's policy
-(NEP 19) lets a release change default_rng's bit generator or its seeding, so
-test_linalg pins the batched states against SeedSequence and default_rng; they
-were written against numpy 2.4.6.  A caller that draws several stages from one
-block of trials hashes all their seeds once, as a (stages, trials, 4) array,
-and hands each stage its row.  Each seeded generator is a one-seed view of that
-kernel (seeded_ginibre) handed to a kernel that works on a stack of such
-draws, so a block of trials draws, and does the arithmetic, once per stage.
++ inc) mod 2^128), and the row's draw fills its slot of one real buffer.  So
+the slot of seed s's row is the stream of default_rng(s) bit for bit.  numpy's
+policy (NEP 19) lets a release change default_rng's bit generator or its
+seeding, so test_linalg pins the batched states against SeedSequence and
+default_rng; they were written against numpy 2.4.6.  Which seed each of a
+stacked command's draws takes is declared once, in its stage plan (cli._run_plan).
+Each seeded generator is a one-seed view of the fill (seeded_ginibre) handed to
+a kernel that works on a stack of such draws.
 
 Haar sampling is Mezzadri's (Notices AMS 54, 592, 2007): Q of a Ginibre draw
 with R's diagonal positive (positive_qr).  A draw at least twice as tall as
@@ -45,6 +43,10 @@ TOL_HERM = 1e-9
 TOL_UNITARY = 1e-9
 TOL_TRACE = 1e-10
 TOL_PSD = 1e-10
+# check_entries' bound: far above the modulus 1 of any entry of a valid Kraus set, POVM element
+# or state, so a moderately wrong one meets the check naming its fault, and far below 1.3e154,
+# where a square overflows.
+MAX_MODULUS = 1e100
 
 
 def as_matrix_stack(xs, name: str) -> np.ndarray:
@@ -84,6 +86,16 @@ def _element(name: str, per_element: np.ndarray, k: int) -> str:
     return f"{name} {k}" if np.ndim(per_element) else name
 
 
+def check_entries(x: np.ndarray, name: str) -> np.ndarray:
+    """x, rejected if a finite entry's real or imaginary part exceeds MAX_MODULUS: the first check
+    of a caller's operator, so no product or norm of it overflows.  NaN and inf are left to the
+    finiteness check that each caller makes next."""
+    big = np.maximum(np.abs(x.real), np.abs(x.imag)).max()
+    if MAX_MODULUS < big < np.inf:
+        raise ValueError(f"{name} has an entry of modulus at least {float(big)}")
+    return x
+
+
 def check_identity(x: np.ndarray, what: str) -> None:
     """Reject a matrix, or any of a (..., n, n) stack, off I by more than TOL_UNITARY in Frobenius norm, or NaN."""
     dev = np.linalg.norm(x - np.eye(x.shape[-1]), axis=(-2, -1)).max()
@@ -106,11 +118,12 @@ def check_unit_norm(x: np.ndarray) -> None:
         raise ValueError(f"{_element('state', off, int(off.argmax()))} is not normalized")
 
 
-def check_one_matrix(x, name: str):
-    """x, rejected unless it is one matrix (two axes): the gate before a check that takes stacks."""
+def check_one_matrix(x, name: str) -> np.ndarray:
+    """x as a complex array, rejected unless it is one matrix (two axes) whose entries pass
+    check_entries: the gate of a caller's state before a check that takes stacks."""
     if np.ndim(x) != 2:
         raise ValueError(f"{name} must be one matrix, got shape {np.shape(x)}")
-    return x
+    return check_entries(np.asarray(x, dtype=complex), name)
 
 
 def psd_spectrum(h: np.ndarray, name: str, vectors: bool = False) -> tuple:
@@ -140,7 +153,7 @@ def density_spectrum(rho, dim: int | None = None, name: str = "rho", vectors: bo
     off = np.abs(tr - 1) > TOL_TRACE
     if off.any():
         k = int(off.argmax())
-        raise ValueError(f"{_element(name, tr, k)} has trace {tr.flat[k]!r}, expected 1")
+        raise ValueError(f"{_element(name, tr, k)} has trace {float(tr.flat[k])}, expected 1")
     return (rho, *psd_spectrum(rho, name, vectors))
 
 
@@ -301,16 +314,25 @@ def _stream(state: np.ndarray) -> np.random.Generator:
     return rng
 
 
+def _fill(states: np.ndarray, sampler: str, *shape: int) -> np.ndarray:
+    """The (len(states), *shape) stack whose slot i is, bit for bit, default_rng(s).<sampler>(shape)
+    for the seed s hashed to states[i]: each row's stream (_stream) fills its slot of one buffer."""
+    out = np.empty((len(states), *shape))
+    for state, slot in zip(states, out):
+        getattr(_stream(state), sampler)(out=slot)
+    return out
+
+
 def ginibre_stack(states: np.ndarray, *shape: int) -> np.ndarray:
-    """The (len(states), *shape) stack whose slot i is, bit for bit,
-    ginibre(np.random.default_rng(s), *shape) for the seed s that _seed_states
-    hashed to states[i].  Each row's stream (_stream) fills its (2, *shape)
-    slot of one real buffer with what standard_normal((2, *shape)) reads, and
-    the complex stack is built from the whole buffer at once."""
-    pairs = np.empty((len(states), 2, *shape))
-    for state, pair in zip(states, pairs):
-        _stream(state).standard_normal(out=pair)
+    """The stack whose slot i is ginibre(np.random.default_rng(s), *shape): the
+    standard_normal fill of (2, *shape) slots, made complex from the whole buffer at once."""
+    pairs = _fill(states, "standard_normal", 2, *shape)
     return _complex_gaussian(pairs[:, 0], pairs[:, 1])
+
+
+def exponential_stack(states: np.ndarray, *shape: int) -> np.ndarray:
+    """The standard_exponential fill."""
+    return _fill(states, "standard_exponential", *shape)
 
 
 def seeded_ginibre(seed: int, *shape: int) -> np.ndarray:

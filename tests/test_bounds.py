@@ -28,7 +28,7 @@ from unravel.bounds import (
 from unravel.channels import Unraveling, effect_probabilities, random_unraveling
 from unravel.entropy import alpha_log, conjugate_order, tsallis_entropy
 
-from helpers import depolarizing_unraveling, dft_matrix, measurement_channel, psd_sqrt, x_basis_povm, z_basis_povm
+from helpers import blocks_of, depolarizing_unraveling, dft_matrix, measurement_channel, psd_sqrt, x_basis_povm, z_basis_povm
 
 
 def _pure(psi):
@@ -669,7 +669,7 @@ class TestCheckValidatesOnce:
         density = _count_calls(monkeypatch, linalg, "density_spectrum")
         g = _count_calls(monkeypatch, bounds, "_g")
         weights = _count_calls(monkeypatch, channels, "_weights")
-        monkeypatch.setattr(cli, "BLOCK_ELEMENTS", 2 * 9 * (3 + 100 + 3))
+        blocks_of(monkeypatch, 2)
         assert cli.main(["sweep", "--dim", "3", "--trials", "3", "--seed", "4"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 30
         assert (len(density), len(g), len(weights)) == (2, 2, 4)
@@ -678,7 +678,7 @@ class TestCheckValidatesOnce:
         # per block, each normalized once, for every order: the Gram spectra, the
         # remixed distributions, p and q; trials 0 and then 1-2 make two blocks
         calls = _count_calls(monkeypatch, entropy, "_normalized")
-        monkeypatch.setattr(cli, "BLOCK_ELEMENTS", 2 * 4 * (2 + 100 + 3))
+        blocks_of(monkeypatch, 2)
         argv = ["sweep", "--dim", "2", "--trials", "3", "--alpha-grid", "0.3,0.5,0.7,1,1.5,2,3"]
         assert cli.main(argv) == 0
         assert len(capsys.readouterr().out.splitlines()) == 3 * 18

@@ -11,6 +11,7 @@ import sys
 import termios
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,7 @@ from unravel import bounds, channels, cli, demos, ensembles, linalg
 from unravel.channels import random_unraveling
 from unravel.entropy import _entropy, conjugate_order
 
-from helpers import ReferenceReporter, x_basis_povm, z_basis_povm
+from helpers import ReferenceReporter, blocks_of, x_basis_povm, z_basis_povm
 
 
 def _encode(m):
@@ -238,6 +239,34 @@ class TestUncertaintyCommand:
                 code, out, err = _run(capsys, argv)
                 assert (code, out) == (2, "")
                 assert message in json.loads(err)["error"]
+
+    def test_trace_error_names_a_plain_number(self, tmp_path, capsys):
+        povms = {k: [_encode(m) for m in z_basis_povm().elements] for k in ("povm_m", "povm_n")}
+        path = _write_instance(tmp_path, dim=2, rho=_encode(np.eye(2)), **povms)
+        code, out, err = _run(capsys, ["uncertainty", "--in", path, "--alpha", "2"])
+        assert (code, out, err) == (2, "", '{"error": "rho has trace 2.0, expected 1"}\n')
+
+    @pytest.mark.parametrize(
+        "command, field, message",
+        [
+            (["extremal"], "kraus", "completeness violated: Kraus set has an entry of modulus at least 1e+200"),
+            (["uncertainty", "--alpha", "2"], "povm_m", "POVM element has an entry of modulus at least 1e+200"),
+            (["uncertainty", "--alpha", "2"], "rho", "rho has an entry of modulus at least 1e+200"),
+        ],
+        ids=["kraus", "povm", "rho"],
+    )
+    def test_huge_finite_entries_exit_2_without_warning(self, tmp_path, capsys, command, field, message):
+        # every entry of a valid operator has modulus <= 1, so one of 1e200 is rejected
+        # before a product or norm of it overflows (which numpy would warn about)
+        huge = _encode([[0.5, 1e200], [0.0, 0.5]])
+        fields = {k: [_encode(m) for m in z_basis_povm().elements] for k in ("povm_m", "povm_n")}
+        fields[field] = huge if field == "rho" else [huge]
+        path = _write_instance(tmp_path, dim=2, **fields)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = _run(capsys, [command[0], "--in", path, *command[1:]])
+        assert (code, out, err) == (2, "", json.dumps({"error": message}) + "\n")
+        assert caught == []
 
     def test_missing_povm_exits_2(self, tmp_path, capsys):
         path = _write_instance(tmp_path, dim=2)
@@ -623,7 +652,7 @@ class TestBlockedTrials:
     def test_dft_rows_match_per_trial_demo(self, d, trials, alpha, seed, block):
         argv = ["demo", "dft", "--dim", str(d), "--alpha", repr(alpha), "--trials", str(trials), "--seed", str(seed)]
         with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(io.StringIO()) as out:
-            mp.setattr(cli, "BLOCK_ELEMENTS", block * d)  # blocks of `block` trials
+            blocks_of(mp, block)
             assert cli.main(argv) == 0
         rows = _json_rows(out.getvalue())
         assert len(rows) == trials + 1
@@ -647,7 +676,7 @@ class TestBlockedTrials:
         m = d + extra
         argv = ["ensemble", "--dim", str(d), "--members", str(m), "--alpha", repr(alpha), "--trials", str(trials)]
         with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(io.StringIO()) as out:
-            mp.setattr(cli, "BLOCK_ELEMENTS", block * ((m + 1) * d * d + m * m))  # blocks of `block` trials
+            blocks_of(mp, block)
             assert cli.main(argv + ["--seed", str(seed)]) == 0
         rows = _json_rows(out.getvalue())
         assert len(rows) == 2 * trials
@@ -682,7 +711,7 @@ class TestBlockedTrials:
 
         stream = linalg._stream
         monkeypatch.setattr(linalg, "_stream", spy)
-        monkeypatch.setattr(cli, "BLOCK_ELEMENTS", 4 * (3 * 4 + 4))
+        blocks_of(monkeypatch, 4)
         code, out, err = _run(capsys, ["ensemble", "--dim", "2", "--members", "2", "--alpha", "2", "--trials", "8"])
         assert code == 2
         assert json.loads(err) == {"error": "trial 3 failed"}
@@ -696,7 +725,6 @@ class TestBlockedTrials:
         assert drawn == opened_once
 
         drawn.clear()
-        monkeypatch.setattr(cli, "BLOCK_ELEMENTS", 4 * 4 * (2 + 5 + 3))
         code, out, err = _run(capsys, ["sweep", "--dim", "2", "--trials", "8", "--remixings", "5"])
         assert code == 2
         assert json.loads(err) == {"error": "trial 3 failed"}
@@ -720,7 +748,7 @@ class TestBlockedTrials:
             return demo(state, orders)
 
         monkeypatch.setattr(demos, "dft_uncertainty_demo", spy)
-        monkeypatch.setattr(cli, "BLOCK_ELEMENTS", 4 * 3)
+        blocks_of(monkeypatch, 4)
         code, out, err = _run(capsys, ["demo", "dft", "--dim", "3", "--alpha", "2", "--trials", "8", "--seed", "9"])
         assert code == 3
         assert json.loads(err) == {"error": "RuntimeError: trial 5 failed"}
@@ -736,7 +764,6 @@ class TestBlockedTrials:
             return f(m, n, w, v)
 
         monkeypatch.setattr(bounds, "_f", f_spy)
-        monkeypatch.setattr(cli, "BLOCK_ELEMENTS", 4 * 9 * (3 + 7 + 3))
         code, out, err = _run(capsys, ["sweep", "--dim", "3", "--trials", "8", "--remixings", "7", "--seed", "9"])
         assert code == 3
         assert json.loads(err) == {"error": "RuntimeError: trial 5 failed"}
@@ -758,7 +785,7 @@ class TestBlockedTrials:
     def test_sweep_rows_match_per_trial_path(self, d, trials, remixings, seed, block, grid):
         argv = ["sweep", "--dim", str(d), "--trials", str(trials), "--remixings", str(remixings), "--seed", str(seed)]
         with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(io.StringIO()) as out:
-            mp.setattr(cli, "BLOCK_ELEMENTS", block * d * d * (d + remixings + 3))  # blocks of `block` trials
+            blocks_of(mp, block)
             assert cli.main(argv + ["--alpha-grid", ",".join(map(repr, grid))]) == 0
         want = []
         for t in range(trials):
@@ -795,8 +822,7 @@ class TestBlockedTrials:
     def test_memory_flat_in_trials(self, monkeypatch, argv, trials):
         # blocks of 25 trials: ten times the trials, the same peak.  (CPython keeps up to
         # 2000 freed tuples of each length below 21 for reuse, which would count here.)
-        per_trial = {"demo": 8, "ensemble": 5 * 9 + 16, "sweep": 4 * (2 + 20 + 3)}[argv[0]]
-        monkeypatch.setattr(cli, "BLOCK_ELEMENTS", 25 * per_trial)
+        blocks_of(monkeypatch, 25)
         monkeypatch.setattr(sys, "stdout", _NullStream())
         peaks = []
         for n in (trials, 10 * trials):
@@ -824,21 +850,21 @@ class TestBlockedTrials:
                 return self._rng.standard_normal(size)
 
         monkeypatch.setattr(cli.np.random, "default_rng", Counted)
-        monkeypatch.setattr(cli, "BLOCK_ELEMENTS", 4 * 3)  # blocks of 4 trials after trial 0
+        blocks_of(monkeypatch, 4)  # blocks of 4 trials after trial 0
         code, out, _ = _run(capsys, ["demo", "dft", "--dim", "3", "--alpha", "2", "--trials", "10"])
         assert code == 0
         assert len(_json_rows(out)) == 11
         assert calls == [(1, 2, 3), (4, 2, 3), (4, 2, 3), (1, 2, 3)]
 
     @pytest.mark.parametrize(
-        "argv, per_trial, stages, rows",
+        "argv, stages, rows",
         [
-            (["sweep", "--dim", "2", "--trials", "10", "--remixings", "5"], 4 * (2 + 5 + 3), 5, 10),
-            (["ensemble", "--dim", "2", "--members", "2", "--alpha", "2", "--trials", "10"], 3 * 4 + 4, 3 + 2, 2),
+            (["sweep", "--dim", "2", "--trials", "10", "--remixings", "5"], 5, 10),
+            (["ensemble", "--dim", "2", "--members", "2", "--alpha", "2", "--trials", "10"], 3 + 2, 2),
         ],
         ids=["sweep", "ensemble"],
     )
-    def test_seeds_hashed_once_per_block(self, capsys, monkeypatch, argv, per_trial, stages, rows):
+    def test_seeds_hashed_once_per_block(self, capsys, monkeypatch, argv, stages, rows):
         # one hash per block, of every stage's seeds: each stage reads its row of the result
         calls, seed_states = [], linalg._seed_states
 
@@ -847,7 +873,7 @@ class TestBlockedTrials:
             return seed_states(seeds)
 
         monkeypatch.setattr(linalg, "_seed_states", counting)
-        monkeypatch.setattr(cli, "BLOCK_ELEMENTS", 4 * per_trial)  # blocks of 4 trials after trial 0
+        blocks_of(monkeypatch, 4)  # blocks of 4 trials after trial 0
         code, out, _ = _run(capsys, argv)
         assert code == 0
         assert len(_json_rows(out)) == 10 * rows
@@ -908,11 +934,16 @@ class TestBlockedTrials:
         assert rows == _ensemble_rows(d, m, alpha, 4, seed)
         assert [r["seed"] for r in rows] == [seed + 1000 * t for t in range(4) for _ in range(2)]
 
-    @pytest.mark.parametrize("block", [1, 4])
-    def test_ensemble_weights_are_default_rng_dirichlet(self, capsys, monkeypatch, block):
+    @pytest.mark.parametrize(
+        "block, m",
+        [pytest.param(block, m, id=f"{block}" if m == 3 else f"{block}-m{m}") for block in (1, 4) for m in (1, 3, 8, 9, 33)],
+    )
+    def test_ensemble_weights_are_default_rng_dirichlet(self, capsys, monkeypatch, block, m):
         # each trial's mixture weights are, bit for bit, default_rng(base + 2).dirichlet,
-        # in blocks of one trial and of four, at a seed of five 32-bit words
-        seed, d, m, alpha, trials = 2**130, 2, 3, 1.5, 6
+        # in blocks of one trial and of four, at a seed of five 32-bit words.  From m = 8
+        # on, numpy's pairwise sum separates a plain sum from the left-to-right one
+        # dirichlet scales by; one member needs d = 1
+        seed, d, alpha, trials = 2**130, min(m, 2), 1.5, 6
         drawn, normalized = [], cli._normalized
 
         def spy(weights):  # the command normalizes its stacked Dirichlet draws here, once per block
@@ -920,7 +951,7 @@ class TestBlockedTrials:
             return normalized(weights)
 
         monkeypatch.setattr(cli, "_normalized", spy)
-        monkeypatch.setattr(cli, "BLOCK_ELEMENTS", block * ((m + 1) * d * d + m * m))
+        blocks_of(monkeypatch, block)
         argv = ["ensemble", "--dim", str(d), "--members", str(m), "--alpha", str(alpha), "--trials", str(trials)]
         code, out, _ = _run(capsys, argv + ["--seed", str(seed)])
         assert code == 0

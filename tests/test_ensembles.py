@@ -213,6 +213,13 @@ class TestMixedEnsembleBounds:
             lower, mid, upper = mixed_ensemble_bounds_check(e, alpha)
             assert lower <= mid + 1e-12 and mid <= upper + 1e-12
 
+    def test_huge_member_rejected_before_any_norm(self):
+        # the Hermitian check's norm of a 1e200 entry would overflow and warn (an error in
+        # this suite); no entry of a state exceeds modulus 1, so the entry is named first
+        huge = np.array([[0.5, 1e200], [0.0, 0.5]], dtype=complex)
+        with pytest.raises(ValueError, match=r"^member has an entry of modulus at least 1e\+200$"):
+            MixedEnsemble(np.array([0.5, 0.5]), (np.eye(2) / 2, huge))
+
     def test_names_offending_member(self):
         bad = np.diag([1.5, -0.5]).astype(complex)
         with pytest.raises(ValueError, match="member 1 is not PSD"):
