@@ -76,7 +76,7 @@ def remix(a: Unraveling, u) -> Unraveling:
     A unitary larger than the Kraus set pads the set with zero operators
     first; a smaller one is rejected.
     """
-    u = check_unitary(u)
+    u = check_unitary(linalg.check_entries(np.asarray(u, dtype=complex), "remix unitary"))
     m = u.shape[0]
     if m < a.n_ops:
         raise ValueError(f"remix unitary dim {m} < number of Kraus operators {a.n_ops}")

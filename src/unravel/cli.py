@@ -295,6 +295,20 @@ def _theorem1(lambdas: np.ndarray, probs: np.ndarray, alpha: float) -> tuple:
     return _entropy(probs, alpha, "tsallis").min(axis=-1), _entropy(lambdas, alpha, "tsallis")
 
 
+def _remixed(pi: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """channels.remixed_probabilities(pi, linalg.positive_qr(z)) for Gram matrices pi (..., n, n)
+    and the Ginibre draws z (..., R, n, n) of their R remixings, made and applied over slices of
+    the R axis of at most BLOCK_ELEMENTS entries of z (one remixing at least), so no R-long stack
+    of unitaries, R factors or products is held.  QR, the stacked product and vecdot each act per
+    matrix, so the slices change no bit."""
+    count = z.shape[-3]
+    step = max(1, BLOCK_ELEMENTS // (z.size // count))
+    probs = [
+        channels.remixed_probabilities(pi, linalg.positive_qr(z[..., i : i + step, :, :])) for i in range(0, count, step)
+    ]
+    return probs[0] if len(probs) == 1 else np.concatenate(probs, axis=-2)
+
+
 def cmd_extremal(args, rep: Reporter) -> None:
     inst = load_instance(args.infile, needs=("kraus",))
     a = inst["kraus"]
@@ -306,8 +320,8 @@ def cmd_extremal(args, rep: Reporter) -> None:
             "extremal_kraus": [matrix_to_json(k) for k in result.extremal.kraus_ops],
         }
     )
-    us = linalg.haar_random_unitaries(a.n_ops, args.remixings, inst["seed"])
-    probs = channels.remixed_probabilities(result.gram, us)
+    # haar_random_unitaries' draw, made unitary and applied a slice at a time
+    probs = _remixed(result.gram, linalg.seeded_ginibre(inst["seed"], args.remixings, a.n_ops, a.n_ops))
     # one (lhs, rhs) pair per order, as two columns
     lhs, rhs = np.reshape([_theorem1(result.lambdas, probs, alpha) for alpha in args.alpha_grid], (-1, 2)).T
     columns = dict(alpha=args.alpha_grid, lhs=lhs.tolist(), rhs=rhs.tolist(), slack=(lhs - rhs).tolist())
@@ -347,7 +361,8 @@ def _run_plan(rep: Reporter, trials: int, seed: int, plan: list, compute) -> Non
 def cmd_sweep(args, rep: Reporter) -> None:
     d, grid = args.dim, args.alpha_grid
     orders = [conjugate_order(alpha) for alpha in grid if alpha > 0.5]
-    # the draws of random_density, random_unraveling, haar_random_unitaries and the two random_projective_povm
+    # the draws of random_density, random_unraveling, haar_random_unitaries and the two
+    # random_projective_povm; the remixings (stage 2) are made and applied a slice at a time
     plan = [(linalg.ginibre_stack, shape) for shape in ((d, d), (d * d, d), (args.remixings, d, d), (d, d), (d, d))]
 
     def compute(bases: range, draw):
@@ -357,7 +372,7 @@ def cmd_sweep(args, rep: Reporter) -> None:
         gram = channels._gram(kraus, rho)
         del kraus  # before the remixings are drawn
         lambdas = _normalized(linalg._descending_eig(gram)[0])
-        probs = channels.remixed_probabilities(gram, linalg.positive_qr(draw(2)))
+        probs = _remixed(gram, draw(2))
         m, n = bounds._projective(linalg.positive_qr(draw(3))), bounds._projective(linalg.positive_qr(draw(4)))
         g, reports = bounds._reports(m, n, (rho,), orders, "g", ("tsallis", "renyi"))
         f, fb = bounds._f(m, n, w, v), bounds._f_bar(m, n)

@@ -38,7 +38,7 @@ class PureEnsemble:
         states = np.array(states, dtype=complex)
         if states.ndim == 0 or len(states) != w.size:
             raise ValueError("weights and states disagree in length")
-        states = states.reshape(w.size, -1)
+        states = linalg.check_entries(states.reshape(w.size, -1), "states")
         linalg.check_unit_norm(states)
         self.weights, self.states = w, states
 

@@ -90,7 +90,7 @@ def check_entries(x: np.ndarray, name: str) -> np.ndarray:
     """x, rejected if a finite entry's real or imaginary part exceeds MAX_MODULUS: the first check
     of a caller's operator, so no product or norm of it overflows.  NaN and inf are left to the
     finiteness check that each caller makes next."""
-    big = np.maximum(np.abs(x.real), np.abs(x.imag)).max()
+    big = np.maximum(np.abs(x.real), np.abs(x.imag)).max(initial=0.0)
     if MAX_MODULUS < big < np.inf:
         raise ValueError(f"{name} has an entry of modulus at least {float(big)}")
     return x
@@ -353,7 +353,9 @@ def positive_qr(z: np.ndarray) -> np.ndarray:
     (sqrt(m) + sqrt(n)) / (sqrt(m) - sqrt(n)) <= 3 + 2 sqrt(2) ~ 5.83.  Every
     other draw takes Householder QR, whose error does not grow with cond(z):
     a square Ginibre draw has no such bound on its condition number, and
-    there Cholesky QR is slower too.
+    there Cholesky QR is slower too.  numpy's QR holds LAPACK's working copy,
+    R and Q of the whole stack at once, and each form acts per matrix, so a
+    caller with a long stack (cli._remixed) passes it a slice at a time.
     """
     m, n = z.shape[-2:]
     if m >= 2 * n:

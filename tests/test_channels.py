@@ -106,6 +106,12 @@ class TestRemix:
         with pytest.raises(ValueError):
             remix(a, np.eye(3))
 
+    def test_huge_entry_rejected_before_a_product(self):
+        # every entry of a unitary has modulus <= 1; u†u of 1e200 would overflow, which
+        # numpy warns about (the suite raises warnings)
+        with pytest.raises(ValueError, match=r"^remix unitary has an entry of modulus at least 1e\+200$"):
+            remix(Unraveling([np.eye(1)]), 1e200 * np.eye(1))
+
 
 class TestGramMatrix:
     def test_unitary_channel(self):

@@ -787,28 +787,7 @@ class TestBlockedTrials:
         with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(io.StringIO()) as out:
             blocks_of(mp, block)
             assert cli.main(argv + ["--alpha-grid", ",".join(map(repr, grid))]) == 0
-        want = []
-        for t in range(trials):
-            # the public one-trial functions, under the sweep's seed layout
-            base = seed + 1000 * t
-            rho = linalg.random_density(d, d, base)
-            extremal = channels.extremal_unraveling(channels.random_unraveling(d, d, base + 1), rho)
-            probs = channels.remixed_probabilities(extremal.gram, linalg.haar_random_unitaries(d, remixings, base + 2))
-            m, n = bounds.random_projective_povm(d, base + 3), bounds.random_projective_povm(d, base + 4)
-            g, f, fb = bounds.g_factor(m, n, rho), bounds.f_factor(m, n, rho), bounds.f_bar(m, n)
-            want.append(dict(check_name="factor_chain", d=d, slack=min(f - g, fb - f, 1.0 + 1e-10 - fb), factor=g, seed=base))
-            for alpha in grid:
-                lhs, rhs = float(_entropy(probs, alpha, "tsallis").min()), _entropy(extremal.lambdas, alpha, "tsallis")
-                want.append(dict(check_name="theorem1_tsallis", d=d, alpha=alpha, lhs=lhs, rhs=rhs, slack=lhs - rhs, seed=base))
-                if alpha > 0.5:
-                    orders = conjugate_order(alpha)
-                    for name, check in (
-                        ("theorem2_tsallis", bounds.tsallis_uncertainty_check),
-                        ("renyi_relation", bounds.renyi_uncertainty_check),
-                    ):
-                        report = check(m, n, rho, orders, "g")
-                        want.append(dict(check_name=name, d=d, factor_kind="g", seed=base, **cli._report_fields(report)))
-        assert _json_rows(out.getvalue()) == want
+        assert _json_rows(out.getvalue()) == _sweep_rows(d, trials, remixings, seed, grid)
 
     @pytest.mark.parametrize(
         "argv, trials",
@@ -906,26 +885,7 @@ class TestBlockedTrials:
         argv = ["sweep", "--dim", str(d), "--trials", "4", "--remixings", "5", "--seed", str(seed)]
         code, out, _ = _run(capsys, argv)
         assert code == 0
-        want = []
-        for t in range(4):
-            base = seed + 1000 * t
-            rho = linalg.random_density(d, d, base)
-            extremal = channels.extremal_unraveling(channels.random_unraveling(d, d, base + 1), rho)
-            probs = channels.remixed_probabilities(extremal.gram, linalg.haar_random_unitaries(d, 5, base + 2))
-            m_povm, n_povm = bounds.random_projective_povm(d, base + 3), bounds.random_projective_povm(d, base + 4)
-            g, f = bounds.g_factor(m_povm, n_povm, rho), bounds.f_factor(m_povm, n_povm, rho)
-            fb = bounds.f_bar(m_povm, n_povm)
-            want.append(dict(check_name="factor_chain", d=d, slack=min(f - g, fb - f, 1.0 + 1e-10 - fb), factor=g, seed=base))
-            for a in (1.5, 2.0, 3.0):
-                lhs, rhs = float(_entropy(probs, a, "tsallis").min()), _entropy(extremal.lambdas, a, "tsallis")
-                want.append(dict(check_name="theorem1_tsallis", d=d, alpha=a, lhs=lhs, rhs=rhs, slack=lhs - rhs, seed=base))
-                for name, check in (
-                    ("theorem2_tsallis", bounds.tsallis_uncertainty_check),
-                    ("renyi_relation", bounds.renyi_uncertainty_check),
-                ):
-                    report = check(m_povm, n_povm, rho, conjugate_order(a), "g")
-                    want.append(dict(check_name=name, d=d, factor_kind="g", seed=base, **cli._report_fields(report)))
-        assert _json_rows(out) == want
+        assert _json_rows(out) == _sweep_rows(d, 4, 5, seed, [1.5, 2.0, 3.0])
 
         argv = ["ensemble", "--dim", str(d), "--members", str(m), "--alpha", str(alpha), "--trials", "4"]
         code, out, _ = _run(capsys, argv + ["--seed", str(seed)])
@@ -959,6 +919,122 @@ class TestBlockedTrials:
         want = np.stack([np.random.default_rng(seed + 1000 * t + 2).dirichlet(np.ones(m)) for t in range(trials)])
         assert np.concatenate(drawn).tobytes() == want.tobytes()
         assert _json_rows(out) == _ensemble_rows(d, m, alpha, trials, seed)
+
+
+class TestRemixingSlices:
+    """`sweep` and `extremal` make the remixings unitary and apply them over slices of at
+    most BLOCK_ELEMENTS entries of their draw; the rows are those of the whole stack, and
+    memory grows with --remixings only by the draw."""
+
+    @staticmethod
+    def counted(monkeypatch) -> list:
+        """The remixing count of each channels.remixed_probabilities call, from now on."""
+        counts, remixed = [], channels.remixed_probabilities
+
+        def spy(pi, unitaries):
+            counts.append(unitaries.shape[-3])
+            return remixed(pi, unitaries)
+
+        monkeypatch.setattr(channels, "remixed_probabilities", spy)
+        return counts
+
+    @staticmethod
+    def sliced(counts: list, remixings: int, n: int) -> None:
+        assert len(counts) > 1 and sum(counts) == remixings and max(counts) * n * n <= cli.BLOCK_ELEMENTS, counts
+
+    @pytest.mark.parametrize("d, remixings", [(16, 300), (32, 100)])
+    def test_sweep_rows_match_public_path(self, monkeypatch, d, remixings):
+        counts = self.counted(monkeypatch)
+        argv = ["sweep", "--dim", str(d), "--trials", "1", "--remixings", str(remixings), "--seed", "5"]
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert cli.main(argv) == 0
+        monkeypatch.undo()
+        self.sliced(counts, remixings, d)
+        assert _json_rows(out.getvalue()) == _sweep_rows(d, 1, remixings, 5, [1.5, 2.0, 3.0])
+
+    @pytest.mark.parametrize("n_kraus, remixings", [(16, 300), (32, 200)])
+    def test_extremal_rows_match_public_path(self, tmp_path, monkeypatch, n_kraus, remixings):
+        kraus = [_encode(k) for k in random_unraveling(2, n_kraus, seed=4).kraus_ops]
+        path = _write_instance(tmp_path, dim=2, seed=2**70 + 3, kraus=kraus, rho=_encode(np.diag([0.7, 0.3])))
+        argv = ["extremal", "--in", path, "--remixings", str(remixings)]
+
+        def outputs() -> tuple:
+            counts = self.counted(monkeypatch)
+            outs = []
+            for fmt in ("json", "csv"):
+                with contextlib.redirect_stdout(io.StringIO()) as out:
+                    assert cli.main(["--format", fmt, *argv]) == 0
+                outs.append(out.getvalue())
+            monkeypatch.undo()
+            return counts, outs
+
+        counts, outs = outputs()
+        self.sliced(counts, 2 * remixings, n_kraus)
+        monkeypatch.setattr(cli, "BLOCK_ELEMENTS", remixings * n_kraus**2)
+        counts, whole = outputs()  # one slice
+        assert counts == [remixings] * 2
+        assert outs == whole
+        inst = cli.load_instance(path)
+        result = channels.extremal_unraveling(inst["kraus"], inst["rho"])
+        probs = channels.remixed_probabilities(result.gram, linalg.haar_random_unitaries(n_kraus, remixings, inst["seed"]))
+        want = [
+            dict(
+                check_name="extremal_summary",
+                lambdas=[float(x) for x in result.lambdas],
+                extremal_kraus=[cli.matrix_to_json(k) for k in result.extremal.kraus_ops],
+            )
+        ]
+        for alpha in (0.3, 0.7, 1.0, 1.5, 2.0, 5.0):
+            lhs, rhs = float(_entropy(probs, alpha, "tsallis").min()), _entropy(result.lambdas, alpha, "tsallis")
+            want.append(dict(check_name="extremal_vs_remixings", d=2, alpha=alpha, lhs=lhs, rhs=rhs, slack=lhs - rhs, seed=inst["seed"]))
+        assert _json_rows(outs[0]) == want
+
+    @pytest.mark.parametrize("command", ["sweep", "extremal"])
+    def test_memory_per_remixing_is_the_draw(self, tmp_path, monkeypatch, command):
+        # at n = 16 the whole stack's QR held ~62·n² bytes a remixing; now only the draw
+        # grows, its real pairs and their complex form, 32·n² bytes a remixing at most
+        n = 16
+        if command == "sweep":
+            argv = ["sweep", "--dim", str(n), "--trials", "1"]
+        else:
+            kraus = [_encode(k) for k in random_unraveling(2, n, seed=4).kraus_ops]
+            argv = ["extremal", "--in", _write_instance(tmp_path, dim=2, kraus=kraus), "--alpha-grid", "2"]
+        monkeypatch.setattr(sys, "stdout", _NullStream())
+        peaks = []
+        for remixings in (500, 2000):
+            tracemalloc.start()
+            try:
+                assert cli.main(argv + ["--remixings", str(remixings)]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 40 * n * n * 1500, peaks
+
+
+def _sweep_rows(d: int, trials: int, remixings: int, seed: int, grid: list) -> list:
+    """The rows of `sweep`, each trial drawn through the public one-trial functions under
+    the sweep's seed layout."""
+    want = []
+    for t in range(trials):
+        base = seed + 1000 * t
+        rho = linalg.random_density(d, d, base)
+        extremal = channels.extremal_unraveling(channels.random_unraveling(d, d, base + 1), rho)
+        probs = channels.remixed_probabilities(extremal.gram, linalg.haar_random_unitaries(d, remixings, base + 2))
+        m, n = bounds.random_projective_povm(d, base + 3), bounds.random_projective_povm(d, base + 4)
+        g, f, fb = bounds.g_factor(m, n, rho), bounds.f_factor(m, n, rho), bounds.f_bar(m, n)
+        want.append(dict(check_name="factor_chain", d=d, slack=min(f - g, fb - f, 1.0 + 1e-10 - fb), factor=g, seed=base))
+        for alpha in grid:
+            lhs, rhs = float(_entropy(probs, alpha, "tsallis").min()), _entropy(extremal.lambdas, alpha, "tsallis")
+            want.append(dict(check_name="theorem1_tsallis", d=d, alpha=alpha, lhs=lhs, rhs=rhs, slack=lhs - rhs, seed=base))
+            if alpha > 0.5:
+                orders = conjugate_order(alpha)
+                for name, check in (
+                    ("theorem2_tsallis", bounds.tsallis_uncertainty_check),
+                    ("renyi_relation", bounds.renyi_uncertainty_check),
+                ):
+                    report = check(m, n, rho, orders, "g")
+                    want.append(dict(check_name=name, d=d, factor_kind="g", seed=base, **cli._report_fields(report)))
+    return want
 
 
 def _ensemble_rows(d: int, m: int, alpha: float, trials: int, seed: int) -> list:

@@ -55,6 +55,12 @@ class TestEnsembleFromState:
         with pytest.raises(ValueError, match="state 1 is not normalized"):
             _pure_ensemble([0.5, 0.5], [[1, 0], [np.nan, 0]])
 
+    def test_huge_state_entry_rejected_before_its_norm(self):
+        # a unit vector's entries have modulus <= 1; the norm of 1e200 would overflow in
+        # vecdot, which numpy warns about (the suite raises warnings)
+        with pytest.raises(ValueError, match=r"^states has an entry of modulus at least 1e\+200$"):
+            PureEnsemble([1.0], [[1e200, 0]])
+
     def test_maximally_mixed_qubit(self):
         e = ensemble_from_state(np.eye(2) / 2, 2, seed=3)
         assert np.linalg.norm(ensemble_density(e) - np.eye(2) / 2) < 1e-10

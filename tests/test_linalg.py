@@ -149,6 +149,14 @@ class TestGinibreStack:
         want = np.stack([linalg.ginibre(np.random.default_rng(s), 2, 2) for s in seeds])
         assert linalg.ginibre_stack(states[1:5], 2, 2).tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("m", [0, 1, 3, 8, 33])
+    def test_exponential_stack_is_default_rng_to_the_bit(self, m):
+        # the fill behind `ensemble`'s Dirichlet weights: slot i is default_rng(s).standard_exponential(m)
+        seeds = [0, 7, 2**63, 10**23, 2**200, 7]
+        want = np.stack([np.random.default_rng(s).standard_exponential(m) for s in seeds])
+        got = linalg.exponential_stack(linalg._seed_states(seeds), m)
+        assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("seed", [0, 3, 2**63, 10**23])
     @pytest.mark.parametrize("dim", [1, 2, 3, 8])
     def test_one_seed_generators_keep_their_draws(self, seed, dim):
