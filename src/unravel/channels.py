@@ -104,8 +104,14 @@ def _rows(k: np.ndarray) -> np.ndarray:
 
 
 def _pair_traces(x: np.ndarray, y: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """tr(X_i† Y_j rho) = sum_ab conj(X_i)_ab (Y_j rho)_ab, (..., n_x, n_y)."""
-    return _flat(x).conj() @ _flat(y @ rho[..., None, :, :]).swapaxes(-1, -2)
+    """tr(X_i† Y_j rho) = sum_ab conj(X_i)_ab (Y_j rho)_ab, (..., n_x, n_y), formed as
+    conj(sum_ab (X_i)_ab conj(Y_j rho)_ab) with Y rho conjugated in place, so no
+    conjugate copy of X is made.  The two forms differ by signs alone, which rounding
+    keeps; BLAS does not promise it, so test_channels pins it."""
+    w = y @ rho[..., None, :, :]
+    np.conjugate(w, out=w)
+    t = _flat(x) @ _flat(w).swapaxes(-1, -2)
+    return np.conjugate(t, out=t)
 
 
 def _gram(k: np.ndarray, rho: np.ndarray) -> np.ndarray:

@@ -295,17 +295,19 @@ def _theorem1(lambdas: np.ndarray, probs: np.ndarray, alpha: float) -> tuple:
     return _entropy(probs, alpha, "tsallis").min(axis=-1), _entropy(lambdas, alpha, "tsallis")
 
 
-def _remixed(pi: np.ndarray, z: np.ndarray) -> np.ndarray:
+def _remixings(states: np.ndarray, count: int, *shape: int):
+    """The remixings' fill: ginibre_stack(states, count, *shape) as its slices along the
+    count axis, each of at most BLOCK_ELEMENTS entries (linalg.ginibre_slices)."""
+    return linalg.ginibre_slices(states, count, *shape, entries=BLOCK_ELEMENTS)
+
+
+def _remixed(pi: np.ndarray, slices) -> np.ndarray:
     """channels.remixed_probabilities(pi, linalg.positive_qr(z)) for Gram matrices pi (..., n, n)
-    and the Ginibre draws z (..., R, n, n) of their R remixings, made and applied over slices of
-    the R axis of at most BLOCK_ELEMENTS entries of z (one remixing at least), so no R-long stack
-    of unitaries, R factors or products is held.  QR, the stacked product and vecdot each act per
-    matrix, so the slices change no bit."""
-    count = z.shape[-3]
-    step = max(1, BLOCK_ELEMENTS // (z.size // count))
-    probs = [
-        channels.remixed_probabilities(pi, linalg.positive_qr(z[..., i : i + step, :, :])) for i in range(0, count, step)
-    ]
+    and the Ginibre draw z (..., R, n, n) of their R remixings, given as its slices along the R
+    axis (_remixings): each slice is made unitary and applied before the next is drawn, so
+    neither z nor an R-long stack of unitaries, R factors or products is held.  QR, the stacked
+    product and vecdot each act per matrix, so the slices change no bit."""
+    probs = [channels.remixed_probabilities(pi, linalg.positive_qr(z)) for z in slices]
     return probs[0] if len(probs) == 1 else np.concatenate(probs, axis=-2)
 
 
@@ -320,8 +322,8 @@ def cmd_extremal(args, rep: Reporter) -> None:
             "extremal_kraus": [matrix_to_json(k) for k in result.extremal.kraus_ops],
         }
     )
-    # haar_random_unitaries' draw, made unitary and applied a slice at a time
-    probs = _remixed(result.gram, linalg.seeded_ginibre(inst["seed"], args.remixings, a.n_ops, a.n_ops))
+    # haar_random_unitaries' draw, drawn, made unitary and applied a slice at a time
+    probs = _remixed(result.gram, _remixings(linalg._seed_states((inst["seed"],)), args.remixings, a.n_ops, a.n_ops))[0]
     # one (lhs, rhs) pair per order, as two columns
     lhs, rhs = np.reshape([_theorem1(result.lambdas, probs, alpha) for alpha in args.alpha_grid], (-1, 2)).T
     columns = dict(alpha=args.alpha_grid, lhs=lhs.tolist(), rhs=rhs.tolist(), slack=(lhs - rhs).tolist())
@@ -362,8 +364,9 @@ def cmd_sweep(args, rep: Reporter) -> None:
     d, grid = args.dim, args.alpha_grid
     orders = [conjugate_order(alpha) for alpha in grid if alpha > 0.5]
     # the draws of random_density, random_unraveling, haar_random_unitaries and the two
-    # random_projective_povm; the remixings (stage 2) are made and applied a slice at a time
-    plan = [(linalg.ginibre_stack, shape) for shape in ((d, d), (d * d, d), (args.remixings, d, d), (d, d), (d, d))]
+    # random_projective_povm; the remixings (stage 2) are drawn, made and applied a slice at a time
+    plan = [(linalg.ginibre_stack, (d, d)), (linalg.ginibre_stack, (d * d, d)), (_remixings, (args.remixings, d, d))]
+    plan += [(linalg.ginibre_stack, (d, d))] * 2
 
     def compute(bases: range, draw):
         rho, w, v = linalg.density_spectrum(linalg._densities(draw(0)), vectors=True)

@@ -21,7 +21,11 @@ seeding, so test_linalg pins the batched states against SeedSequence and
 default_rng; they were written against numpy 2.4.6.  Which seed each of a
 stacked command's draws takes is declared once, in its stage plan (cli._run_plan).
 Each seeded generator is a one-seed view of the fill (seeded_ginibre) handed to
-a kernel that works on a stack of such draws.
+a kernel that works on a stack of such draws.  A long draw can be filled as a
+stream of slices instead (ginibre_slices): a row's real parts, then its
+imaginary parts a slice at a time from the same stream, since consecutive
+standard_normal fills read one stream in order; so only the real parts and one
+slice are held, and the slices are the stack's bit for bit.
 
 Haar sampling is Mezzadri's (Notices AMS 54, 592, 2007): Q of a Ginibre draw
 with R's diagonal positive (positive_qr).  A draw at least twice as tall as
@@ -34,6 +38,7 @@ Square and less tall draws, every unitary included, take Householder QR.
 from __future__ import annotations
 
 import functools
+import math
 import operator
 
 import numpy as np
@@ -330,6 +335,38 @@ def ginibre_stack(states: np.ndarray, *shape: int) -> np.ndarray:
     return _complex_gaussian(pairs[:, 0], pairs[:, 1])
 
 
+def ginibre_slices(states: np.ndarray, count: int, *shape: int, entries: int):
+    """Yield ginibre_stack(states, count, *shape) in slices along the count axis, each
+    of at most `entries` entries (one along that axis at least), bit for bit.
+
+    Only the real parts of every row and one slice of imaginary parts are held.
+    A row's stream draws all its real parts, then the imaginary parts a slice at a
+    time: standard_normal(out=...) reads the stream in order, so consecutive fills
+    of the shared generator equal one fill.  Several slices are made only for one
+    row, since each row resets the shared generator; a stacked command's blocks of
+    two or more trials fit one slice (cli._stream_trials).  A draw that resets the
+    generator between two slices raises RuntimeError."""
+    step = max(1, entries // (len(states) * math.prod(shape)))
+    assert len(states) == 1 or step >= count, "several rows are drawn in one slice only"
+    re = np.empty((len(states), count, *shape))
+    im = np.empty((len(states), min(step, count), *shape))
+    rng = _generator()
+    for k, state in enumerate(states):
+        _stream(state).standard_normal(out=re[k])
+        rng.standard_normal(out=im[k])
+    for i in range(0, count, step):
+        part = im[:, : count - i]
+        if i:
+            if rng.bit_generator.state != last:
+                raise RuntimeError("the shared generator was reset between two slices of a Ginibre draw")
+            rng.standard_normal(out=part[0])
+        last = rng.bit_generator.state
+        z = _complex_gaussian(re[:, i : i + step], part)
+        if i + step >= count:  # the last slice: free the parts before the caller works on it
+            re = im = part = None
+        yield z
+
+
 def exponential_stack(states: np.ndarray, *shape: int) -> np.ndarray:
     """The standard_exponential fill."""
     return _fill(states, "standard_exponential", *shape)
@@ -353,14 +390,16 @@ def positive_qr(z: np.ndarray) -> np.ndarray:
     (sqrt(m) + sqrt(n)) / (sqrt(m) - sqrt(n)) <= 3 + 2 sqrt(2) ~ 5.83.  Every
     other draw takes Householder QR, whose error does not grow with cond(z):
     a square Ginibre draw has no such bound on its condition number, and
-    there Cholesky QR is slower too.  numpy's QR holds LAPACK's working copy,
-    R and Q of the whole stack at once, and each form acts per matrix, so a
-    caller with a long stack (cli._remixed) passes it a slice at a time.
+    there Cholesky QR is slower too.  Z†Z is formed first, so the conjugate
+    copy of z is freed before Q is made: z and Q are the two z-sized arrays
+    held.  numpy's QR holds LAPACK's working copy, R and Q of the whole stack
+    at once, and each form acts per matrix, so a caller with a long stack
+    (cli._remixed) passes it a slice at a time.
     """
     m, n = z.shape[-2:]
     if m >= 2 * n:
-        zh = z.conj().swapaxes(-1, -2)
-        return z @ np.linalg.inv(np.linalg.cholesky(zh @ z)).conj().swapaxes(-1, -2)
+        gram = z.conj().swapaxes(-1, -2) @ z
+        return z @ np.linalg.inv(np.linalg.cholesky(gram)).conj().swapaxes(-1, -2)
     q, r = np.linalg.qr(z)
     d = np.diagonal(r, axis1=-2, axis2=-1)
     q *= (d / np.abs(d))[..., None, :]

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unravel import linalg
+from unravel import channels, linalg
 from unravel.channels import (
     Unraveling,
     apply_channel,
@@ -131,6 +131,18 @@ class TestGramMatrix:
         pi_a = gram_matrix(a, rho)
         pi_b = gram_matrix(remix(a, u), rho)
         assert np.linalg.norm(pi_b - u.conj().T @ pi_a @ u) < 1e-10
+
+    @pytest.mark.parametrize("trials", [1, 3])
+    @pytest.mark.parametrize("n, rows, cols", [(1, 1, 1), (2, 2, 2), (5, 5, 5), (64, 64, 64), (3, 4, 2)])
+    def test_pair_traces_is_the_conjugate_form_to_the_bit(self, trials, n, rows, cols):
+        # the kernel conjugates Y rho in place and the product after, in place of a conjugate
+        # copy of X: conj(x conj(y rho)^T) equals conj(x) (y rho)^T only up to signs, which
+        # rounding keeps but BLAS does not promise; (3, 4, 2) is a rectangular Kraus set
+        x, y = (linalg.seeded_ginibre(s, trials, n, rows, cols) for s in (1, 2))
+        rho = linalg._densities(linalg.seeded_ginibre(3, trials, cols, cols))
+        want = x.reshape(trials, n, -1).conj() @ (y @ rho[:, None]).reshape(trials, n, -1).swapaxes(-1, -2)
+        got = channels._pair_traces(x, y, rho)
+        assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_psd_unit_trace(self):
         a = random_unraveling(3, 4, seed=12)

@@ -991,8 +991,8 @@ class TestRemixingSlices:
 
     @pytest.mark.parametrize("command", ["sweep", "extremal"])
     def test_memory_per_remixing_is_the_draw(self, tmp_path, monkeypatch, command):
-        # at n = 16 the whole stack's QR held ~62·n² bytes a remixing; now only the draw
-        # grows, its real pairs and their complex form, 32·n² bytes a remixing at most
+        # at n = 16 the whole stack's QR held ~62·n² bytes a remixing, and the whole complex
+        # draw ~26·n²; now only the draw's real parts grow, 8·n² bytes a remixing
         n = 16
         if command == "sweep":
             argv = ["sweep", "--dim", str(n), "--trials", "1"]
@@ -1008,7 +1008,23 @@ class TestRemixingSlices:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert peaks[1] - peaks[0] <= 40 * n * n * 1500, peaks
+        assert peaks[1] - peaks[0] <= 12 * n * n * 1500, peaks
+
+    def test_kraus_stage_holds_two_operator_sets(self, monkeypatch):
+        # a trial's d³-entry Kraus stage, its draw, the isometry's QR, the completeness check
+        # and the Gram matrix, holds two such arrays at a time: no conjugate copy of the draw
+        # or of the operators beside them (three, with those copies)
+        d = 32
+        monkeypatch.setattr(sys, "stdout", _NullStream())
+        argv = ["sweep", "--dim", str(d), "--trials", "1", "--remixings", "1"]
+        assert cli.main(argv) == 0  # the shared generator is built on first use
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * 16 * d**3, peak / (16 * d**3)
 
 
 def _sweep_rows(d: int, trials: int, remixings: int, seed: int, grid: list) -> list:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -156,6 +158,50 @@ class TestGinibreStack:
         want = np.stack([np.random.default_rng(s).standard_exponential(m) for s in seeds])
         got = linalg.exponential_stack(linalg._seed_states(seeds), m)
         assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**70])
+    @pytest.mark.parametrize("length", [1, 3, 7, 20])
+    def test_slices_are_one_draw_to_the_bit(self, seed, length):
+        # the remixings' fill: a row's real parts, then its imaginary parts a slice at a
+        # time from the same stream; 7 does not divide the 20 rows of the draw
+        count, n = 20, 3
+        slices = list(linalg.ginibre_slices(linalg._seed_states([seed]), count, n, n, entries=length * n * n))
+        assert [z.shape for z in slices] == [(1, min(length, count - i), n, n) for i in range(0, count, length)]
+        assert all(z.flags.c_contiguous for z in slices)
+        want = linalg.ginibre(np.random.default_rng(seed), count, n, n)
+        assert np.concatenate(slices, axis=1)[0].tobytes() == want.tobytes()
+
+    def test_several_rows_are_the_stack(self):
+        states = linalg._seed_states([0, 7, 2**70])
+        (got,) = linalg.ginibre_slices(states, 5, 2, 2, entries=3 * 5 * 2 * 2)
+        assert got.tobytes() == linalg.ginibre_stack(states, 5, 2, 2).tobytes()
+        with pytest.raises(AssertionError):  # several rows never take several slices
+            next(linalg.ginibre_slices(states, 5, 2, 2, entries=3 * 4 * 2 * 2))
+
+    @pytest.mark.parametrize("rows, slices", [(1, 1), (1, 2), (3, 1)])
+    def test_last_slice_is_all_that_is_held(self, rows, slices):
+        # while the caller works on the last slice, the parts it was made from are gone
+        count, n = 200, 8
+        linalg.seeded_ginibre(0, 1)  # the shared generator is built on first use
+        draw = linalg.ginibre_slices(linalg._seed_states(range(rows)), count, n, n, entries=rows * count * n * n // slices)
+        tracemalloc.start()
+        try:
+            for _ in range(slices - 1):
+                next(draw)
+            z = next(draw)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held <= 1.1 * z.nbytes, held / z.nbytes
+
+    def test_reset_between_slices_raises(self):
+        # the slices continue one stream of the shared generator, so a draw in between
+        # that resets it would change their bits: it raises instead
+        slices = linalg.ginibre_slices(linalg._seed_states([5]), 4, 2, 2, entries=2 * 2 * 2)
+        next(slices)
+        linalg.seeded_ginibre(6, 2, 2)
+        with pytest.raises(RuntimeError, match="reset between two slices"):
+            next(slices)
 
     @pytest.mark.parametrize("seed", [0, 3, 2**63, 10**23])
     @pytest.mark.parametrize("dim", [1, 2, 3, 8])
