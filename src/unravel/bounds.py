@@ -112,6 +112,8 @@ class BoundReport(NamedTuple):
 
     Floats for one instance; for stacked distributions lhs and slack are arrays,
     one entry per distribution, and so are rhs and factor when each has its own.
+    At a sequence of orders (_reports) lhs, rhs and slack lead with an order
+    axis, and orders is the sequence.
     """
 
     lhs: float | np.ndarray
@@ -288,12 +290,13 @@ def f_bar(m: Povm, n: Povm) -> float:
 
 
 def _reports(
-    m: Povm, n: Povm, states: tuple, orders_seq, factor_kind: str, kinds
+    m: Povm, n: Povm, states: tuple, orders, factor_kind: str, kinds
 ) -> tuple[float | np.ndarray, list[BoundReport]]:
     """(factor, reports) at validated states, (rho, w, v) from density_spectrum
-    or (rho,) for kinds other than f: p, q and the factor are computed once,
-    then one report per order of orders_seq and kind of kinds, orders outer,
-    normalizing p and q once.  One POVM pair and one state give floats."""
+    or (rho,) for kinds other than f: p, q and the factor are computed once, then
+    one report per kind of kinds, its lhs from one entropy call per POVM and its rhs
+    from one call, at one ConjugateOrders or at a sequence of them (BoundReport).
+    p and q are normalized once.  One POVM pair and one state give floats."""
     rho = states[0]
     p, q = _weights(m._kraus, rho), _weights(n._kraus, rho)
     if factor_kind == "g":
@@ -305,12 +308,18 @@ def _reports(
     else:
         raise ValueError(f"unknown factor kind {factor_kind!r}")
     factor = _value(factor)
-
-    def rhs(orders: ConjugateOrders, kind: str):
-        return alpha_log(np.power(factor, -2.0), orders.mu) if kind == "tsallis" else _value(-2.0 * np.log(factor))
-
     p, q = _normalized(p), _normalized(q)
-    return factor, [_bound_report(p, q, o, k, factor, rhs(o, k)) for o in orders_seq for k in kinds]
+    one = isinstance(orders, ConjugateOrders)
+    alphas, betas, mus = (getattr(orders, k) if one else [getattr(o, k) for o in orders] for k in ("alpha", "beta", "mu"))
+    reports = []
+    for kind in kinds:
+        lhs = _entropy(p, alphas, kind) + _entropy(q, betas, kind)
+        if kind == "tsallis":
+            rhs = alpha_log(np.power(factor, -2.0), mus)
+        else:  # the same at every order
+            rhs = _value(-2.0 * np.log(factor)) if one else np.full(lhs.shape, -2.0 * np.log(factor))
+        reports.append(BoundReport(lhs=lhs, rhs=rhs, slack=lhs - rhs, factor=factor, orders=orders))
+    return factor, reports
 
 
 def _value(x):
@@ -326,7 +335,7 @@ def tsallis_uncertainty_check(
     alpha is bound to the first POVM and beta to the second; every order is
     evaluated exactly, mu = 1 (Shannon) included.  rho is decomposed once.
     """
-    _, (report,) = _reports(m, n, _state(m, n, rho, factor_kind), [orders], factor_kind, ("tsallis",))
+    _, (report,) = _reports(m, n, _state(m, n, rho, factor_kind), orders, factor_kind, ("tsallis",))
     return report
 
 
@@ -334,7 +343,7 @@ def renyi_uncertainty_check(
     m: Povm, n: Povm, rho, orders: ConjugateOrders, factor_kind: str = "g"
 ) -> BoundReport:
     """Evaluate R_a(M|rho) + R_b(N|rho) against -2 ln(factor), as tsallis_uncertainty_check."""
-    _, (report,) = _reports(m, n, _state(m, n, rho, factor_kind), [orders], factor_kind, ("renyi",))
+    _, (report,) = _reports(m, n, _state(m, n, rho, factor_kind), orders, factor_kind, ("renyi",))
     return report
 
 
@@ -356,7 +365,7 @@ class SearchConfig:
 def _extremal_pair(a: Unraveling, b: Unraveling, rho, orders: ConjugateOrders, kind: str) -> BoundReport:
     rho = check_density(rho, _same_dim(a.dim_in, b.dim_in))
     m, n = (povm_from_unraveling(_extremal(x, rho).extremal) for x in (a, b))
-    _, (report,) = _reports(m, n, (rho,), [orders], "g", (kind,))
+    _, (report,) = _reports(m, n, (rho,), orders, "g", (kind,))
     return report
 
 
@@ -437,6 +446,13 @@ def _projective(u: np.ndarray) -> Povm:
     (..., dim, dim) stack, held through the basis vectors, their root factors,
     alone: one POVM per unitary."""
     return Povm._factored(u.swapaxes(-1, -2)[..., None])
+
+
+def _projective_pair(z: np.ndarray) -> tuple[Povm, Povm]:
+    """_projective(linalg.positive_qr(z[i])) for i = 0, 1 (QR acts per matrix), from one QR and one check."""
+    m, n = Povm.__new__(Povm), Povm.__new__(Povm)
+    m.roots, n.roots = _projective(linalg.positive_qr(z)).roots
+    return m, n
 
 
 def random_projective_povm(dim: int, seed: int) -> Povm:

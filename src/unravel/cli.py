@@ -38,8 +38,8 @@ BLOCK_ELEMENTS = 1 << 16
 
 # The fields of a report row: the order of the keys in each JSON row (keys not
 # listed here follow, in the order given), and the CSV header.  Reporter.table
-# renders a block's rows from its columns; each JSON line is json.dumps of the
-# row's dict, byte for byte, and --timing gives one wall_time_ms per table.
+# renders a block's rows from its columns with one json.dumps call; each line is
+# json.dumps of the row's dict, byte for byte.  --timing: one wall_time_ms a table.
 ROW_FIELDS = [
     "check_name",
     "d",
@@ -133,8 +133,8 @@ class Reporter:
     rows are those of its shapes in order for trial 0, then for trial 1, and so
     on; a table without columns is one trial.  Each row is written as
     json.dumps of a dict of its fields in ROW_FIELDS order, then the other keys
-    in the order given, less the fields that are None (or in the CSV bytes that
-    csv.DictWriter writes for the ROW_FIELDS).
+    in the order given, less the fields that are None, from one json.dumps call
+    a table (_json_table); or as csv.DictWriter writes the ROW_FIELDS.
     """
 
     def __init__(self, fmt: str, timing: bool, stream):
@@ -223,22 +223,24 @@ def _cells(values: list) -> list:
 
 
 def _json_table(rows: list) -> str:
-    """The table's JSON lines.  One trial's lines are a template that holds the
-    keys and the constants, encoded in one json.dumps call, and a %s for each
-    column's cell; each column is encoded with one json.dumps call.  A table
-    without columns is one trial with no cells."""
+    """The table's JSON lines, from one json.dumps call (_cells) over its keys and
+    constants in row order, then its cells in trial order.  One trial's lines are a
+    template of the keys and constants with a %s for each column's cell, filled by
+    each trial's cells in turn.  A table without columns is one trial with no cells."""
     shapes = [{k: v for k, v in row.items() if v is not None} for row in rows]
     columns = [v for fields in shapes for v in fields.values() if isinstance(v, list)]
-    keys = [k for fields in shapes for k in fields]
-    text = _cells(keys + [v for fields in shapes for v in fields.values() if not isinstance(v, list)])
-    key_text, value_text = iter(text), iter(text[len(keys) :])
+    values = [x for fields in shapes for k, v in fields.items() for x in ((k,) if isinstance(v, list) else (k, v))]
+    start, values = len(values), values + [None] * sum(map(len, columns))
+    for i, column in enumerate(columns):
+        values[start + i :: len(columns)] = column
+    text = iter(_cells(values))  # held by this iterator alone, so the cells are freed before the join
     # a NUL marks each cell, since the encoder writes no control character
     template = "".join(
-        "{" + ", ".join([f"{next(key_text)}: {chr(0) if isinstance(v, list) else next(value_text)}" for v in fields.values()]) + "}\n"
+        "{" + ", ".join([f"{next(text)}: {chr(0) if isinstance(v, list) else next(text)}" for v in fields.values()]) + "}\n"
         for fields in shapes
     )
     template = template.replace("%", "%%").replace(chr(0), "%s")
-    cells = zip(*[_cells(column) for column in columns]) if columns else [()]
+    cells = zip(*[text] * len(columns)) if columns else [()]
     return "".join(map(template.__mod__, cells))  # see _csv_table
 
 
@@ -286,13 +288,16 @@ def _count(least: int = 1):
     return parse
 
 
-def _theorem1(lambdas: np.ndarray, probs: np.ndarray, alpha: float) -> tuple:
+def _theorem1(lambdas: np.ndarray, probs: np.ndarray, grid: list) -> tuple:
     """The least Tsallis entropy of the remixed distributions probs (lhs) and
     that of the Gram spectrum lambdas (rhs), both normalized where they were
-    built: one value each for one instance, lambdas (n,) and probs
-    (remixings, n); one per trial for stacks, lambdas (T, n) and probs
-    (T, remixings, n)."""
-    return _entropy(probs, alpha, "tsallis").min(axis=-1), _entropy(lambdas, alpha, "tsallis")
+    built, at the K orders of the grid: (K,) each for one instance, lambdas (n,)
+    and probs (remixings, n); (K, T) for stacks, lambdas (T, n) and probs
+    (T, remixings, n).  One entropy call a side; probs' takes the grid in slices
+    whose stacked terms hold at most BLOCK_ELEMENTS entries beyond one order's."""
+    step = 1 + BLOCK_ELEMENTS // probs.size
+    lhs = [_entropy(probs, grid[i : i + step], "tsallis").min(axis=-1) for i in range(0, len(grid), step)]
+    return np.concatenate(lhs), _entropy(lambdas, grid, "tsallis")
 
 
 def _remixings(states: np.ndarray, count: int, *shape: int):
@@ -324,8 +329,7 @@ def cmd_extremal(args, rep: Reporter) -> None:
     )
     # haar_random_unitaries' draw, drawn, made unitary and applied a slice at a time
     probs = _remixed(result.gram, _remixings(linalg._seed_states((inst["seed"],)), args.remixings, a.n_ops, a.n_ops))[0]
-    # one (lhs, rhs) pair per order, as two columns
-    lhs, rhs = np.reshape([_theorem1(result.lambdas, probs, alpha) for alpha in args.alpha_grid], (-1, 2)).T
+    lhs, rhs = _theorem1(result.lambdas, probs, args.alpha_grid)
     columns = dict(alpha=args.alpha_grid, lhs=lhs.tolist(), rhs=rhs.tolist(), slack=(lhs - rhs).tolist())
     rep.table([("extremal_vs_remixings", dict(d=a.dim_in, seed=inst["seed"], **columns))])
 
@@ -376,20 +380,22 @@ def cmd_sweep(args, rep: Reporter) -> None:
         del kraus  # before the remixings are drawn
         lambdas = _normalized(linalg._descending_eig(gram)[0])
         probs = _remixed(gram, draw(2))
-        m, n = bounds._projective(linalg.positive_qr(draw(3))), bounds._projective(linalg.positive_qr(draw(4)))
+        m, n = bounds._projective_pair(np.stack([draw(3), draw(4)]))
         g, reports = bounds._reports(m, n, (rho,), orders, "g", ("tsallis", "renyi"))
         f, fb = bounds._f(m, n, w, v), bounds._f_bar(m, n)
         chain = np.minimum(np.minimum(f - g, fb - f), 1.0 + 1e-10 - fb)
-        seed = list(bases)
-        table = [("factor_chain", dict(d=d, slack=chain.tolist(), factor=g.tolist(), seed=seed))]
-        relation = iter(reports)
-        for alpha in grid:
-            lhs, rhs = _theorem1(lambdas, probs, alpha)
-            theorem1 = dict(alpha=alpha, lhs=lhs.tolist(), rhs=rhs.tolist(), slack=(lhs - rhs).tolist())
-            table.append(("theorem1_tsallis", dict(d=d, seed=seed, **theorem1)))
+        seed, factor = list(bases), g.tolist()
+        table = [("factor_chain", dict(d=d, slack=chain.tolist(), factor=factor, seed=seed))]
+        # per order > 1/2: its orders, then the tsallis and the renyi relation's columns
+        relations = zip(orders, *[zip(r.lhs.tolist(), r.rhs.tolist(), r.slack.tolist()) for r in reports])
+        remixed, extremal = _theorem1(lambdas, probs, grid)
+        for alpha, lhs, rhs, slack in zip(grid, remixed.tolist(), extremal.tolist(), (remixed - extremal).tolist()):
+            table.append(("theorem1_tsallis", dict(d=d, seed=seed, alpha=alpha, lhs=lhs, rhs=rhs, slack=slack)))
             if alpha > 0.5:
-                for name in ("theorem2_tsallis", "renyi_relation"):
-                    table.append((name, dict(d=d, factor_kind="g", seed=seed, **_report_fields(next(relation)))))
+                o, *kinds = next(relations)
+                for name, (lhs, rhs, slack) in zip(("theorem2_tsallis", "renyi_relation"), kinds):
+                    columns = dict(alpha=o.alpha, beta=o.beta, mu=o.mu, lhs=lhs, rhs=rhs, slack=slack, factor=factor)
+                    table.append((name, dict(d=d, factor_kind="g", seed=seed, **columns)))
         return table
 
     _run_plan(rep, args.trials, args.seed, plan, compute)

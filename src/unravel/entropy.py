@@ -3,6 +3,7 @@
 All entropies are in nats and exact at every order alpha > 0, Shannon's alpha = 1
 included: ln_a(x) = expm1((1-a) ln x)/(1-a) is ln x at a = 1 and cancels nowhere
 near it (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 1.14.1).
+The kernels take one order or a grid of them, which puts an order axis first.
 """
 
 from __future__ import annotations
@@ -53,59 +54,76 @@ def _check_order(alpha: float) -> float:
     return alpha
 
 
-def alpha_log(x, alpha: float):
+def _orders(alpha, ndim: int) -> tuple:
+    """(orders, t, one): alpha's orders (one or a 1-D sequence), checked; t = 1 - a (1 at a = 1, set apart
+    by the callers), a float for one order, else a (K, 1, ..., 1) column; whether alpha is one order."""
+    one = isinstance(alpha, float) or not isinstance(alpha, (list, tuple)) and np.ndim(alpha) == 0
+    orders = [_check_order(alpha)] if one else [_check_order(a) for a in alpha]
+    t = [1.0 - a if a != 1 else 1.0 for a in orders]
+    return orders, t[0] if one else np.array(t).reshape((-1,) + (1,) * ndim), one
+
+
+def alpha_log(x, alpha):
     """Deformed logarithm ln_a(x) = (x^(1-a) - 1)/(1-a) = expm1((1-a) ln x)/(1-a)
     of a scalar x >= 0 (a float) or of each entry of an array.  At x = 0 it is
     the finite limit -1/(1-a) for a < 1, where expm1(-inf) = -1, and diverges
-    otherwise."""
-    alpha = _check_order(alpha)
+    otherwise.  A 1-D sequence of orders puts an order axis first (as _entropy)."""
     x = np.asarray(x, dtype=float)
+    orders, t, one = _orders(alpha, x.ndim)
     if (x < 0).any():
         raise ValueError(f"alpha_log requires x >= 0, got {x[x < 0].min()}")
-    t = 1.0 - alpha
-    if t <= 0 and (x == 0).any():
-        raise ValueError(f"alpha_log(0) diverges for order {alpha}")
+    if max(orders, default=0.0) >= 1 and (x == 0).any():
+        raise ValueError(f"alpha_log(0) diverges for order {max(orders)}")
     with np.errstate(divide="ignore", over="ignore"):
         log_x = np.log(x)
-        h = np.expm1(t * log_x) / t if t else log_x
-    return float(h) if h.ndim == 0 else h
+        h = np.expm1(t * log_x) / t
+    if 1.0 in orders:  # ln_1 is ln
+        h = np.where(np.reshape([a == 1 for a in orders], np.shape(t)), log_x, h)
+    return float(h) if one and h.ndim == 0 else h
 
 
-def _entropy(p: np.ndarray, alpha: float, kind: str):
+def _entropy(p: np.ndarray, alpha, kind: str):
     """Tsallis (or Renyi) entropy over the last axis of normalized distributions
     (through as_prob_vector or _normalized): a float for one distribution, an
-    array for a stack of them, +0.0 for a point mass.  The public functions
-    below validate p and call this; a caller that takes several orders or kinds
-    of one stack normalizes it once.
+    array for a stack of them, +0.0 for a point mass.  A 1-D sequence of orders
+    puts an order axis first, each order's values bit for bit its own call's.
+    The public functions below validate p and call this; a caller that takes
+    several orders or kinds of one stack normalizes it once.
 
     T = -sum p ln_(2-a)(p) = -sum p^a ln_a(p) in the expm1 form of alpha_log:
     the first for a >= 1, the second for a < 1, so every expm1 argument is
     <= 0 (subnormal p included; at huge orders it overflows to -inf, where expm1
-    gives -1, the exact limit) and all terms share one sign.
+    gives -1, the exact limit) and all terms share one sign.  Each p^a has a scalar
+    exponent, as numpy takes p ** 0.5 by sqrt but an array exponent by pow.
     """
     if kind not in ("tsallis", "renyi"):
         raise ValueError(f"unknown entropy kind {kind!r}")
-    alpha = _check_order(alpha)
-    # log(p + 1) = 0 stands in where p == 0, so those terms count as 0
-    log_p = np.log(p + (p == 0))
-    t = 1.0 - alpha
+    orders, t, one = _orders(alpha, p.ndim - 1)  # t against the entropies' axes
+    # log(1) = 0 stands in where p == 0, so those terms count as 0
+    log_p = np.log(np.where(p, p, 1.0))
     with np.errstate(over="ignore"):
-        if t:
-            weights = p if t < 0 else p**alpha
-            h = (weights * np.expm1(abs(t) * log_p)).sum(axis=-1) / -abs(t)
-        else:
-            h = -(p * log_p).sum(axis=-1)
-        if kind == "renyi" and t:
-            s = t * h  # sum p^a - 1, whose log1p stays exact near order 1
+        terms = abs(t if one else t[..., None]) * log_p
+        np.expm1(terms, out=terms)
+        for row, order in zip((terms,) if one else terms, orders):
+            if order == 1:
+                np.multiply(p, log_p, out=row)  # Shannon: -sum p ln p
+            else:
+                row *= p if order > 1 else p**order
+        # over -|1 - a|, and +0.0 for a point mass: 0 - x is -x, and +0.0 at x = -0.0
+        h = 0.0 - terms.sum(axis=-1) / abs(t)
+        if kind == "renyi" and orders.count(1.0) < len(orders):  # at a = 1 Renyi is Tsallis
+            s = t * h  # sum p^a - 1, whose log1p stays exact near order 1; s = T >= 0 at a = 1
             far = s < -0.5  # large alpha: sum p^a << 1 and s has rounded its digits away
-            h = np.log1p(np.maximum(s, -0.5)) / t
+            renyi = np.log1p(np.maximum(s, -0.5)) / t
             if far.any():
                 m = p.max(axis=-1, keepdims=True)  # factored out, so sum p^a cannot underflow
-                log_m, log_s = np.log(m[..., 0]), np.log(((p / m) ** alpha).sum(axis=-1))
-                h = np.where(far, (alpha * log_m + log_s) / t, h)
-                h = np.where(np.isinf(h), (alpha / t) * log_m + log_s / t, h)  # alpha ln m overflowed
-    h = h + 0.0  # a point mass sums to -0.0, and -0.0 + 0.0 is +0.0
-    return float(h) if h.ndim == 0 else h
+                sums = [((p / m) ** a).sum(axis=-1) for a in orders]
+                log_m, log_s = np.log(m[..., 0]), np.log(sums[0] if one else np.stack(sums))
+                a = orders[0] if one else np.array(orders).reshape(np.shape(t))
+                renyi = np.where(far, (a * log_m + log_s) / t, renyi)
+                renyi = np.where(np.isinf(renyi), (a / t) * log_m + log_s / t, renyi)  # alpha ln m overflowed
+            h = np.where(np.reshape([a == 1 for a in orders], np.shape(t)), h, renyi) if 1.0 in orders else renyi
+    return float(h) if one and h.ndim == 0 else h
 
 
 def tsallis_entropy(p, alpha: float):

@@ -275,6 +275,62 @@ class TestUncertaintyCommand:
         assert "error" in json.loads(err)
 
 
+class TestOrderGrid:
+    """`sweep` and `extremal` take their order grid in one entropy call a side: a
+    grid's rows are, byte for byte, those of the same run at each order alone."""
+
+    GRID = ["0.3", "0.5", "0.7", "1", "1.000000001", "2", "400"]
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("command", ["sweep", "extremal"])
+    def test_grid_rows_are_each_order_alone(self, tmp_path, capsys, command, fmt):
+        trials = 5  # blocks of one trial, then four
+        if command == "sweep":
+            argv = ["sweep", "--dim", "2", "--trials", str(trials), "--remixings", "10", "--seed", str(2**70)]
+        else:
+            kraus = [_encode(k) for k in random_unraveling(3, 3, seed=2).kraus_ops]
+            argv = ["extremal", "--in", _write_instance(tmp_path, dim=3, seed=4, kraus=kraus), "--remixings", "30"]
+        head = 1 if fmt == "csv" or command == "extremal" else 0  # the CSV header or the extremal summary
+
+        def run(grid):
+            code, out, err = _run(capsys, ["--format", fmt, *argv, "--alpha-grid", grid])
+            assert (code, err) == (0, "")
+            lines = out.splitlines(keepends=True)
+            return lines[:head], lines[head:]
+
+        heads, alone = zip(*[run(alpha) for alpha in self.GRID])
+        if command == "sweep":  # each trial's factor_chain row, then each order's rows
+            per = [len(lines) // trials for lines in alone]
+            want = []
+            for t in range(trials):
+                want.append(alone[0][t * per[0]])
+                want += [line for lines, n in zip(alone, per) for line in lines[t * n + 1 : (t + 1) * n]]
+        else:
+            want = [line for lines in alone for line in lines]
+        assert run(",".join(self.GRID)) == (heads[0], want)
+        assert len(want) == (trials * 18 if command == "sweep" else 7)  # 1 + 7 + 2 * 5 rows a trial
+
+    def test_theorem1_takes_the_grid_in_slices(self):
+        # a 200-order grid over BLOCK_ELEMENTS remixed probabilities: each entropy call stacks
+        # 1 + BLOCK_ELEMENTS // probs.size orders of terms, so the peak stays that of one
+        # order's call, a few times probs' size; the whole grid at once would hold 200 times
+        rng = np.random.default_rng(0)
+        probs, lambdas = (cli._normalized(rng.random(shape)) for shape in ((8, 64, 128), (8, 128)))
+        assert probs.size == cli.BLOCK_ELEMENTS
+        grid = np.linspace(0.1, 5.0, 200).tolist()
+        tracemalloc.start()
+        try:
+            lhs, rhs = cli._theorem1(lambdas, probs, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * probs.nbytes
+        assert lhs.shape == rhs.shape == (200, 8)
+        for k in (0, 101, 199):
+            assert lhs[k].tobytes() == _entropy(probs, grid[k], "tsallis").min(axis=-1).tobytes()
+            assert rhs[k].tobytes() == _entropy(lambdas, grid[k], "tsallis").tobytes()
+
+
 class TestSweepCommand:
     ARGS = ["sweep", "--dim", "2", "--trials", "3", "--remixings", "40", "--seed", "5"]
 
@@ -1195,9 +1251,10 @@ class TestReporter:
 
 
 # numbers whose text is hardest to get right: non-finite, signed zero, subnormal,
-# the largest float, and ints up to the largest int64
+# the largest float, ints up to the largest int64, and seeds past any fixed-width integer
 _NUMBERS = st.one_of(
     st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 5e-324, 1.7976931348623157e308, 2**63 - 1]),
+    st.sampled_from([2**64, 10**23]),
     st.floats(allow_nan=True, allow_infinity=True),
     st.integers(-(2**63), 2**63 - 1),
 )
@@ -1241,6 +1298,23 @@ class TestTableRenderer:
                     ref.row(name, **{k: v[t] if isinstance(v, list) else v for k, v in fields.items()})
         assert got.getvalue() == want.getvalue()
         assert rep.exit_code == ref.exit_code
+
+    @pytest.mark.parametrize("factor_kind", ["g", "a, b"])
+    def test_one_encoder_call_is_json_dumps_of_each_row(self, factor_kind):
+        # the table's text from one json.dumps call: NaN, +-inf and -0.0 slacks, seeds past
+        # 2**64; a string constant holding ", " splits that text at the wrong places, so
+        # _cells encodes each value alone; and a table of zero trials writes nothing
+        slack, seed = [float("nan"), float("inf"), -float("inf"), -0.0, 0.5], [2**64, 2**64 + 7, 10**23, 0, 3]
+        shapes = [("a", dict(d=2, factor_kind=factor_kind, slack=slack, seed=seed)), ("b", dict(lhs=slack[::-1], rhs=-0.0))]
+        stream = io.StringIO()
+        rep = cli.Reporter("json", False, stream)
+        rep.table(shapes)
+        rows = [{"check_name": name, **{k: v[t] if isinstance(v, list) else v for k, v in fields.items()}} for t in range(5) for name, fields in shapes]
+        want = "".join(json.dumps({k: row[k] for k in cli.ROW_FIELDS if k in row}) + "\n" for row in rows)
+        assert stream.getvalue() == want and rep.exit_code == 1
+        empty = io.StringIO()
+        cli.Reporter("json", False, empty).table([("a", dict(d=2, factor_kind=factor_kind, slack=[], seed=[]))])
+        assert empty.getvalue() == ""
 
     def test_command_rows_are_json_dumps_in_row_order(self, tmp_path, capsys):
         path = _write_instance(

@@ -421,3 +421,65 @@ class TestExactAtEveryOrder:
         assert renyi_entropy(np.full(10, 0.1), 8e307) == pytest.approx(np.log(10), abs=1e-13)
         assert renyi_entropy([0.9, 0.1], 8e307) == pytest.approx(-np.log(0.9), abs=1e-13)
         assert tsallis_entropy(np.full(10, 0.1), 1e308) == pytest.approx(1 / (1e308 - 1), rel=1e-15)
+
+
+# A grid of orders for the order axis: below 1/2 and at it (numpy takes p ** 0.5 by sqrt),
+# in (1/2, 1), Shannon's 1 and 1 +- 1e-9, and 2, 400, 8e307 and others above 1, where
+# Renyi's sum p^a - 1 may have rounded its digits away and take the far branch
+_GRID_ORDERS = st.lists(
+    st.one_of(
+        st.sampled_from([0.5, 1.0, 1 - 1e-9, 1 + 1e-9, 2.0, 400.0, 8e307]),
+        st.floats(1e-3, 0.5, exclude_max=True),
+        st.floats(0.5, 1.0, exclude_min=True, exclude_max=True),
+        st.floats(1.0, 1e3, exclude_min=True),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+@st.composite
+def _stacked_distributions(draw):
+    """Normalized distributions with 0 to 2 leading axes, exact zeros and point masses."""
+    shape = (*draw(st.lists(st.integers(1, 3), max_size=2)), draw(st.integers(1, 6)))
+    entry = st.one_of(st.just(0.0), st.floats(1e-6, 1.0))
+    w = np.array(draw(st.lists(entry, min_size=math.prod(shape), max_size=math.prod(shape)))).reshape(shape)
+    w[..., -1] += w.sum(axis=-1) == 0  # an all-zero distribution becomes a point mass
+    return entropy._normalized(w)
+
+
+class TestOrderAxis:
+    """A sequence of orders puts an order axis first, and each order's values are
+    its one-order call's, byte for byte."""
+
+    @given(_stacked_distributions(), _GRID_ORDERS, st.sampled_from(["tsallis", "renyi"]))
+    @settings(max_examples=200, deadline=None)
+    def test_entropy_rows_are_one_order_calls(self, p, grid, kind):
+        stacked = entropy._entropy(p, grid, kind)
+        assert isinstance(stacked, np.ndarray) and stacked.shape == (len(grid), *p.shape[:-1])
+        for k, alpha in enumerate(grid):
+            one = entropy._entropy(p, alpha, kind)
+            assert type(one) is (float if p.ndim == 1 else np.ndarray)
+            assert np.asarray(one).tobytes() == stacked[k].tobytes()
+
+    @given(
+        st.lists(st.one_of(st.just(0.0), st.floats(1e-300, 1e300)), min_size=1, max_size=6),
+        st.integers(0, 2),
+        _GRID_ORDERS,
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_alpha_log_rows_are_one_order_calls(self, xs, ndim, grid):
+        x = np.array(xs) if ndim else np.float64(xs[0])
+        x = x.reshape(1, -1) if ndim == 2 else x
+        if max(grid) >= 1 and (x == 0).any():
+            with pytest.raises(ValueError, match="diverges"):
+                alpha_log(x, grid)
+            return
+        stacked = alpha_log(x, grid)
+        assert stacked.shape == (len(grid), *np.shape(x))
+        for k, alpha in enumerate(grid):
+            assert np.asarray(alpha_log(x, alpha)).tobytes() == stacked[k].tobytes()
+
+    def test_empty_grid(self):
+        assert entropy._entropy(np.full((2, 3), 1 / 3), [], "renyi").shape == (0, 2)
+        assert alpha_log(np.array([2.0, 3.0]), []).shape == (0, 2)

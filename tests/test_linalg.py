@@ -119,6 +119,18 @@ def test_ginibre_is_the_two_draw_formula_to_the_bit(seed):
     assert got.tobytes() == want.tobytes() and got.flags.c_contiguous
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 7, 8, 9, 16, 33])
+def test_exponential_form_is_dirichlet_to_the_bit(m):
+    # ensemble's mixture weights: the standard_exponential fill times 1 / its left-to-right
+    # sum, as numpy's dirichlet scales its gamma(1) draws; from m = 8 numpy's pairwise sum
+    # would differ.  numpy does not promise this, so it is pinned here
+    seeds = [*range(40), 12345, 2**64, 10**23]
+    e = linalg.exponential_stack(linalg._seed_states(seeds), m)
+    got = e * (1 / np.add.accumulate(e, axis=-1)[:, -1:])
+    want = np.stack([np.random.default_rng(s).dirichlet(np.ones(m)) for s in seeds])
+    assert got.tobytes() == want.tobytes()
+
+
 def _reference_ginibre(seed, *shape):
     """Reference seeded draw: two standard_normal(shape) calls on a fresh generator."""
     rng = np.random.default_rng(seed)
