@@ -467,9 +467,7 @@ def random_povm(dim: int, n_outcomes: int, seed: int) -> Povm:
         raise ValueError(f"dim must be >= 1, got {dim}")
     if n_outcomes < 1:
         raise ValueError("n_outcomes must be >= 1")
-    # one generator's stream in C order: the real, then the imaginary parts of each piece in turn
-    z = np.random.default_rng(seed).standard_normal((n_outcomes, 2, dim, dim))
-    g = linalg._complex_gaussian(z[:, 0], z[:, 1])
+    g = linalg.ginibre_draws(np.random.default_rng(seed), n_outcomes, dim, dim)
     pieces = g @ g.conj().swapaxes(-1, -2)
     w, v = np.linalg.eigh(sum(pieces))  # in order: numpy's sum pairs the terms at dim = 1
     inv_root = (v / np.sqrt(w)) @ v.conj().T

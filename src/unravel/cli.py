@@ -151,18 +151,18 @@ class Reporter:
 
     def table(self, shapes) -> None:
         """Write the rows of a table (see the class) as one piece of text."""
+        trials = next((len(v) for _, fields in shapes for v in fields.values() if isinstance(v, list)), 1)
         for _, fields in shapes:
             slack = fields.get("slack")
             slacks = slack if isinstance(slack, list) else [] if slack is None else [slack]
-            if not all(s >= SLACK_TOL for s in slacks):
-                self.violated = True  # NaN counts as a violation
+            if trials and not all(s >= SLACK_TOL for s in slacks):
+                self.violated = True  # NaN counts as a violation; a table of no trials has no row
         wall_time_ms = round((time.perf_counter() - self._t0) * 1000.0, 3) if self.timing else None
         rows = [_ordered(name, fields, wall_time_ms) for name, fields in shapes]
-        self._write(_json_table(rows) if self.fmt == "json" else self._csv_table(rows))
+        self._write(_json_table(rows) if self.fmt == "json" else self._csv_table(rows, trials))
 
-    def _csv_table(self, rows: list) -> str:
+    def _csv_table(self, rows: list, trials: int) -> str:
         """The table's CSV lines, the header first in a run's first table."""
-        trials = next((len(v) for row in rows for v in row.values() if isinstance(v, list)), 1)
         # zip(*list), not zip(*iterator): unpacking an iterator builds its argument tuple
         # by resizing, and each such tuple, once freed, is one more entry on CPython's
         # free list of its size (to 2000): memory that grows with the blocks of a run
@@ -288,32 +288,30 @@ def _count(least: int = 1):
     return parse
 
 
-def _theorem1(lambdas: np.ndarray, probs: np.ndarray, grid: list) -> tuple:
-    """The least Tsallis entropy of the remixed distributions probs (lhs) and
-    that of the Gram spectrum lambdas (rhs), both normalized where they were
-    built, at the K orders of the grid: (K,) each for one instance, lambdas (n,)
-    and probs (remixings, n); (K, T) for stacks, lambdas (T, n) and probs
-    (T, remixings, n).  One entropy call a side; probs' takes the grid in slices
-    whose stacked terms hold at most BLOCK_ELEMENTS entries beyond one order's."""
-    step = 1 + BLOCK_ELEMENTS // probs.size
-    lhs = [_entropy(probs, grid[i : i + step], "tsallis").min(axis=-1) for i in range(0, len(grid), step)]
-    return np.concatenate(lhs), _entropy(lambdas, grid, "tsallis")
+def _theorem1(lambdas: np.ndarray, slices, grid: list) -> tuple:
+    """The least Tsallis entropy of the remixed distributions (lhs) and that of the
+    Gram spectrum lambdas (rhs), both normalized where they were built, at the K
+    orders of the grid: (K,) each for lambdas (n,) and slices (r, n); (K, T) for
+    stacks, lambdas (T, n) and slices (T, r, n).  Each slice along the remixing axis
+    (_remixed) is folded in with np.minimum, exact since no entropy is -0.0 and NaN
+    propagates either way; its entropies take the grid in chunks whose stacked terms
+    hold at most BLOCK_ELEMENTS entries beyond one order's."""
+
+    def least(probs: np.ndarray) -> np.ndarray:
+        step = 1 + BLOCK_ELEMENTS // probs.size
+        chunks = [grid[i : i + step] for i in range(0, len(grid), step)]
+        return np.concatenate([_entropy(probs, orders, "tsallis").min(axis=-1) for orders in chunks])
+
+    return functools.reduce(np.minimum, map(least, slices)), _entropy(lambdas, grid, "tsallis")
 
 
-def _remixings(states: np.ndarray, count: int, *shape: int):
-    """The remixings' fill: ginibre_stack(states, count, *shape) as its slices along the
-    count axis, each of at most BLOCK_ELEMENTS entries (linalg.ginibre_slices)."""
-    return linalg.ginibre_slices(states, count, *shape, entries=BLOCK_ELEMENTS)
-
-
-def _remixed(pi: np.ndarray, slices) -> np.ndarray:
-    """channels.remixed_probabilities(pi, linalg.positive_qr(z)) for Gram matrices pi (..., n, n)
-    and the Ginibre draw z (..., R, n, n) of their R remixings, given as its slices along the R
-    axis (_remixings): each slice is made unitary and applied before the next is drawn, so
-    neither z nor an R-long stack of unitaries, R factors or products is held.  QR, the stacked
-    product and vecdot each act per matrix, so the slices change no bit."""
-    probs = [channels.remixed_probabilities(pi, linalg.positive_qr(z)) for z in slices]
-    return probs[0] if len(probs) == 1 else np.concatenate(probs, axis=-2)
+def _remixed(pi: np.ndarray, slices):
+    """channels.remixed_probabilities(pi, linalg.positive_qr(z)), lazily, for Gram matrices pi
+    (..., n, n) and each slice z (..., r, n, n) of the Ginibre draw of their R remixings
+    (linalg.ginibre_slices): a slice is made unitary and applied when the caller asks for it,
+    so no R-long draw, stack of unitaries or product is held.  QR, the stacked product and
+    vecdot each act per matrix, so the slices change no bit."""
+    return (channels.remixed_probabilities(pi, linalg.positive_qr(z)) for z in slices)
 
 
 def cmd_extremal(args, rep: Reporter) -> None:
@@ -328,8 +326,9 @@ def cmd_extremal(args, rep: Reporter) -> None:
         }
     )
     # haar_random_unitaries' draw, drawn, made unitary and applied a slice at a time
-    probs = _remixed(result.gram, _remixings(linalg._seed_states((inst["seed"],)), args.remixings, a.n_ops, a.n_ops))[0]
-    lhs, rhs = _theorem1(result.lambdas, probs, args.alpha_grid)
+    states = linalg._seed_states((inst["seed"],))
+    slices = linalg.ginibre_slices(states, args.remixings, a.n_ops, a.n_ops, entries=BLOCK_ELEMENTS)
+    lhs, rhs = _theorem1(result.lambdas, (probs[0] for probs in _remixed(result.gram, slices)), args.alpha_grid)
     columns = dict(alpha=args.alpha_grid, lhs=lhs.tolist(), rhs=rhs.tolist(), slack=(lhs - rhs).tolist())
     rep.table([("extremal_vs_remixings", dict(d=a.dim_in, seed=inst["seed"], **columns))])
 
@@ -369,7 +368,8 @@ def cmd_sweep(args, rep: Reporter) -> None:
     orders = [conjugate_order(alpha) for alpha in grid if alpha > 0.5]
     # the draws of random_density, random_unraveling, haar_random_unitaries and the two
     # random_projective_povm; the remixings (stage 2) are drawn, made and applied a slice at a time
-    plan = [(linalg.ginibre_stack, (d, d)), (linalg.ginibre_stack, (d * d, d)), (_remixings, (args.remixings, d, d))]
+    remixings = functools.partial(linalg.ginibre_slices, entries=BLOCK_ELEMENTS)
+    plan = [(linalg.ginibre_stack, (d, d)), (linalg.ginibre_stack, (d * d, d)), (remixings, (args.remixings, d, d))]
     plan += [(linalg.ginibre_stack, (d, d))] * 2
 
     def compute(bases: range, draw):
@@ -379,7 +379,7 @@ def cmd_sweep(args, rep: Reporter) -> None:
         gram = channels._gram(kraus, rho)
         del kraus  # before the remixings are drawn
         lambdas = _normalized(linalg._descending_eig(gram)[0])
-        probs = _remixed(gram, draw(2))
+        remixed, extremal = _theorem1(lambdas, _remixed(gram, draw(2)), grid)
         m, n = bounds._projective_pair(np.stack([draw(3), draw(4)]))
         g, reports = bounds._reports(m, n, (rho,), orders, "g", ("tsallis", "renyi"))
         f, fb = bounds._f(m, n, w, v), bounds._f_bar(m, n)
@@ -388,7 +388,6 @@ def cmd_sweep(args, rep: Reporter) -> None:
         table = [("factor_chain", dict(d=d, slack=chain.tolist(), factor=factor, seed=seed))]
         # per order > 1/2: its orders, then the tsallis and the renyi relation's columns
         relations = zip(orders, *[zip(r.lhs.tolist(), r.rhs.tolist(), r.slack.tolist()) for r in reports])
-        remixed, extremal = _theorem1(lambdas, probs, grid)
         for alpha, lhs, rhs, slack in zip(grid, remixed.tolist(), extremal.tolist(), (remixed - extremal).tolist()):
             table.append(("theorem1_tsallis", dict(d=d, seed=seed, alpha=alpha, lhs=lhs, rhs=rhs, slack=slack)))
             if alpha > 0.5:
@@ -444,13 +443,12 @@ def cmd_demo(args, rep: Reporter) -> None:
         rng = np.random.default_rng(args.seed)
 
         def compute(z: np.ndarray):
-            # each trial's real parts, then its imaginary parts: the stream that
-            # linalg.ginibre(rng, d, 1) draws trial by trial
-            psi = linalg._complex_gaussian(z[:, 0], z[:, 1])
-            psi /= linalg.vector_norm(psi)[:, None]
+            # not normalized in place: a failing block runs again on its own inputs
+            psi = z / linalg.vector_norm(z)[:, None]
             return [("dft_random_state", fields(d, demos.dft_uncertainty_demo(psi, orders)))]
 
-        _stream_trials(rep, args.trials, d, lambda start, stop: rng.standard_normal((stop - start, 2, d)), compute)
+        # the trials' draws are those of linalg.ginibre(rng, d) trial by trial
+        _stream_trials(rep, args.trials, d, lambda start, stop: linalg.ginibre_draws(rng, stop - start, d), compute)
     else:
         uniform = np.zeros(2 * args.truncation + 1)
         uniform[args.truncation] = 1.0

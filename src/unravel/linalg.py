@@ -5,7 +5,7 @@ the Hermitian part, Hermitian eigendecomposition with a canonical (descending)
 eigenvalue order, and seeded random generators: Ginibre arrays, Haar-random
 unitaries and isometries, and density matrices.  A seeded stream is named by
 its hashed state alone: _seed_states hashes seeds (non-negative integers of any
-size) to (n, 4) rows, and _fill fills a slot of a stack from each.
+size) to (n, 4) rows, and _fill fills a slot of one or more stacks from each.
 
 The hash, _seed_states, is numpy's own seeding of default_rng(seed) done for a
 whole batch of seeds at once: SeedSequence's hash mixing (O'Neill's seed_seq_fe
@@ -14,18 +14,18 @@ cross-mixes, then generate_state(4, uint64)) as uint32 array operations over
 all seeds.  The fill sets one shared Generator(PCG64) to each row's stream in
 turn (_stream), seeding PCG64 from the hashed words in Python ints (O'Neill,
 "PCG", HMC-CS-2014-0905: inc = 2 initseq + 1 and state = ((inc + initstate) M
-+ inc) mod 2^128), and the row's draw fills its slot of one real buffer.  So
-the slot of seed s's row is the stream of default_rng(s) bit for bit.  numpy's
++ inc) mod 2^128), and the row's stream fills its slot of each real buffer in
+turn.  So a row's slots are the stream of default_rng(s) bit for bit.  numpy's
 policy (NEP 19) lets a release change default_rng's bit generator or its
 seeding, so test_linalg pins the batched states against SeedSequence and
 default_rng; they were written against numpy 2.4.6.  Which seed each of a
 stacked command's draws takes is declared once, in its stage plan (cli._run_plan).
 Each seeded generator is a one-seed view of the fill (seeded_ginibre) handed to
 a kernel that works on a stack of such draws.  A long draw can be filled as a
-stream of slices instead (ginibre_slices): a row's real parts, then its
-imaginary parts a slice at a time from the same stream, since consecutive
-standard_normal fills read one stream in order; so only the real parts and one
-slice are held, and the slices are the stack's bit for bit.
+stream of slices instead (ginibre_slices): the fill of a row's real parts and
+first slice of imaginary parts, then each later slice from the same stream, so
+only the real parts and one slice are held, and the slices are the stack's bit
+for bit.
 
 Haar sampling is Mezzadri's (Notices AMS 54, 592, 2007): Q of a Ginibre draw
 with R's diagonal positive (positive_qr).  A draw at least twice as tall as
@@ -194,11 +194,15 @@ def _complex_gaussian(re: np.ndarray, im: np.ndarray) -> np.ndarray:
 
 
 def ginibre(rng: np.random.Generator, *shape: int) -> np.ndarray:
-    """Array of independent standard complex Gaussians, e.g. ginibre(rng, rows, cols).
+    """Independent standard complex Gaussians, e.g. ginibre(rng, rows, cols): ginibre_draws' one draw."""
+    return ginibre_draws(rng, 1, *shape)[0]
 
-    One draw of the real parts, then the imaginary parts: the stream of two
-    standard_normal(shape) calls."""
-    return _complex_gaussian(*rng.standard_normal((2, *shape)))
+
+def ginibre_draws(rng: np.random.Generator, count: int, *shape: int) -> np.ndarray:
+    """The (count, *shape) stack of count consecutive ginibre(rng, *shape) draws from one generator:
+    each draw's real parts, then its imaginary parts, the stream of one standard_normal call."""
+    z = rng.standard_normal((count, 2, *shape))
+    return _complex_gaussian(z[:, 0], z[:, 1])
 
 
 # SeedSequence's hash constants (numpy/random/bit_generator.pyx) and PCG64's multiplier
@@ -319,19 +323,22 @@ def _stream(state: np.ndarray) -> np.random.Generator:
     return rng
 
 
-def _fill(states: np.ndarray, sampler: str, *shape: int) -> np.ndarray:
-    """The (len(states), *shape) stack whose slot i is, bit for bit, default_rng(s).<sampler>(shape)
-    for the seed s hashed to states[i]: each row's stream (_stream) fills its slot of one buffer."""
-    out = np.empty((len(states), *shape))
-    for state, slot in zip(states, out):
-        getattr(_stream(state), sampler)(out=slot)
-    return out
+def _fill(states: np.ndarray, sampler: str, *shapes: tuple) -> list:
+    """A (len(states), *shape) buffer for each of shapes, whose slots i are, bit for bit, the
+    successive default_rng(s).<sampler>(shape) fills, shape by shape, for the seed s hashed to
+    states[i]: each row's stream (_stream) fills its slot of every buffer, in turn."""
+    outs = [np.empty((len(states), *shape)) for shape in shapes]
+    for i, state in enumerate(states):
+        draw = getattr(_stream(state), sampler)
+        for out in outs:
+            draw(out=out[i])
+    return outs
 
 
 def ginibre_stack(states: np.ndarray, *shape: int) -> np.ndarray:
     """The stack whose slot i is ginibre(np.random.default_rng(s), *shape): the
     standard_normal fill of (2, *shape) slots, made complex from the whole buffer at once."""
-    pairs = _fill(states, "standard_normal", 2, *shape)
+    (pairs,) = _fill(states, "standard_normal", (2, *shape))
     return _complex_gaussian(pairs[:, 0], pairs[:, 1])
 
 
@@ -339,26 +346,20 @@ def ginibre_slices(states: np.ndarray, count: int, *shape: int, entries: int):
     """Yield ginibre_stack(states, count, *shape) in slices along the count axis, each
     of at most `entries` entries (one along that axis at least), bit for bit.
 
-    Only the real parts of every row and one slice of imaginary parts are held.
-    A row's stream draws all its real parts, then the imaginary parts a slice at a
-    time: standard_normal(out=...) reads the stream in order, so consecutive fills
-    of the shared generator equal one fill.  Several slices are made only for one
-    row, since each row resets the shared generator; a stacked command's blocks of
-    two or more trials fit one slice (cli._stream_trials).  A draw that resets the
-    generator between two slices raises RuntimeError."""
+    Only the real parts of every row and one slice of imaginary parts are held.  A row's
+    stream fills all its real parts, then the first slice of its imaginary parts (_fill);
+    standard_normal(out=...) reads a stream in order, so later slices continue it, the
+    shared generator set back first to where the last slice left it, so that a draw in
+    between changes no bit.  Several slices are made only for one row; a stacked
+    command's blocks of two or more trials fit one slice (cli._stream_trials)."""
     step = max(1, entries // (len(states) * math.prod(shape)))
     assert len(states) == 1 or step >= count, "several rows are drawn in one slice only"
-    re = np.empty((len(states), count, *shape))
-    im = np.empty((len(states), min(step, count), *shape))
+    re, im = _fill(states, "standard_normal", (count, *shape), (min(step, count), *shape))
     rng = _generator()
-    for k, state in enumerate(states):
-        _stream(state).standard_normal(out=re[k])
-        rng.standard_normal(out=im[k])
     for i in range(0, count, step):
         part = im[:, : count - i]
         if i:
-            if rng.bit_generator.state != last:
-                raise RuntimeError("the shared generator was reset between two slices of a Ginibre draw")
+            rng.bit_generator.state = last
             rng.standard_normal(out=part[0])
         last = rng.bit_generator.state
         z = _complex_gaussian(re[:, i : i + step], part)
@@ -369,7 +370,7 @@ def ginibre_slices(states: np.ndarray, count: int, *shape: int, entries: int):
 
 def exponential_stack(states: np.ndarray, *shape: int) -> np.ndarray:
     """The standard_exponential fill."""
-    return _fill(states, "standard_exponential", *shape)
+    return _fill(states, "standard_exponential", shape)[0]
 
 
 def seeded_ginibre(seed: int, *shape: int) -> np.ndarray:

@@ -320,7 +320,7 @@ class TestOrderGrid:
         grid = np.linspace(0.1, 5.0, 200).tolist()
         tracemalloc.start()
         try:
-            lhs, rhs = cli._theorem1(lambdas, probs, grid)
+            lhs, rhs = cli._theorem1(lambdas, [probs], grid)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -380,17 +380,18 @@ class TestSweepCommand:
         opened, before_draw = [], []
         names = _seed_names([b + k for b in (5, 1005) for k in range(5)])
 
-        def spy(state):  # each seed's stream is set here, before linalg.ginibre_stack fills its slot
-            seed = names[state.tobytes()]
-            opened.append(seed)
-            if seed in (5, 1005):  # each trial's first draw, its state's
-                before_draw.append(capsys.readouterr().out)
-            if seed == 1005:
-                raise ValueError("trial 1 failed")
-            return stream(state)
+        def spy(states, *rest):  # each stage fills here, one stream per row of its seeds
+            for state in states:
+                seed = names[state.tobytes()]
+                opened.append(seed)
+                if seed in (5, 1005):  # each trial's first draw, its state's
+                    before_draw.append(capsys.readouterr().out)
+                if seed == 1005:
+                    raise ValueError("trial 1 failed")
+            return fill(states, *rest)
 
-        stream = linalg._stream
-        monkeypatch.setattr(linalg, "_stream", spy)
+        fill = linalg._fill
+        monkeypatch.setattr(linalg, "_fill", spy)
         code, out, err = _run(capsys, ["sweep", "--dim", "2", "--trials", "2", "--seed", "5"])
         assert code == 2
         assert json.loads(err) == {"error": "trial 1 failed"}
@@ -758,15 +759,16 @@ class TestBlockedTrials:
         drawn = []
         names = _seed_names([1000 * t + k for t in range(8) for k in range(5)])
 
-        def spy(state):  # each seed's stream is set here, before linalg.ginibre_stack fills its slot
-            seed = names[state.tobytes()]
-            drawn.append(seed)
-            if seed == 3000:
-                raise ValueError("trial 3 failed")
-            return stream(state)
+        def spy(states, *rest):  # each stage fills here, one stream per row of its seeds
+            for state in states:
+                seed = names[state.tobytes()]
+                drawn.append(seed)
+                if seed == 3000:
+                    raise ValueError("trial 3 failed")
+            return fill(states, *rest)
 
-        stream = linalg._stream
-        monkeypatch.setattr(linalg, "_stream", spy)
+        fill = linalg._fill
+        monkeypatch.setattr(linalg, "_fill", spy)
         blocks_of(monkeypatch, 4)
         code, out, err = _run(capsys, ["ensemble", "--dim", "2", "--members", "2", "--alpha", "2", "--trials", "8"])
         assert code == 2
@@ -776,7 +778,7 @@ class TestBlockedTrials:
         assert max(drawn) == 3000  # no trial after the failing one was drawn
         # trial 0 alone, then the block of trials 1..4, whose first stage stops at 3000, run
         # again one trial at a time: each stage sets each of its seeds' streams once
-        # (ensemble's base + 2 is the mixture's weights, drawn from the same hook)
+        # (ensemble's base + 2 is the mixture's weights, filled through the same seam)
         opened_once = [*range(5), 1000, 2000, 3000, *range(1000, 1005), *range(2000, 2005), 3000]
         assert drawn == opened_once
 
@@ -1045,6 +1047,27 @@ class TestRemixingSlices:
             want.append(dict(check_name="extremal_vs_remixings", d=2, alpha=alpha, lhs=lhs, rhs=rhs, slack=lhs - rhs, seed=inst["seed"]))
         assert _json_rows(outs[0]) == want
 
+    @settings(max_examples=50, deadline=None)
+    @given(
+        seed=st.integers(0, 2**70),
+        n=st.integers(1, 4),
+        remixings=st.integers(1, 12),
+        grid=st.lists(st.sampled_from([0.3, 0.5, 1.0, 2.0, 400.0]) | st.floats(0.05, 20.0), min_size=1, max_size=4),
+    )
+    def test_theorem1_folds_slices_to_the_bit(self, seed, n, remixings, grid):
+        # the least entropies over a draw cut into slices of every length are the one slice's
+        pi = linalg.random_density(n, n, seed)[None]
+        lambdas = cli._normalized(linalg._descending_eig(pi)[0])
+        states = linalg._seed_states([seed + 2])
+
+        def theorem1(length: int) -> list:
+            slices = linalg.ginibre_slices(states, remixings, n, n, entries=length * n * n)
+            return [x.tobytes() for x in cli._theorem1(lambdas, cli._remixed(pi, slices), grid)]
+
+        whole = theorem1(remixings)
+        for length in range(1, remixings):
+            assert theorem1(length) == whole
+
     @pytest.mark.parametrize("command", ["sweep", "extremal"])
     def test_memory_per_remixing_is_the_draw(self, tmp_path, monkeypatch, command):
         # at n = 16 the whole stack's QR held ~62·n² bytes a remixing, and the whole complex
@@ -1266,7 +1289,7 @@ def _tables(draw):
     """A table for Reporter.table: shapes whose fields are left out, constant
     (None included) or a column of one length; extra keys after ROW_FIELDS.
     wall_time_ms is the reporter's own field."""
-    trials = draw(st.integers(1, 5))
+    trials = draw(st.integers(0, 5))
     column = st.lists(_NUMBERS, min_size=trials, max_size=trials)
     shapes = []
     for _ in range(draw(st.integers(1, 4))):

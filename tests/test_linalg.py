@@ -206,14 +206,20 @@ class TestGinibreStack:
             tracemalloc.stop()
         assert held <= 1.1 * z.nbytes, held / z.nbytes
 
-    def test_reset_between_slices_raises(self):
-        # the slices continue one stream of the shared generator, so a draw in between
-        # that resets it would change their bits: it raises instead
-        slices = linalg.ginibre_slices(linalg._seed_states([5]), 4, 2, 2, entries=2 * 2 * 2)
-        next(slices)
-        linalg.seeded_ginibre(6, 2, 2)
-        with pytest.raises(RuntimeError, match="reset between two slices"):
-            next(slices)
+    def test_draw_between_slices_changes_no_bit(self):
+        # the slices continue one stream of the shared generator, set back before each slice
+        # to where the last one left it: draws in between, which reset the generator or
+        # move it on, change no bit of them
+        got = []
+        for k, z in enumerate(linalg.ginibre_slices(linalg._seed_states([5]), 4, 2, 2, entries=2 * 2)):
+            got.append(z)
+            if k % 2:
+                linalg.seeded_ginibre(6, 2, 2)  # resets the shared generator
+            else:
+                linalg._generator().standard_normal(3)  # moves it on
+        assert len(got) == 4
+        want = linalg.ginibre(np.random.default_rng(5), 4, 2, 2)
+        assert np.concatenate(got, axis=1)[0].tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("seed", [0, 3, 2**63, 10**23])
     @pytest.mark.parametrize("dim", [1, 2, 3, 8])
