@@ -366,17 +366,19 @@ def _run_plan(rep: Reporter, trials: int, seed: int, plan: list, compute) -> Non
 def cmd_sweep(args, rep: Reporter) -> None:
     d, grid = args.dim, args.alpha_grid
     orders = [conjugate_order(alpha) for alpha in grid if alpha > 0.5]
+
+    def remixings(states: np.ndarray, *shape: int):  # slices of BLOCK_ELEMENTS as it is when the stage fills
+        return linalg.ginibre_slices(states, *shape, entries=BLOCK_ELEMENTS)
+
     # the draws of random_density, random_unraveling, haar_random_unitaries and the two
     # random_projective_povm; the remixings (stage 2) are drawn, made and applied a slice at a time
-    remixings = functools.partial(linalg.ginibre_slices, entries=BLOCK_ELEMENTS)
     plan = [(linalg.ginibre_stack, (d, d)), (linalg.ginibre_stack, (d * d, d)), (remixings, (args.remixings, d, d))]
     plan += [(linalg.ginibre_stack, (d, d))] * 2
 
     def compute(bases: range, draw):
         rho, w, v = linalg.density_spectrum(linalg._densities(draw(0)), vectors=True)
-        kraus = channels._isometry_kraus(draw(1), d)
-        channels._check_complete(kraus)
-        gram = channels._gram(kraus, rho)
+        kraus, x = channels._isometry_factors(draw(1), d)  # blocks and Cholesky QR factors; d = 1: operators, None
+        gram = channels._gram(kraus, channels._factored_state(x, rho))
         del kraus  # before the remixings are drawn
         lambdas = _normalized(linalg._descending_eig(gram)[0])
         remixed, extremal = _theorem1(lambdas, _remixed(gram, draw(2)), grid)

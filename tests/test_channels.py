@@ -364,3 +364,51 @@ class TestGramSpectrumMinimizesEveryOrder:
             for alpha in (0.3, 0.5, 1.0, 2.0, 3.0, 7.0):
                 assert renyi_entropy(p, alpha) >= renyi_entropy(lambdas, alpha) - 1e-12
                 assert tsallis_entropy(p, alpha) >= tsallis_entropy(lambdas, alpha) - 1e-12
+
+
+class TestFactoredKrausSet:
+    """random_unraveling holds its operators as the factors A_i = Z_i X of Cholesky QR,
+    V = Z X (see channels); a Kraus set given from outside holds the operators."""
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**70])
+    @pytest.mark.parametrize("dim, n", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 4), (5, 3), (8, 2), (8, 8)])
+    def test_kraus_ops_are_the_isometry_kraus_to_the_bit(self, dim, n, seed):
+        # one operator makes a square draw, which takes Householder QR and stays a plain set
+        a = random_unraveling(dim, n, seed)
+        assert (a.n_ops, a.dim_out, a.dim_in) == (n, dim, dim)
+        assert (a._factor is None) == (n == 1)
+        want = channels._isometry_kraus(linalg.seeded_ginibre(seed, n * dim, dim), n)
+        got = a.kraus_ops
+        assert got.shape == want.shape and got.flags.c_contiguous and got.tobytes() == want.tobytes()
+
+    @staticmethod
+    def kraus_sets(dim: int) -> list:
+        """A factored set, the same operators given from outside, and a rectangular set."""
+        a = random_unraveling(dim, 3, seed=dim)
+        return [a, Unraveling(a.kraus_ops), _random_kraus_set(np.random.default_rng(dim), dim, dim + 1, 2)]
+
+    @pytest.mark.parametrize("dim", [2, 3, 8])
+    def test_gram_matrix_is_the_extremal_gram_to_the_bit(self, dim):
+        rho = linalg.random_density(dim, dim, seed=100 + dim)
+        for a in self.kraus_sets(dim):
+            assert gram_matrix(a, rho).tobytes() == extremal_unraveling(a, rho).gram.tobytes()
+        factored, given, _ = self.kraus_sets(dim)
+        assert np.abs(gram_matrix(factored, rho) - gram_matrix(given, rho)).max() <= 1e-14
+
+    @pytest.mark.parametrize("dim", [2, 3, 8])
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_effect_probabilities_match_the_gram_diagonal(self, dim, n):
+        a = random_unraveling(dim, n, seed=200 + 10 * dim + n)
+        rho = linalg.random_density(dim, max(1, dim - 1), seed=300 + dim)
+        assert a._factor is not None
+        diagonal = np.diagonal(gram_matrix(a, rho)).real
+        assert np.abs(effect_probabilities(a, rho) - diagonal).max() <= 1e-12
+
+    def test_spoiled_factor_fails_completeness(self, monkeypatch):
+        # a Cholesky factor off by 1e-6: V = Z X is off an isometry, and the X† (Z†Z) X check says so
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda g: cholesky(g) * (1 + 1e-6))
+        with pytest.raises(ValueError, match=r"^completeness violated: \|\|sum A†A - I\|\|_F = "):
+            random_unraveling(3, 2, seed=0)
+        monkeypatch.undo()
+        assert random_unraveling(3, 2, seed=0).n_ops == 2

@@ -1105,6 +1105,56 @@ class TestRemixingSlices:
             tracemalloc.stop()
         assert peak <= 2.5 * 16 * d**3, peak / (16 * d**3)
 
+    def test_remixings_take_block_elements_when_drawn(self, monkeypatch):
+        # the remixing stage reads BLOCK_ELEMENTS when it fills, after blocks_of has set it:
+        # trial 0, then one block of four trials drawn in one slice, and no one-trial rerun
+        rows_per_call, slices = [], linalg.ginibre_slices
+
+        def spy(states, *rest, **kw):
+            rows_per_call.append(len(states))
+            return slices(states, *rest, **kw)
+
+        monkeypatch.setattr(linalg, "ginibre_slices", spy)
+        blocks_of(monkeypatch, 4)
+        argv = ["sweep", "--dim", "16", "--trials", "5", "--remixings", "300", "--seed", "5"]
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert cli.main(argv) == 0
+        monkeypatch.undo()
+        assert rows_per_call == [1, 4]
+        assert _json_rows(out.getvalue()) == _sweep_rows(16, 5, 300, 5, [1.5, 2.0, 3.0])
+
+
+class TestFactoredKrausStage:
+    """`sweep` holds each block's Kraus draws as the factors V = Z X of Cholesky QR: the Gram
+    matrix from Z and X rho X†, the completeness check as X† (Z†Z) X = I."""
+
+    @pytest.mark.parametrize("d", [2, 3, 8])
+    def test_block_forms_no_kraus_array(self, monkeypatch, d):
+        checked, formed, shapes, qr, check = [], [], [], linalg.positive_qr, channels._check_complete
+        for module in (channels, bounds):  # bounds checks its POVMs through its own name for it
+            monkeypatch.setattr(module, "_check_complete", lambda k, *rest: checked.append(k.shape) or check(k, *rest))
+        monkeypatch.setattr(channels, "_isometry_kraus", lambda *a, **k: formed.append(a))
+        monkeypatch.setattr(linalg, "positive_qr", lambda z: shapes.append(z.shape) or qr(z))
+        blocks_of(monkeypatch, 3)
+        argv = ["sweep", "--dim", str(d), "--trials", "7", "--remixings", "5", "--seed", "11"]
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert cli.main(argv) == 0
+        monkeypatch.undo()
+        # the one completeness check of a block is its POVM pair's, on the Kraus sets u_i† of one row each
+        assert formed == [] and checked and all(shape[-2] == 1 for shape in checked), checked
+        # only the square draws of the remixings and of the projective POVMs are made unitary
+        assert shapes and all(shape[-1] == shape[-2] == d for shape in shapes), shapes
+        assert _json_rows(out.getvalue()) == _sweep_rows(d, 7, 5, 11, [1.5, 2.0, 3.0])
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_spoiled_factor_exits_2(self, capsys, monkeypatch, fmt):
+        # a Cholesky factor off by 1e-6 makes V†V = I / (1 + 1e-6)^2, which the d x d check rejects
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda g: cholesky(g) * (1 + 1e-6))
+        code, out, err = _run(capsys, ["--format", fmt, "sweep", "--dim", "3", "--trials", "4"])
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"].startswith("completeness violated: ||sum A†A - I||_F = ")
+
 
 def _sweep_rows(d: int, trials: int, remixings: int, seed: int, grid: list) -> list:
     """The rows of `sweep`, each trial drawn through the public one-trial functions under
