@@ -29,13 +29,6 @@ from .entropy import _entropy, _normalized, conjugate_order
 
 SLACK_TOL = -1e-9
 
-# Stacked entries per block of trials in `sweep`, `demo dft` and `ensemble`: the
-# entries that all the stages of a block draw, complex draws and real weights alike
-# (for `sweep` and `ensemble`, the sum over the shapes of the stage plan, _run_plan),
-# so memory stays bounded whatever --trials is.  The first block holds one trial, so
-# the first rows never wait for a full block.
-BLOCK_ELEMENTS = 1 << 16
-
 # The fields of a report row: the order of the keys in each JSON row (keys not
 # listed here follow, in the order given), and the CSV header.  Reporter.table
 # renders a block's rows from its columns with one json.dumps call; each line is
@@ -295,10 +288,10 @@ def _theorem1(lambdas: np.ndarray, slices, grid: list) -> tuple:
     stacks, lambdas (T, n) and slices (T, r, n).  Each slice along the remixing axis
     (_remixed) is folded in with np.minimum, exact since no entropy is -0.0 and NaN
     propagates either way; its entropies take the grid in chunks whose stacked terms
-    hold at most BLOCK_ELEMENTS entries beyond one order's."""
+    hold at most linalg.BLOCK_ELEMENTS entries beyond one order's."""
 
     def least(probs: np.ndarray) -> np.ndarray:
-        step = 1 + BLOCK_ELEMENTS // probs.size
+        step = 1 + linalg.BLOCK_ELEMENTS // probs.size
         chunks = [grid[i : i + step] for i in range(0, len(grid), step)]
         return np.concatenate([_entropy(probs, orders, "tsallis").min(axis=-1) for orders in chunks])
 
@@ -327,7 +320,7 @@ def cmd_extremal(args, rep: Reporter) -> None:
     )
     # haar_random_unitaries' draw, drawn, made unitary and applied a slice at a time
     states = linalg._seed_states((inst["seed"],))
-    slices = linalg.ginibre_slices(states, args.remixings, a.n_ops, a.n_ops, entries=BLOCK_ELEMENTS)
+    slices = linalg.ginibre_slices(states, args.remixings, a.n_ops, a.n_ops)
     lhs, rhs = _theorem1(result.lambdas, (probs[0] for probs in _remixed(result.gram, slices)), args.alpha_grid)
     columns = dict(alpha=args.alpha_grid, lhs=lhs.tolist(), rhs=rhs.tolist(), slack=(lhs - rhs).tolist())
     rep.table([("extremal_vs_remixings", dict(d=a.dim_in, seed=inst["seed"], **columns))])
@@ -367,13 +360,10 @@ def cmd_sweep(args, rep: Reporter) -> None:
     d, grid = args.dim, args.alpha_grid
     orders = [conjugate_order(alpha) for alpha in grid if alpha > 0.5]
 
-    def remixings(states: np.ndarray, *shape: int):  # slices of BLOCK_ELEMENTS as it is when the stage fills
-        return linalg.ginibre_slices(states, *shape, entries=BLOCK_ELEMENTS)
-
     # the draws of random_density, random_unraveling, haar_random_unitaries and the two
     # random_projective_povm; the remixings (stage 2) are drawn, made and applied a slice at a time
-    plan = [(linalg.ginibre_stack, (d, d)), (linalg.ginibre_stack, (d * d, d)), (remixings, (args.remixings, d, d))]
-    plan += [(linalg.ginibre_stack, (d, d))] * 2
+    plan = [(linalg.ginibre_stack, (d, d)), (linalg.ginibre_stack, (d * d, d))]
+    plan += [(linalg.ginibre_slices, (args.remixings, d, d))] + [(linalg.ginibre_stack, (d, d))] * 2
 
     def compute(bases: range, draw):
         rho, w, v = linalg.density_spectrum(linalg._densities(draw(0)), vectors=True)
@@ -403,26 +393,27 @@ def cmd_sweep(args, rep: Reporter) -> None:
 
 
 def _stream_trials(rep: Reporter, trials: int, per_trial: int, draw, compute) -> None:
-    """Run trials 0..trials-1 in blocks of at most BLOCK_ELEMENTS // per_trial,
-    the first block of trial 0 alone, and write each block's rows before the
-    next block starts.
+    """Run trials 0..trials-1 in blocks of at most linalg.BLOCK_ELEMENTS // per_trial,
+    the first block of trial 0 alone, so the first rows never wait for a full block,
+    and write each block's rows before the next block starts.
 
     draw(start, stop) gives the inputs of trials start..stop-1 as one sliceable
     object (a range of base seeds, or an array with one row per trial);
     compute(inputs) makes one kernel call per quantity over those trials, each
     stage drawing its seeded arrays when it starts, and returns their rows as a
-    table of Reporter.table, in trial order.  If a block of several trials
-    raises, compute runs again on one trial at a time: the rows of the trials
-    before the one that raises are written, and its error propagates.
+    table of Reporter.table, in trial order.  If a block of several trials meets bad
+    input (ValueError, numpy's LinAlgError too), compute runs again on one trial at a
+    time: the rows of the trials before the one that raises are written, and its error
+    propagates.  Any other error propagates at once: no block is computed twice.
     """
-    size = max(1, BLOCK_ELEMENTS // per_trial)
+    size = max(1, linalg.BLOCK_ELEMENTS // per_trial)
     start = 0
     while start < trials:
         stop = min(start + size, trials) if start else 1
         inputs = draw(start, stop)
         try:
             tables = [compute(inputs)]
-        except Exception:
+        except ValueError:
             if len(inputs) == 1:
                 raise
             tables = (compute(inputs[i : i + 1]) for i in range(len(inputs)))
@@ -445,7 +436,7 @@ def cmd_demo(args, rep: Reporter) -> None:
         rng = np.random.default_rng(args.seed)
 
         def compute(z: np.ndarray):
-            # not normalized in place: a failing block runs again on its own inputs
+            # not normalized in place: a block that meets bad input runs again on its own inputs
             psi = z / linalg.vector_norm(z)[:, None]
             return [("dft_random_state", fields(d, demos.dft_uncertainty_demo(psi, orders)))]
 
@@ -524,15 +515,18 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--remixings", type=_count(), default=100)
     s.add_argument("--seed", type=_count(0), default=0)
 
-    s = sub.add_parser("demo", help="worked examples")
-    s.add_argument("which", choices=("dft", "angle"))
+    demo = sub.add_parser("demo", help="worked examples").add_subparsers(dest="which", required=True)
+    s = demo.add_parser("dft", help="DFT pair: the basis state and seeded random states")
     s.add_argument("--dim", type=_count(), default=2)
     s.add_argument("--alpha", type=float, required=True)
     s.add_argument("--trials", type=_count(0), default=0)
+    s.add_argument("--seed", type=_count(0), default=0)
+    s = demo.add_parser("angle", help="angle and angular momentum: the uniform state and a Gaussian packet")
+    s.add_argument("--alpha", type=float, required=True)
     s.add_argument("--nbins", type=_count(), default=8)
     s.add_argument("--L", dest="truncation", type=_count(0), default=50)
     s.add_argument("--width", type=_positive, default=3.0)
-    s.add_argument("--seed", type=_count(0), default=0)
+    s.set_defaults(seed=0)  # the angle states draw nothing; their rows keep seed 0
 
     s = sub.add_parser("ensemble", help="ensemble entropy bounds sweep")
     s.add_argument("--dim", type=_count(), required=True)

@@ -25,7 +25,8 @@ a kernel that works on a stack of such draws.  A long draw can be filled as a
 stream of slices instead (ginibre_slices): the fill of a row's real parts and
 first slice of imaginary parts, then each later slice from the same stream, so
 only the real parts and one slice are held, and the slices are the stack's bit
-for bit.
+for bit.  BLOCK_ELEMENTS is the one draw budget of a slice and of a block of
+trials (cli._stream_trials), read when each fills, so no stage keeps a stale one.
 
 Haar sampling is Mezzadri's (Notices AMS 54, 592, 2007): Q of a Ginibre draw
 with R's diagonal positive (positive_qr).  A draw at least twice as tall as
@@ -214,6 +215,9 @@ _MIX_L, _MIX_R, _SHIFT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), np.uint32
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK128 = (1 << 128) - 1
 _SEED_SLICE = 4096
+# The draw budget: the entries of a block of trials, complex draws and real weights of all its
+# stages (cli._stream_trials), and of one slice of a long draw (ginibre_slices).
+BLOCK_ELEMENTS = 1 << 16
 
 
 def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
@@ -344,17 +348,18 @@ def ginibre_stack(states: np.ndarray, *shape: int) -> np.ndarray:
     return _complex_gaussian(pairs[:, 0], pairs[:, 1])
 
 
-def ginibre_slices(states: np.ndarray, count: int, *shape: int, entries: int):
+def ginibre_slices(states: np.ndarray, count: int, *shape: int):
     """Yield ginibre_stack(states, count, *shape) in slices along the count axis, each
-    of at most `entries` entries (one along that axis at least), bit for bit.
+    of at most BLOCK_ELEMENTS entries as the draw starts (one along that axis at least),
+    bit for bit.
 
     Only the real parts of every row and one slice of imaginary parts are held.  A row's
     stream fills all its real parts, then the first slice of its imaginary parts (_fill);
     standard_normal(out=...) reads a stream in order, so later slices continue it, the
     shared generator set back first to where the last slice left it, so that a draw in
-    between changes no bit.  Several slices are made only for one row; a stacked
-    command's blocks of two or more trials fit one slice (cli._stream_trials)."""
-    step = max(1, entries // (len(states) * math.prod(shape)))
+    between changes no bit.  Several slices are made only for one row; a block of two or
+    more trials, sized from the same budget (cli._stream_trials), fits one slice."""
+    step = max(1, BLOCK_ELEMENTS // (len(states) * math.prod(shape)))
     assert len(states) == 1 or step >= count, "several rows are drawn in one slice only"
     re, im = _fill(states, "standard_normal", (count, *shape), (min(step, count), *shape))
     rng = _generator()

@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from unravel import cli
+from unravel import cli, linalg
 from unravel.bounds import Povm
 from unravel.cli import ROW_FIELDS, SLACK_TOL
 from unravel.channels import Unraveling
@@ -43,11 +43,11 @@ _STREAM_TRIALS = cli._stream_trials
 
 def blocks_of(mp, block: int) -> None:
     """Make a stacked command (`sweep`, `ensemble`, `demo dft`) run in blocks of `block`
-    trials after trial 0's: through the monkeypatch mp, BLOCK_ELEMENTS is set to block
-    times the per-trial entry count that the command hands cli._stream_trials."""
+    trials after trial 0's: through the monkeypatch mp, linalg.BLOCK_ELEMENTS is set to
+    block times the per-trial entry count that the command hands cli._stream_trials."""
 
     def sized(rep, trials, per_trial, *rest):
-        mp.setattr(cli, "BLOCK_ELEMENTS", block * per_trial)
+        mp.setattr(linalg, "BLOCK_ELEMENTS", block * per_trial)
         return _STREAM_TRIALS(rep, trials, per_trial, *rest)
 
     mp.setattr(cli, "_stream_trials", sized)

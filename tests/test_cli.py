@@ -1,4 +1,5 @@
 import array
+import ast
 import contextlib
 import csv
 import fcntl
@@ -311,12 +312,12 @@ class TestOrderGrid:
         assert len(want) == (trials * 18 if command == "sweep" else 7)  # 1 + 7 + 2 * 5 rows a trial
 
     def test_theorem1_takes_the_grid_in_slices(self):
-        # a 200-order grid over BLOCK_ELEMENTS remixed probabilities: each entropy call stacks
-        # 1 + BLOCK_ELEMENTS // probs.size orders of terms, so the peak stays that of one
+        # a 200-order grid over linalg.BLOCK_ELEMENTS remixed probabilities: each entropy call
+        # stacks 1 + BLOCK_ELEMENTS // probs.size orders of terms, so the peak stays that of one
         # order's call, a few times probs' size; the whole grid at once would hold 200 times
         rng = np.random.default_rng(0)
         probs, lambdas = (cli._normalized(rng.random(shape)) for shape in ((8, 64, 128), (8, 128)))
-        assert probs.size == cli.BLOCK_ELEMENTS
+        assert probs.size == linalg.BLOCK_ELEMENTS
         grid = np.linspace(0.1, 5.0, 200).tolist()
         tracemalloc.start()
         try:
@@ -612,8 +613,74 @@ class TestParser:
         code, out, _ = _run(capsys, argv)
         assert (code, _json_rows(out)) == (0, [{"check_name": "patched", "slack": 2.0}])
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["demo", "angle", "--alpha", "2", "--trials", "5"], "--trials"),
+            (["demo", "angle", "--alpha", "2", "--dim", "3"], "--dim"),
+            (["demo", "angle", "--alpha", "2", "--seed", "1"], "--seed"),
+            (["demo", "dft", "--alpha", "2", "--nbins", "8"], "--nbins"),
+            (["demo", "dft", "--alpha", "2", "--L", "3"], "--L"),
+            (["demo", "dft", "--alpha", "2", "--width", "2"], "--width"),
+        ],
+    )
+    def test_each_demo_takes_only_its_flags(self, capsys, argv, flag):
+        # a flag the demo does not read is refused, not ignored
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        assert f"unrecognized arguments: {flag}" in err
+
+
+def _broad_handlers(tree: ast.AST) -> list:
+    """The enclosing function (dotted, "" at module level) of each exception handler in
+    tree that catches everything: a bare except, Exception or BaseException, alone or
+    in a tuple, by name or as an attribute (builtins.Exception)."""
+    found = []
+
+    def visit(node: ast.AST, where: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            where = f"{where}.{node.name}" if where else node.name
+        if isinstance(node, ast.ExceptHandler):
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            names = {None if c is None else getattr(c, "id", getattr(c, "attr", "")) for c in caught}
+            if names & {None, "Exception", "BaseException"}:
+                found.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, "")
+    return found
+
 
 class TestUnexpectedError:
+    def test_only_main_catches_everything(self):
+        # any error that is not bad input reaches cli.main, which reports it with exit 3:
+        # no other handler in the package can swallow it
+        found = []
+        for path in sorted(Path(unravel.__file__).parent.glob("*.py")):
+            found += [f"{path.stem}.{where}" for where in _broad_handlers(ast.parse(path.read_text()))]
+        assert found == ["cli.main"]
+
+    def test_broad_handlers_are_found(self):
+        source = """
+def f():
+    try: pass
+    except: pass
+    try: pass
+    except (ValueError, BaseException): pass
+class C:
+    def g(self):
+        try: pass
+        except builtins.Exception as exc: pass
+try: pass
+except Exception: pass
+try: pass
+except (ValueError, OSError): pass
+"""
+        assert _broad_handlers(ast.parse(source)) == ["f", "f", "C.g", ""]
+
     def test_reported_with_exit_3(self, capsys, monkeypatch):
         def broken(m, n):
             raise RuntimeError("out of luck")
@@ -829,6 +896,56 @@ class TestBlockedTrials:
         assert [r["seed"] for r in rows if r["check_name"] == "factor_chain"] == [9, 1009, 2009, 3009, 4009]
         assert len(rows) == 5 * 10
 
+    @pytest.mark.parametrize("error", [AssertionError, MemoryError])
+    @pytest.mark.parametrize(
+        "argv, kernel, stack, calls, names",
+        [
+            (
+                ["sweep", "--dim", "2", "--trials", "9", "--remixings", "5"],
+                (bounds, "_f"),  # _f(m, n, w, v), w (T, d)
+                2,
+                [1, 4],
+                ["factor_chain"] + ["theorem1_tsallis", "theorem2_tsallis", "renyi_relation"] * 3,
+            ),
+            (
+                ["ensemble", "--dim", "2", "--members", "2", "--alpha", "2", "--trials", "9"],
+                (ensembles, "_sandwich"),  # _sandwich(weights, members, spectra, alpha), weights (T, m)
+                0,
+                [1, 4],
+                ["pure_ensemble_bound", "mixed_ensemble_sandwich"],
+            ),
+            (
+                ["demo", "dft", "--dim", "3", "--alpha", "2", "--trials", "9"],
+                (demos, "dft_uncertainty_demo"),  # (state, orders), state (d,) or (T, d)
+                0,
+                [1, 1, 4],  # the basis state, trial 0, then trials 1..4
+                ["dft_basis_state", "dft_random_state"],
+            ),
+        ],
+        ids=["sweep", "ensemble", "demo-dft"],
+    )
+    def test_fault_in_a_block_exits_3_at_once(self, capsys, monkeypatch, error, argv, kernel, stack, calls, names):
+        # a fault planted in a kernel for every block of several trials is no bad input: the
+        # run stops at the first such block (trials 1..4) with exit 3 and trial 0's rows, and
+        # that block is computed once, not again one trial at a time
+        module, name = kernel
+        real, trials = getattr(module, name), []
+
+        def spy(*args):
+            trials.append(len(args[stack]) if np.ndim(args[stack]) == 2 else 1)
+            if trials[-1] > 1:
+                raise error("planted")
+            return real(*args)
+
+        monkeypatch.setattr(module, name, spy)
+        blocks_of(monkeypatch, 4)
+        code, out, err = _run(capsys, argv)
+        assert code == 3
+        assert err.count("\n") == 1 and json.loads(err) == {"error": f"{error.__name__}: planted"}
+        rows = _json_rows(out)
+        assert [(r["check_name"], r["seed"]) for r in rows] == [(n, 0) for n in names]
+        assert trials == calls
+
     @settings(max_examples=25, deadline=None)
     @given(
         d=st.integers(1, 8),
@@ -929,8 +1046,8 @@ class TestBlockedTrials:
     def test_block_size_changes_no_byte(self, monkeypatch, fmt, argv):
         # blocks of one trial each, and the default blocks of several
         outs = []
-        for block in (1, cli.BLOCK_ELEMENTS):
-            monkeypatch.setattr(cli, "BLOCK_ELEMENTS", block)
+        for block in (1, linalg.BLOCK_ELEMENTS):
+            monkeypatch.setattr(linalg, "BLOCK_ELEMENTS", block)
             with contextlib.redirect_stdout(io.StringIO()) as out:
                 assert cli.main(["--format", fmt, *argv]) == 0
             outs.append(out.getvalue())
@@ -981,7 +1098,7 @@ class TestBlockedTrials:
 
 class TestRemixingSlices:
     """`sweep` and `extremal` make the remixings unitary and apply them over slices of at
-    most BLOCK_ELEMENTS entries of their draw; the rows are those of the whole stack, and
+    most linalg.BLOCK_ELEMENTS entries of their draw; the rows are those of the whole stack, and
     memory grows with --remixings only by the draw."""
 
     @staticmethod
@@ -998,7 +1115,7 @@ class TestRemixingSlices:
 
     @staticmethod
     def sliced(counts: list, remixings: int, n: int) -> None:
-        assert len(counts) > 1 and sum(counts) == remixings and max(counts) * n * n <= cli.BLOCK_ELEMENTS, counts
+        assert len(counts) > 1 and sum(counts) == remixings and max(counts) * n * n <= linalg.BLOCK_ELEMENTS, counts
 
     @pytest.mark.parametrize("d, remixings", [(16, 300), (32, 100)])
     def test_sweep_rows_match_public_path(self, monkeypatch, d, remixings):
@@ -1028,7 +1145,7 @@ class TestRemixingSlices:
 
         counts, outs = outputs()
         self.sliced(counts, 2 * remixings, n_kraus)
-        monkeypatch.setattr(cli, "BLOCK_ELEMENTS", remixings * n_kraus**2)
+        monkeypatch.setattr(linalg, "BLOCK_ELEMENTS", remixings * n_kraus**2)
         counts, whole = outputs()  # one slice
         assert counts == [remixings] * 2
         assert outs == whole
@@ -1061,8 +1178,10 @@ class TestRemixingSlices:
         states = linalg._seed_states([seed + 2])
 
         def theorem1(length: int) -> list:
-            slices = linalg.ginibre_slices(states, remixings, n, n, entries=length * n * n)
-            return [x.tobytes() for x in cli._theorem1(lambdas, cli._remixed(pi, slices), grid)]
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(linalg, "BLOCK_ELEMENTS", length * n * n)
+                slices = linalg.ginibre_slices(states, remixings, n, n)
+                return [x.tobytes() for x in cli._theorem1(lambdas, cli._remixed(pi, slices), grid)]
 
         whole = theorem1(remixings)
         for length in range(1, remixings):
@@ -1110,9 +1229,9 @@ class TestRemixingSlices:
         # trial 0, then one block of four trials drawn in one slice, and no one-trial rerun
         rows_per_call, slices = [], linalg.ginibre_slices
 
-        def spy(states, *rest, **kw):
+        def spy(states, *rest):
             rows_per_call.append(len(states))
-            return slices(states, *rest, **kw)
+            return slices(states, *rest)
 
         monkeypatch.setattr(linalg, "ginibre_slices", spy)
         blocks_of(monkeypatch, 4)
@@ -1225,6 +1344,7 @@ class TestDemoCommand:
         rows = _json_rows(out)
         assert {r["check_name"] for r in rows} == {"angle_uniform", "angle_gaussian"}
         assert all(r["slack"] >= -1e-8 for r in rows)
+        assert [r["seed"] for r in rows] == [0, 0]  # the angle states draw nothing: no --seed, and seed 0
 
 
 class TestEnsembleCommand:

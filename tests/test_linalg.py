@@ -173,29 +173,33 @@ class TestGinibreStack:
 
     @pytest.mark.parametrize("seed", [0, 7, 2**70])
     @pytest.mark.parametrize("length", [1, 3, 7, 20])
-    def test_slices_are_one_draw_to_the_bit(self, seed, length):
+    def test_slices_are_one_draw_to_the_bit(self, monkeypatch, seed, length):
         # the remixings' fill: a row's real parts, then its imaginary parts a slice at a
         # time from the same stream; 7 does not divide the 20 rows of the draw
         count, n = 20, 3
-        slices = list(linalg.ginibre_slices(linalg._seed_states([seed]), count, n, n, entries=length * n * n))
+        monkeypatch.setattr(linalg, "BLOCK_ELEMENTS", length * n * n)
+        slices = list(linalg.ginibre_slices(linalg._seed_states([seed]), count, n, n))
         assert [z.shape for z in slices] == [(1, min(length, count - i), n, n) for i in range(0, count, length)]
         assert all(z.flags.c_contiguous for z in slices)
         want = linalg.ginibre(np.random.default_rng(seed), count, n, n)
         assert np.concatenate(slices, axis=1)[0].tobytes() == want.tobytes()
 
-    def test_several_rows_are_the_stack(self):
+    def test_several_rows_are_the_stack(self, monkeypatch):
         states = linalg._seed_states([0, 7, 2**70])
-        (got,) = linalg.ginibre_slices(states, 5, 2, 2, entries=3 * 5 * 2 * 2)
+        monkeypatch.setattr(linalg, "BLOCK_ELEMENTS", 3 * 5 * 2 * 2)
+        (got,) = linalg.ginibre_slices(states, 5, 2, 2)
         assert got.tobytes() == linalg.ginibre_stack(states, 5, 2, 2).tobytes()
+        monkeypatch.setattr(linalg, "BLOCK_ELEMENTS", 3 * 4 * 2 * 2)
         with pytest.raises(AssertionError):  # several rows never take several slices
-            next(linalg.ginibre_slices(states, 5, 2, 2, entries=3 * 4 * 2 * 2))
+            next(linalg.ginibre_slices(states, 5, 2, 2))
 
     @pytest.mark.parametrize("rows, slices", [(1, 1), (1, 2), (3, 1)])
-    def test_last_slice_is_all_that_is_held(self, rows, slices):
+    def test_last_slice_is_all_that_is_held(self, monkeypatch, rows, slices):
         # while the caller works on the last slice, the parts it was made from are gone
         count, n = 200, 8
         linalg.seeded_ginibre(0, 1)  # the shared generator is built on first use
-        draw = linalg.ginibre_slices(linalg._seed_states(range(rows)), count, n, n, entries=rows * count * n * n // slices)
+        monkeypatch.setattr(linalg, "BLOCK_ELEMENTS", rows * count * n * n // slices)
+        draw = linalg.ginibre_slices(linalg._seed_states(range(rows)), count, n, n)
         tracemalloc.start()
         try:
             for _ in range(slices - 1):
@@ -206,12 +210,13 @@ class TestGinibreStack:
             tracemalloc.stop()
         assert held <= 1.1 * z.nbytes, held / z.nbytes
 
-    def test_draw_between_slices_changes_no_bit(self):
+    def test_draw_between_slices_changes_no_bit(self, monkeypatch):
         # the slices continue one stream of the shared generator, set back before each slice
         # to where the last one left it: draws in between, which reset the generator or
         # move it on, change no bit of them
         got = []
-        for k, z in enumerate(linalg.ginibre_slices(linalg._seed_states([5]), 4, 2, 2, entries=2 * 2)):
+        monkeypatch.setattr(linalg, "BLOCK_ELEMENTS", 2 * 2)
+        for k, z in enumerate(linalg.ginibre_slices(linalg._seed_states([5]), 4, 2, 2)):
             got.append(z)
             if k % 2:
                 linalg.seeded_ginibre(6, 2, 2)  # resets the shared generator
