@@ -5,28 +5,28 @@ the Hermitian part, Hermitian eigendecomposition with a canonical (descending)
 eigenvalue order, and seeded random generators: Ginibre arrays, Haar-random
 unitaries and isometries, and density matrices.  A seeded stream is named by
 its hashed state alone: _seed_states hashes seeds (non-negative integers of any
-size) to (n, 4) rows, and _fill fills a slot of one or more stacks from each.
+size) to (n, 4) rows, _stream opens a row's stream, and _fill fills a slot of a
+stack from each.
 
 The hash, _seed_states, is numpy's own seeding of default_rng(seed) done for a
 whole batch of seeds at once: SeedSequence's hash mixing (O'Neill's seed_seq_fe
 scheme: a pool of four 32-bit words, each seed word hashed in, the twelve
 cross-mixes, then generate_state(4, uint64)) as uint32 array operations over
-all seeds.  The fill sets one shared Generator(PCG64) to each row's stream in
-turn (_stream), seeding PCG64 from the hashed words in Python ints (O'Neill,
-"PCG", HMC-CS-2014-0905: inc = 2 initseq + 1 and state = ((inc + initstate) M
-+ inc) mod 2^128), and the row's stream fills its slot of each real buffer in
-turn.  So a row's slots are the stream of default_rng(s) bit for bit.  numpy's
-policy (NEP 19) lets a release change default_rng's bit generator or its
-seeding, so test_linalg pins the batched states against SeedSequence and
-default_rng; they were written against numpy 2.4.6.  Which seed each of a
-stacked command's draws takes is declared once, in its stage plan (cli._run_plan).
-Each seeded generator is a one-seed view of the fill (seeded_ginibre) handed to
-a kernel that works on a stack of such draws.  A long draw can be filled as a
-stream of slices instead (ginibre_slices): the fill of a row's real parts and
-first slice of imaginary parts, then each later slice from the same stream, so
-only the real parts and one slice are held, and the slices are the stack's bit
-for bit.  BLOCK_ELEMENTS is the one draw budget of a slice and of a block of
-trials (cli._stream_trials), read when each fills, so no stage keeps a stale one.
+all seeds.  Each row opens its own Generator(PCG64) (_stream), which numpy
+seeds from the row's words through its seed interface (ISeedSequence), as it
+seeds default_rng(s) from SeedSequence(s)'s.  So a row's slot is the stream of
+default_rng(s) bit for bit, and no generator is shared.  numpy's policy (NEP
+19) lets a release change default_rng's bit generator or its seeding, so
+test_linalg pins the batched states against SeedSequence and default_rng; they
+were written against numpy 2.4.6.  Which seed each of a stacked command's draws
+takes is declared once, in its stage plan (cli._run_plan).  Each seeded
+generator is a one-seed view of the fill (seeded_ginibre) handed to a kernel
+that works on a stack of such draws.  A long one-row draw can be filled as a
+stream of slices instead (ginibre_slices): the row's stream fills its real
+parts, then each slice of imaginary parts in turn, so only the real parts and
+one slice are held, and the slices are the stack's bit for bit.  BLOCK_ELEMENTS
+is the one draw budget of a slice and of a block of trials (cli._stream_trials),
+read when each fills, so no stage keeps a stale one.
 
 Haar sampling is Mezzadri's (Notices AMS 54, 592, 2007): Q of a Ginibre draw
 with R's diagonal positive (positive_qr).  A draw at least twice as tall as
@@ -111,11 +111,11 @@ def check_identity(x: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} = {dev:.3e}")
 
 
-def check_unitary(u, name: str = "matrix") -> np.ndarray:
+def check_unitary(u) -> np.ndarray:
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1] or not np.isfinite(u).all():
-        raise ValueError(f"{name} is not a finite square matrix: shape {u.shape}")
-    check_identity(u.conj().T @ u, f"{name} is not unitary: ||u†u - I||_F")
+        raise ValueError(f"matrix is not a finite square matrix: shape {u.shape}")
+    check_identity(u.conj().T @ u, "matrix is not unitary: ||u†u - I||_F")
     return u
 
 
@@ -208,12 +208,10 @@ def ginibre_draws(rng: np.random.Generator, count: int, *shape: int) -> np.ndarr
     return _complex_gaussian(z[:, 0], z[:, 1])
 
 
-# SeedSequence's hash constants (numpy/random/bit_generator.pyx) and PCG64's multiplier
+# SeedSequence's hash constants (numpy/random/bit_generator.pyx)
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R, _SHIFT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), np.uint32(16)
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
 _SEED_SLICE = 4096
 # The draw budget: the entries of a block of trials, complex draws and real weights of all its
 # stages (cli._stream_trials), and of one slice of a long draw (ginibre_slices).
@@ -260,8 +258,8 @@ _CROSS = [
 def _seed_states(seeds) -> np.ndarray:
     """The (len(seeds), 4) uint64 array whose row i is, bit for bit,
     np.random.SeedSequence(seeds[i]).generate_state(4, np.uint64): the words
-    that PCG64 seeds itself from in np.random.default_rng(seeds[i]) (see
-    _stream).  seeds are non-negative integers of any size; raises as
+    numpy seeds PCG64 from in np.random.default_rng(seeds[i]), and that _stream
+    hands it.  seeds are non-negative integers of any size; raises as
     default_rng does, TypeError for a non-integer and ValueError for a negative
     seed.
 
@@ -306,45 +304,43 @@ def _hash_seeds(seeds: list, n_words: int) -> np.ndarray:
 
 
 @functools.cache
-def _generator() -> np.random.Generator:
-    """The one Generator(PCG64) every seeded draw resets, built on first use so
-    that importing the package does not import numpy.random.  Shared, so not
-    for draws on two threads at once."""
-    return np.random.Generator(np.random.PCG64(0))
+def _hashed_seed() -> type:
+    """HashedSeed, numpy's seed interface (ISeedSequence) over one _seed_states row, whose
+    generate_state(4, uint64) is the row itself: the words PCG64 seeds itself from.  Defined
+    on first use, so that importing the package does not import numpy.random."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class HashedSeed(ISeedSequence):
+        def __init__(self, state: np.ndarray):
+            self.state = state
+
+        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+            # PCG64 reads the array's memory as four native words: a strided or byte-swapped row would misseed it
+            return np.ascontiguousarray(self.state, np.uint64)
+
+    return HashedSeed
 
 
 def _stream(state: np.ndarray) -> np.random.Generator:
-    """The shared generator, set to the stream whose _seed_states row is state:
-    that of np.random.default_rng(seed) for the seed hashed to it.
-
-    PCG64 seeds itself from initstate = (w0, w1) and initseq = (w2, w3), high
-    word first, as inc = 2 initseq + 1 and state = ((inc + initstate) M + inc)
-    mod 2^128 (O'Neill's pcg_setseq_128_srandom_r), with nothing buffered.  The
-    generator is only good until the next call, which resets it."""
-    s_hi, s_lo, q_hi, q_lo = state.tolist()
-    inc = (q_hi << 65 | q_lo << 1 | 1) & _MASK128
-    pcg = {"state": (((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc) & _MASK128, "inc": inc}
-    rng = _generator()
-    rng.bit_generator.state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
-    return rng
+    """A new Generator(PCG64) on the stream whose _seed_states row is state: that of
+    np.random.default_rng(seed) for the seed hashed to it, as numpy seeds PCG64 itself from
+    the row's words.  The one place a seeded stream opens."""
+    return np.random.Generator(np.random.PCG64(_hashed_seed()(state)))
 
 
-def _fill(states: np.ndarray, sampler: str, *shapes: tuple) -> list:
-    """A (len(states), *shape) buffer for each of shapes, whose slots i are, bit for bit, the
-    successive default_rng(s).<sampler>(shape) fills, shape by shape, for the seed s hashed to
-    states[i]: each row's stream (_stream) fills its slot of every buffer, in turn."""
-    outs = [np.empty((len(states), *shape)) for shape in shapes]
+def _fill(states: np.ndarray, sampler: str, *shape: int) -> np.ndarray:
+    """The (len(states), *shape) buffer whose slot i is, bit for bit, default_rng(s).<sampler>(shape)
+    for the seed s hashed to states[i]: each row's stream (_stream) fills its slot."""
+    out = np.empty((len(states), *shape))
     for i, state in enumerate(states):
-        draw = getattr(_stream(state), sampler)
-        for out in outs:
-            draw(out=out[i])
-    return outs
+        getattr(_stream(state), sampler)(out=out[i])
+    return out
 
 
 def ginibre_stack(states: np.ndarray, *shape: int) -> np.ndarray:
     """The stack whose slot i is ginibre(np.random.default_rng(s), *shape): the
     standard_normal fill of (2, *shape) slots, made complex from the whole buffer at once."""
-    (pairs,) = _fill(states, "standard_normal", (2, *shape))
+    pairs = _fill(states, "standard_normal", 2, *shape)
     return _complex_gaussian(pairs[:, 0], pairs[:, 1])
 
 
@@ -353,23 +349,24 @@ def ginibre_slices(states: np.ndarray, count: int, *shape: int):
     of at most BLOCK_ELEMENTS entries as the draw starts (one along that axis at least),
     bit for bit.
 
-    Only the real parts of every row and one slice of imaginary parts are held.  A row's
-    stream fills all its real parts, then the first slice of its imaginary parts (_fill);
-    standard_normal(out=...) reads a stream in order, so later slices continue it, the
-    shared generator set back first to where the last slice left it, so that a draw in
-    between changes no bit.  Several slices are made only for one row; a block of two or
-    more trials, sized from the same budget (cli._stream_trials), fits one slice."""
+    A draw that fits one slice is ginibre_stack itself.  A longer one, made for one row
+    only (a block of two or more trials, sized from the same budget by cli._stream_trials,
+    fits one slice), holds only its real parts and one slice of imaginary parts: the row's
+    stream fills all its real parts, then each slice of imaginary parts in turn into one
+    buffer, since standard_normal(out=...) reads a stream in order.  The stream is the
+    row's own, so a draw in between changes no bit."""
     step = max(1, BLOCK_ELEMENTS // (len(states) * math.prod(shape)))
-    assert len(states) == 1 or step >= count, "several rows are drawn in one slice only"
-    re, im = _fill(states, "standard_normal", (count, *shape), (min(step, count), *shape))
-    rng = _generator()
+    if step >= count:
+        yield ginibre_stack(states, count, *shape)
+        return
+    assert len(states) == 1, "several rows are drawn in one slice only"
+    rng = _stream(states[0])
+    re = rng.standard_normal((count, *shape))
+    im = np.empty((step, *shape))
     for i in range(0, count, step):
-        part = im[:, : count - i]
-        if i:
-            rng.bit_generator.state = last
-            rng.standard_normal(out=part[0])
-        last = rng.bit_generator.state
-        z = _complex_gaussian(re[:, i : i + step], part)
+        part = im[: count - i]
+        rng.standard_normal(out=part)
+        z = _complex_gaussian(re[i : i + step], part)[None]
         if i + step >= count:  # the last slice: free the parts before the caller works on it
             re = im = part = None
         yield z
@@ -377,7 +374,7 @@ def ginibre_slices(states: np.ndarray, count: int, *shape: int):
 
 def exponential_stack(states: np.ndarray, *shape: int) -> np.ndarray:
     """The standard_exponential fill."""
-    return _fill(states, "standard_exponential", shape)[0]
+    return _fill(states, "standard_exponential", *shape)
 
 
 def seeded_ginibre(seed: int, *shape: int) -> np.ndarray:

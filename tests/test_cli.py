@@ -381,18 +381,17 @@ class TestSweepCommand:
         opened, before_draw = [], []
         names = _seed_names([b + k for b in (5, 1005) for k in range(5)])
 
-        def spy(states, *rest):  # each stage fills here, one stream per row of its seeds
-            for state in states:
-                seed = names[state.tobytes()]
-                opened.append(seed)
-                if seed in (5, 1005):  # each trial's first draw, its state's
-                    before_draw.append(capsys.readouterr().out)
-                if seed == 1005:
-                    raise ValueError("trial 1 failed")
-            return fill(states, *rest)
+        def spy(state):  # each seeded stream opens here, one per row of a stage's seeds
+            seed = names[state.tobytes()]
+            opened.append(seed)
+            if seed in (5, 1005):  # each trial's first draw, its state's
+                before_draw.append(capsys.readouterr().out)
+            if seed == 1005:
+                raise ValueError("trial 1 failed")
+            return stream(state)
 
-        fill = linalg._fill
-        monkeypatch.setattr(linalg, "_fill", spy)
+        stream = linalg._stream
+        monkeypatch.setattr(linalg, "_stream", spy)
         code, out, err = _run(capsys, ["sweep", "--dim", "2", "--trials", "2", "--seed", "5"])
         assert code == 2
         assert json.loads(err) == {"error": "trial 1 failed"}
@@ -402,6 +401,29 @@ class TestSweepCommand:
         assert rows[0]["check_name"] == "factor_chain"
         assert all(r["seed"] == 5 for r in rows)
         assert opened == [5, 6, 7, 8, 9, 1005]  # one stream per seed, stage by stage
+
+    def test_sliced_remixings_open_each_stream_once(self, capsys, monkeypatch):
+        # 1100 remixings of d = 8 take two slices in each trial, and each later slice continues
+        # the stream its seed opened for the first: every seed's stream opens exactly once
+        assert 1100 * 8 * 8 > linalg.BLOCK_ELEMENTS >= 1024 * 8 * 8
+        opened, slices = [], []
+        names = _seed_names([b + k for b in (0, 1000) for k in range(5)])
+
+        def spy(state):
+            opened.append(names[state.tobytes()])
+            return stream(state)
+
+        def sliced(*args):
+            slices.append(list(ginibre_slices(*args)))
+            return iter(slices[-1])
+
+        stream, ginibre_slices = linalg._stream, linalg.ginibre_slices
+        monkeypatch.setattr(linalg, "_stream", spy)
+        monkeypatch.setattr(linalg, "ginibre_slices", sliced)
+        code, out, err = _run(capsys, ["sweep", "--dim", "8", "--trials", "2", "--remixings", "1100"])
+        assert code == 0 and err == ""
+        assert [[z.shape for z in trial] for trial in slices] == [[(1, 1024, 8, 8), (1, 76, 8, 8)]] * 2
+        assert opened == [*range(5), *range(1000, 1005)]  # one stream per seed, stage by stage
 
     @pytest.mark.parametrize(
         "command, first_check",
@@ -826,16 +848,15 @@ class TestBlockedTrials:
         drawn = []
         names = _seed_names([1000 * t + k for t in range(8) for k in range(5)])
 
-        def spy(states, *rest):  # each stage fills here, one stream per row of its seeds
-            for state in states:
-                seed = names[state.tobytes()]
-                drawn.append(seed)
-                if seed == 3000:
-                    raise ValueError("trial 3 failed")
-            return fill(states, *rest)
+        def spy(state):  # each seeded stream opens here, one per row of a stage's seeds
+            seed = names[state.tobytes()]
+            drawn.append(seed)
+            if seed == 3000:
+                raise ValueError("trial 3 failed")
+            return stream(state)
 
-        fill = linalg._fill
-        monkeypatch.setattr(linalg, "_fill", spy)
+        stream = linalg._stream
+        monkeypatch.setattr(linalg, "_stream", spy)
         blocks_of(monkeypatch, 4)
         code, out, err = _run(capsys, ["ensemble", "--dim", "2", "--members", "2", "--alpha", "2", "--trials", "8"])
         assert code == 2
@@ -1215,7 +1236,7 @@ class TestRemixingSlices:
         d = 32
         monkeypatch.setattr(sys, "stdout", _NullStream())
         argv = ["sweep", "--dim", str(d), "--trials", "1", "--remixings", "1"]
-        assert cli.main(argv) == 0  # the shared generator is built on first use
+        assert cli.main(argv) == 0  # the seed interface is defined on first use
         tracemalloc.start()
         try:
             assert cli.main(argv) == 0
@@ -1557,7 +1578,7 @@ class TestCsvFormat:
 
 @pytest.mark.parametrize("package", ["scipy", "dataclasses", "numpy.random"])
 def test_import_loads_no(package):
-    # numpy.random too: the seeded draws build their generator on first use, not at import
+    # numpy.random too: the seeded draws define their seed interface on first use, not at import
     code = f"import sys, unravel.cli; print(sorted(m for m in sys.modules if (m + '.').startswith({package!r} + '.')))"
     proc = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -1,4 +1,6 @@
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -197,7 +199,7 @@ class TestGinibreStack:
     def test_last_slice_is_all_that_is_held(self, monkeypatch, rows, slices):
         # while the caller works on the last slice, the parts it was made from are gone
         count, n = 200, 8
-        linalg.seeded_ginibre(0, 1)  # the shared generator is built on first use
+        linalg.seeded_ginibre(0, 1)  # the seed interface is defined on first use
         monkeypatch.setattr(linalg, "BLOCK_ELEMENTS", rows * count * n * n // slices)
         draw = linalg.ginibre_slices(linalg._seed_states(range(rows)), count, n, n)
         tracemalloc.start()
@@ -211,20 +213,34 @@ class TestGinibreStack:
         assert held <= 1.1 * z.nbytes, held / z.nbytes
 
     def test_draw_between_slices_changes_no_bit(self, monkeypatch):
-        # the slices continue one stream of the shared generator, set back before each slice
-        # to where the last one left it: draws in between, which reset the generator or
-        # move it on, change no bit of them
+        # the slices continue the row's own stream: draws in between, from other seeds'
+        # streams, change no bit of them
         got = []
         monkeypatch.setattr(linalg, "BLOCK_ELEMENTS", 2 * 2)
         for k, z in enumerate(linalg.ginibre_slices(linalg._seed_states([5]), 4, 2, 2)):
             got.append(z)
             if k % 2:
-                linalg.seeded_ginibre(6, 2, 2)  # resets the shared generator
+                linalg.seeded_ginibre(6, 2, 2)  # another seed's fill
             else:
-                linalg._generator().standard_normal(3)  # moves it on
+                linalg._stream(linalg._seed_states([7])[0]).standard_normal(3)  # another seed's stream
         assert len(got) == 4
         want = linalg.ginibre(np.random.default_rng(5), 4, 2, 2)
         assert np.concatenate(got, axis=1)[0].tobytes() == want.tobytes()
+
+    def test_stacks_on_two_threads_are_one_threads(self):
+        # each row opens its own stream, so two threads drawing at once change no bit; a short
+        # switch interval makes the threads interleave within a draw
+        seed_sets = [[1000 * t + k for k in range(40)] for t in range(60)]
+        states = [linalg._seed_states(seeds) for seeds in seed_sets]
+        want = [linalg.ginibre_stack(s, 4, 4).tobytes() for s in states]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                got = list(pool.map(lambda s: linalg.ginibre_stack(s, 4, 4).tobytes(), states))
+        finally:
+            sys.setswitchinterval(interval)
+        assert [g == w for g, w in zip(got, want)] == [True] * len(want)
 
     @pytest.mark.parametrize("seed", [0, 3, 2**63, 10**23])
     @pytest.mark.parametrize("dim", [1, 2, 3, 8])
@@ -289,13 +305,23 @@ class TestSeedStates:
             linalg._seed_states([3, seed])
 
     def test_stream_continues_as_default_rng(self):
-        # the shared generator, set to a seed, reads that seed's whole stream, whatever it drew before
+        # a seed's stream reads that seed's whole stream, whatever another stream drew before
         big, small = linalg._seed_states([2**130, 11])
         linalg._stream(big).integers(0, 2**32, size=3, dtype=np.uint32)  # leaves a buffered half word
         rng, want = linalg._stream(small), np.random.default_rng(11)
         assert rng.bit_generator.state == want.bit_generator.state
         assert rng.integers(0, 2**32, size=5, dtype=np.uint32).tolist() == want.integers(0, 2**32, size=5, dtype=np.uint32).tolist()
         assert rng.dirichlet(np.ones(4)).tobytes() == want.dirichlet(np.ones(4)).tobytes()
+
+    def test_streams_drawn_interleaved(self):
+        # two rows' streams, open at once, are each their seed's default_rng stream
+        a, b = (linalg._stream(state) for state in linalg._seed_states([3, 2**70]))
+        want_a, want_b = np.random.default_rng(3), np.random.default_rng(2**70)
+        for n in (1, 4, 2, 7):
+            assert a.standard_normal(n).tobytes() == want_a.standard_normal(n).tobytes()
+            assert b.standard_normal(n).tobytes() == want_b.standard_normal(n).tobytes()
+        assert a.bit_generator.state == want_a.bit_generator.state
+        assert b.bit_generator.state == want_b.bit_generator.state
 
 
 def test_vector_norm_is_numpy_norm_to_the_bit():
