@@ -345,8 +345,9 @@ def cmd_uncertainty(args, rep: Reporter) -> None:
 def _run_plan(rep: Reporter, trials: int, seed: int, plan: list, compute) -> None:
     """Run a stacked command's trials (_stream_trials) from its plan, the (fill, shape)
     stages of a trial: stage k of trial t fills from seed seed + 1000·t + k.  compute(bases,
-    draw) makes the rows of the trials with base seeds bases; draw(k) is stage k's fill over
-    them, made when called, from the seeds of every stage, hashed once per block."""
+    draw) yields the row groups of the trials with base seeds bases, each as soon as it is
+    made; draw(k) is stage k's fill over them, made when called, in any order of the stages,
+    from the seeds of every stage, hashed once per block."""
 
     def block(bases: range):
         states = linalg._seed_states([b + k for k in range(len(plan)) for b in bases]).reshape(len(plan), -1, 4)
@@ -366,18 +367,23 @@ def cmd_sweep(args, rep: Reporter) -> None:
     plan += [(linalg.ginibre_slices, (args.remixings, d, d))] + [(linalg.ginibre_stack, (d, d))] * 2
 
     def compute(bases: range, draw):
+        # every check of a trial's draws comes before its first group: the state's, the
+        # Kraus set's completeness and the POVM pair's, so bad input leaves no part of a trial
         rho, w, v = linalg.density_spectrum(linalg._densities(draw(0)), vectors=True)
         kraus, x = channels._isometry_factors(draw(1), d)  # blocks and Cholesky QR factors; d = 1: operators, None
+        m, n = bounds._projective_pair(np.stack([draw(3), draw(4)]))
+        g, reports = bounds._reports(m, n, (rho,), orders, "g", ("tsallis", "renyi"))
+        f, fb = bounds._f(m, n, w, v), bounds._f_bar(m, n)
+        del m, n, w, v  # the POVM roots and the eigenvectors, once the row is made
+        chain = np.minimum(np.minimum(f - g, fb - f), 1.0 + 1e-10 - fb)
+        seed, factor = list(bases), g.tolist()
+        # the factor_chain row reads only rho and the POVM pair, so it leaves before the remixings
+        yield [("factor_chain", dict(d=d, slack=chain.tolist(), factor=factor, seed=seed))]
         gram = channels._gram(kraus, channels._factored_state(x, rho))
         del kraus  # before the remixings are drawn
         lambdas = _normalized(linalg._descending_eig(gram)[0])
         remixed, extremal = _theorem1(lambdas, _remixed(gram, draw(2)), grid)
-        m, n = bounds._projective_pair(np.stack([draw(3), draw(4)]))
-        g, reports = bounds._reports(m, n, (rho,), orders, "g", ("tsallis", "renyi"))
-        f, fb = bounds._f(m, n, w, v), bounds._f_bar(m, n)
-        chain = np.minimum(np.minimum(f - g, fb - f), 1.0 + 1e-10 - fb)
-        seed, factor = list(bases), g.tolist()
-        table = [("factor_chain", dict(d=d, slack=chain.tolist(), factor=factor, seed=seed))]
+        table = []
         # per order > 1/2: its orders, then the tsallis and the renyi relation's columns
         relations = zip(orders, *[zip(r.lhs.tolist(), r.rhs.tolist(), r.slack.tolist()) for r in reports])
         for alpha, lhs, rhs, slack in zip(grid, remixed.tolist(), extremal.tolist(), (remixed - extremal).tolist()):
@@ -387,7 +393,7 @@ def cmd_sweep(args, rep: Reporter) -> None:
                 for name, (lhs, rhs, slack) in zip(("theorem2_tsallis", "renyi_relation"), kinds):
                     columns = dict(alpha=o.alpha, beta=o.beta, mu=o.mu, lhs=lhs, rhs=rhs, slack=slack, factor=factor)
                     table.append((name, dict(d=d, factor_kind="g", seed=seed, **columns)))
-        return table
+        yield table
 
     _run_plan(rep, args.trials, args.seed, plan, compute)
 
@@ -400,24 +406,36 @@ def _stream_trials(rep: Reporter, trials: int, per_trial: int, draw, compute) ->
     draw(start, stop) gives the inputs of trials start..stop-1 as one sliceable
     object (a range of base seeds, or an array with one row per trial);
     compute(inputs) makes one kernel call per quantity over those trials, each
-    stage drawing its seeded arrays when it starts, and returns their rows as a
-    table of Reporter.table, in trial order.  If a block of several trials meets bad
-    input (ValueError, numpy's LinAlgError too), compute runs again on one trial at a
-    time: the rows of the trials before the one that raises are written, and its error
-    propagates.  Any other error propagates at once: no block is computed twice.
+    stage drawing its seeded arrays when it starts, and yields their rows in groups
+    (lists of row shapes of Reporter.table), each as soon as it is made.  A block of one
+    trial writes each group at once, so a trial's early rows do not wait for its late
+    stages.  A block of several trials writes its groups' shapes as one table after the
+    last group: the table interleaves the rows by trial, so its bytes are those of the
+    groups written in turn, and an error leaves no part of the block.  If a block of
+    several trials meets bad input (ValueError, numpy's LinAlgError too), compute runs
+    again on one trial at a time: the rows of the trials before the one that raises are
+    written, and its error propagates; if none raises, the block's error ends the run as
+    a fault (exit 3), after their rows.  Any other error propagates at once: no block is
+    computed twice.
     """
     size = max(1, linalg.BLOCK_ELEMENTS // per_trial)
     start = 0
     while start < trials:
         stop = min(start + size, trials) if start else 1
         inputs = draw(start, stop)
-        try:
-            tables = [compute(inputs)]
-        except ValueError:
-            if len(inputs) == 1:
-                raise
-            tables = (compute(inputs[i : i + 1]) for i in range(len(inputs)))
-        for table in tables:
+        if len(inputs) == 1:
+            for group in compute(inputs):
+                rep.table(group)
+        else:
+            try:
+                table = [shape for group in compute(inputs) for shape in group]
+            except ValueError as exc:
+                for i in range(len(inputs)):
+                    for group in compute(inputs[i : i + 1]):
+                        rep.table(group)
+                raise RuntimeError(
+                    f"trials {start}..{stop - 1} raised {type(exc).__name__} as a block, and none alone: {exc}"
+                ) from exc
             rep.table(table)
         start = stop
 
@@ -438,7 +456,7 @@ def cmd_demo(args, rep: Reporter) -> None:
         def compute(z: np.ndarray):
             # not normalized in place: a block that meets bad input runs again on its own inputs
             psi = z / linalg.vector_norm(z)[:, None]
-            return [("dft_random_state", fields(d, demos.dft_uncertainty_demo(psi, orders)))]
+            yield [("dft_random_state", fields(d, demos.dft_uncertainty_demo(psi, orders)))]
 
         # the trials' draws are those of linalg.ginibre(rng, d) trial by trial
         _stream_trials(rep, args.trials, d, lambda start, stop: linalg.ginibre_draws(rng, stop - start, d), compute)
@@ -462,15 +480,16 @@ def cmd_ensemble(args, rep: Reporter) -> None:
         _, w, v = linalg.density_spectrum(linalg._densities(draw(0)), vectors=True)
         weights, states = ensembles._pure_members(w, v, linalg.positive_qr(draw(1)))
         state_h, weight_h = ensembles._pure_bounds(weights, states, alpha, "tsallis")
+        common = dict(d=d, alpha=alpha, seed=list(bases))
+        pure = dict(lhs=weight_h.tolist(), rhs=state_h.tolist(), slack=(weight_h - state_h).tolist())
+        yield [("pure_ensemble_bound", dict(common, **pure))]  # the members are drawn and checked after it
         # numpy's dirichlet(np.ones(m)) bit for bit: gamma(1) draws, times 1 / their left-to-right sum
         e = draw(2)
         mix_weights = _normalized(e * (1 / np.add.accumulate(e, axis=-1)[:, -1:]))
         members = linalg._densities(np.stack([draw(3 + k) for k in range(m)], axis=1))
         lower, mid, upper = ensembles._sandwich(mix_weights, *linalg.density_spectrum(members, name="member"), alpha)
-        common = dict(d=d, alpha=alpha, seed=list(bases))
-        pure = dict(lhs=weight_h.tolist(), rhs=state_h.tolist(), slack=(weight_h - state_h).tolist())
         mixed = dict(lhs=upper.tolist(), rhs=lower.tolist(), slack=np.minimum(mid - lower, upper - mid).tolist())
-        return [("pure_ensemble_bound", dict(common, **pure)), ("mixed_ensemble_sandwich", dict(common, **mixed))]
+        yield [("mixed_ensemble_sandwich", dict(common, **mixed))]
 
     _run_plan(rep, args.trials, args.seed, plan, compute)
 

@@ -6,6 +6,7 @@ import csv
 import io
 import json
 import math
+import sys
 import time
 
 import numpy as np
@@ -51,6 +52,26 @@ def blocks_of(mp, block: int) -> None:
         return _STREAM_TRIALS(rep, trials, per_trial, *rest)
 
     mp.setattr(cli, "_stream_trials", sized)
+
+
+def stream_log(mp, seeds, raises=None) -> list:
+    """Spy, through the monkeypatch mp, on linalg._stream, where each seeded stream opens:
+    the returned list gets (seed, out) at each opening, the seed among `seeds` hashed to the
+    stream's state and out what sys.stdout holds at that moment (its getvalue(): capsys's
+    capture, or an io.StringIO under contextlib.redirect_stdout).  A seed that `raises`
+    (a dict) maps to an exception raises it there, in place of the stream."""
+    names = {state.tobytes(): seed for seed, state in zip(seeds, linalg._seed_states(seeds))}
+    log, stream = [], linalg._stream
+
+    def spy(state):
+        seed = names[state.tobytes()]
+        log.append((seed, sys.stdout.getvalue()))
+        if seed in (raises or {}):
+            raise raises[seed]
+        return stream(state)
+
+    mp.setattr(linalg, "_stream", spy)
+    return log
 
 
 def z_basis_povm() -> Povm:

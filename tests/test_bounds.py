@@ -677,14 +677,14 @@ class TestCheckValidatesOnce:
         assert (len(density), len(g), len(weights)) == (2, 2, 4)
 
     def test_sweep_block_validates_each_distribution_stack_once(self, monkeypatch, capsys):
-        # per block, each normalized once, for every order: the Gram spectra, the
-        # remixed distributions, p and q; trials 0 and then 1-2 make two blocks
+        # per block, each normalized once, for every order: p and q, then the Gram
+        # spectra and the remixed distributions; trials 0 and then 1-2 make two blocks
         calls = _count_calls(monkeypatch, entropy, "_normalized")
         blocks_of(monkeypatch, 2)
         argv = ["sweep", "--dim", "2", "--trials", "3", "--alpha-grid", "0.3,0.5,0.7,1,1.5,2,3"]
         assert cli.main(argv) == 0
         assert len(capsys.readouterr().out.splitlines()) == 3 * 18
-        block = [(2,), (100, 2), (2,), (2,)]
+        block = [(2,), (2,), (2,), (100, 2)]
         assert [np.shape(args[0]) for args in calls] == [(t, *shape) for t in (1, 2) for shape in block]
 
     def test_quantum_entropy_decomposes_rho_once(self, monkeypatch):

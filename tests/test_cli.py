@@ -4,6 +4,7 @@ import contextlib
 import csv
 import fcntl
 import io
+import itertools
 import json
 import os
 import select
@@ -25,7 +26,7 @@ from unravel import bounds, channels, cli, demos, ensembles, linalg
 from unravel.channels import random_unraveling
 from unravel.entropy import _entropy, conjugate_order
 
-from helpers import ReferenceReporter, blocks_of, x_basis_povm, z_basis_povm
+from helpers import ReferenceReporter, blocks_of, stream_log, x_basis_povm, z_basis_povm
 
 
 def _encode(m):
@@ -55,12 +56,6 @@ def _cli_process(argv):
     return subprocess.run(
         [sys.executable, "-m", "unravel.cli", *argv], env=_src_env(), capture_output=True, text=True, timeout=120
     )
-
-
-def _seed_names(seeds):
-    """The seed hashed to each linalg._seed_states row, keyed by the row's bytes: how a
-    spy on linalg._stream(state) tells whose stream opens."""
-    return {state.tobytes(): seed for seed, state in zip(seeds, linalg._seed_states(seeds))}
 
 
 def _json_rows(out):
@@ -378,52 +373,76 @@ class TestSweepCommand:
     def test_rows_stream_as_made(self, capsys, monkeypatch):
         # trial 0's rows reach stdout before trial 1 draws its state, and an error in
         # trial 1 leaves them there as whole JSON lines
-        opened, before_draw = [], []
-        names = _seed_names([b + k for b in (5, 1005) for k in range(5)])
-
-        def spy(state):  # each seeded stream opens here, one per row of a stage's seeds
-            seed = names[state.tobytes()]
-            opened.append(seed)
-            if seed in (5, 1005):  # each trial's first draw, its state's
-                before_draw.append(capsys.readouterr().out)
-            if seed == 1005:
-                raise ValueError("trial 1 failed")
-            return stream(state)
-
-        stream = linalg._stream
-        monkeypatch.setattr(linalg, "_stream", spy)
+        seeds = [b + k for b in (5, 1005) for k in range(5)]
+        log = stream_log(monkeypatch, seeds, raises={1005: ValueError("trial 1 failed")})
         code, out, err = _run(capsys, ["sweep", "--dim", "2", "--trials", "2", "--seed", "5"])
+        before_draw = [text for seed, text in log if seed in (5, 1005)]  # each trial's first draw, its state's
         assert code == 2
         assert json.loads(err) == {"error": "trial 1 failed"}
-        assert before_draw[0] == "" and out == ""
+        assert before_draw[0] == "" and out == before_draw[1]
         rows = _json_rows(before_draw[1])
         assert len(rows) == 10
         assert rows[0]["check_name"] == "factor_chain"
         assert all(r["seed"] == 5 for r in rows)
-        assert opened == [5, 6, 7, 8, 9, 1005]  # one stream per seed, stage by stage
+        # one stream per seed, stage by stage: the POVM pair's (3, 4) before the remixings' (2)
+        assert [seed for seed, _ in log] == [5, 6, 8, 9, 7, 1005]
 
     def test_sliced_remixings_open_each_stream_once(self, capsys, monkeypatch):
         # 1100 remixings of d = 8 take two slices in each trial, and each later slice continues
         # the stream its seed opened for the first: every seed's stream opens exactly once
         assert 1100 * 8 * 8 > linalg.BLOCK_ELEMENTS >= 1024 * 8 * 8
-        opened, slices = [], []
-        names = _seed_names([b + k for b in (0, 1000) for k in range(5)])
-
-        def spy(state):
-            opened.append(names[state.tobytes()])
-            return stream(state)
+        slices = []
+        log = stream_log(monkeypatch, [b + k for b in (0, 1000) for k in range(5)])
 
         def sliced(*args):
             slices.append(list(ginibre_slices(*args)))
             return iter(slices[-1])
 
-        stream, ginibre_slices = linalg._stream, linalg.ginibre_slices
-        monkeypatch.setattr(linalg, "_stream", spy)
+        ginibre_slices = linalg.ginibre_slices
         monkeypatch.setattr(linalg, "ginibre_slices", sliced)
         code, out, err = _run(capsys, ["sweep", "--dim", "8", "--trials", "2", "--remixings", "1100"])
         assert code == 0 and err == ""
         assert [[z.shape for z in trial] for trial in slices] == [[(1, 1024, 8, 8), (1, 76, 8, 8)]] * 2
-        assert opened == [*range(5), *range(1000, 1005)]  # one stream per seed, stage by stage
+        # one stream per seed, stage by stage: the POVM pair's (3, 4) before the remixings' (2)
+        assert [seed for seed, _ in log] == [0, 1, 3, 4, 2, 1000, 1001, 1003, 1004, 1002]
+
+    @pytest.mark.parametrize(
+        "argv, first_check, one_trial_blocks, per_trial",
+        [
+            (["sweep", "--dim", "2", "--trials", "3"], "factor_chain", 1, 10),
+            (["sweep", "--dim", "17", "--trials", "3"], "factor_chain", 3, 10),  # from d = 17 a block holds one trial
+            (["ensemble", "--dim", "2", "--members", "3", "--alpha", "2", "--trials", "3"], "pure_ensemble_bound", 1, 2),
+        ],
+        ids=["sweep-d2", "sweep-d17", "ensemble"],
+    )
+    def test_first_group_leaves_before_stage_2(self, capsys, monkeypatch, argv, first_check, one_trial_blocks, per_trial):
+        # in a block of one trial, the trial's first row (sweep's factor_chain, ensemble's
+        # pure_ensemble_bound) is on stdout, alone of its rows, when its stage 2 stream opens
+        log = stream_log(monkeypatch, [1000 * t + k for t in range(3) for k in range(6)])
+        code, out, err = _run(capsys, argv)
+        assert (code, err) == (0, "")
+        lines, at = out.splitlines(keepends=True), dict(log)  # each seed opens once
+        assert len(log) == len(at)
+        for t in range(one_trial_blocks):
+            assert at[1000 * t + 2] == "".join(lines[: per_trial * t + 1])
+            row = json.loads(lines[per_trial * t])
+            assert (row["check_name"], row["seed"]) == (first_check, 1000 * t)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_timing_gives_one_time_a_group(self, capsys, fmt):
+        # blocks of one trial from d = 17: each trial's factor_chain row, then its other nine
+        # rows, each group with its own time as it is written; the CSV header comes once
+        code, out, err = _run(capsys, ["--timing", "--format", fmt, "sweep", "--dim", "17", "--trials", "2"])
+        assert (code, err) == (0, "")
+        if fmt == "csv":
+            assert out.count(",".join(cli.ROW_FIELDS)) == 1 and out.startswith(",".join(cli.ROW_FIELDS))
+            rows = list(csv.DictReader(io.StringIO(out)))
+        else:
+            rows = _json_rows(out)
+        times = [float(r["wall_time_ms"]) for r in rows]
+        assert times == sorted(times)
+        assert [r["check_name"] == "factor_chain" for r in rows] == ([True] + [False] * 9) * 2
+        assert [len(list(group)) for _, group in itertools.groupby(times)] == [1, 9, 1, 9]
 
     @pytest.mark.parametrize(
         "command, first_check",
@@ -845,20 +864,11 @@ class TestBlockedTrials:
 
     def test_failing_draw_leaves_earlier_rows(self, capsys, monkeypatch):
         # the state of trial 3 fails to draw, in the middle of a block of 4 trials
-        drawn = []
-        names = _seed_names([1000 * t + k for t in range(8) for k in range(5)])
-
-        def spy(state):  # each seeded stream opens here, one per row of a stage's seeds
-            seed = names[state.tobytes()]
-            drawn.append(seed)
-            if seed == 3000:
-                raise ValueError("trial 3 failed")
-            return stream(state)
-
-        stream = linalg._stream
-        monkeypatch.setattr(linalg, "_stream", spy)
+        seeds = [1000 * t + k for t in range(8) for k in range(5)]
+        log = stream_log(monkeypatch, seeds, raises={3000: ValueError("trial 3 failed")})
         blocks_of(monkeypatch, 4)
         code, out, err = _run(capsys, ["ensemble", "--dim", "2", "--members", "2", "--alpha", "2", "--trials", "8"])
+        drawn = [seed for seed, _ in log]
         assert code == 2
         assert json.loads(err) == {"error": "trial 3 failed"}
         rows = _json_rows(out)
@@ -870,15 +880,18 @@ class TestBlockedTrials:
         opened_once = [*range(5), 1000, 2000, 3000, *range(1000, 1005), *range(2000, 2005), 3000]
         assert drawn == opened_once
 
-        drawn.clear()
+        log.clear()
         code, out, err = _run(capsys, ["sweep", "--dim", "2", "--trials", "8", "--remixings", "5"])
+        drawn = [seed for seed, _ in log]
         assert code == 2
         assert json.loads(err) == {"error": "trial 3 failed"}
         rows = _json_rows(out)
         assert [r["seed"] for r in rows if r["check_name"] == "factor_chain"] == [0, 1000, 2000]
         assert len(rows) == 3 * 10
         assert max(drawn) == 3000
-        assert drawn == opened_once
+        # the same, each trial's POVM pair (base + 3, base + 4) drawn before its remixings (base + 2)
+        trial = [0, 1, 3, 4, 2]
+        assert drawn == [*trial, 1000, 2000, 3000, *(1000 + k for k in trial), *(2000 + k for k in trial), 3000]
 
     def test_failing_trial_leaves_earlier_rows(self, capsys, monkeypatch):
         # the demo raises on trial 5's state, inside the second block of 4 trials
@@ -916,6 +929,65 @@ class TestBlockedTrials:
         rows = _json_rows(out)
         assert [r["seed"] for r in rows if r["check_name"] == "factor_chain"] == [9, 1009, 2009, 3009, 4009]
         assert len(rows) == 5 * 10
+
+    @pytest.mark.parametrize(
+        "argv, per_trial, tables",
+        [
+            (["sweep", "--dim", "2", "--trials", "9", "--remixings", "5"], 10, [(1, 1), (9, 1), (10, 4), (10, 4)]),
+            (["ensemble", "--dim", "2", "--members", "2", "--alpha", "2", "--trials", "9"], 2, [(1, 1), (1, 1), (2, 4), (2, 4)]),
+        ],
+        ids=["sweep", "ensemble"],
+    )
+    def test_block_writes_once_its_last_group_is_made(self, capsys, monkeypatch, argv, per_trial, tables):
+        # trial 0 writes its groups one by one; a block of several trials writes all its groups'
+        # shapes as one table after its last stream opens, so no row of it leaves before the last group
+        written, table = [], cli.Reporter.table
+
+        def spy(rep, shapes):
+            written.append((len(shapes), next(len(v) for _, f in shapes for v in f.values() if isinstance(v, list))))
+            return table(rep, shapes)
+
+        monkeypatch.setattr(cli.Reporter, "table", spy)
+        log = stream_log(monkeypatch, [1000 * t + k for t in range(9) for k in range(5)])
+        blocks_of(monkeypatch, 4)
+        code, out, err = _run(capsys, argv)
+        assert (code, err) == (0, "")
+        assert written == tables
+        lines = out.splitlines(keepends=True)
+        assert len(lines) == 9 * per_trial
+        for seed, text in log:
+            t = seed // 1000
+            if t:  # the rows of the blocks before trial t's: trial 0's, then trials 1..4's
+                assert text == "".join(lines[: per_trial * (1 + 4 * ((t - 1) // 4))])
+
+    @pytest.mark.parametrize(
+        "argv, kernel, stack, rows",
+        [
+            (["sweep", "--dim", "2", "--trials", "9", "--remixings", "5"], (bounds, "_f"), 2, 5 * 10),
+            (["ensemble", "--dim", "2", "--members", "2", "--alpha", "2", "--trials", "9"], (ensembles, "_sandwich"), 0, 5 * 2),
+            (["demo", "dft", "--dim", "3", "--alpha", "2", "--trials", "9"], (demos, "dft_uncertainty_demo"), 0, 1 + 5),
+        ],
+        ids=["sweep", "ensemble", "demo-dft"],
+    )
+    def test_block_only_bad_input_exits_3(self, capsys, monkeypatch, argv, kernel, stack, rows):
+        # a ValueError that only a block of several trials raises: its trials, rerun one at a
+        # time, pass and write their rows, and the block's error ends the run with exit 3
+        module, name = kernel
+        real = getattr(module, name)
+
+        def spy(*args):
+            if np.ndim(args[stack]) == 2 and len(args[stack]) > 1:
+                raise ValueError("planted")
+            return real(*args)
+
+        monkeypatch.setattr(module, name, spy)
+        blocks_of(monkeypatch, 4)
+        code, out, err = _run(capsys, argv)
+        assert code == 3
+        assert err.count("\n") == 1
+        assert json.loads(err) == {"error": "RuntimeError: trials 1..4 raised ValueError as a block, and none alone: planted"}
+        got = _json_rows(out)
+        assert len(got) == rows and got[-1]["seed"] == (0 if argv[0] == "demo" else 4000)
 
     @pytest.mark.parametrize("error", [AssertionError, MemoryError])
     @pytest.mark.parametrize(
