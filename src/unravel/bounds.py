@@ -37,8 +37,10 @@ Remixing by a unitary U gives the distribution diag(U† Pi U), which the Gram
 spectrum majorizes (Schur); Tsallis and Renyi entropies of positive order are
 Schur-concave (Marshall & Olkin, Inequalities: Theory of Majorization, ch. 3 A
 and 9 B), so that unraveling minimizes both at every order, exactly.
-phi_min_verify checks the Tsallis bound's minimization exactly on the edge of the
-feasible set, where phi does not rise while zeta = 1, then is concave.
+phi_min_verify checks the Tsallis bound's minimization on the edge of the feasible
+set, over every float xi of it: phi does not rise while zeta = 1, then is concave,
+so three floats, the last flat one (found by bisection over the floats' bit
+patterns), the next and xi = 1, hold the minimum.
 """
 
 from __future__ import annotations
@@ -51,12 +53,13 @@ import numpy as np
 
 from . import linalg
 from .channels import Unraveling, _check_complete, _extremal, _pair_traces, _weights
-from .entropy import ConjugateOrders, _entropy, _normalized, alpha_log, as_prob_vector, conjugate_order
+from .entropy import ConjugateOrders, _entropy, _normalized, alpha_log, conjugate_order
 from .linalg import check_density
 
 # Probabilities below this are treated as zero in the factor maxima.
 P_ZERO_TOL = 1e-12
-EDGE_POINTS = 2000 * 2000  # points of the edge that phi_min_verify minimizes phi over
+# the bit pattern of 1.0: non-negative floats order like their bit patterns read as integers
+_ONE_BITS = int(np.float64(1.0).view(np.int64))
 # the error of both completeness checks of a Povm, on its elements or on its roots
 _INCOMPLETE = "POVM completeness violated: ||sum M - I||_F"
 
@@ -123,19 +126,10 @@ class BoundReport(NamedTuple):
     orders: ConjugateOrders
 
 
-def bound_report(
-    p, q, orders: ConjugateOrders, kind: str, factor: float | np.ndarray, rhs: float | np.ndarray
-) -> BoundReport:
-    """Report H_a(p) + H_b(q) >= rhs for entropies of the given kind.
-
-    alpha is bound to p and beta to q.  The entropies are exact at every
-    order, the Shannon case alpha = beta = 1 included.
-    """
-    return _bound_report(as_prob_vector(p), as_prob_vector(q), orders, kind, factor, rhs)
-
-
 def _bound_report(p: np.ndarray, q: np.ndarray, orders: ConjugateOrders, kind: str, factor, rhs) -> BoundReport:
-    """bound_report of normalized distributions (through as_prob_vector or _normalized)."""
+    """Report H_a(p) + H_b(q) >= rhs for entropies of the given kind, of distributions
+    already normalized (through as_prob_vector or _normalized).  alpha is bound to p
+    and beta to q; the entropies are exact at every order, Shannon included."""
     lhs = _entropy(p, orders.alpha, kind) + _entropy(q, orders.beta, kind)
     return BoundReport(lhs=lhs, rhs=rhs, slack=lhs - rhs, factor=factor, orders=orders)
 
@@ -398,12 +392,8 @@ class PhiProblem:
             raise ValueError(f"gamma must be finite and >= 1, got {gamma}")
         if not 1 < alpha < np.inf:
             raise ValueError(f"alpha must be finite and > 1, got {alpha}")
-        conjugate_order(alpha)  # the conjugate order must not round to 0
         self.gamma, self.alpha = gamma, alpha
-
-    @property
-    def beta(self) -> float:
-        return conjugate_order(self.alpha).beta
+        self.beta = conjugate_order(alpha).beta  # raises where beta rounds to 0
 
     @property
     def xi0(self) -> float:
@@ -418,25 +408,25 @@ class PhiProblem:
 def phi_min_verify(problem: PhiProblem) -> tuple[float, float]:
     """Return (analytic_min, numeric_min) for a PhiProblem.
 
-    numeric_min is the minimum over the n = EDGE_POINTS points
-    xi = np.linspace(0, 1, n) of the edge zeta = max(1, gamma * xi^(beta/alpha));
-    phi increases in zeta, so no feasible point lies below the edge.  There phi
-    does not rise while zeta = 1, in floating point too, and is concave after
-    (linear plus a positive multiple of xi^(beta/alpha), 0 < beta/alpha < 1),
-    so least at the last flat point (bisection finds it), the next or xi = 1,
-    each taken as a sweep of all n points would.  That sweep's minimum is lower
-    only where phi rises between points by less than zeta's rounding (gamma - 1
-    below ~1e-9, large alpha), and by ~1e-16.
+    numeric_min is the minimum over every float xi in [0, 1] of phi on the edge
+    zeta = max(1, gamma * xi^(beta/alpha)); phi increases in zeta, so no feasible
+    point lies below the edge.  There phi does not rise while zeta = 1, in
+    floating point too, and is concave after (linear plus a positive multiple of
+    xi^(beta/alpha), 0 < beta/alpha < 1), so least at the last flat float, the
+    next or xi = 1.  Bisection over the bit patterns of the floats in (0, 1]
+    finds the last flat one in 62 steps.  Where phi rises from one float to the
+    next by less than zeta's rounding, a later float may be lower, by up to
+    spacing(zeta) / (1 - beta).
     """
-    gamma, c, n = problem.gamma, problem.beta / problem.alpha, EDGE_POINTS
+    gamma, c = problem.gamma, problem.beta / problem.alpha
 
-    def edge(i: np.ndarray) -> np.ndarray:
-        # np.linspace(0, 1, n)[i]: the index times the step, the last point pinned to 1
-        return np.where(i == n - 1, 1.0, i * (1.0 / (n - 1)))
+    def floats(bits) -> np.ndarray:
+        return np.asarray(bits, dtype=np.int64).view(np.float64)
 
-    # the flat points are the first k + 1 (xi = 0 is flat); bisection over the rest finds k
-    k = bisect.bisect_left(range(1, n), True, key=lambda i: (gamma * edge(np.array([i])) ** c)[0] > 1.0)
-    xi = edge(np.unique([k, min(k + 1, n - 1), n - 1]))
+    # xi = 0 (pattern 0) is flat, so the count of flat patterns in 1.._ONE_BITS is the last flat one's;
+    # each test is on an array, as for the candidates, since numpy's array pow may differ from its scalar pow
+    last = bisect.bisect_left(range(1, _ONE_BITS + 1), True, key=lambda i: (gamma * floats([i]) ** c)[0] > 1.0)
+    xi = floats([last, min(last + 1, _ONE_BITS), _ONE_BITS])
     edge_min = float(problem.phi(xi, np.maximum(1.0, gamma * xi**c)).min())
     return (problem.xi0 - 1.0) / (1.0 - problem.alpha), edge_min
 

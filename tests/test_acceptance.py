@@ -277,7 +277,7 @@ def test_08_constrained_minimum():
         d_zeta = (problem.phi(xi, zeta + h) - problem.phi(xi, zeta - h)) / (2 * h)
         if not (d_xi < 0 and d_zeta > 0):
             signs_ok = False
-    ok = edge_ok and worst_gap <= 1e-4 and hand_ok and signs_ok
+    ok = edge_ok and worst_gap <= 1e-12 and hand_ok and signs_ok
     _verdict(
         f"criterion 8: constrained minimum (max |edge-analytic| {worst_gap:.2e}, "
         f"hand case 7/8: {hand_ok}, derivative signs: {signs_ok})",

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from unravel import bounds, channels, cli, ensembles, entropy, linalg
@@ -790,7 +790,7 @@ class TestPhiMin:
         analytic, numeric = phi_min_verify(problem)
         assert analytic == pytest.approx(7 / 8)
         assert numeric >= analytic - 1e-6
-        assert numeric == pytest.approx(analytic, abs=1e-4)
+        assert numeric == pytest.approx(analytic, abs=1e-12)
 
     def test_gamma_below_one_rejected(self):
         with pytest.raises(ValueError):
@@ -801,59 +801,89 @@ class TestPhiMin:
         assert phi_min_verify(PhiProblem(1e308, 2.0)) == (1.0, 1.0)
 
     @staticmethod
-    def _slices(xi, block=2**18):
-        return [xi[i : i + block] for i in range(0, xi.size, block)]
+    def _zeta(problem, xi):
+        # the edge at float64 arrays of xi, as phi_min_verify computes it
+        return np.maximum(1.0, problem.gamma * np.asarray(xi) ** (problem.beta / problem.alpha))
 
-    def _edge_sweep_min(self, problem, xi, block=2**18):
-        # reference: phi at every point xi of the edge, slices of `block` points of one np.linspace
-        c = problem.beta / problem.alpha
-        slices = self._slices(xi, block)
-        return min(float(problem.phi(x, np.maximum(1.0, problem.gamma * x**c)).min()) for x in slices)
+    def _last_flat(self, problem, width=1 << 16):
+        # the last float xi in [0, 1] with zeta = 1, walked to from xi0 over windows of
+        # consecutive floats, each of which np.nextafter steps from its predecessor
+        x, one = problem.xi0, int(np.float64(1.0).view(np.int64))
+        up = bool(self._zeta(problem, [x])[0] == 1.0)
+        while True:
+            start = int(np.float64(x).view(np.int64))
+            lo, hi = (start, min(start + width, one + 1)) if up else (max(start + 1 - width, 0), start + 1)
+            xs = np.arange(lo, hi).view(np.float64)
+            assert np.array_equal(np.nextafter(xs[:-1], np.inf), xs[1:])
+            flats = self._zeta(problem, xs) == 1.0
+            assert np.all(flats[:-1] >= flats[1:])  # flat, then rising
+            if (not flats[-1] or xs[-1] == 1.0) if up else flats[0]:
+                return xs[np.flatnonzero(flats)[-1]]
+            x = xs[-1] if up else xs[0]
 
-    def _check_edge(self, gamma, alpha, n, block=2**18):
-        problem = PhiProblem(gamma, alpha)
-        edge = self._edge_sweep_min(problem, np.linspace(0.0, 1.0, n), block)
-        with pytest.MonkeyPatch.context() as patch:  # the edge minimum over n points, to the bit
-            patch.setattr(bounds, "EDGE_POINTS", n)
-            assert phi_min_verify(problem)[1] == edge
+    @staticmethod
+    def _rounding(problem, zeta):
+        # zeta's rounding, as it moves phi
+        return np.spacing(zeta) / (1.0 - problem.beta)
 
-    @pytest.mark.parametrize("block", [1, 7, 64, 1 << 15])
-    def test_edge_blocks_match_one_linspace(self, block):
-        # the reference sweep in slices of any size has the exact edge minimum's bits
-        for gamma, alpha, n in ((2.0, 2.0, 30 * 30), (1.0, 1.5, 2 * 2), (5.0, 3.7, 41 * 41), (1.3, 1.1, 17 * 17)):
-            self._check_edge(gamma, alpha, n, block)
-
-    @settings(max_examples=150, deadline=None)
-    @given(
-        gamma=st.one_of(
-            st.sampled_from([1.0, 1.0 + 2.0**-52, 1.0 + 1e-9, 1.0001, 1e308]), st.floats(1.0, 1e308)
-        ),
+    _edge = given(
+        gamma=st.one_of(st.sampled_from([1.0, 1.0 + 2.0**-52, 1.0 + 1e-9, 1.0001, 1e308]), st.floats(1.0, 1e308)),
         alpha=st.one_of(st.sampled_from([1.0001, 1e6]), st.floats(1.0001, 1e6)),
-        n=st.integers(2, 60).map(lambda side: side * side),
     )
-    def test_edge_minimum_is_the_sweeps(self, gamma, alpha, n):
-        self._check_edge(gamma, alpha, n)
+
+    @settings(max_examples=100, deadline=None)
+    @_edge
+    @example(gamma=1.0000000000108866, alpha=98786.467276984)
+    def test_edge_minimum_is_phi_at_the_last_flat_float(self, gamma, alpha):
+        # bit for bit min phi at the last flat float, the next float and xi = 1
+        problem = PhiProblem(gamma, alpha)
+        x = self._last_flat(problem)
+        xi = np.array([x, min(np.nextafter(x, np.inf), 1.0), 1.0])
+        assert phi_min_verify(problem)[1] == float(problem.phi(xi, self._zeta(problem, xi)).min())
+
+    @settings(max_examples=100, deadline=None)
+    @_edge
+    @example(gamma=1.0000000000108866, alpha=98786.467276984)
+    def test_edge_minimum_is_below_a_dense_sweep(self, gamma, alpha):
+        # no point of a dense np.linspace of the edge is lower, beyond zeta's rounding
+        problem = PhiProblem(gamma, alpha)
+        xi = np.linspace(0.0, 1.0, 100_001)
+        zeta = self._zeta(problem, xi)
+        assert np.all(phi_min_verify(problem)[1] <= problem.phi(xi, zeta) + self._rounding(problem, zeta))
+
+    @settings(max_examples=100, deadline=None)
+    @_edge
+    @example(gamma=1.0000000000108866, alpha=98786.467276984)
+    def test_edge_minimum_is_not_below_the_closed_form(self, gamma, alpha):
+        # phi is least at (xi0, 1); the edge minimum is not lower, beyond zeta's rounding
+        problem = PhiProblem(gamma, alpha)
+        analytic, numeric = phi_min_verify(problem)
+        assert numeric >= analytic - self._rounding(problem, 1.0)
 
     def test_workload_case_against_the_full_edge(self):
-        # phi-min --gamma 2 --alpha 2: the 4,000,000 = 2000^2 edge points
-        assert bounds.EDGE_POINTS == 2000 * 2000
-        self._check_edge(2.0, 2.0, bounds.EDGE_POINTS)
-
-    def test_edge_where_phi_rises_below_rounding(self, monkeypatch):
-        # gamma - 1 ~ 1e-11 and alpha ~ 1e5: past the flat points phi rises from one point to
-        # the next by less than the rounding of zeta, so a sweep's minimum sits a few points
-        # on, lower by that rounding; the edge minimum is phi at the first point past them
-        problem = PhiProblem(1.0000000000108866, 98786.467276984)
-        c = problem.beta / problem.alpha
+        # phi-min --gamma 2 --alpha 2: exactly 7/8 at the last flat float, and no lower than
+        # any of the 2000^2 points of np.linspace(0, 1, 2000^2), taken in slices
+        problem = PhiProblem(2.0, 2.0)
+        analytic, numeric = phi_min_verify(problem)
+        assert numeric == analytic == 7 / 8
         xi = np.linspace(0.0, 1.0, 2000 * 2000)
-        first = sum(int(np.count_nonzero(problem.gamma * x**c <= 1.0)) for x in self._slices(xi))
-        at_first = float(problem.phi(xi[first], problem.gamma * xi[first : first + 1] ** c)[0])
-        sweep = self._edge_sweep_min(problem, xi)
-        assert phi_min_verify(problem)[1] == at_first
-        assert sweep < at_first <= sweep + np.spacing(1.0) / (1.0 - problem.beta)
+        for start in range(0, xi.size, 1 << 18):
+            x = xi[start : start + (1 << 18)]
+            assert numeric <= problem.phi(x, self._zeta(problem, x)).min()
+
+    def test_edge_where_phi_rises_below_rounding(self):
+        # gamma - 1 ~ 1e-11 and alpha ~ 1e5: past the last flat float phi rises from one float
+        # to the next by less than zeta's rounding, so a later float sits lower, by less than that
+        problem = PhiProblem(1.0000000000108866, 98786.467276984)
+        x = self._last_flat(problem)
+        numeric = phi_min_verify(problem)[1]
+        assert numeric == problem.phi(x, 1.0)
+        xs = np.nextafter(x, np.inf) + np.arange(2_000_000) * np.spacing(x)  # the next floats, all in x's binade
+        phi = problem.phi(xs, self._zeta(problem, xs)).min()
+        assert phi < numeric <= phi + self._rounding(problem, 1.0)
 
     def test_phi_evaluates_a_few_points(self, monkeypatch):
-        # at most three edge points, out of the 4,000,000 the edge has
+        # at most three edge points, out of the ~4.6e18 floats of [0, 1]
         sizes, phi = [], PhiProblem.phi
         monkeypatch.setattr(PhiProblem, "phi", lambda self, xi, zeta: sizes.append(np.size(xi)) or phi(self, xi, zeta))
         for gamma, alpha in ((2.0, 2.0), (1.0, 1.5), (1e308, 2.0), (1.0001, 1e6)):

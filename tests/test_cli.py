@@ -1458,7 +1458,7 @@ class TestPhiMinCommand:
         assert code == 0
         (row,) = _json_rows(out)
         assert row["rhs"] == pytest.approx(7 / 8, abs=1e-12)
-        assert row["lhs"] == pytest.approx(7 / 8, abs=1e-4)
+        assert row["lhs"] == pytest.approx(7 / 8, abs=1e-12)
         assert row["slack"] >= -1e-12
 
 

@@ -3,7 +3,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from unravel.bounds import bound_report
 from unravel.demos import (
     AngleState,
     angle_momentum_demo,
@@ -11,7 +10,7 @@ from unravel.demos import (
     dft_uncertainty_demo,
     gaussian_wavepacket,
 )
-from unravel.entropy import alpha_log, conjugate_order
+from unravel.entropy import alpha_log, conjugate_order, tsallis_entropy
 from unravel.linalg import TOL_UNITARY
 
 from helpers import dft_matrix, momenta, psi_lb_norm, random_state_vector, wavefunction
@@ -158,8 +157,9 @@ class TestDftDemo:
             for alpha in (0.6, 1.0, 2.0):
                 c = random_state_vector(d, rng)
                 orders = conjugate_order(alpha)
-                want = bound_report(np.abs(dft_matrix(d) @ c) ** 2, np.abs(c) ** 2, orders, "tsallis", 0.0, 0.0)
-                assert dft_uncertainty_demo(c, orders).lhs == pytest.approx(want.lhs, rel=1e-14, abs=1e-14)
+                p, q = np.abs(dft_matrix(d) @ c) ** 2, np.abs(c) ** 2
+                want = tsallis_entropy(p, alpha) + tsallis_entropy(q, orders.beta)
+                assert dft_uncertainty_demo(c, orders).lhs == pytest.approx(want, rel=1e-14, abs=1e-14)
 
 
 class TestDftNormChain:

@@ -143,7 +143,9 @@ def test_low_mixture_entropy_fails_mixed_ensemble_sandwich(capsys, monkeypatch):
 
 
 def test_wrong_analytic_minimum_fails_phi_min(capsys, monkeypatch):
-    # xi0 low by 1e-5 puts the analytic minimum (1 - xi0)/(alpha - 1) above the edge minimum
+    # xi0 low by eps puts the analytic minimum (1 - xi0)/(alpha - 1) above the edge minimum,
+    # by eps/8 here: 1.25e-8 at eps = 1e-7, which only the exact edge minimum sees
     xi0 = bounds.PhiProblem.xi0.fget
-    monkeypatch.setattr(bounds.PhiProblem, "xi0", property(lambda problem: xi0(problem) * (1 - 1e-5)))
-    assert _failing(capsys, PHI_MIN) == (1, {"phi_min"})
+    for eps in (1e-5, 1e-7):
+        monkeypatch.setattr(bounds.PhiProblem, "xi0", property(lambda problem, eps=eps: xi0(problem) * (1 - eps)))
+        assert _failing(capsys, PHI_MIN) == (1, {"phi_min"})
