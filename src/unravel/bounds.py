@@ -18,7 +18,7 @@ only when one is read.  The adjoints A_i = F_i† are a Kraus set with
 A_i† A_i = M_i, so the channels kernels check a factored POVM's completeness
 and give every POVM's outcome weights p_i = tr(A_i rho A_i†).
 
-The kernels (_g, _f, _f_bar, _reports) take POVMs held through roots
+The kernels (_g, _f, _f_bar, _factor, _reports) take POVMs held through roots
 (..., n, dim, r) and validated states (..., dim, dim) with any leading axes,
 one value per index of those axes; the public functions call them on one POVM
 pair and one state, and return floats.  The form of each factor follows the
@@ -283,14 +283,10 @@ def f_bar(m: Povm, n: Povm) -> float:
     return float(_f_bar(m, n))
 
 
-def _reports(
-    m: Povm, n: Povm, states: tuple, orders, factor_kind: str, kinds
-) -> tuple[float | np.ndarray, list[BoundReport]]:
-    """(factor, reports) at validated states, (rho, w, v) from density_spectrum
-    or (rho,) for kinds other than f: p, q and the factor are computed once, then
-    one report per kind of kinds, its lhs from one entropy call per POVM and its rhs
-    from one call, at one ConjugateOrders or at a sequence of them (BoundReport).
-    p and q are normalized once.  One POVM pair and one state give floats."""
+def _factor(m: Povm, n: Povm, states: tuple, factor_kind: str) -> tuple:
+    """(p, q, factor) at validated states, (rho, w, v) from density_spectrum or
+    (rho,) for kinds other than f: the outcome weights p of m and q of n, each
+    normalized once, after the factor has read them.  The factor step of _reports."""
     rho = states[0]
     p, q = _weights(m._kraus, rho), _weights(n._kraus, rho)
     if factor_kind == "g":
@@ -301,8 +297,14 @@ def _reports(
         factor = _f_bar(m, n)
     else:
         raise ValueError(f"unknown factor kind {factor_kind!r}")
-    factor = _value(factor)
-    p, q = _normalized(p), _normalized(q)
+    return _normalized(p), _normalized(q), _value(factor)
+
+
+def _relations(p: np.ndarray, q: np.ndarray, factor, orders, kinds) -> list[BoundReport]:
+    """One report per kind of kinds at normalized weights p and q and their factor
+    (_factor): its lhs from one entropy call per POVM and its rhs from one call, at
+    one ConjugateOrders or at a sequence of them (BoundReport).  The report step of
+    _reports."""
     one = isinstance(orders, ConjugateOrders)
     alphas, betas, mus = (getattr(orders, k) if one else [getattr(o, k) for o in orders] for k in ("alpha", "beta", "mu"))
     reports = []
@@ -313,7 +315,17 @@ def _reports(
         else:  # the same at every order
             rhs = _value(-2.0 * np.log(factor)) if one else np.full(lhs.shape, -2.0 * np.log(factor))
         reports.append(BoundReport(lhs=lhs, rhs=rhs, slack=lhs - rhs, factor=factor, orders=orders))
-    return factor, reports
+    return reports
+
+
+def _reports(
+    m: Povm, n: Povm, states: tuple, orders, factor_kind: str, kinds
+) -> tuple[float | np.ndarray, list[BoundReport]]:
+    """(factor, reports) at validated states, as _factor takes them: the factor step
+    (p, q and the factor, computed once), then the report step (_relations).  One
+    POVM pair and one state give floats."""
+    p, q, factor = _factor(m, n, states, factor_kind)
+    return factor, _relations(p, q, factor, orders, kinds)
 
 
 def _value(x):

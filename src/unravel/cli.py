@@ -372,13 +372,15 @@ def cmd_sweep(args, rep: Reporter) -> None:
         rho, w, v = linalg.density_spectrum(linalg._densities(draw(0)), vectors=True)
         kraus, x = channels._isometry_factors(draw(1), d)  # blocks and Cholesky QR factors; d = 1: operators, None
         m, n = bounds._projective_pair(np.stack([draw(3), draw(4)]))
-        g, reports = bounds._reports(m, n, (rho,), orders, "g", ("tsallis", "renyi"))
+        p, q, g = bounds._factor(m, n, (rho,), "g")  # the factor step: the outcome weights and g
         f, fb = bounds._f(m, n, w, v), bounds._f_bar(m, n)
         del m, n, w, v  # the POVM roots and the eigenvectors, once the row is made
         chain = np.minimum(np.minimum(f - g, fb - f), 1.0 + 1e-10 - fb)
         seed, factor = list(bases), g.tolist()
-        # the factor_chain row reads only rho and the POVM pair, so it leaves before the remixings
+        # the factor_chain row reads only rho and the POVM pair (g, f and f_bar), so it
+        # leaves before the relation entropies, the Gram matrix and the remixings
         yield [("factor_chain", dict(d=d, slack=chain.tolist(), factor=factor, seed=seed))]
+        reports = bounds._relations(p, q, g, orders, ("tsallis", "renyi"))  # the report step
         gram = channels._gram(kraus, channels._factored_state(x, rho))
         del kraus  # before the remixings are drawn
         lambdas = _normalized(linalg._descending_eig(gram)[0])
@@ -482,12 +484,15 @@ def cmd_ensemble(args, rep: Reporter) -> None:
         state_h, weight_h = ensembles._pure_bounds(weights, states, alpha, "tsallis")
         common = dict(d=d, alpha=alpha, seed=list(bases))
         pure = dict(lhs=weight_h.tolist(), rhs=state_h.tolist(), slack=(weight_h - state_h).tolist())
-        yield [("pure_ensemble_bound", dict(common, **pure))]  # the members are drawn and checked after it
         # numpy's dirichlet(np.ones(m)) bit for bit: gamma(1) draws, times 1 / their left-to-right sum
         e = draw(2)
         mix_weights = _normalized(e * (1 / np.add.accumulate(e, axis=-1)[:, -1:]))
         members = linalg._densities(np.stack([draw(3 + k) for k in range(m)], axis=1))
-        lower, mid, upper = ensembles._sandwich(mix_weights, *linalg.density_spectrum(members, name="member"), alpha)
+        members, spectra = linalg.density_spectrum(members, name="member")
+        # every check of a trial's draws (its state's, its members') comes before its first
+        # group, so bad input leaves no part of a trial; the sandwich is computed after it
+        yield [("pure_ensemble_bound", dict(common, **pure))]
+        lower, mid, upper = ensembles._sandwich(mix_weights, members, spectra, alpha)
         mixed = dict(lhs=upper.tolist(), rhs=lower.tolist(), slack=np.minimum(mid - lower, upper - mid).tolist())
         yield [("mixed_ensemble_sandwich", dict(common, **mixed))]
 

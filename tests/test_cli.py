@@ -416,17 +416,40 @@ class TestSweepCommand:
         ids=["sweep-d2", "sweep-d17", "ensemble"],
     )
     def test_first_group_leaves_before_stage_2(self, capsys, monkeypatch, argv, first_check, one_trial_blocks, per_trial):
-        # in a block of one trial, the trial's first row (sweep's factor_chain, ensemble's
-        # pure_ensemble_bound) is on stdout, alone of its rows, when its stage 2 stream opens
+        # in a block of one trial, sweep's factor_chain row is on stdout, alone of the trial's
+        # rows, when its stage 2 stream (the remixings) opens.  ensemble's pure_ensemble_bound
+        # row waits for every draw of its trial to be checked: it is not on stdout when the last
+        # member's stream (stage 2 + m) opens, and it is, alone, when the sandwich is first computed
         log = stream_log(monkeypatch, [1000 * t + k for t in range(3) for k in range(6)])
+        sandwiches, sandwich = [], ensembles._sandwich
+        monkeypatch.setattr(ensembles, "_sandwich", lambda *a: sandwiches.append(sys.stdout.getvalue()) or sandwich(*a))
         code, out, err = _run(capsys, argv)
         assert (code, err) == (0, "")
         lines, at = out.splitlines(keepends=True), dict(log)  # each seed opens once
         assert len(log) == len(at)
         for t in range(one_trial_blocks):
-            assert at[1000 * t + 2] == "".join(lines[: per_trial * t + 1])
+            if argv[0] == "ensemble":
+                assert at[1000 * t + 2 + int(argv[argv.index("--members") + 1])] == "".join(lines[: per_trial * t])
+                assert sandwiches[t] == "".join(lines[: per_trial * t + 1])
+            else:
+                assert at[1000 * t + 2] == "".join(lines[: per_trial * t + 1])
             row = json.loads(lines[per_trial * t])
             assert (row["check_name"], row["seed"]) == (first_check, 1000 * t)
+
+    @pytest.mark.parametrize("d", [2, 17])  # at d = 2 the two trials make two blocks; from d = 17 every block holds one
+    def test_factor_chain_leaves_before_relation_entropies(self, capsys, monkeypatch, d):
+        # the relation rows' entropies (bounds._entropy: two kinds, two POVMs a trial) are
+        # computed after the trial's factor_chain row is on stdout, alone of its rows
+        calls, entropy = [], bounds._entropy
+        monkeypatch.setattr(bounds, "_entropy", lambda *a: calls.append(sys.stdout.getvalue()) or entropy(*a))
+        code, out, err = _run(capsys, ["sweep", "--dim", str(d), "--trials", "2"])
+        assert (code, err) == (0, "")
+        lines = out.splitlines(keepends=True)
+        assert len(lines) == 20 and len(calls) == 2 * 2 * 2
+        for i, seen in enumerate(calls):
+            t = i // 4
+            assert seen == "".join(lines[: 10 * t + 1])
+            assert json.loads(lines[10 * t])["check_name"] == "factor_chain"
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_timing_gives_one_time_a_group(self, capsys, fmt):
@@ -1450,6 +1473,21 @@ class TestEnsembleCommand:
         rows = _json_rows(out)
         assert len(rows) == 8
         assert all(r["slack"] >= -1e-9 for r in rows)
+
+    def test_bad_member_leaves_no_row(self, capsys, monkeypatch):
+        # a trial's members are checked before its first row: a member that fails its
+        # check leaves no part of the trial on stdout
+        spectrum = linalg.density_spectrum
+
+        def spoiled(rho, *args, name="rho", **kwargs):
+            if name == "member":
+                raise ValueError("member spoiled")
+            return spectrum(rho, *args, name=name, **kwargs)
+
+        monkeypatch.setattr(linalg, "density_spectrum", spoiled)
+        code, out, err = _run(capsys, ["ensemble", "--dim", "2", "--members", "2", "--alpha", "2", "--trials", "3"])
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "member spoiled"}
 
 
 class TestPhiMinCommand:
