@@ -18,10 +18,10 @@ only when one is read.  The adjoints A_i = F_i† are a Kraus set with
 A_i† A_i = M_i, so the channels kernels check a factored POVM's completeness
 and give every POVM's outcome weights p_i = tr(A_i rho A_i†).
 
-The kernels (_g, _f, _f_bar, _factor, _reports) take POVMs held through roots
-(..., n, dim, r) and validated states (..., dim, dim) with any leading axes,
-one value per index of those axes; the public functions call them on one POVM
-pair and one state, and return floats.  The form of each factor follows the
+The kernels (_g, _f, _f_bar, _factor) take POVMs held through roots
+(..., n, dim, r) and validated states (..., dim, dim) with any leading axes, one
+value per index of those axes; the public functions call them on one POVM pair
+and one state, and return floats.  The form of each factor follows the
 roots' rank.  When both POVMs are rank one (r = 1: M_i = u_i u_i† and
 N_j = w_j w_j†, as for the basis projectors of random_projective_povm) every
 overlap comes from inner products of the root vectors, O(d^3) in all for d
@@ -31,6 +31,10 @@ ratios and each of f_bar's norms is |u_i† w_j| exactly (see _f), so
 f <= f_bar holds exactly.  Every other pair of ranks takes the element form,
 O(d^4), g through the pair traces of the channels Gram kernel, and f_bar its
 per-outcome SVDs.  The forms agree to rounding.
+
+One report step, _relations, builds every relation row, the demos' included:
+H_a(p) + H_b(q) against ln_mu(c^-2) (Tsallis) or -2 ln c (Renyi).  _factor gives
+it p, q, c and c^-2 for a POVM pair; the demos pass c = 1/sqrt(k) and c^-2 = k.
 
 The paired reports measure the Gram-extremal unravelings of two Kraus sets.
 Remixing by a unitary U gives the distribution diag(U† Pi U), which the Gram
@@ -115,7 +119,7 @@ class BoundReport(NamedTuple):
 
     Floats for one instance; for stacked distributions lhs and slack are arrays,
     one entry per distribution, and so are rhs and factor when each has its own.
-    At a sequence of orders (_reports) lhs, rhs and slack lead with an order
+    At a sequence of orders (_relations) lhs, rhs and slack lead with an order
     axis, and orders is the sequence.
     """
 
@@ -124,14 +128,6 @@ class BoundReport(NamedTuple):
     slack: float | np.ndarray
     factor: float | np.ndarray
     orders: ConjugateOrders
-
-
-def _bound_report(p: np.ndarray, q: np.ndarray, orders: ConjugateOrders, kind: str, factor, rhs) -> BoundReport:
-    """Report H_a(p) + H_b(q) >= rhs for entropies of the given kind, of distributions
-    already normalized (through as_prob_vector or _normalized).  alpha is bound to p
-    and beta to q; the entropies are exact at every order, Shannon included."""
-    lhs = _entropy(p, orders.alpha, kind) + _entropy(q, orders.beta, kind)
-    return BoundReport(lhs=lhs, rhs=rhs, slack=lhs - rhs, factor=factor, orders=orders)
 
 
 def _same_dim(x: int, y: int) -> int:
@@ -201,7 +197,7 @@ def _state(m: Povm, n: Povm, rho, factor_kind: str) -> tuple:
 
 def g_factor(m: Povm, n: Povm, rho) -> float:
     """max |tr(M_i N_j rho)| / sqrt(p_i q_j) over outcomes with nonzero probability."""
-    return _reports(m, n, _state(m, n, rho, "g"), (), "g", ())[0]
+    return _factor(m, n, _state(m, n, rho, "g"), "g")[2]
 
 
 def _f(m: Povm, n: Povm, w: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -284,9 +280,9 @@ def f_bar(m: Povm, n: Povm) -> float:
 
 
 def _factor(m: Povm, n: Povm, states: tuple, factor_kind: str) -> tuple:
-    """(p, q, factor) at validated states, (rho, w, v) from density_spectrum or
-    (rho,) for kinds other than f: the outcome weights p of m and q of n, each
-    normalized once, after the factor has read them.  The factor step of _reports."""
+    """(p, q, factor, factor^-2), _relations' inputs, at validated states, (rho, w, v) from
+    density_spectrum or (rho,) for kinds other than f: the outcome weights p of m and q
+    of n, each normalized once, after the factor has read them."""
     rho = states[0]
     p, q = _weights(m._kraus, rho), _weights(n._kraus, rho)
     if factor_kind == "g":
@@ -297,35 +293,25 @@ def _factor(m: Povm, n: Povm, states: tuple, factor_kind: str) -> tuple:
         factor = _f_bar(m, n)
     else:
         raise ValueError(f"unknown factor kind {factor_kind!r}")
-    return _normalized(p), _normalized(q), _value(factor)
+    factor = _value(factor)
+    return _normalized(p), _normalized(q), factor, np.power(factor, -2.0)
 
 
-def _relations(p: np.ndarray, q: np.ndarray, factor, orders, kinds) -> list[BoundReport]:
-    """One report per kind of kinds at normalized weights p and q and their factor
-    (_factor): its lhs from one entropy call per POVM and its rhs from one call, at
-    one ConjugateOrders or at a sequence of them (BoundReport).  The report step of
-    _reports."""
+def _relations(p: np.ndarray, q: np.ndarray, factor, inverse_square, orders, kinds) -> list[BoundReport]:
+    """The one BoundReport builder: per kind of kinds, H_a(p) + H_b(q) of normalized weights
+    against ln_mu(inverse_square) or -2 ln(factor), its lhs from one exact entropy call
+    per distribution and its rhs from one call, at one ConjugateOrders or a sequence."""
     one = isinstance(orders, ConjugateOrders)
     alphas, betas, mus = (getattr(orders, k) if one else [getattr(o, k) for o in orders] for k in ("alpha", "beta", "mu"))
     reports = []
     for kind in kinds:
         lhs = _entropy(p, alphas, kind) + _entropy(q, betas, kind)
         if kind == "tsallis":
-            rhs = alpha_log(np.power(factor, -2.0), mus)
+            rhs = alpha_log(inverse_square, mus)
         else:  # the same at every order
             rhs = _value(-2.0 * np.log(factor)) if one else np.full(lhs.shape, -2.0 * np.log(factor))
         reports.append(BoundReport(lhs=lhs, rhs=rhs, slack=lhs - rhs, factor=factor, orders=orders))
     return reports
-
-
-def _reports(
-    m: Povm, n: Povm, states: tuple, orders, factor_kind: str, kinds
-) -> tuple[float | np.ndarray, list[BoundReport]]:
-    """(factor, reports) at validated states, as _factor takes them: the factor step
-    (p, q and the factor, computed once), then the report step (_relations).  One
-    POVM pair and one state give floats."""
-    p, q, factor = _factor(m, n, states, factor_kind)
-    return factor, _relations(p, q, factor, orders, kinds)
 
 
 def _value(x):
@@ -341,16 +327,14 @@ def tsallis_uncertainty_check(
     alpha is bound to the first POVM and beta to the second; every order is
     evaluated exactly, mu = 1 (Shannon) included.  rho is decomposed once.
     """
-    _, (report,) = _reports(m, n, _state(m, n, rho, factor_kind), orders, factor_kind, ("tsallis",))
-    return report
+    return _relations(*_factor(m, n, _state(m, n, rho, factor_kind), factor_kind), orders, ("tsallis",))[0]
 
 
 def renyi_uncertainty_check(
     m: Povm, n: Povm, rho, orders: ConjugateOrders, factor_kind: str = "g"
 ) -> BoundReport:
     """Evaluate R_a(M|rho) + R_b(N|rho) against -2 ln(factor), as tsallis_uncertainty_check."""
-    _, (report,) = _reports(m, n, _state(m, n, rho, factor_kind), orders, factor_kind, ("renyi",))
-    return report
+    return _relations(*_factor(m, n, _state(m, n, rho, factor_kind), factor_kind), orders, ("renyi",))[0]
 
 
 class SearchConfig:
@@ -371,8 +355,7 @@ class SearchConfig:
 def _extremal_pair(a: Unraveling, b: Unraveling, rho, orders: ConjugateOrders, kind: str) -> BoundReport:
     rho = check_density(rho, _same_dim(a.dim_in, b.dim_in))
     m, n = (povm_from_unraveling(_extremal(x, rho).extremal) for x in (a, b))
-    _, (report,) = _reports(m, n, (rho,), orders, "g", (kind,))
-    return report
+    return _relations(*_factor(m, n, (rho,), "g"), orders, (kind,))[0]
 
 
 def extremal_pair_tsallis(a: Unraveling, b: Unraveling, rho, orders: ConjugateOrders) -> BoundReport:

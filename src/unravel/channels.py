@@ -52,7 +52,8 @@ class Unraveling:
     @classmethod
     def _factored(cls, blocks: np.ndarray, factor: np.ndarray | None) -> Unraveling:
         """The Kraus set A_i = blocks[i] @ factor, or blocks itself for no factor, from
-        _isometry_factors, which checked their completeness: nothing is checked again."""
+        _isometry_factors, which checked its completeness, or _remix, which remixed checked
+        operators: nothing is checked again."""
         a = cls.__new__(cls)
         a._blocks, a._factor = blocks, factor
         return a
@@ -106,7 +107,7 @@ def apply_channel(a: Unraveling, rho) -> np.ndarray:
 
 
 def remix(a: Unraveling, u) -> Unraveling:
-    """Equivalent unraveling B_i = sum_j A_j u_ji.
+    """Equivalent unraveling B_i = sum_j A_j u_ji: u is checked, the product is not (_remix).
 
     A unitary larger than the Kraus set pads the set with zero operators
     first; a smaller one is rejected.
@@ -119,7 +120,14 @@ def remix(a: Unraveling, u) -> Unraveling:
     if m > a.n_ops:
         pad = np.zeros((m - a.n_ops, a.dim_out, a.dim_in), dtype=complex)
         k = np.concatenate([k, pad])
-    return Unraveling(np.einsum("ji,jkl->ikl", u, k))
+    return _remix(k, u)
+
+
+def _remix(k: np.ndarray, u: np.ndarray) -> Unraveling:
+    """B_i = sum_j A_j u_ji for a checked Kraus set k (n, dim_out, dim_in) and a unitary u
+    (n, n), checked or made by eigh.  The product is not checked: its completeness error is
+    up to the sum of the two inputs' errors, which one TOL_UNITARY would not hold."""
+    return Unraveling._factored(np.einsum("ji,jkl->ikl", u, k), None)
 
 
 # The kernels below take Kraus sets k (..., n, dim_out, dim_in) and validated
@@ -179,8 +187,8 @@ def effect_probabilities(a: Unraveling, rho) -> np.ndarray:
 
 def _extremal(a: Unraveling, rho: np.ndarray) -> ExtremalResult:
     pi = a._gram_at(rho)
-    w, v = linalg._descending_eig(pi)  # _gram made pi Hermitian
-    return ExtremalResult(extremal=remix(a, v), lambdas=_normalized(w), diagonalizer=v, gram=pi)
+    w, v = linalg._descending_eig(pi)  # _gram made pi Hermitian, so v is unitary as eigh made it
+    return ExtremalResult(extremal=_remix(a.kraus_ops, v), lambdas=_normalized(w), diagonalizer=v, gram=pi)
 
 
 def extremal_unraveling(a: Unraveling, rho) -> ExtremalResult:

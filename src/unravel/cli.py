@@ -372,7 +372,7 @@ def cmd_sweep(args, rep: Reporter) -> None:
         rho, w, v = linalg.density_spectrum(linalg._densities(draw(0)), vectors=True)
         kraus, x = channels._isometry_factors(draw(1), d)  # blocks and Cholesky QR factors; d = 1: operators, None
         m, n = bounds._projective_pair(np.stack([draw(3), draw(4)]))
-        p, q, g = bounds._factor(m, n, (rho,), "g")  # the factor step: the outcome weights and g
+        p, q, g, inverse_square = bounds._factor(m, n, (rho,), "g")  # the outcome weights, g and g^-2
         f, fb = bounds._f(m, n, w, v), bounds._f_bar(m, n)
         del m, n, w, v  # the POVM roots and the eigenvectors, once the row is made
         chain = np.minimum(np.minimum(f - g, fb - f), 1.0 + 1e-10 - fb)
@@ -380,7 +380,7 @@ def cmd_sweep(args, rep: Reporter) -> None:
         # the factor_chain row reads only rho and the POVM pair (g, f and f_bar), so it
         # leaves before the relation entropies, the Gram matrix and the remixings
         yield [("factor_chain", dict(d=d, slack=chain.tolist(), factor=factor, seed=seed))]
-        reports = bounds._relations(p, q, g, orders, ("tsallis", "renyi"))  # the report step
+        reports = bounds._relations(p, q, g, inverse_square, orders, ("tsallis", "renyi"))
         gram = channels._gram(kraus, channels._factored_state(x, rho))
         del kraus  # before the remixings are drawn
         lambdas = _normalized(linalg._descending_eig(gram)[0])

@@ -11,8 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg
-from .bounds import BoundReport, _bound_report
-from .entropy import ConjugateOrders, _normalized, alpha_log
+from .bounds import BoundReport, _relations
+from .entropy import ConjugateOrders, _normalized
 
 # gaussian_wavepacket's bound on the weight its truncation discards
 TAIL_TOL = 1e-12
@@ -32,7 +32,7 @@ def dft_uncertainty_demo(state, orders: ConjugateOrders) -> BoundReport:
     q = np.abs(c) ** 2
     # |F c|^2 up to the order of its entries, which no entropy sees
     p = np.abs(np.fft.fft(c, axis=-1)) ** 2 / d
-    return _bound_report(_normalized(p), _normalized(q), orders, "tsallis", 1.0 / np.sqrt(d), alpha_log(d, orders.mu))
+    return _relations(_normalized(p), _normalized(q), 1.0 / np.sqrt(d), d, orders, ("tsallis",))[0]
 
 
 class AngleState:
@@ -82,7 +82,7 @@ def angle_momentum_demo(state: AngleState, orders: ConjugateOrders) -> BoundRepo
     p = bin_probabilities(state)
     q = np.abs(state.coeffs) ** 2
     k = state.nbins
-    return _bound_report(_normalized(p), _normalized(q), orders, "tsallis", 1.0 / np.sqrt(k), alpha_log(k, orders.mu))
+    return _relations(_normalized(p), _normalized(q), 1.0 / np.sqrt(k), k, orders, ("tsallis",))[0]
 
 
 def gaussian_wavepacket(truncation: int, width: float, nbins: int) -> AngleState:

@@ -6,7 +6,9 @@ eigenvalue order, and seeded random generators: Ginibre arrays, Haar-random
 unitaries and isometries, and density matrices.  A seeded stream is named by
 its hashed state alone: _seed_states hashes seeds (non-negative integers of any
 size) to (n, 4) rows, _stream opens a row's stream, and _fill fills a slot of a
-stack from each.
+stack from each.  Two run-long generators open otherwise, as default_rng(seed),
+and draw through ginibre_draws: `demo dft`'s (cli.cmd_demo) and random_povm's
+(bounds); test_cli pins these two call sites.
 
 The hash, _seed_states, is numpy's own seeding of default_rng(seed) done for a
 whole batch of seeds at once: SeedSequence's hash mixing (O'Neill's seed_seq_fe
@@ -324,7 +326,8 @@ def _hashed_seed() -> type:
 def _stream(state: np.ndarray) -> np.random.Generator:
     """A new Generator(PCG64) on the stream whose _seed_states row is state: that of
     np.random.default_rng(seed) for the seed hashed to it, as numpy seeds PCG64 itself from
-    the row's words.  The one place a seeded stream opens."""
+    the row's words.  Every seeded stream opens here but the two run-long generators
+    of cli.cmd_demo and bounds.random_povm (see the module)."""
     return np.random.Generator(np.random.PCG64(_hashed_seed()(state)))
 
 

@@ -25,6 +25,8 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 # points of psi_lb_norm's trapezoid rule
 LB_NORM_POINTS = 8192
+# points of bin_means' Simpson rule on each angular bin: 512 intervals
+BIN_POINTS = 513
 
 
 def depolarizing_unraveling(p: float) -> Unraveling:
@@ -123,6 +125,18 @@ def psi_lb_norm(state: AngleState, b: float) -> float:
     phis = np.linspace(0.0, 2 * np.pi, LB_NORM_POINTS, endpoint=False)
     vals = np.abs(wavefunction(state, phis)) ** b
     return float((vals.mean() * 2 * np.pi) ** (1.0 / b))
+
+
+def bin_means(state: AngleState, beta: float) -> np.ndarray:
+    """(means of |Psi|^(2 beta), means of |Psi|^2) over each angular bin, (2, nbins): the
+    composite Simpson rule on BIN_POINTS equally spaced angles of every bin, whose weights
+    1, 4, 2, 4, ..., 2, 4, 1 sum to 3 (BIN_POINTS - 1)."""
+    edges = np.linspace(0, 2 * np.pi, state.nbins + 1)
+    phis = np.linspace(edges[:-1], edges[1:], BIN_POINTS, axis=-1)
+    dens = (np.abs(wavefunction(state, phis.ravel())) ** 2).reshape(phis.shape)
+    weights = np.ones(BIN_POINTS)
+    weights[1:-1:2], weights[2:-1:2] = 4.0, 2.0
+    return np.stack([dens**beta, dens]) @ weights / (3 * (BIN_POINTS - 1))
 
 
 def renyi_from_tsallis(h: float, alpha: float) -> float:

@@ -25,7 +25,7 @@ from unravel.bounds import (
     renyi_uncertainty_check,
     tsallis_uncertainty_check,
 )
-from unravel.channels import Unraveling, effect_probabilities, random_unraveling
+from unravel.channels import Unraveling, effect_probabilities, extremal_unraveling, random_unraveling
 from unravel.entropy import alpha_log, conjugate_order, tsallis_entropy
 
 from helpers import blocks_of, depolarizing_unraveling, dft_matrix, measurement_channel, psd_sqrt, x_basis_povm, z_basis_povm
@@ -521,9 +521,8 @@ class TestAxisConvention:
             "f": bounds._f(m_stack, n_stack, *states[1:]),
             "fbar": bounds._f_bar(m_stack, n_stack),
         }
-        reports = {
-            k: bounds._reports(m_stack, n_stack, states, [orders], k, ("tsallis", "renyi")) for k in factors
-        }
+        steps = {k: bounds._factor(m_stack, n_stack, states, k) for k in factors}
+        reports = {k: (s[2], bounds._relations(*s, [orders], ("tsallis", "renyi"))) for k, s in steps.items()}
         fields = ("lhs", "rhs", "slack", "factor")
         for t, idx in enumerate(np.ndindex(shape)):
             m, n, rho = ms[t], ns[t], rhos[idx]
@@ -711,6 +710,19 @@ class TestCheckValidatesOnce:
         assert len(calls) == 1
         extremal_pair_renyi(a, b, rho, orders, SearchConfig(alpha=2.0))
         assert len(calls) == 2
+
+    def test_remixed_sets_are_not_checked_again(self, monkeypatch):
+        # the extremal set is a checked set remixed by the Gram eigenvectors, so no completeness
+        # or unitarity check runs; an extremal pair checks only its two POVMs' completeness
+        a, b = random_unraveling(3, 2, seed=63), random_unraveling(3, 4, seed=64)
+        rho, orders = linalg.random_density(3, 3, seed=65), conjugate_order(2.0)
+        calls = _count_calls(monkeypatch, linalg, "check_identity")
+        extremal_unraveling(a, rho)
+        assert len(calls) == 0
+        extremal_pair_tsallis(a, b, rho, orders)
+        assert len(calls) == 2
+        extremal_pair_renyi(a, b, rho, orders, SearchConfig(alpha=2.0))
+        assert len(calls) == 4
 
     def test_extremal_pair_at_rank_deficient_state(self):
         # the weights of outcomes with no probability round below 0 here; they raise no

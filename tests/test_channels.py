@@ -101,6 +101,17 @@ class TestRemix:
         rho = linalg.random_density(2, 2, seed=7)
         assert np.linalg.norm(apply_channel(b, rho) - apply_channel(a, rho)) < 1e-12
 
+    def test_product_of_checked_inputs_is_not_checked_again(self):
+        # each input is (1 + 6e-10) sqrt(2) - sqrt(2) = 8.5e-10 off in Frobenius norm, within its
+        # own check; the product, B_i = sqrt(s) A_i, is 1.7e-9 off, and remix does not check it
+        s = 1 + 6e-10
+        a = Unraveling(np.sqrt(s / 2) * np.stack([np.eye(2), np.eye(2)]))
+        b = remix(a, np.sqrt(s) * np.eye(2))
+        assert np.array_equal(b.kraus_ops, np.sqrt(s) * a.kraus_ops)
+        rho = linalg.random_density(2, 2, seed=9)
+        assert np.linalg.norm(apply_channel(b, rho) - s * apply_channel(a, rho)) < 1e-12
+        assert np.linalg.norm(apply_channel(b, rho) - apply_channel(a, rho)) < 1e-9
+
     def test_too_small_unitary(self):
         a = depolarizing_unraveling(0.5)
         with pytest.raises(ValueError):

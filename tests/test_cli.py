@@ -697,20 +697,15 @@ class TestParser:
         assert f"unrecognized arguments: {flag}" in err
 
 
-def _broad_handlers(tree: ast.AST) -> list:
-    """The enclosing function (dotted, "" at module level) of each exception handler in
-    tree that catches everything: a bare except, Exception or BaseException, alone or
-    in a tuple, by name or as an attribute (builtins.Exception)."""
+def _sites(tree: ast.AST, match) -> list:
+    """The enclosing function (dotted, "" at module level) of each node of tree that match accepts."""
     found = []
 
     def visit(node: ast.AST, where: str) -> None:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             where = f"{where}.{node.name}" if where else node.name
-        if isinstance(node, ast.ExceptHandler):
-            caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
-            names = {None if c is None else getattr(c, "id", getattr(c, "attr", "")) for c in caught}
-            if names & {None, "Exception", "BaseException"}:
-                found.append(where)
+        if match(node):
+            found.append(where)
         for child in ast.iter_child_nodes(node):
             visit(child, where)
 
@@ -718,14 +713,41 @@ def _broad_handlers(tree: ast.AST) -> list:
     return found
 
 
+def _name(node: ast.AST) -> str | None:
+    """The name a node refers to, by name or as an attribute (builtins.Exception); None for no node."""
+    return None if node is None else getattr(node, "id", getattr(node, "attr", ""))
+
+
+def _catches_everything(node: ast.AST) -> bool:
+    """Whether node is an exception handler that catches everything: a bare except,
+    Exception or BaseException, alone or in a tuple, by name or as an attribute."""
+    if not isinstance(node, ast.ExceptHandler):
+        return False
+    caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+    return bool({_name(c) for c in caught} & {None, "Exception", "BaseException"})
+
+
+def _package_sites(match) -> list:
+    """_sites of every module of the package, each as module.function."""
+    found = []
+    for path in sorted(Path(unravel.__file__).parent.glob("*.py")):
+        found += [f"{path.stem}.{where}" for where in _sites(ast.parse(path.read_text()), match)]
+    return found
+
+
+class TestRunLongStreams:
+    def test_default_rng_opens_in_two_places(self):
+        # every seeded stream but these two run-long generators, which draw through
+        # ginibre_draws, opens through linalg._stream from a hashed seed
+        calls = _package_sites(lambda node: isinstance(node, ast.Call) and _name(node.func) == "default_rng")
+        assert calls == ["bounds.random_povm", "cli.cmd_demo"]
+
+
 class TestUnexpectedError:
     def test_only_main_catches_everything(self):
         # any error that is not bad input reaches cli.main, which reports it with exit 3:
         # no other handler in the package can swallow it
-        found = []
-        for path in sorted(Path(unravel.__file__).parent.glob("*.py")):
-            found += [f"{path.stem}.{where}" for where in _broad_handlers(ast.parse(path.read_text()))]
-        assert found == ["cli.main"]
+        assert _package_sites(_catches_everything) == ["cli.main"]
 
     def test_broad_handlers_are_found(self):
         source = """
@@ -743,7 +765,7 @@ except Exception: pass
 try: pass
 except (ValueError, OSError): pass
 """
-        assert _broad_handlers(ast.parse(source)) == ["f", "f", "C.g", ""]
+        assert _sites(ast.parse(source), _catches_everything) == ["f", "f", "C.g", ""]
 
     def test_reported_with_exit_3(self, capsys, monkeypatch):
         def broken(m, n):

@@ -114,9 +114,10 @@ def test_small_g_fails_the_uncertainty_rows(capsys, monkeypatch, uncertainty_arg
 
 
 def test_high_demo_bound_fails_the_saturating_states(capsys, monkeypatch):
-    # ln_mu(d) and ln_mu(nbins) high by 1e-8: the DFT basis state and the uniform angle
-    # state meet their bounds, while the random and Gaussian states sit far above them
-    monkeypatch.setattr(demos, "alpha_log", _scaled(demos.alpha_log, 1 + 1e-8))
+    # ln_mu(d) and ln_mu(nbins), formed in the report step of bounds, high by 1e-8: the DFT
+    # basis state and the uniform angle state meet their bounds, while the random and
+    # Gaussian states sit far above them
+    monkeypatch.setattr(bounds, "alpha_log", _scaled(bounds.alpha_log, 1 + 1e-8))
     assert _failing(capsys, DFT) == (1, {"dft_basis_state"})
     assert _failing(capsys, ANGLE) == (1, {"angle_uniform"})
 
