@@ -15,8 +15,9 @@ built.  Povm(elements) takes them from one eigendecomposition of the stack
 random_projective_povm (the basis vectors) and povm_from_unraveling (A_i†)
 pass the factors they hold, decompose nothing, and make the elements F_i F_i†
 only when one is read.  The adjoints A_i = F_i† are a Kraus set with
-A_i† A_i = M_i, so the channels kernels check a factored POVM's completeness
-and give every POVM's outcome weights p_i = tr(A_i rho A_i†).
+A_i† A_i = M_i, so the channels kernels check a drawn basis's completeness
+(_projective; povm_from_unraveling's set was checked when it was built) and
+give every POVM's outcome weights p_i = tr(A_i rho A_i†).
 
 The kernels (_g, _f, _f_bar, _factor) take POVMs held through roots
 (..., n, dim, r) and validated states (..., dim, dim) with any leading axes, one
@@ -93,11 +94,11 @@ class Povm:
     @classmethod
     def _factored(cls, roots: np.ndarray) -> Povm:
         """POVM with root factors roots[i] = F_i, of any rank, and elements
-        M_i = F_i F_i†, Hermitian and PSD by construction: only completeness is
-        checked, on the Kraus set F_i†, and nothing is decomposed."""
+        M_i = F_i F_i†, Hermitian and PSD by construction, from povm_from_unraveling,
+        whose Kraus set F_i† was checked when it was built, or _projective, which
+        checks its basis: nothing is checked or decomposed."""
         povm = cls.__new__(cls)
         povm.roots = np.ascontiguousarray(roots)
-        _check_complete(povm._kraus, _INCOMPLETE)
         return povm
 
     @functools.cached_property
@@ -142,7 +143,8 @@ def povm_probabilities(m: Povm, rho) -> np.ndarray:
 
 
 def povm_from_unraveling(a: Unraveling) -> Povm:
-    """Measurement with elements M_i = A_i† A_i and root factors A_i†."""
+    """Measurement with elements M_i = A_i† A_i and root factors A_i†, whose completeness,
+    sum A_i† A_i = I, was checked when a was built."""
     return Povm._factored(a.kraus_ops.conj().swapaxes(-1, -2))
 
 
@@ -429,15 +431,16 @@ def phi_min_verify(problem: PhiProblem) -> tuple[float, float]:
 def _projective(u: np.ndarray) -> Povm:
     """Rank-1 orthogonal projectors onto the columns of each unitary of a
     (..., dim, dim) stack, held through the basis vectors, their root factors,
-    alone: one POVM per unitary."""
-    return Povm._factored(u.swapaxes(-1, -2)[..., None])
+    alone: one POVM per unitary.  The one maker of roots from a draw, so it
+    checks their completeness, on the Kraus sets u_i† of one row each."""
+    povm = Povm._factored(u.swapaxes(-1, -2)[..., None])
+    _check_complete(povm._kraus, _INCOMPLETE)
+    return povm
 
 
 def _projective_pair(z: np.ndarray) -> tuple[Povm, Povm]:
     """_projective(linalg.positive_qr(z[i])) for i = 0, 1 (QR acts per matrix), from one QR and one check."""
-    m, n = Povm.__new__(Povm), Povm.__new__(Povm)
-    m.roots, n.roots = _projective(linalg.positive_qr(z)).roots
-    return m, n
+    return tuple(map(Povm._factored, _projective(linalg.positive_qr(z)).roots))
 
 
 def random_projective_povm(dim: int, seed: int) -> Povm:

@@ -5,15 +5,17 @@ unraveling at a state, effect probabilities, and the extremal unraveling
 obtained by diagonalizing that Gram matrix (which minimizes every Tsallis
 and every Renyi entropy of positive order).
 
-A Kraus set drawn as a Haar-random isometry V = Z X (random_unraveling, and
-`sweep` on a block of draws) is held as its factors: the blocks Z_i of the
-Ginibre draw Z and the Cholesky QR factor X = R^-1 (linalg._cholesky_qr), so
-A_i = Z_i X.  Its Gram matrix is the Gram kernel of a given set, on Z and the
-dim_in x dim_in state X rho X† (_factored_state), by tr(A_i† A_j rho) =
-tr(Z_i† Z_j X rho X†), so the extremal unraveling's spectrum forms no operator.
-Its completeness sum is V†V = X† (Z†Z) X, checked in that dim_in x dim_in form
-from the Z†Z the factorization formed.  Every other use reads the operators,
-Z X, made once when first read.
+A Kraus set drawn as a Haar-random isometry (random_unraveling, and `sweep` on
+a block of draws) has its QR picked by _isometry_factors from the draw's shape.
+A draw at least twice as tall as wide, two or more operators, takes Cholesky QR,
+V = Z X, and the set is held as its factors: the blocks Z_i of the Ginibre draw
+Z and the factor X = R^-1 (linalg._cholesky_qr), so A_i = Z_i X.  Its Gram
+matrix is the Gram kernel of a given set, on Z and the dim_in x dim_in state
+X rho X† (_factored_state), by tr(A_i† A_j rho) = tr(Z_i† Z_j X rho X†), so the
+extremal unraveling's spectrum forms no operator.  Its completeness sum is
+V†V = X† (Z†Z) X, checked in that dim_in x dim_in form from the Z†Z the
+factorization formed.  Every other use reads the operators, Z X, made once when
+first read.  One operator's square draw takes Householder QR and holds V.
 """
 
 from __future__ import annotations
@@ -38,8 +40,8 @@ class Unraveling:
     rectangular (dim_out x dim_in).  Inputs violating completeness beyond
     linalg.TOL_UNITARY are rejected, not renormalized.  A drawn set
     (random_unraveling, _factored) holds the factors A_i = Z_i X instead (see
-    the module), and makes kraus_ops as Z X, bit for bit positive_qr's
-    isometry, when it is first read; its sizes read Z's shape.
+    the module), and makes kraus_ops as the isometry Z X when it is first
+    read; its sizes read Z's shape.
     """
 
     def __init__(self, kraus_ops):
@@ -62,7 +64,7 @@ class Unraveling:
     def kraus_ops(self) -> np.ndarray:
         if self._factor is None:
             return self._blocks
-        return (_rows(self._blocks) @ self._factor).reshape(self._blocks.shape)  # the isometry's product, as QR made it
+        return (_rows(self._blocks) @ self._factor).reshape(self._blocks.shape)  # the isometry V = Z X
 
     def _gram_at(self, rho: np.ndarray) -> np.ndarray:
         """The Gram matrix at a validated state, of the blocks at rho, or at X rho X† for a
@@ -207,32 +209,35 @@ def unraveling_entropy(a: Unraveling, rho, alpha: float, kind: str = "tsallis") 
 
 def random_unraveling(dim: int, n_kraus: int, seed: int) -> Unraveling:
     """Random unraveling from the blocks of a Haar-random isometry, held as its factors
-    when two or more operators make the draw take Cholesky QR (see the module)."""
+    when two or more operators make the draw tall enough for Cholesky QR (see the module)."""
     if dim < 1 or n_kraus < 1:
         raise ValueError("dim and n_kraus must be >= 1")
     return Unraveling._factored(*_isometry_factors(linalg.seeded_ginibre(seed, n_kraus * dim, dim), n_kraus))
 
 
-def _isometry_kraus(z: np.ndarray, n_kraus: int) -> np.ndarray:
-    """Kraus sets (..., n_kraus, dim, dim): the blocks of the Haar-random
-    isometries made from Ginibre draws z (..., n_kraus * dim, dim)."""
-    v = linalg.positive_qr(z)
-    return v.reshape(*v.shape[:-2], n_kraus, -1, v.shape[-1])
-
-
 def _isometry_factors(z: np.ndarray, n_kraus: int) -> tuple[np.ndarray, np.ndarray | None]:
-    """_isometry_kraus(z, n_kraus) with completeness checked, as factors: (Z, X), the
-    draws' blocks (..., n_kraus, dim, dim) and the Cholesky QR factors (..., dim, dim)
-    with V = Z X, checked as X† (Z†Z) X = I; or, for a draw that takes Householder
-    QR (one operator), (_isometry_kraus(z, n_kraus), None), checked as V†V = I."""
-    factors = linalg._cholesky_qr(z)
-    if factors is None:
-        k = _isometry_kraus(z, n_kraus)
+    """The Kraus sets (..., n_kraus, rows, cols) of the Haar-random isometries V of the Ginibre
+    draws z (..., n_kraus * rows, cols), completeness checked, as (blocks, factor) with
+    A_i = blocks[i] @ factor.
+
+    The draw's shape picks the QR, here alone.  A draw with rows >= 2 cols takes Cholesky QR
+    (linalg._cholesky_qr): (Z, X), Z's blocks and the factors X = R^-1 with V = Z X, checked
+    as X† (Z†Z) X = I from the Z†Z it formed.  Two products and a cols x cols inverse (6 ms
+    against 45 ms for Householder QR on 4096 x 64, one BLAS thread, Xeon), orthogonal to
+    rounding: Cholesky QR's orthogonality error is about cond(Z)^2 eps, and an m x n Ginibre
+    draw with m >= 2n has cond(Z) concentrated near (sqrt(m) + sqrt(n)) / (sqrt(m) - sqrt(n))
+    <= 3 + 2 sqrt(2) ~ 5.83.  Every other draw, one operator's square one included, has no
+    such bound and takes Householder QR (linalg.positive_qr), whose error does not grow with
+    cond(Z): (V's blocks, None), checked as V†V = I."""
+    m, n = z.shape[-2:]
+    if m < 2 * n:
+        v = linalg.positive_qr(z)
+        k = v.reshape(*v.shape[:-2], n_kraus, -1, n)
         _check_complete(k)
         return k, None
-    gram, x = factors
+    gram, x = linalg._cholesky_qr(z)
     linalg.check_identity(x.conj().swapaxes(-1, -2) @ gram @ x, _INCOMPLETE)
-    return z.reshape(*z.shape[:-2], n_kraus, -1, z.shape[-1]), x
+    return z.reshape(*z.shape[:-2], n_kraus, -1, n), x
 
 
 def remixed_probabilities(pi: np.ndarray, unitaries: np.ndarray) -> np.ndarray:

@@ -370,7 +370,7 @@ def cmd_sweep(args, rep: Reporter) -> None:
         # every check of a trial's draws comes before its first group: the state's, the
         # Kraus set's completeness and the POVM pair's, so bad input leaves no part of a trial
         rho, w, v = linalg.density_spectrum(linalg._densities(draw(0)), vectors=True)
-        kraus, x = channels._isometry_factors(draw(1), d)  # blocks and Cholesky QR factors; d = 1: operators, None
+        kraus, x = channels._isometry_factors(draw(1), d)  # blocks and Cholesky QR factors; d = 1 (square): operators, None
         m, n = bounds._projective_pair(np.stack([draw(3), draw(4)]))
         p, q, g, inverse_square = bounds._factor(m, n, (rho,), "g")  # the outcome weights, g and g^-2
         f, fb = bounds._f(m, n, w, v), bounds._f_bar(m, n)

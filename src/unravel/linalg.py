@@ -31,13 +31,12 @@ is the one draw budget of a slice and of a block of trials (cli._stream_trials),
 read when each fills, so no stage keeps a stale one.
 
 Haar sampling is Mezzadri's (Notices AMS 54, 592, 2007): Q of a Ginibre draw
-with R's diagonal positive (positive_qr).  A draw at least twice as tall as
-wide, the isometry behind every Kraus set of two or more operators, takes
-Cholesky QR (Fukaya et al., "CholeskyQR2", ScalA 2014): the same Q from BLAS-3
-products, orthogonal to rounding because such a draw is well conditioned.
-Its factor X = R^-1, with Q = Z X, and Z†Z come from _cholesky_qr, so a Kraus
-set can be held as the draw and X without forming Q (channels).  Square and
-less tall draws, every unitary included, take Householder QR.
+with R's diagonal positive, by Householder QR (positive_qr).  A draw at least
+twice as tall as wide, the isometry behind a Kraus set, may take Cholesky QR
+instead (_cholesky_qr; Fukaya et al., "CholeskyQR2", ScalA 2014): Z†Z and the
+factor X = R^-1, with Q = Z X, from BLAS-3 products, so that a Kraus set can be
+held as the draw and X without forming Q.  channels._isometry_factors alone
+makes that choice.
 """
 
 from __future__ import annotations
@@ -386,39 +385,21 @@ def seeded_ginibre(seed: int, *shape: int) -> np.ndarray:
     return ginibre_stack(_seed_states((seed,)), *shape)[0]
 
 
-def _cholesky_qr(z: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """(Z†Z, X) for a draw z (..., m, n) with m >= 2n, the form of positive_qr that
-    takes Cholesky QR, whose Q is z @ X: X = R^-1 = L^-† for L = chol(Z†Z), per
-    matrix of a stack; None for every other draw.  A caller that needs only products
-    with Q (channels._gram) keeps z and X, n x n, and never forms Q."""
-    m, n = z.shape[-2:]
-    if m < 2 * n:
-        return None
+def _cholesky_qr(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Z†Z, X) for a draw z (..., m, n) of full column rank, per matrix of a stack:
+    X = R^-1 = L^-† for L = chol(Z†Z), so z @ X is Q of z = QR with R's diagonal
+    positive.  A caller that needs only products with Q (channels._gram) keeps z and
+    X, n x n, and never forms Q."""
     gram = z.conj().swapaxes(-1, -2) @ z
     return gram, np.linalg.inv(np.linalg.cholesky(gram)).conj().swapaxes(-1, -2)
 
 
 def positive_qr(z: np.ndarray) -> np.ndarray:
-    """Q of z = QR (per matrix of a stack) with R's diagonal real positive: for a
-    Ginibre z, a Haar-random unitary (square z) or isometry (tall z).
-
-    The form follows from the shape alone.  A draw with rows >= 2 cols takes
-    Cholesky QR (_cholesky_qr): R = L† for L = chol(z†z), so Q = z X with the
-    factor X = L^-†, two matrix products and a cols x cols inverse (8 ms
-    against 49 ms for Householder on 4096 x 64, one BLAS thread).  Its
-    orthogonality error is about cond(z)^2 eps, and an m x n Ginibre draw with
-    m >= 2n has cond(z) concentrated near (sqrt(m) + sqrt(n)) / (sqrt(m) -
-    sqrt(n)) <= 3 + 2 sqrt(2) ~ 5.83.  Every other draw takes Householder QR,
-    whose error does not grow with cond(z): a square Ginibre draw has no such
-    bound on its condition number, and there Cholesky QR is slower too.  Z†Z
-    is formed first, so the conjugate copy of z is freed before Q is made: z
-    and Q are the two z-sized arrays held.  numpy's QR holds LAPACK's working
-    copy, R and Q of the whole stack at once, and each form acts per matrix,
-    so a caller with a long stack (cli._remixed) passes it a slice at a time.
-    """
-    factors = _cholesky_qr(z)
-    if factors is not None:
-        return z @ factors[1]
+    """Q of z = QR (per matrix of a stack) with R's diagonal real positive, by
+    Householder QR: for a Ginibre z, a Haar-random unitary (square z) or isometry
+    (tall z).  numpy's QR holds LAPACK's working copy, R and Q of the whole stack
+    at once, and acts per matrix, so a caller with a long stack (cli._remixed)
+    passes it a slice at a time."""
     q, r = np.linalg.qr(z)
     d = np.diagonal(r, axis1=-2, axis2=-1)
     q *= (d / np.abs(d))[..., None, :]

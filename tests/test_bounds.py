@@ -40,16 +40,16 @@ class TestPovm:
     def test_rejects_incomplete(self):
         with pytest.raises(ValueError, match="POVM completeness violated"):
             Povm((np.diag([0.5, 0.5]),))
-        # the factored path, which skips the decomposition, keeps the check and its message
-        half = np.array([[[1.0], [0.0]]], dtype=complex) / np.sqrt(2)
+        # a drawn basis, which skips the decomposition, keeps the check and its message
         with pytest.raises(ValueError, match="POVM completeness violated"):
-            Povm._factored(half)
+            bounds._projective(np.eye(2) / np.sqrt(2))
 
     def test_factored_checks_every_root_column(self):
-        # column 0 of each root sums to the identity, but sum F F† = diag(1, 1.25)
+        # column 0 of each root sums to the identity, but sum F F† = diag(1, 1.25): the Kraus
+        # set F_i† is rejected when it is built, before povm_from_unraveling takes it
         roots = np.array([[[1, 0], [0, 0.5]], [[0, 0], [1, 0]]], dtype=complex)
-        with pytest.raises(ValueError, match="POVM completeness violated"):
-            Povm._factored(roots)
+        with pytest.raises(ValueError, match="completeness violated"):
+            povm_from_unraveling(Unraveling(roots.conj().swapaxes(-1, -2)))
 
     def test_rejects_non_psd(self):
         with pytest.raises(ValueError, match="POVM element 1 is not PSD: min eigenvalue -5.000e-01"):
@@ -712,17 +712,17 @@ class TestCheckValidatesOnce:
         assert len(calls) == 2
 
     def test_remixed_sets_are_not_checked_again(self, monkeypatch):
-        # the extremal set is a checked set remixed by the Gram eigenvectors, so no completeness
-        # or unitarity check runs; an extremal pair checks only its two POVMs' completeness
+        # the extremal set is a checked set remixed by the Gram eigenvectors, and its POVM has
+        # the roots of that set, so no completeness or unitarity check runs
         a, b = random_unraveling(3, 2, seed=63), random_unraveling(3, 4, seed=64)
         rho, orders = linalg.random_density(3, 3, seed=65), conjugate_order(2.0)
         calls = _count_calls(monkeypatch, linalg, "check_identity")
         extremal_unraveling(a, rho)
         assert len(calls) == 0
         extremal_pair_tsallis(a, b, rho, orders)
-        assert len(calls) == 2
+        assert len(calls) == 0
         extremal_pair_renyi(a, b, rho, orders, SearchConfig(alpha=2.0))
-        assert len(calls) == 4
+        assert len(calls) == 0
 
     def test_extremal_pair_at_rank_deficient_state(self):
         # the weights of outcomes with no probability round below 0 here; they raise no

@@ -388,9 +388,13 @@ class TestFactoredKrausSet:
         a = random_unraveling(dim, n, seed)
         assert (a.n_ops, a.dim_out, a.dim_in) == (n, dim, dim)
         assert (a._factor is None) == (n == 1)
-        want = channels._isometry_kraus(linalg.seeded_ginibre(seed, n * dim, dim), n)
+        z = linalg.seeded_ginibre(seed, n * dim, dim)
+        v = linalg.positive_qr(z)
+        want = (v if n == 1 else z @ linalg._cholesky_qr(z)[1]).reshape(n, dim, dim)
         got = a.kraus_ops
         assert got.shape == want.shape and got.flags.c_contiguous and got.tobytes() == want.tobytes()
+        # Cholesky QR's isometry is the Householder one to rounding
+        assert np.abs(got - v.reshape(n, dim, dim)).max() <= 1e-13
 
     @staticmethod
     def kraus_sets(dim: int) -> list:

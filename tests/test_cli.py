@@ -743,6 +743,13 @@ class TestRunLongStreams:
         assert calls == ["bounds.random_povm", "cli.cmd_demo"]
 
 
+class TestCholeskyQr:
+    def test_one_owner(self):
+        # channels._isometry_factors alone picks Cholesky QR, from the draw's shape
+        calls = _package_sites(lambda node: isinstance(node, ast.Call) and _name(node.func) == "_cholesky_qr")
+        assert calls == ["channels._isometry_factors"]
+
+
 class TestUnexpectedError:
     def test_only_main_catches_everything(self):
         # any error that is not bad input reaches cli.main, which reports it with exit 3:
@@ -1387,10 +1394,9 @@ class TestFactoredKrausStage:
 
     @pytest.mark.parametrize("d", [2, 3, 8])
     def test_block_forms_no_kraus_array(self, monkeypatch, d):
-        checked, formed, shapes, qr, check = [], [], [], linalg.positive_qr, channels._check_complete
+        checked, shapes, qr, check = [], [], linalg.positive_qr, channels._check_complete
         for module in (channels, bounds):  # bounds checks its POVMs through its own name for it
             monkeypatch.setattr(module, "_check_complete", lambda k, *rest: checked.append(k.shape) or check(k, *rest))
-        monkeypatch.setattr(channels, "_isometry_kraus", lambda *a, **k: formed.append(a))
         monkeypatch.setattr(linalg, "positive_qr", lambda z: shapes.append(z.shape) or qr(z))
         blocks_of(monkeypatch, 3)
         argv = ["sweep", "--dim", str(d), "--trials", "7", "--remixings", "5", "--seed", "11"]
@@ -1398,7 +1404,7 @@ class TestFactoredKrausStage:
             assert cli.main(argv) == 0
         monkeypatch.undo()
         # the one completeness check of a block is its POVM pair's, on the Kraus sets u_i† of one row each
-        assert formed == [] and checked and all(shape[-2] == 1 for shape in checked), checked
+        assert checked and all(shape[-2] == 1 for shape in checked), checked
         # only the square draws of the remixings and of the projective POVMs are made unitary
         assert shapes and all(shape[-1] == shape[-2] == d for shape in shapes), shapes
         assert _json_rows(out.getvalue()) == _sweep_rows(d, 7, 5, 11, [1.5, 2.0, 3.0])

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from unravel import bounds, channels, linalg
+from unravel import bounds, linalg
 from unravel.channels import random_unraveling
 
 from helpers import psd_sqrt
@@ -253,7 +253,8 @@ class TestGinibreStack:
         assert linalg.random_density(dim, max(1, dim - 1), seed).tobytes() == want.tobytes()
         want = linalg.positive_qr(_reference_ginibre(seed, 3, dim, dim))
         assert linalg.haar_random_unitaries(dim, 3, seed).tobytes() == want.tobytes()
-        want = channels._isometry_kraus(_reference_ginibre(seed, 2 * dim, dim), 2)
+        z = _reference_ginibre(seed, 2 * dim, dim)
+        want = (z @ linalg._cholesky_qr(z)[1]).reshape(2, dim, dim)
         assert random_unraveling(dim, 2, seed).kraus_ops.tobytes() == want.tobytes()
         want = bounds._projective(linalg.positive_qr(_reference_ginibre(seed, 1, dim, dim))[0])
         assert bounds.random_projective_povm(dim, seed).roots.tobytes() == want.roots.tobytes()
@@ -444,16 +445,12 @@ class TestPositiveQr:
     def test_matches_householder(self, rows, cols, stack, seed):
         z = linalg.seeded_ginibre(seed, *stack, rows, cols)
         q, ref = linalg.positive_qr(z), _householder_qr(z)
-        if rows >= 2 * cols:  # Cholesky QR: the same Q up to rounding
-            assert np.abs(q - ref).max() <= 1e-13
-            assert _orthogonality(q) <= 1e-13
-        else:  # Householder QR, bit for bit
-            assert q.dtype == ref.dtype and q.tobytes() == ref.tobytes()
+        assert q.dtype == ref.dtype and q.tobytes() == ref.tobytes()
 
     def test_tall_kraus_draw(self):
-        # the isometry of a d = 64 sweep trial's Kraus set
+        # the isometry of a d = 64 sweep trial's Kraus set, by Cholesky QR: Householder's Q to rounding
         z = linalg.seeded_ginibre(7, 4096, 64)
-        q = linalg.positive_qr(z)
+        q = z @ linalg._cholesky_qr(z)[1]
         assert np.abs(q - _householder_qr(z)).max() <= 1e-13
         assert _orthogonality(q) <= 1e-13
 
