@@ -139,7 +139,7 @@ def _same_dim(x: int, y: int) -> int:
 
 def povm_probabilities(m: Povm, rho) -> np.ndarray:
     """p_i = tr(M_i rho)."""
-    return _normalized(_weights(m._kraus, check_density(rho, m.dim)))
+    return _normalized(_weights(m._kraus, check_density(rho, m.dim)[0]))
 
 
 def povm_from_unraveling(a: Unraveling) -> Povm:
@@ -193,8 +193,8 @@ def _g(m: Povm, n: Povm, rho: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.nd
 
 
 def _state(m: Povm, n: Povm, rho, factor_kind: str) -> tuple:
-    """density_spectrum of one state for a POVM pair, with the eigenvectors that the f factor reads."""
-    return linalg.density_spectrum(linalg.check_one_matrix(rho, "rho"), _same_dim(m.dim, n.dim), vectors=factor_kind == "f")
+    """check_density of one state for a POVM pair, with the eigenvectors that the f factor reads."""
+    return check_density(rho, _same_dim(m.dim, n.dim), vectors=factor_kind == "f")
 
 
 def g_factor(m: Povm, n: Povm, rho) -> float:
@@ -283,8 +283,8 @@ def f_bar(m: Povm, n: Povm) -> float:
 
 def _factor(m: Povm, n: Povm, states: tuple, factor_kind: str) -> tuple:
     """(p, q, factor, factor^-2), _relations' inputs, at validated states, (rho, w, v) from
-    density_spectrum or (rho,) for kinds other than f: the outcome weights p of m and q
-    of n, each normalized once, after the factor has read them."""
+    check_density or density_spectrum, or only (rho, ...) for kinds other than f: the outcome
+    weights p of m and q of n, each normalized once, after the factor has read them."""
     rho = states[0]
     p, q = _weights(m._kraus, rho), _weights(n._kraus, rho)
     if factor_kind == "g":
@@ -355,7 +355,7 @@ class SearchConfig:
 
 
 def _extremal_pair(a: Unraveling, b: Unraveling, rho, orders: ConjugateOrders, kind: str) -> BoundReport:
-    rho = check_density(rho, _same_dim(a.dim_in, b.dim_in))
+    rho = check_density(rho, _same_dim(a.dim_in, b.dim_in))[0]
     m, n = (povm_from_unraveling(_extremal(x, rho).extremal) for x in (a, b))
     return _relations(*_factor(m, n, (rho,), "g"), orders, (kind,))[0]
 

@@ -103,7 +103,7 @@ class ExtremalResult(NamedTuple):
 
 def apply_channel(a: Unraveling, rho) -> np.ndarray:
     """sum_i A_i rho A_i†."""
-    rho = check_density(rho, a.dim_in)
+    rho = check_density(rho, a.dim_in)[0]
     k = a.kraus_ops
     return linalg.hermitianize((k @ rho @ k.conj().swapaxes(1, 2)).sum(axis=0))
 
@@ -179,12 +179,12 @@ def _weights(k: np.ndarray, rho: np.ndarray) -> np.ndarray:
 
 def gram_matrix(a: Unraveling, rho) -> np.ndarray:
     """Hermitian PSD unit-trace matrix with entries tr(A_i† A_j rho)."""
-    return a._gram_at(check_density(rho, a.dim_in))
+    return a._gram_at(check_density(rho, a.dim_in)[0])
 
 
 def effect_probabilities(a: Unraveling, rho) -> np.ndarray:
     """p_i = tr(A_i† A_i rho)."""
-    return _normalized(_weights(a.kraus_ops, check_density(rho, a.dim_in)))
+    return _normalized(_weights(a.kraus_ops, check_density(rho, a.dim_in)[0]))
 
 
 def _extremal(a: Unraveling, rho: np.ndarray) -> ExtremalResult:
@@ -199,7 +199,7 @@ def extremal_unraveling(a: Unraveling, rho) -> ExtremalResult:
     With degenerate Gram eigenvalues the diagonalizer (hence the extremal
     Kraus set) is non-unique; only spectrum-derived quantities are canonical.
     """
-    return _extremal(a, check_density(rho, a.dim_in))
+    return _extremal(a, check_density(rho, a.dim_in)[0])
 
 
 def unraveling_entropy(a: Unraveling, rho, alpha: float, kind: str = "tsallis") -> float:

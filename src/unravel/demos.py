@@ -27,7 +27,7 @@ def dft_uncertainty_demo(state, orders: ConjugateOrders) -> BoundReport:
     c = np.asarray(state, dtype=complex)
     if c.ndim not in (1, 2):
         raise ValueError(f"state must be a vector or a stack of them, got shape {c.shape}")
-    linalg.check_unit_norm(c)
+    linalg.check_unit_norm(linalg.check_entries(c, "state"))
     d = c.shape[-1]
     q = np.abs(c) ** 2
     # |F c|^2 up to the order of its entries, which no entropy sees
@@ -43,7 +43,7 @@ class AngleState:
     """
 
     def __init__(self, coeffs, nbins: int):
-        c = np.asarray(coeffs, dtype=complex).ravel()
+        c = linalg.check_entries(np.asarray(coeffs, dtype=complex).ravel(), "coeffs")
         if c.size % 2 == 0:
             raise ValueError("coeffs must cover l = -L..L, so their count is odd")
         if not abs(np.sum(np.abs(c) ** 2) - 1) <= 1e-10:  # NaN fails too

@@ -144,11 +144,11 @@ def ensemble_from_state(rho, m: int, seed: int | None) -> PureEnsemble:
     mixing the (zero-padded) spectral decomposition.  seed=None selects the
     identity mixing, i.e. the eigen-ensemble, so the saturation case of the
     pure-ensemble bound stays testable.  Members below WEIGHT_DROP_TOL are
-    dropped.
+    dropped.  The spectral decomposition is the one check_density made.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    _, w, v = linalg.density_spectrum(linalg.check_one_matrix(rho, "rho"), vectors=True)
+    _, w, v = linalg.check_density(rho, vectors=True)
     u = np.eye(m, dtype=complex) if seed is None else haar_random_unitary(m, seed)
     weights, states = _pure_members(w, v, u)
     keep = weights > 0

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .linalg import check_one_matrix, density_spectrum
+from .linalg import check_density, check_entries
 
 _SUM_TOL = 1e-10
 _NEG_TOL = 1e-12
@@ -22,10 +22,10 @@ def as_prob_vector(p) -> np.ndarray:
     """Validate a probability vector from outside the program, or each row of a
     stack of them, and normalize it with _normalized.
 
-    The last axis holds the outcomes.  Entries in [-1e-12, 0) count as 0; each
-    distribution must sum to 1 within 1e-10.
+    The last axis holds the outcomes.  An entry past check_entries' bound fails before any
+    sum, entries in [-1e-12, 0) count as 0, and each distribution must sum to 1 within 1e-10.
     """
-    p = np.asarray(p, dtype=float)
+    p = check_entries(np.asarray(p, dtype=float), "probabilities")
     if p.ndim == 0:
         p = p.reshape(1)
     if not np.isfinite(p).all():
@@ -141,8 +141,8 @@ def renyi_entropy(p, alpha: float):
 
 def quantum_entropy(rho, alpha: float, kind: str = "tsallis") -> float:
     """Entropy of the eigenvalue distribution of a density matrix: the spectrum
-    that served its PSD check."""
-    return _entropy(_normalized(density_spectrum(check_one_matrix(rho, "rho"))[1]), alpha, kind)
+    that check_density returns, the one that served its PSD check."""
+    return _entropy(_normalized(check_density(rho)[1]), alpha, kind)
 
 
 class ConjugateOrders:

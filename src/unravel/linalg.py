@@ -1,6 +1,7 @@
 """Dense complex-matrix kernel.
 
-Validation of matrices and matrix stacks (finite, bounded, Hermitian, unitary, density),
+Validation of matrices and matrix stacks (finite, bounded, Hermitian, unitary, density;
+check_density is the one gate of a caller's state, and returns the spectrum it checked),
 the Hermitian part, Hermitian eigendecomposition with a canonical (descending)
 eigenvalue order, and seeded random generators: Ginibre arrays, Haar-random
 unitaries and isometries, and density matrices.  A seeded stream is named by
@@ -127,14 +128,6 @@ def check_unit_norm(x: np.ndarray) -> None:
         raise ValueError(f"{_element('state', off, int(off.argmax()))} is not normalized")
 
 
-def check_one_matrix(x, name: str) -> np.ndarray:
-    """x as a complex array, rejected unless it is one matrix (two axes) whose entries pass
-    check_entries: the gate of a caller's state before a check that takes stacks."""
-    if np.ndim(x) != 2:
-        raise ValueError(f"{name} must be one matrix, got shape {np.shape(x)}")
-    return check_entries(np.asarray(x, dtype=complex), name)
-
-
 def psd_spectrum(h: np.ndarray, name: str, vectors: bool = False) -> tuple:
     """(w,), or (w, v) with vectors: the ascending eigendecomposition of a Hermitian matrix or
     (..., dim, dim) stack, rejected below -TOL_PSD; the error names the most negative element."""
@@ -166,9 +159,13 @@ def density_spectrum(rho, dim: int | None = None, name: str = "rho", vectors: bo
     return (rho, *psd_spectrum(rho, name, vectors))
 
 
-def check_density(rho, dim: int | None = None, name: str = "rho") -> np.ndarray:
-    """Validate one density matrix as density_spectrum does, and return its Hermitian part."""
-    return density_spectrum(check_one_matrix(rho, name), dim, name)[0]
+def check_density(rho, dim: int | None = None, vectors: bool = False) -> tuple:
+    """The one gate of a state from outside the program: rho, rejected unless it is one
+    matrix whose entries pass check_entries, validated by density_spectrum, whose tuple
+    it returns: (rho, w), or (rho, w, v) with vectors."""
+    if np.ndim(rho) != 2:
+        raise ValueError(f"rho must be one matrix, got shape {np.shape(rho)}")
+    return density_spectrum(check_entries(np.asarray(rho, dtype=complex), "rho"), dim, vectors=vectors)
 
 
 def _descending_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -8,6 +8,7 @@ value types compare and hash by identity.
 import json
 import re
 import shlex
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -131,3 +132,64 @@ def test_value_types_compare_by_identity(make):
     a, b = make(), make()
     assert (a == a, a != a, a == b, a != b) == (True, False, False, True)
     assert hash(a) == hash(a) and len({a, b, a}) == 2
+
+
+_A = unravel.channels.random_unraveling(2, 3, 1)
+_M, _N = (unravel.bounds.random_projective_povm(2, seed) for seed in (2, 3))
+_ORDERS = unravel.conjugate_order(2.0)
+_HUGE = [[0.5, 1e200], [0.0, 0.5]]
+# each public function or type that takes an array, at an entry of 1e200, or of 1e308 where a sum
+# is what overflows; the id's part before "-" names it
+_HUGE_ENTRY_CALLS = {
+    "Unraveling": lambda: unravel.Unraveling([_HUGE, np.eye(2)]),
+    "Povm": lambda: unravel.Povm([_HUGE, np.eye(2)]),
+    "remix": lambda: unravel.remix(_A, np.diag([1e200, 1.0, 1.0])),
+    "apply_channel": lambda: unravel.apply_channel(_A, _HUGE),
+    "gram_matrix": lambda: unravel.gram_matrix(_A, _HUGE),
+    "effect_probabilities": lambda: unravel.effect_probabilities(_A, _HUGE),
+    "extremal_unraveling": lambda: unravel.extremal_unraveling(_A, _HUGE),
+    "unraveling_entropy": lambda: unravel.unraveling_entropy(_A, _HUGE, 2.0),
+    "povm_probabilities": lambda: unravel.povm_probabilities(_M, _HUGE),
+    "g_factor": lambda: unravel.g_factor(_M, _N, _HUGE),
+    "f_factor": lambda: unravel.f_factor(_M, _N, _HUGE),
+    "tsallis_uncertainty_check": lambda: unravel.tsallis_uncertainty_check(_M, _N, _HUGE, _ORDERS, "f"),
+    "renyi_uncertainty_check": lambda: unravel.renyi_uncertainty_check(_M, _N, _HUGE, _ORDERS),
+    "extremal_pair_tsallis": lambda: unravel.extremal_pair_tsallis(_A, _A, _HUGE, _ORDERS),
+    "extremal_pair_renyi": lambda: unravel.extremal_pair_renyi(_A, _A, _HUGE, _ORDERS, unravel.SearchConfig(2.0)),
+    "quantum_entropy": lambda: unravel.quantum_entropy(_HUGE, 2.0),
+    "ensemble_from_state": lambda: unravel.ensemble_from_state(_HUGE, 3, 5),
+    "tsallis_entropy-1e200": lambda: unravel.tsallis_entropy([1e200, 0.5], 2.0),
+    "tsallis_entropy-1e308": lambda: unravel.tsallis_entropy([1e308, 1e308], 2.0),
+    "renyi_entropy-1e200": lambda: unravel.renyi_entropy([1e200, 0.5], 2.0),
+    "renyi_entropy-1e308": lambda: unravel.renyi_entropy([1e308, 1e308], 2.0),
+    "PureEnsemble-weights": lambda: unravel.PureEnsemble([1e308, 1e308], [[1, 0], [0, 1]]),
+    "PureEnsemble-states": lambda: unravel.PureEnsemble([0.5, 0.5], [[1e200, 0], [0, 1]]),
+    "MixedEnsemble-weights": lambda: unravel.MixedEnsemble([1e308, 1e308], [_RHO, np.eye(2) / 2]),
+    "MixedEnsemble-members": lambda: unravel.MixedEnsemble([0.5, 0.5], [_HUGE, np.eye(2) / 2]),
+    "dft_uncertainty_demo-vector": lambda: unravel.dft_uncertainty_demo([1e200, 0], _ORDERS),
+    "dft_uncertainty_demo-stack": lambda: unravel.dft_uncertainty_demo([[1, 0], [1e200, 0]], _ORDERS),
+    "AngleState": lambda: unravel.AngleState([0, 1e200, 0], 4),
+}
+# value types, and functions of scalars or of objects checked when they were built; alpha_log
+# takes any x >= 0
+_TAKES_NO_OUTSIDE_ARRAY = {
+    "BoundReport", "ConjugateOrders", "ExtremalResult", "PhiProblem", "SearchConfig", "alpha_log",
+    "angle_momentum_demo", "conjugate_order", "ensemble_density", "f_bar", "haar_random_unitary",
+    "mixed_ensemble_bounds_check", "phi_min_verify", "povm_from_unraveling",
+    "pure_ensemble_bounds_check", "random_density",
+}
+
+
+def test_huge_entry_table_covers_every_array_argument():
+    assert {key.split("-")[0] for key in _HUGE_ENTRY_CALLS} | _TAKES_NO_OUTSIDE_ARRAY == set(unravel.__all__)
+
+
+@pytest.mark.parametrize("call", _HUGE_ENTRY_CALLS.values(), ids=_HUGE_ENTRY_CALLS.keys())
+def test_huge_entry_fails_the_entry_bound_without_warning(call):
+    # every entry of a valid state, operator, distribution or amplitude vector has modulus <= 1,
+    # so check_entries rejects a huge one before any sum, product or norm of it overflows
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match="has an entry of modulus at least"):
+            call()
+    assert caught == []

@@ -347,7 +347,7 @@ class TestRankOneOverlaps:
         assert m.roots.shape[-1] == n.roots.shape[-1] == 1
         f, fb = f_factor(m, n, rho), f_bar(m, n)
         assert f <= fb
-        if len(_admissible_pairs(m, n, linalg.check_density(rho))) == m.roots.shape[-3] * n.roots.shape[-3]:
+        if len(_admissible_pairs(m, n, linalg.check_density(rho)[0])) == m.roots.shape[-3] * n.roots.shape[-3]:
             assert f == fb
 
     def test_f_equals_f_bar_when_every_pair_is_admissible(self):
@@ -441,7 +441,7 @@ class TestBatchedFactorsMatchLoops:
         assert abs(f_bar(m, n) - _f_bar_loop(m, n)) <= 1e-12
         for x in (m, n):
             assert np.abs(x.roots @ x.roots.conj().swapaxes(1, 2) - x.elements).max() <= 1e-12
-        rho = linalg.check_density(rho)
+        rho = linalg.check_density(rho)[0]
         assert abs(g_factor(m, n, rho) - _g_loop(m, n, rho)) <= 1e-12
         assert abs(f_factor(m, n, rho) - _f_loop(m, n, rho)) <= 1e-12
 
@@ -640,8 +640,9 @@ def _count_calls(monkeypatch, home, name):
 
 class TestCheckValidatesOnce:
     def test_one_check_density_per_call(self, monkeypatch):
-        # one validation of rho (density_spectrum, the body of check_density) and one
-        # decomposition, whose eigenvectors the f factor reads, whatever the factor
+        # one gate of rho (check_density), one validation (its density_spectrum) and one
+        # decomposition, whose eigenvectors the f factor and the ensemble read
+        gates = _count_calls(monkeypatch, linalg, "check_density")
         calls = _count_calls(monkeypatch, linalg, "density_spectrum")
         m = random_povm(3, 4, seed=60)
         n = random_projective_povm(3, seed=61)
@@ -655,14 +656,16 @@ class TestCheckValidatesOnce:
 
             monkeypatch.setattr(np.linalg, name, spy)
         checks = (tsallis_uncertainty_check, renyi_uncertainty_check)
-        runs = [(check, (m, n, rho, conjugate_order(2.0), kind), kind) for check in checks for kind in ("g", "f", "fbar")]
-        runs += [(g_factor, (m, n, rho), "g"), (f_factor, (m, n, rho), "f")]
-        for function, args, kind in runs:
+        runs = [(check, (m, n, rho, conjugate_order(2.0), kind), kind == "f") for check in checks for kind in ("g", "f", "fbar")]
+        runs += [(g_factor, (m, n, rho), False), (f_factor, (m, n, rho), True)]
+        runs += [(entropy.quantum_entropy, (rho, 2.0), False), (ensembles.ensemble_from_state, (rho, 3, 5), True)]
+        for function, args, vectors in runs:
+            gates.clear()
             calls.clear()
             decomposed.clear()
             function(*args)
-            assert len(calls) == 1
-            assert decomposed == ["eigh" if kind == "f" else "eigvalsh"]
+            assert (len(gates), len(calls)) == (1, 1)
+            assert decomposed == ["eigh" if vectors else "eigvalsh"]
 
     def test_sweep_trial(self, monkeypatch, capsys):
         # one validation of the stacked states and one uncertainty body per block:
@@ -698,7 +701,7 @@ class TestCheckValidatesOnce:
         rho = linalg.random_density(3, 2, seed=68)
         h = entropy.quantum_entropy(rho, 2.0)
         assert decomposed == [(3, 3)]
-        assert h == entropy.tsallis_entropy(original(linalg.check_density(rho)), 2.0)
+        assert h == entropy.tsallis_entropy(original(linalg.check_density(rho)[0]), 2.0)
         with pytest.raises(ValueError, match=r"rho must be one matrix, got shape \(2, 3, 3\)"):
             entropy.quantum_entropy(np.stack([rho, rho]), 2.0)
 

@@ -750,6 +750,21 @@ class TestCholeskyQr:
         assert calls == ["channels._isometry_factors"]
 
 
+class TestDensityGate:
+    def test_one_gate(self):
+        # a caller's state reaches density_spectrum only through linalg.check_density; the other
+        # sites are the program's own stacked draws (sweep's and ensemble's states, ensemble's
+        # members) and MixedEnsemble's members
+        calls = _package_sites(lambda node: isinstance(node, ast.Call) and _name(node.func) == "density_spectrum")
+        assert calls == [
+            "cli.cmd_sweep.compute",
+            "cli.cmd_ensemble.compute",
+            "cli.cmd_ensemble.compute",
+            "ensembles.MixedEnsemble.__init__",
+            "linalg.check_density",
+        ]
+
+
 class TestUnexpectedError:
     def test_only_main_catches_everything(self):
         # any error that is not bad input reaches cli.main, which reports it with exit 3:

@@ -3,7 +3,9 @@
 The commands are run in-process, in JSON and in CSV, and each run's digest is
 compared with GOLDEN, so a change that moves a byte of any of them fails here,
 named by its command.  The instance files for `extremal` and `uncertainty` are
-written by this file's own recipe (_instance), from numpy's generators alone.
+written by this file's own recipes: _instance, from numpy's generators alone, and
+_bad_instance, a d = 2 file whose state alone is bad, so each of its runs exits 2
+with the state check's error.
 Left out: d = 64, whose sums depend on the BLAS thread count, and --timing.
 
 A change that moves bytes on purpose regenerates the table with
@@ -30,6 +32,15 @@ from unravel import cli
 
 # (d, Kraus operators, seed) of the instance file inst{d}.json
 INSTANCES = [(2, 3, 11), (3, 2, 12), (4, 4, 13)]
+# (name, rho) of the d = 2 instance file bad_{name}.json, whose only bad field is rho (_bad_instance)
+BAD_STATES = [
+    ("nonhermitian", [[0.5, 0.1], [0.0, 0.5]]),
+    ("nan", [[float("nan"), 0.0], [0.0, 0.5]]),
+    ("trace2", np.eye(2)),
+    ("indefinite", np.diag([1.5, -0.5])),
+    ("dim3", np.eye(3) / 3),
+    ("huge", [[1e200, 0.0], [0.0, 0.5]]),
+]
 
 COMMANDS = [
     "sweep --dim 1 --trials 5 --seed 5",
@@ -62,6 +73,10 @@ COMMANDS = [
         for factor in ("g", "f", "fbar")
         for kind in ("tsallis", "renyi")
     ]
+] + [
+    command
+    for name, _ in BAD_STATES
+    for command in (f"uncertainty --in bad_{name}.json --alpha 2 --factor f", f"extremal --in bad_{name}.json --remixings 5")
 ]
 RUNS = [prefix + command for prefix in ("", "--format csv ") for command in COMMANDS]
 
@@ -109,6 +124,18 @@ GOLDEN = {
     'uncertainty --in inst4.json --alpha 2 --factor f --kind renyi': '4cda0efd1ce185e8e214ca09010a15b0e1dd1ae383542bdc7bd7f54b293c3597',
     'uncertainty --in inst4.json --alpha 2 --factor fbar --kind tsallis': 'e00e26b04e0e1891782066ec8477a73cec5281f57e74304b011f77a2991c5651',
     'uncertainty --in inst4.json --alpha 2 --factor fbar --kind renyi': '75e72a95a6ed1f8e132e050578acf4414f2a06c459dcf878fccf22cf92269499',
+    'uncertainty --in bad_nonhermitian.json --alpha 2 --factor f': '108d58c31d9eee26189530c0daa02c6b89801be697d67efccac8bb320c84c52b',
+    'extremal --in bad_nonhermitian.json --remixings 5': '108d58c31d9eee26189530c0daa02c6b89801be697d67efccac8bb320c84c52b',
+    'uncertainty --in bad_nan.json --alpha 2 --factor f': 'e1c6987e426852ea7c4387877d0ffccf45d368cc2825eae562c49935be1a5c40',
+    'extremal --in bad_nan.json --remixings 5': 'e1c6987e426852ea7c4387877d0ffccf45d368cc2825eae562c49935be1a5c40',
+    'uncertainty --in bad_trace2.json --alpha 2 --factor f': '1f3ffe7519bce46e622ed057882ca9172b8502b602cc0fbf98a242b10523fd70',
+    'extremal --in bad_trace2.json --remixings 5': '1f3ffe7519bce46e622ed057882ca9172b8502b602cc0fbf98a242b10523fd70',
+    'uncertainty --in bad_indefinite.json --alpha 2 --factor f': '68326584a7746d7e48b4e44aa51b5bb31c3ab6b78bc931cdc15c5b733bc327ed',
+    'extremal --in bad_indefinite.json --remixings 5': '68326584a7746d7e48b4e44aa51b5bb31c3ab6b78bc931cdc15c5b733bc327ed',
+    'uncertainty --in bad_dim3.json --alpha 2 --factor f': 'f6a7111d0e058832af9c2e1979e8dbe6212aeb2190b2dc26bf0cfb597f5352a3',
+    'extremal --in bad_dim3.json --remixings 5': 'f6a7111d0e058832af9c2e1979e8dbe6212aeb2190b2dc26bf0cfb597f5352a3',
+    'uncertainty --in bad_huge.json --alpha 2 --factor f': '5c823e575a1f0ebd9336cd37810fbcc76dede0c233373bea8c1310cde6748de2',
+    'extremal --in bad_huge.json --remixings 5': '5c823e575a1f0ebd9336cd37810fbcc76dede0c233373bea8c1310cde6748de2',
     '--format csv sweep --dim 1 --trials 5 --seed 5': '96ec1e4dce01fa3cc8f418c0a712de579faf26a7c69627a418697f185c9bf196',
     '--format csv sweep --dim 2 --trials 40 --seed 5': 'acc47746e6c846ebc6a83dec20cf02d7566fc28ec35c8392ff19cf8f20d67883',
     '--format csv sweep --dim 3 --trials 20 --seed 5': 'bd4c2092ec040cdcbf31f3d129896771bf10bee5513020ef8c953101cf819eaf',
@@ -151,6 +178,18 @@ GOLDEN = {
     '--format csv uncertainty --in inst4.json --alpha 2 --factor f --kind renyi': 'b4ea9f5862c98b2d44a4d057046ff964e62f6261470fc5656369cef6eeb59d29',
     '--format csv uncertainty --in inst4.json --alpha 2 --factor fbar --kind tsallis': 'ab4bbd9d79f36c485fbd07212c549ea46e58b9cebe12b2a1c128aac210ff863c',
     '--format csv uncertainty --in inst4.json --alpha 2 --factor fbar --kind renyi': 'b23edf06fce87d797d415a1f5b69d65d80b21add371892092901d39d9225d075',
+    '--format csv uncertainty --in bad_nonhermitian.json --alpha 2 --factor f': '108d58c31d9eee26189530c0daa02c6b89801be697d67efccac8bb320c84c52b',
+    '--format csv extremal --in bad_nonhermitian.json --remixings 5': '108d58c31d9eee26189530c0daa02c6b89801be697d67efccac8bb320c84c52b',
+    '--format csv uncertainty --in bad_nan.json --alpha 2 --factor f': 'e1c6987e426852ea7c4387877d0ffccf45d368cc2825eae562c49935be1a5c40',
+    '--format csv extremal --in bad_nan.json --remixings 5': 'e1c6987e426852ea7c4387877d0ffccf45d368cc2825eae562c49935be1a5c40',
+    '--format csv uncertainty --in bad_trace2.json --alpha 2 --factor f': '1f3ffe7519bce46e622ed057882ca9172b8502b602cc0fbf98a242b10523fd70',
+    '--format csv extremal --in bad_trace2.json --remixings 5': '1f3ffe7519bce46e622ed057882ca9172b8502b602cc0fbf98a242b10523fd70',
+    '--format csv uncertainty --in bad_indefinite.json --alpha 2 --factor f': '68326584a7746d7e48b4e44aa51b5bb31c3ab6b78bc931cdc15c5b733bc327ed',
+    '--format csv extremal --in bad_indefinite.json --remixings 5': '68326584a7746d7e48b4e44aa51b5bb31c3ab6b78bc931cdc15c5b733bc327ed',
+    '--format csv uncertainty --in bad_dim3.json --alpha 2 --factor f': 'f6a7111d0e058832af9c2e1979e8dbe6212aeb2190b2dc26bf0cfb597f5352a3',
+    '--format csv extremal --in bad_dim3.json --remixings 5': 'f6a7111d0e058832af9c2e1979e8dbe6212aeb2190b2dc26bf0cfb597f5352a3',
+    '--format csv uncertainty --in bad_huge.json --alpha 2 --factor f': '5c823e575a1f0ebd9336cd37810fbcc76dede0c233373bea8c1310cde6748de2',
+    '--format csv extremal --in bad_huge.json --remixings 5': '5c823e575a1f0ebd9336cd37810fbcc76dede0c233373bea8c1310cde6748de2',
 }
 
 
@@ -180,10 +219,24 @@ def _instance(d: int, n: int, seed: int) -> dict:
     return dict(dim=d, seed=seed, rho=cli.matrix_to_json(rho / np.trace(rho).real), **fields)
 
 
+def _bad_instance(rho) -> dict:
+    """A d = 2 instance file's fields: the z and x basis projectors, the dephasing
+    Kraus set of two operators, and rho, whose check is the one that fails (exit 2)."""
+    fields = {
+        "kraus": [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])],
+        "povm_m": [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])],
+        "povm_n": [np.full((2, 2), 0.5), np.array([[0.5, -0.5], [-0.5, 0.5]])],
+    }
+    fields = {key: [cli.matrix_to_json(m) for m in ms] for key, ms in fields.items()}
+    return dict(dim=2, rho=cli.matrix_to_json(rho), **fields)
+
+
 def _write_instances(directory) -> None:
-    for d, n, seed in INSTANCES:
-        with open(os.path.join(directory, f"inst{d}.json"), "w") as fh:
-            json.dump(_instance(d, n, seed), fh)
+    files = {f"inst{d}.json": _instance(d, n, seed) for d, n, seed in INSTANCES}
+    files.update({f"bad_{name}.json": _bad_instance(rho) for name, rho in BAD_STATES})
+    for name, doc in files.items():
+        with open(os.path.join(directory, name), "w") as fh:
+            json.dump(doc, fh)
 
 
 def _digest(command: str) -> str:
